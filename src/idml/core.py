@@ -2,9 +2,11 @@
 
 Embeddings are plain 1-D float64 numpy arrays validated at the boundaries
 (finite, nonempty). Labels are frozensets of nonnegative ints so that a
-mixed sample can carry both of its source classes. All randomness flows
-through :class:`Rng`, a counter-based generator with named substreams, so
-every run is replayable from a single 64-bit seed.
+mixed sample can carry both of its source classes; inside a batch they
+become rows of a boolean multi-hot matrix (:func:`multi_hot`), and every
+"do these samples match?" question is answered by :func:`match_matrix`.
+All randomness flows through :class:`Rng`, a counter-based generator with
+named substreams, so every run is replayable from a single 64-bit seed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ __all__ = [
     "l2_norm",
     "label_set",
     "labels_match",
+    "multi_hot",
+    "match_matrix",
     "MetricParams",
     "EmbeddingPair",
     "Batch",
@@ -91,6 +95,28 @@ def labels_match(a, b) -> bool:
     The relation is symmetric and reflexive but not transitive.
     """
     return not label_set(a).isdisjoint(label_set(b))
+
+
+def multi_hot(labels):
+    """Boolean (N, K) multi-hot rows over the sorted distinct label ids.
+
+    Returns (Y, classes) with Y[i, k] true iff classes[k] is in sample i's
+    label set. Each row is validated once with `label_set`; ids index
+    columns through `classes`, so a large id does not widen Y.
+    """
+    sets = [label_set(l) for l in labels]
+    classes = sorted(frozenset().union(*sets))
+    col = {c: k for k, c in enumerate(classes)}
+    Y = np.zeros((len(sets), len(classes)), dtype=bool)
+    for i, s in enumerate(sets):
+        Y[i, [col[c] for c in s]] = True
+    return Y, classes
+
+
+def match_matrix(labels) -> np.ndarray:
+    """(N, N) boolean table of `labels_match` over every pair, diagonal true."""
+    Y = multi_hot(labels)[0].astype(np.float64)
+    return Y @ Y.T > 0
 
 
 @dataclass(frozen=True)
@@ -213,7 +239,3 @@ class Rng:
     def beta(self, a: float, b: float) -> float:
         return float(self._gen.beta(a, b))
 
-
-def rng_uniform(rng: Rng, lo: float, hi: float) -> float:
-    """Single uniform draw in [lo, hi), advancing `rng`."""
-    return float(rng.uniform(lo, hi))

@@ -23,6 +23,7 @@ from idml.core import (
     Rng,
     ShapeError,
     label_set,
+    match_matrix,
 )
 from idml.metric import (
     METRIC_NAMES,
@@ -61,16 +62,6 @@ def _as_labelsets(labels) -> tuple:
     return tuple(ls if isinstance(ls, frozenset) else label_set(ls) for ls in labels)
 
 
-def _match_matrix(labelsets) -> np.ndarray:
-    n = len(labelsets)
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if labelsets[i] & labelsets[j]:
-                m[i, j] = m[j, i] = True
-    return m
-
-
 def neighbor_order(dists: np.ndarray) -> np.ndarray:
     """(N, N-1) neighbor indices per row, nearest first, self excluded.
 
@@ -106,7 +97,7 @@ def recall_at_k(embeddings, labels, k: int, order: np.ndarray = None) -> float:
             raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
     if not 1 <= k < n:
         raise ParameterError(f"recall@k needs 1 <= k < n_samples, got k={k}, n={n}")
-    match = _match_matrix(labelsets)
+    match = match_matrix(labelsets)
     hits = 0
     for i in range(n):
         if match[i, order[i, :k]].any():
@@ -127,7 +118,8 @@ def r_precision_and_map_at_r(embeddings, labels, order: np.ndarray = None):
         order, S = _semantic_order(embeddings)
         if S.shape[0] != n:
             raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
-    match = _match_matrix(labelsets)
+    match = match_matrix(labelsets)
+    np.fill_diagonal(match, False)  # a query is not its own counterpart
     rps, maps = [], []
     n_skipped = 0
     for i in range(n):

@@ -399,8 +399,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
                 proxies=proxies,
                 rng=loss_rng,
             )
-            _, u_now = forward(model, batch.features)
-            norms = uncertainty_levels(u_now)
+            norms = uncertainty_levels(res.uncertainty)
             clean_norms.extend(norms[~batch.is_mixed])
             mixed_norms.extend(norms[batch.is_mixed])
             ep_loss.append(res.value)

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from idml.core import MetricParams, ParameterError, Rng, ShapeError, label_set
+# label_set stays importable here: perfbench counts calls at this name.
+from idml.core import MetricParams, ParameterError, Rng, ShapeError, label_set, match_matrix, multi_hot  # noqa: F401
 from idml.metric import (
     METRIC_NAMES,
     distance_table,
@@ -155,6 +156,8 @@ class LossResult:
     kink_margin: float = np.inf
     mining_exhausted: bool = False
     plan: Plan = field(default=None, repr=False)
+    # Uncertainty rows the loss was evaluated at (set by model.loss_and_grad).
+    uncertainty: np.ndarray = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +165,9 @@ class LossResult:
 # ---------------------------------------------------------------------------
 
 
-def _match_matrix(labels) -> np.ndarray:
-    labels = [label_set(l) for l in labels]
-    n = len(labels)
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not labels[i].isdisjoint(labels[j]):
-                m[i, j] = m[j, i] = True
-    return m
-
-
 def _pair_lists(labels):
     """All unordered pairs, split by label match."""
-    m = _match_matrix(labels)
+    m = match_matrix(labels)
     iu, ju = np.triu_indices(len(labels), k=1)
     matched = m[iu, ju]
     pos = np.stack([iu[matched], ju[matched]], axis=1)
@@ -260,17 +252,14 @@ def _min_or_inf(values) -> float:
 
 
 def _proxy_masks(labels, proxies: ProxySet):
-    covered = set()
-    for l in labels:
-        covered |= label_set(l)
-    missing = covered - set(proxies.classes)
+    """(N, K) sample-proxy label matches: the batch's multi-hot columns placed at their proxies."""
+    Y, classes = multi_hot(labels)
+    missing = set(classes) - set(proxies.classes)
     if missing:
         raise ParameterError(f"proxy set lacks classes {sorted(missing)}")
+    col = {c: k for k, c in enumerate(proxies.classes)}
     pos = np.zeros((len(labels), len(proxies)), dtype=bool)
-    for i, l in enumerate(labels):
-        ls = label_set(l)
-        for k, c in enumerate(proxies.classes):
-            pos[i, k] = c in ls
+    pos[:, [col[c] for c in classes]] = Y
     return pos, ~pos
 
 
@@ -351,18 +340,12 @@ def _ms_mining_masks(Cs: np.ndarray, labels, eps: float):
     iff Cs[i, j] < max over i's negatives + eps. An anchor with no
     counterpart set keeps its pairs vacuously.
     """
-    m = _match_matrix(labels)
-    n = m.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    pos, neg = m & off, ~m & off
-    pos_keep = np.zeros_like(pos)
-    neg_keep = np.zeros_like(neg)
-    for i in range(n):
-        p, q = pos[i], neg[i]
-        min_pos = Cs[i, p].min() if p.any() else None
-        max_neg = Cs[i, q].max() if q.any() else None
-        neg_keep[i] = q if min_pos is None else q & (Cs[i] > min_pos - eps)
-        pos_keep[i] = p if max_neg is None else p & (Cs[i] < max_neg + eps)
+    m = match_matrix(labels)
+    pos, neg = m & ~np.eye(m.shape[0], dtype=bool), ~m
+    min_pos = np.where(pos, Cs, np.inf).min(axis=1, keepdims=True)
+    max_neg = np.where(neg, Cs, -np.inf).max(axis=1, keepdims=True)
+    neg_keep = neg & ((Cs > min_pos - eps) | ~pos.any(axis=1, keepdims=True))
+    pos_keep = pos & ((Cs < max_neg + eps) | ~neg.any(axis=1, keepdims=True))
     return pos_keep, neg_keep
 
 

@@ -34,6 +34,7 @@ from idml.core import (
     ShapeError,
 )
 from idml.losses import (
+    PROXY_LOSSES,
     LossParams,
     LossResult,
     ProxySet,
@@ -231,6 +232,7 @@ def loss_and_grad(
     res = evaluate_loss(
         loss, S, U, batch.labels, plan, metric=metric, mp=mp, lp=lp, proxies=proxies
     )
+    res.uncertainty = U
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))
         raise NumericalFailure(f"non-finite loss value {res.value} (term {worst})")
@@ -471,7 +473,7 @@ def finite_difference_check(
     if grads_override is not None:
         grads = grads_override
 
-    params = all_parameters(model, proxies if loss in _PROXY_LOSSES else None)
+    params = all_parameters(model, proxies if loss in PROXY_LOSSES else None)
     plan = res.plan
 
     def value():
@@ -507,9 +509,6 @@ def finite_difference_check(
         n_resampled=n_resampled,
         kink_margin=res.kink_margin,
     )
-
-
-_PROXY_LOSSES = frozenset({"softmax_proxy", "proxy_nca", "proxy_anchor"})
 
 
 @dataclass

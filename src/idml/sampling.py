@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from idml.core import MiningExhausted, ParameterError, Rng, ShapeError, labels_match
+# labels_match stays importable here: perfbench counts calls at this name.
+from idml.core import MiningExhausted, ParameterError, Rng, ShapeError, labels_match, match_matrix  # noqa: F401
 
 __all__ = [
     "semi_hard_negative",
@@ -37,6 +38,19 @@ def _check_dists(dists: np.ndarray, n_labels: int) -> np.ndarray:
     return dists
 
 
+def _semi_hard_row(d_row: np.ndarray, match_row: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Semi-hard negative per positive of one anchor, -1 where none qualifies.
+
+    A candidate is a non-matching index n with d_row[n] > d_row[p]; the
+    closest wins and ties go to the lowest index (argmin's first hit).
+    Candidates at +inf or NaN never qualify.
+    """
+    neg_d = np.where(match_row, np.inf, d_row)
+    cand = np.where(neg_d[None, :] > d_row[positives][:, None], neg_d[None, :], np.inf)
+    best = np.argmin(cand, axis=1)
+    return np.where(cand[np.arange(len(positives)), best] < np.inf, best, -1)
+
+
 def semi_hard_negative(anchor: int, positive: int, dists, labels):
     """Closest negative still farther from the anchor than the positive.
 
@@ -44,38 +58,28 @@ def semi_hard_negative(anchor: int, positive: int, dists, labels):
     labels not matching, or None when no negative qualifies.
     """
     dists = _check_dists(dists, len(labels))
-    d_ap = dists[anchor, positive]
-    best, best_d = None, np.inf
-    for n in range(len(labels)):
-        if n == anchor or labels_match(labels[anchor], labels[n]):
-            continue
-        d_an = dists[anchor, n]
-        if d_an > d_ap and d_an < best_d:
-            best, best_d = n, d_an
-    return best
+    best = _semi_hard_row(dists[anchor], match_matrix(labels)[anchor], np.array([positive]))[0]
+    return None if best < 0 else int(best)
 
 
 def mine_triplets(dists, labels):
     """Semi-hard triplets for every ordered (anchor, positive) pair.
 
-    Returns (triplets, n_skipped): an (T, 3) int array of (a, p, n) rows and
-    the count of anchor-positive pairs whose qualifying negative set was
-    empty (those contribute no loss term).
+    Returns (triplets, n_skipped): an (T, 3) int array of (a, p, n) rows,
+    anchor-major with positives ascending, and the count of anchor-positive
+    pairs whose qualifying negative set was empty (those contribute no loss
+    term).
     """
     dists = _check_dists(dists, len(labels))
-    n = len(labels)
-    triplets, skipped = [], 0
-    for a in range(n):
-        for p in range(n):
-            if p == a or not labels_match(labels[a], labels[p]):
-                continue
-            neg = semi_hard_negative(a, p, dists, labels)
-            if neg is None:
-                skipped += 1
-            else:
-                triplets.append((a, p, neg))
-    out = np.array(triplets, dtype=np.intp).reshape(-1, 3)
-    return out, skipped
+    m = match_matrix(labels)
+    pos_m = m & ~np.eye(len(labels), dtype=bool)
+    rows = []
+    for a in np.flatnonzero(pos_m.any(axis=1)):
+        pos = np.flatnonzero(pos_m[a])
+        rows += [(a, p, n) for p, n in zip(pos, _semi_hard_row(dists[a], m[a], pos))]
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 3)
+    found = rows[:, 2] >= 0
+    return rows[found], int((~found).sum())
 
 
 def dw_log_weight(d: float, n_dim: int, phi: float) -> float:
@@ -108,29 +112,28 @@ def sample_negatives_dw(anchor: int, dists, labels, n_dim: int, phi: float, rng:
     over the anchor's in-batch negatives, normalized after subtracting the
     max log weight for stability.
     """
-    dists = _check_dists(dists, len(labels))
-    neg = np.array(
-        [n for n in range(len(labels)) if n != anchor and not labels_match(labels[anchor], labels[n])],
-        dtype=np.intp,
-    )
-    if neg.size == 0:
+    rows = sample_negatives_for_pairs([(anchor, anchor)], dists, labels, n_dim, phi, rng)
+    if rows.shape[0] == 0:
         raise MiningExhausted(f"anchor {anchor} has no negatives in this batch")
-    lw = dw_log_weights(dists[anchor, neg], n_dim, phi)
-    w = np.exp(lw - lw.max())
-    p = w / w.sum()
-    return int(rng.choice(neg, p=p))
+    return int(rows[0, 1])
 
 
 def sample_negatives_for_pairs(pos_pairs, dists, labels, n_dim: int, phi: float, rng: Rng):
     """One distance-weighted negative per positive pair, anchored at its first index.
 
+    One `rng.choice` per pair, in pair order, as in `sample_negatives_dw`.
     Pairs whose anchor has no in-batch negative are skipped. Returns an
     (M, 2) int array of (anchor, negative) rows.
     """
+    dists = _check_dists(dists, len(labels))
+    m = match_matrix(labels)
     out = []
-    for i, _ in np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2):
-        try:
-            out.append((int(i), sample_negatives_dw(int(i), dists, labels, n_dim, phi, rng)))
-        except MiningExhausted:
+    for i in np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2)[:, 0]:
+        neg = np.flatnonzero(~m[i])
+        if neg.size == 0:
             continue
+        lw = dw_log_weights(dists[i, neg], n_dim, phi)
+        w = np.exp(lw - lw.max())
+        p = w / w.sum()
+        out.append((int(i), int(rng.choice(neg, p=p))))
     return np.array(out, dtype=np.intp).reshape(-1, 2)

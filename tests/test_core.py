@@ -17,6 +17,8 @@ from idml.core import (
     l2_norm,
     label_set,
     labels_match,
+    match_matrix,
+    multi_hot,
 )
 
 
@@ -54,6 +56,18 @@ def test_labels_match_is_set_intersection():
     assert not labels_match({1}, {3})
     # a mixed sample shares a class with both of its parents
     assert labels_match({1, 2}, {1})
+
+
+def test_match_matrix_equals_pairwise_labels_match():
+    # sparse ids index columns through the sorted distinct ids, not by value
+    labels = ({0}, {10**6}, {0, 10**6}, {7}, {7, 0}, 3, [10**6, 10**6])
+    Y, classes = multi_hot(labels)
+    assert classes == [0, 3, 7, 10**6]
+    assert Y.shape == (7, 4)
+    assert match_matrix(labels).tolist() == [[labels_match(a, b) for b in labels] for a in labels]
+    for bad in (({0}, set()), ({0}, {-1})):
+        with pytest.raises(ParameterError):
+            match_matrix(bad)
 
 
 def test_metric_params_defaults_and_validation():

@@ -219,10 +219,19 @@ def test_multi_similarity_pos_and_neg_at_lambda():
 
 def test_multi_similarity_masks_match_loop_oracle():
     r = np.random.default_rng(4)
+    batches = []
     for _ in range(25):
         n = int(r.integers(4, 12))
-        S = r.normal(size=(n, 3))
-        labels = tuple(frozenset({int(c)}) for c in r.integers(0, 3, size=n))
+        # one or two classes per sample, as after mixing
+        labels = tuple(
+            frozenset(int(c) for c in r.integers(0, 3, size=int(r.integers(1, 3))))
+            for _ in range(n)
+        )
+        batches.append((r.normal(size=(n, 3)), labels))
+    # a single class: no anchor has a negative, so every positive is kept
+    batches.append((r.normal(size=(5, 3)), (frozenset({2}),) * 5))
+    for S, labels in batches:
+        n = len(labels)
         plan = build_plan("multi_similarity", S, np.zeros((n, 2)), labels, metric="euclidean")
         Sn = S / np.linalg.norm(S, axis=1, keepdims=True)
         C = Sn @ Sn.T
@@ -396,6 +405,14 @@ def test_unknown_loss_rejected():
     S, U, labels = random_labeled(0)
     with pytest.raises(ParameterError):
         compute_loss("npair", S, U, labels)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_invalid_labels_rejected_by_build_plan(loss):
+    S, U, labels = random_labeled(0)
+    for bad in (frozenset(), frozenset({-1})):
+        with pytest.raises(ParameterError):
+            build_plan(loss, S, U, labels[:-1] + (bad,), rng=Rng(0), **loss_kwargs(loss))
 
 
 def test_kink_margin_reports_distance_to_nearest_kink():

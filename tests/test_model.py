@@ -123,8 +123,10 @@ def test_init_proxies_shapes_and_scale():
 
 def test_loss_and_grad_covers_every_parameter():
     m = small_model()
-    res, grads = loss_and_grad(m, small_batch(), "contrastive", metric="ism")
+    batch = small_batch()
+    res, grads = loss_and_grad(m, batch, "contrastive", metric="ism")
     assert set(grads.keys()) == set(m.parameters().keys())
+    assert np.array_equal(res.uncertainty, forward(m, batch.features)[1])
     for k, g in grads.items():
         assert g.shape == m.parameters()[k].shape
         assert np.all(np.isfinite(g))

@@ -23,6 +23,14 @@ def dist_matrix(points):
     return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
 
 
+def mixed_labels(r, n):
+    """One or two of three classes per sample, as after mixing."""
+    return tuple(
+        frozenset(int(c) for c in r.integers(0, 3, size=int(r.integers(1, 3))))
+        for _ in range(n)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Semi-hard selection
 # ---------------------------------------------------------------------------
@@ -65,8 +73,10 @@ def test_semi_hard_shared_label_not_a_negative():
 def test_semi_hard_matches_brute_force(seed):
     r = np.random.default_rng(seed)
     n = int(r.integers(4, 20))
-    labels = tuple(frozenset({int(c)}) for c in r.integers(0, 3, size=n))
-    d = dist_matrix(r.normal(size=(n, 3)))
+    labels = mixed_labels(r, n)
+    # one decimal makes distance ties common; the lowest index must win them
+    d = np.round(dist_matrix(r.normal(size=(n, 3))), 1)
+    want_rows, want_skipped = [], 0
     for a in range(n):
         for p in range(n):
             if a == p or not (labels[a] & labels[p]):
@@ -75,6 +85,13 @@ def test_semi_hard_matches_brute_force(seed):
                 d[a, p], [(j, d[a, j]) for j in range(n) if not (labels[a] & labels[j])]
             )
             assert semi_hard_negative(a, p, d, labels) == want
+            if want is None:
+                want_skipped += 1
+            else:
+                want_rows.append([a, p, want])
+    triplets, skipped = mine_triplets(d, labels)
+    assert triplets.tolist() == want_rows
+    assert skipped == want_skipped
 
 
 def test_mine_triplets_structure_and_skip_count():
@@ -222,3 +239,23 @@ def test_sample_negatives_for_pairs_rows_are_valid():
     assert len(rows) == len(pos_pairs)  # every anchor here has a negative
     for a, neg in rows:
         assert not (labels[a] & labels[neg])
+
+
+def test_sample_negatives_for_pairs_matches_single_draws():
+    r = np.random.default_rng(8)
+    # the last sample carries every class, so it has no negative to draw
+    labels = mixed_labels(r, 12) + (frozenset({0, 1, 2}),)
+    n = len(labels)
+    pts = r.normal(size=(n, 4))
+    d = dist_matrix(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    pos_pairs = [(a, p) for a in range(n) for p in range(n) if a != p and labels[a] & labels[p]]
+    rng = Rng(seed=9)
+    want = []
+    for a, _ in pos_pairs:
+        try:
+            want.append([a, sample_negatives_dw(a, d, labels, 16, 10.0, rng)])
+        except MiningExhausted:
+            continue
+    rows = sample_negatives_for_pairs(pos_pairs, d, labels, 16, 10.0, Rng(seed=9))
+    assert rows.tolist() == want
+    assert n - 1 not in rows[:, 0]
