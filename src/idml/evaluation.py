@@ -27,6 +27,7 @@ from idml.core import (
 )
 from idml.metric import (
     METRIC_NAMES,
+    _squared_distances,
     distance_table,
     pairwise_pair_uncertainty,
     pairwise_semantic_distance,
@@ -98,10 +99,7 @@ def recall_at_k(embeddings, labels, k: int, order: np.ndarray = None) -> float:
     if not 1 <= k < n:
         raise ParameterError(f"recall@k needs 1 <= k < n_samples, got k={k}, n={n}")
     match = match_matrix(labelsets)
-    hits = 0
-    for i in range(n):
-        if match[i, order[i, :k]].any():
-            hits += 1
+    hits = int(match[np.arange(n)[:, None], order[:, :k]].any(axis=1).sum())
     return hits / n
 
 
@@ -172,7 +170,7 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
         centers = _kmeanspp_init(X, k, rng)
         assign = None
         for _ in range(max_iter):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = _squared_distances(X, centers)
             new_assign = np.argmin(d2, axis=1)
             if assign is not None and np.array_equal(new_assign, assign):
                 break
@@ -184,7 +182,7 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
                 else:
                     # re-seed an empty cluster at the worst-served point
                     centers[c] = X[int(np.argmax(d2.min(axis=1)))]
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(X, centers)
         inertia = float(d2.min(axis=1).sum())
         if inertia < best_inertia:
             best_inertia, best_assign = inertia, assign

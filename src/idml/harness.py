@@ -419,10 +419,26 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
             )
         )
 
+    report, u_rows = _evaluate_test_split(model, ds, cfg.seed, cfg.augment, cfg.test_metric, mp)
+    record = RunRecord(
+        config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
+    )
+    if output_dir is not None:
+        _write_run_outputs(Path(output_dir), record, model, proxies, u_rows)
+    return record
+
+
+def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test_metric: str, mp):
+    """Embed the test split and its eval-time mixed samples, then evaluate.
+
+    Returns (EvalReport, uncertainty.csv rows). `forward` and `evaluate` are
+    looked up in this module's globals, so wrapping them here wraps the
+    evaluation of both `train` and `diagnose`.
+    """
     x_test, l_test, idx_test = ds.test_split()
     s_test, u_test = forward(model, x_test)
-    eval_rng = Rng(cfg.seed, STREAM_EVAL)
-    mixed_feats, mixed_labels = _mixed_eval_batch(x_test, l_test, cfg.augment, eval_rng)
+    eval_rng = Rng(seed, STREAM_EVAL)
+    mixed_feats, mixed_labels = _mixed_eval_batch(x_test, l_test, aug, eval_rng)
     if mixed_feats.shape[0]:
         _, u_mixed = forward(model, mixed_feats)
     else:
@@ -433,25 +449,10 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         l_test,
         eval_rng,
         mixed_uncertainty=u_mixed,
-        test_metric=cfg.test_metric,
+        test_metric=test_metric,
         mp=mp,
     )
-    record = RunRecord(
-        config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
-    )
-    if output_dir is not None:
-        _write_run_outputs(
-            Path(output_dir),
-            record,
-            model,
-            proxies,
-            ds,
-            idx_test,
-            u_test,
-            mixed_labels,
-            u_mixed,
-        )
-    return record
+    return report, _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed)
 
 
 def _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed):
@@ -468,9 +469,7 @@ def _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed):
     return rows
 
 
-def _write_run_outputs(
-    out: Path, record: RunRecord, model, proxies, ds, idx_test, u_test, mixed_labels, u_mixed
-):
+def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(_json_text(config_to_json_dict(record.config)))
     (out / "record.json").write_text(_json_text(record.record_json_dict()))
@@ -482,9 +481,7 @@ def _write_run_outputs(
             f"{e.epoch},{e.loss!r},{e.uncert_clean!r},{e.uncert_mixed!r},{e.grad_norm!r}"
         )
     (out / "epochs.csv").write_text("\n".join(lines) + "\n")
-    u_lines = ["id,label,is_mixed,u_norm"]
-    u_lines += _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed)
-    (out / "uncertainty.csv").write_text("\n".join(u_lines) + "\n")
+    (out / "uncertainty.csv").write_text("\n".join(["id,label,is_mixed,u_norm"] + u_rows) + "\n")
     save_checkpoint(out / "model.bin", model, proxies)
 
 
@@ -618,25 +615,14 @@ def diagnose(
         raise ShapeError(
             f"dataset feature dim {ds.features.shape[1]} != model input dim {model.input_dim}"
         )
-    x_test, l_test, idx_test = ds.test_split()
-    s_test, u_test = forward(model, x_test)
-    eval_rng = Rng(seed, STREAM_EVAL)
-    aug = AugmentConfig(mix_fraction=mix_fraction)
-    mixed_feats, mixed_labels = _mixed_eval_batch(x_test, l_test, aug, eval_rng)
-    if mixed_feats.shape[0]:
-        _, u_mixed = forward(model, mixed_feats)
-    else:
-        u_mixed = None
-    report = evaluate(
-        s_test,
-        u_test,
-        l_test,
-        eval_rng,
-        mixed_uncertainty=u_mixed,
-        test_metric=test_metric,
-        mp=mp if mp is not None else MetricParams(),
+    report, rows = _evaluate_test_split(
+        model,
+        ds,
+        seed,
+        AugmentConfig(mix_fraction=mix_fraction),
+        test_metric,
+        mp if mp is not None else MetricParams(),
     )
-    rows = _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed)
     if output_dir is not None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -194,23 +194,61 @@ def cosine_similarity(a, b, alpha_min: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Gram-form entries at or below this fraction of ||x_c||^2 + ||y_c||^2 (the
+# centered rows' squared norms) have lost too many digits to cancellation
+# and are recomputed from explicit differences.
+_RECOMPUTE_RATIO = 1e-2
+# Pairs per slice of that recompute: bounds its temporaries to slice x D.
+_RECOMPUTE_SLICE = 2048
+
+
+def _squared_distances(X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
+    """(N, M) squared Euclidean distances between rows of X and rows of Y.
+
+    Y = None means Y = X, and the result is then exactly symmetric. The bulk
+    comes from the Gram form ||x||^2 + ||y||^2 - 2 x.y on rows centered at
+    the mean of both sets, so a common offset cancels before the product.
+    Entries small enough for that form to have cancelled are recomputed from
+    differences of the original rows; coincident rows give exactly 0.
+    Temporaries stay O(N * M) whatever the row width.
+    """
+    same = Y is None
+    Y = X if same else Y
+    center = (X if same else np.concatenate([X, Y])).mean(axis=0)
+    Xc = X - center
+    Yc = Xc if same else Y - center  # Xc @ Xc.T runs as one symmetric product
+    nx = np.einsum("ij,ij->i", Xc, Xc)
+    ny = nx if same else np.einsum("ij,ij->i", Yc, Yc)
+    scale = nx[:, None] + ny[None, :]
+    d2 = Xc @ Yc.T
+    d2 *= -2.0
+    d2 += scale
+    rows, cols = np.nonzero(d2 <= _RECOMPUTE_RATIO * scale)
+    for lo in range(0, rows.size, _RECOMPUTE_SLICE):
+        r, c = rows[lo : lo + _RECOMPUTE_SLICE], cols[lo : lo + _RECOMPUTE_SLICE]
+        diff = X[r] - Y[c]
+        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def pairwise_semantic_distance(S: np.ndarray, T: np.ndarray = None) -> np.ndarray:
     """All alpha values between rows of S and rows of T (default T = S).
 
-    Computed via explicit differences (not the expanded dot-product form)
-    so tiny distances keep full precision for the derivative checks.
+    Computed through BLAS with an exact recompute of near-zero entries (see
+    `_squared_distances`), so tiny distances keep full precision for the
+    derivative checks.
     """
     S = np.asarray(S, dtype=np.float64)
-    T = S if T is None else np.asarray(T, dtype=np.float64)
-    diff = S[:, None, :] - T[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    T = None if T is None else np.asarray(T, dtype=np.float64)
+    return np.sqrt(_squared_distances(S, T))
 
 
 def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool = False) -> np.ndarray:
     """All beta values between rows of U and rows of V (default V = U).
 
-    beta[i, j] = ||u_i + v_j||, or ||u_i|| + ||v_j|| when sumnorm is set
-    (the ablation representation).
+    beta[i, j] = ||u_i + v_j||, the distance from u_i to -v_j, or
+    ||u_i|| + ||v_j|| when sumnorm is set (the ablation representation).
+    Opposed rows u_j = -u_i give exactly 0.
     """
     U = np.asarray(U, dtype=np.float64)
     V = U if V is None else np.asarray(V, dtype=np.float64)
@@ -218,8 +256,7 @@ def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool
         nu = np.linalg.norm(U, axis=1)
         nv = np.linalg.norm(V, axis=1)
         return nu[:, None] + nv[None, :]
-    summ = U[:, None, :] + V[None, :, :]
-    return np.sqrt(np.sum(summ * summ, axis=2))
+    return np.sqrt(_squared_distances(U, -V))
 
 
 def _beta_rel_parts(A: np.ndarray, B: np.ndarray, mp: MetricParams):

@@ -1,11 +1,15 @@
 """Retrieval, clustering, and the semantic/uncertainty agreement diagnostics."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import idml
 import oracles
 from idml.core import DegenerateInputError, ParameterError, Rng
 from idml.evaluation import (
@@ -390,6 +394,35 @@ def test_evaluate_test_metric_changes_ranking_only():
     assert soft.nmi == plain.nmi
     # uncertainty statistics don't depend on the retrieval metric
     assert soft.mean_uncert_clean == plain.mean_uncert_clean
+
+
+# Caps the child's own address space, then evaluates a 1500 x 512 split: one
+# N x N x D broadcast table would need about 9 GiB.
+_BOUNDED_EVAL = """
+import resource
+_soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+import numpy as np
+from idml.core import Rng
+from idml.evaluation import evaluate
+r = np.random.default_rng(0)
+ids = np.arange(1500) % 30
+S = r.normal(size=(30, 512))[ids] + 0.5 * r.normal(size=(1500, 512))
+U = 0.1 * r.normal(size=(1500, 512))
+rep = evaluate(S, U, [{int(i)} for i in ids], Rng(0), test_metric="ism")
+print(rep.recall_at_k[1])
+"""
+
+
+def test_evaluate_runs_in_bounded_memory():
+    src = os.path.dirname(os.path.dirname(idml.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_EVAL], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert 0.0 <= float(proc.stdout.strip()) <= 1.0
 
 
 def test_evaluate_rejects_unknown_metric():

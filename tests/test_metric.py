@@ -374,6 +374,47 @@ def test_pairwise_semantic_distance_two_sets():
     assert A[2, 3] == pytest.approx(float(np.linalg.norm(S[2] - T[3])), rel=1e-12)
 
 
+def _table_cases():
+    """Row sets (X, Y) on which the Gram form alone would cancel."""
+    r = np.random.default_rng(8)
+    base = r.normal(size=(6, 5))
+    near = np.vstack([base, base + 1e-9 * r.normal(size=base.shape)])
+    return [
+        pytest.param(1e3 + base, None, id="offset_1e3"),
+        pytest.param(1e6 + base, None, id="offset_1e6"),
+        pytest.param(np.vstack([base, base[::-1], base[:2]]), None, id="duplicates"),
+        pytest.param(near, None, id="near_duplicates_1e-9"),
+        pytest.param(np.vstack([np.zeros((3, 5)), base]), None, id="zero_rows"),
+        pytest.param(1e6 + near, 1e6 + np.vstack([base[:4], r.normal(size=(3, 5))]), id="two_sets"),
+    ]
+
+
+@pytest.mark.parametrize("X,Y", _table_cases())
+def test_pairwise_semantic_distance_matches_explicit_differences(X, Y):
+    T = X if Y is None else Y
+    A = pairwise_semantic_distance(X, Y)
+    want = np.array([[np.linalg.norm(x - t) for t in T] for x in X])
+    assert A.shape == (X.shape[0], T.shape[0])
+    assert A == pytest.approx(want, rel=1e-12, abs=1e-12)
+    same = np.all(X[:, None, :] == T[None, :, :], axis=2)
+    assert np.all(A[same] == 0.0)  # coincident rows give exactly 0
+    if Y is None:
+        assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("X,Y", _table_cases())
+def test_pairwise_pair_uncertainty_matches_explicit_sums(X, Y):
+    # V holds negated X rows, so beta cancels exactly at those pairs; the
+    # `B > 0` masks in the loss gradients rely on that exact 0.
+    V = np.vstack([-X[:4], X if Y is None else Y])
+    B = pairwise_pair_uncertainty(X, V)
+    want = np.array([[np.linalg.norm(x + v) for v in V] for x in X])
+    assert B == pytest.approx(want, rel=1e-12, abs=1e-12)
+    opposed = np.all(X[:, None, :] == -V[None, :, :], axis=2)
+    assert opposed.sum() >= 4
+    assert np.all(B[opposed] == 0.0)
+
+
 @pytest.mark.parametrize("metric", [m for m in METRIC_NAMES])
 def test_distance_table_matches_scalar_formula(metric):
     r = np.random.default_rng(7)
