@@ -221,6 +221,10 @@ class Rng:
             raise ParameterError(f"uniform requires lo < hi, got [{lo}, {hi})")
         return self._gen.uniform(lo, hi, size=size)
 
+    def random(self, size=None):
+        """Uniform double(s) in [0, 1); random(n) equals n successive random() draws."""
+        return self._gen.random(size=size)
+
     def normal(self, size=None):
         return self._gen.standard_normal(size=size)
 

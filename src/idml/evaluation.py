@@ -88,8 +88,14 @@ def _semantic_order(embeddings) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def recall_at_k(embeddings, labels, k: int, order: np.ndarray = None) -> float:
-    """Fraction of queries whose k nearest others include a same-label sample."""
+def recall_at_k(
+    embeddings, labels, k: int, order: np.ndarray = None, match: np.ndarray = None
+) -> float:
+    """Fraction of queries whose k nearest others include a same-label sample.
+
+    `order` and `match` take a precomputed `neighbor_order` and
+    `match_matrix(labels)`, so callers scoring several k build them once.
+    """
     labelsets = _as_labelsets(labels)
     n = len(labelsets)
     if order is None:
@@ -98,17 +104,21 @@ def recall_at_k(embeddings, labels, k: int, order: np.ndarray = None) -> float:
             raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
     if not 1 <= k < n:
         raise ParameterError(f"recall@k needs 1 <= k < n_samples, got k={k}, n={n}")
-    match = match_matrix(labelsets)
+    if match is None:
+        match = match_matrix(labelsets)
     hits = int(match[np.arange(n)[:, None], order[:, :k]].any(axis=1).sum())
     return hits / n
 
 
-def r_precision_and_map_at_r(embeddings, labels, order: np.ndarray = None):
+def r_precision_and_map_at_r(
+    embeddings, labels, order: np.ndarray = None, match: np.ndarray = None
+):
     """(R-precision, MAP@R) averaged over queries.
 
     Per query, R counts same-label others; precision is measured among the
     top R neighbors, and MAP@R is (1/R)·Σ_{i≤R} P(i)·rel(i). Queries with no
-    same-label counterpart are skipped (reported via a warning).
+    same-label counterpart are skipped (reported via a warning). `order`
+    and `match` work as in `recall_at_k`.
     """
     labelsets = _as_labelsets(labels)
     n = len(labelsets)
@@ -116,12 +126,14 @@ def r_precision_and_map_at_r(embeddings, labels, order: np.ndarray = None):
         order, S = _semantic_order(embeddings)
         if S.shape[0] != n:
             raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
-    match = match_matrix(labelsets)
-    np.fill_diagonal(match, False)  # a query is not its own counterpart
+    if match is None:
+        match = match_matrix(labelsets)
+    # a query is not its own counterpart; `order` already leaves it out
+    counts = match.sum(axis=1) - match.diagonal()
     rps, maps = [], []
     n_skipped = 0
     for i in range(n):
-        r = int(match[i].sum())
+        r = int(counts[i])
         if r == 0:
             n_skipped += 1
             continue
@@ -408,8 +420,10 @@ def evaluate(
         D, _, _ = distance_table(test_metric, A, B, mp)
     order = neighbor_order(D)
 
-    recalls = {int(k): recall_at_k(S, labelsets, int(k), order=order) for k in ks}
-    rp, map_r = r_precision_and_map_at_r(S, labelsets, order=order)
+    match = match_matrix(labelsets)
+    recalls = {int(k): recall_at_k(S, labelsets, int(k), order=order, match=match) for k in ks}
+    rp, map_r = r_precision_and_map_at_r(S, labelsets, order=order, match=match)
+    del match  # N² bytes that k-means and the correlation diagnostic do not need
 
     ints = _canonical_int_labels(labelsets)
     n_classes = int(np.unique(ints).size)

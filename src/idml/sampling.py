@@ -4,6 +4,10 @@ Both strategies operate on a precomputed pairwise distance table (whatever
 metric the caller trains with) plus per-sample label sets, so mixed samples
 with two labels participate correctly: they are "positive" with either
 source class and never get mined as negatives for them.
+
+Distance-weighted negatives are drawn by inverse CDF: one CDF per distinct
+anchor, one uniform per pair from a single RNG call, byte-identical to one
+`Generator.choice(neg, p=p)` per pair in pair order.
 """
 
 from __future__ import annotations
@@ -121,19 +125,32 @@ def sample_negatives_dw(anchor: int, dists, labels, n_dim: int, phi: float, rng:
 def sample_negatives_for_pairs(pos_pairs, dists, labels, n_dim: int, phi: float, rng: Rng):
     """One distance-weighted negative per positive pair, anchored at its first index.
 
-    One `rng.choice` per pair, in pair order, as in `sample_negatives_dw`.
-    Pairs whose anchor has no in-batch negative are skipped. Returns an
-    (M, 2) int array of (anchor, negative) rows.
+    Draws exactly what one `rng.choice(neg, p=p)` per pair, in pair order,
+    would draw, from one `rng.random(M)` call. Pairs whose anchor has no
+    in-batch negative are skipped and draw nothing. A NaN distance to a
+    negative raises ValueError, as `choice` does. Returns an (M, 2) int
+    array of (anchor, negative) rows.
     """
     dists = _check_dists(dists, len(labels))
     m = match_matrix(labels)
-    out = []
-    for i in np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2)[:, 0]:
+    n = len(labels)
+    anchors = np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2)[:, 0]
+    anchors = anchors[~m.all(axis=1)[anchors]]
+    # Row i holds anchor i's CDF built the way `choice` builds it, padded
+    # with +inf so padding is never at or below a uniform in [0, 1).
+    cdf = np.full((n, n), np.inf)
+    negs = np.zeros((n, n), dtype=np.intp)
+    for i in np.unique(anchors):
         neg = np.flatnonzero(~m[i])
-        if neg.size == 0:
-            continue
         lw = dw_log_weights(dists[i, neg], n_dim, phi)
         w = np.exp(lw - lw.max())
         p = w / w.sum()
-        out.append((int(i), int(rng.choice(neg, p=p))))
-    return np.array(out, dtype=np.intp).reshape(-1, 2)
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError(f"anchor {i}: sampling probabilities must be finite and nonnegative")
+        c = p.cumsum()
+        cdf[i, : neg.size] = c / c[-1]
+        negs[i, : neg.size] = neg
+    u = rng.random(anchors.size)
+    # searchsorted(u, side="right") on a nondecreasing row
+    picks = (cdf[anchors] <= u[:, None]).sum(axis=1)
+    return np.stack([anchors, negs[anchors, picks]], axis=1)

@@ -143,6 +143,17 @@ def test_rng_bit_identical_across_processes():
     assert outs[0] == local
 
 
+def test_rng_random_batch_equals_successive_draws():
+    # sampling.sample_negatives_for_pairs relies on this to draw a batch's
+    # uniforms in one call
+    for n in (0, 1, 7, 1000):
+        one = Rng(seed=13, stream=5)
+        batch = one.random(n)
+        fresh = Rng(seed=13, stream=5)
+        assert np.array_equal(batch, [fresh.random() for _ in range(n)])
+        assert one.random() == fresh.random()
+
+
 def test_rng_integers_and_choice_bounds():
     r = Rng(seed=1)
     vals = r.integers(0, 5, size=200)

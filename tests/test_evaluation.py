@@ -11,7 +11,7 @@ import pytest
 
 import idml
 import oracles
-from idml.core import DegenerateInputError, ParameterError, Rng
+from idml.core import DegenerateInputError, ParameterError, Rng, match_matrix
 from idml.evaluation import (
     EvalReport,
     correlation_stats,
@@ -105,6 +105,15 @@ def test_recall_accepts_precomputed_order():
     d = np.linalg.norm(X[:, None] - X[None, :], axis=-1)
     order = neighbor_order(d)
     assert recall_at_k(X, labels, 2, order=order) == recall_at_k(X, labels, 2)
+
+
+def test_ranking_metrics_accept_precomputed_match():
+    X, labels = random_instance(5, max_n=15)
+    match = match_matrix(labels)
+    kept = match.copy()
+    assert recall_at_k(X, labels, 2, match=match) == recall_at_k(X, labels, 2)
+    assert r_precision_and_map_at_r(X, labels, match=match) == r_precision_and_map_at_r(X, labels)
+    assert np.array_equal(match, kept)
 
 
 def test_neighbor_order_breaks_ties_by_index():

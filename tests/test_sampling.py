@@ -1,5 +1,7 @@
 """Negative mining: semi-hard selection and distance-weighted sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,21 +243,90 @@ def test_sample_negatives_for_pairs_rows_are_valid():
         assert not (labels[a] & labels[neg])
 
 
-def test_sample_negatives_for_pairs_matches_single_draws():
-    r = np.random.default_rng(8)
-    # the last sample carries every class, so it has no negative to draw
-    labels = mixed_labels(r, 12) + (frozenset({0, 1, 2}),)
+def per_pair_generator(seed, stream):
+    """A fresh numpy Generator equal to the one `Rng(seed, stream)` draws from."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def assert_matches_per_pair_choice(pos_pairs, d, labels, n_dim, phi, seed=9):
+    """Rows equal the per-pair `Generator.choice` oracle's, and both leave
+    their streams at the same next draw."""
+    rng, gen = Rng(seed=seed, stream=5), per_pair_generator(seed, 5)
+    rows = sample_negatives_for_pairs(pos_pairs, d, labels, n_dim, phi, rng)
+    want = oracles.dw_negatives_ref(pos_pairs, d, labels, n_dim, phi, gen)
+    assert rows.dtype == np.intp
+    assert rows.shape == want.shape
+    assert rows.tolist() == want.tolist()
+    assert rng.random() == gen.random()
+    return rows
+
+
+def all_positive_pairs(labels):
     n = len(labels)
-    pts = r.normal(size=(n, 4))
-    d = dist_matrix(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    pos_pairs = [(a, p) for a in range(n) for p in range(n) if a != p and labels[a] & labels[p]]
-    rng = Rng(seed=9)
-    want = []
-    for a, _ in pos_pairs:
-        try:
-            want.append([a, sample_negatives_dw(a, d, labels, 16, 10.0, rng)])
-        except MiningExhausted:
-            continue
-    rows = sample_negatives_for_pairs(pos_pairs, d, labels, 16, 10.0, Rng(seed=9))
-    assert rows.tolist() == want
-    assert n - 1 not in rows[:, 0]
+    return [(a, p) for a in range(n) for p in range(n) if a != p and labels[a] & labels[p]]
+
+
+# (n_dim, phi, two labels per sample?, rounding decimals or None)
+PER_PAIR_CASES = [
+    (2, 10.0, False, None),
+    (16, 10.0, True, None),
+    (16, 10.0, True, 1),  # one decimal: many tied distances
+    (512, 10.0, True, None),
+    (512, 0.5, False, 1),  # the phi cap binds on every candidate
+]
+
+
+def test_sample_negatives_for_pairs_matches_single_draws():
+    for (n_dim, phi, two_labels, decimals), seed in itertools.product(PER_PAIR_CASES, range(3)):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(6, 40))
+        if two_labels:
+            labels = mixed_labels(r, n)
+        else:
+            labels = tuple(frozenset({int(c)}) for c in r.integers(0, 3, size=n))
+        # the last sample carries every class, so it has no negative to draw
+        labels += (frozenset({0, 1, 2}),)
+        pts = r.normal(size=(n + 1, 4))
+        d = dist_matrix(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        if decimals is not None:
+            d = np.round(d, decimals)
+        if phi < 1.0:
+            neg_d = [d[a, j] for a in range(n + 1) for j in range(n + 1) if not labels[a] & labels[j]]
+            assert (dw_log_weights(neg_d, n_dim, phi) == np.log(phi)).all()
+        pairs = all_positive_pairs(labels)
+        # repeated anchors out of anchor order, as well as the grouped pairs
+        shuffled = [pairs[i] for i in r.integers(0, len(pairs), size=2 * len(pairs))]
+        for pos_pairs in (pairs, shuffled):
+            rows = assert_matches_per_pair_choice(pos_pairs, d, labels, n_dim, phi, seed=seed)
+            assert n not in rows[:, 0]
+            assert len(rows) == sum(a != n for a, _ in pos_pairs)
+
+
+def test_sample_negatives_for_pairs_empty_draws_nothing():
+    labels = (frozenset({0}), frozenset({1}))
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rows = assert_matches_per_pair_choice([], d, labels, 16, 10.0)
+    assert rows.shape == (0, 2)
+    # only anchors without a negative: nothing drawn either
+    same = (frozenset({0}), frozenset({0}))
+    assert assert_matches_per_pair_choice([(0, 1), (1, 0)], d, same, 16, 10.0).shape == (0, 2)
+
+
+def test_sample_negatives_for_pairs_nan_distance_raises_like_choice():
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
+    d = dist_matrix([(0.0,), (0.3,), (0.8,), (1.4,)])
+    d[1, 3] = d[3, 1] = np.nan
+    pairs = all_positive_pairs(labels)
+    with pytest.raises(ValueError):
+        oracles.dw_negatives_ref(pairs, d, labels, 16, 10.0, per_pair_generator(0, 5))
+    with pytest.raises(ValueError):
+        sample_negatives_for_pairs(pairs, d, labels, 16, 10.0, Rng(seed=0, stream=5))
+
+
+def test_sample_negatives_for_pairs_inf_distance_is_clamped_and_drawn():
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
+    d = dist_matrix([(0.0,), (0.3,), (0.8,), (1.4,)])
+    d[0, 3] = d[3, 0] = np.inf
+    pairs = all_positive_pairs(labels) * 50
+    rows = assert_matches_per_pair_choice(pairs, d, labels, 16, 10.0)
+    assert [0, 3] in rows.tolist()
