@@ -22,42 +22,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from idml.core import (
     Batch,
-    EmbeddingPair,
     MetricParams,
     Rng,
-    l2_norm,
     labels_match,
 )
-from idml.metric import (
-    PairGeometry,
-    cosine_similarity,
-    euclidean_distance,
-    gradient_weight,
-    ism_dissim,
-    ism_distance,
-    ism_similarity,
-    ism_strict,
-    kl_gaussian,
-    pair_geometry,
-    pair_uncertainty_sumnorm,
-)
+from idml.metric import gradient_weight
 
 __all__ = [
     "Batch",
-    "EmbeddingPair",
     "MetricParams",
-    "PairGeometry",
     "Rng",
-    "cosine_similarity",
-    "euclidean_distance",
     "gradient_weight",
-    "ism_dissim",
-    "ism_distance",
-    "ism_similarity",
-    "ism_strict",
-    "kl_gaussian",
-    "l2_norm",
     "labels_match",
-    "pair_geometry",
-    "pair_uncertainty_sumnorm",
 ]

@@ -20,16 +20,13 @@ __all__ = [
     "ParameterError",
     "FormatError",
     "DegenerateInputError",
-    "MiningExhausted",
     "NumericalFailure",
     "as_vector",
-    "l2_norm",
     "label_set",
     "labels_match",
     "multi_hot",
     "match_matrix",
     "MetricParams",
-    "EmbeddingPair",
     "Batch",
     "Rng",
 ]
@@ -51,10 +48,6 @@ class DegenerateInputError(ValueError):
     """An input is degenerate for the requested operation (e.g. a zero vector)."""
 
 
-class MiningExhausted(RuntimeError):
-    """A sampling strategy found no qualifying candidate."""
-
-
 class NumericalFailure(RuntimeError):
     """A computation produced a non-finite value."""
 
@@ -69,11 +62,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise NumericalFailure(f"{name} contains non-finite entries")
     return v
-
-
-def l2_norm(v) -> float:
-    """Euclidean norm of a finite vector."""
-    return float(np.linalg.norm(as_vector(v)))
 
 
 def label_set(labels) -> frozenset[int]:
@@ -140,18 +128,6 @@ class MetricParams:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
         if self.alpha_min <= 0:
             raise ParameterError(f"alpha_min must be > 0, got {self.alpha_min}")
-
-
-@dataclass(frozen=True)
-class EmbeddingPair:
-    """A sample's two embeddings: semantic content s and uncertainty u."""
-
-    semantic: np.ndarray
-    uncertainty: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "semantic", as_vector(self.semantic, "semantic"))
-        object.__setattr__(self, "uncertainty", as_vector(self.uncertainty, "uncertainty"))
 
 
 @dataclass

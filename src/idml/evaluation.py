@@ -39,10 +39,8 @@ __all__ = [
     "kmeans",
     "nmi",
     "r_precision_and_map_at_r",
-    "uncertainty_level",
     "uncertainty_levels",
     "pick_anchor_indices",
-    "relative_embedding",
     "relative_embeddings",
     "correlation_stats",
     "neighbor_order",
@@ -232,11 +230,6 @@ def nmi(labels, clusters) -> float:
 # ---------------------------------------------------------------------------
 
 
-def uncertainty_level(pair) -> float:
-    """L2 norm of a sample's uncertainty embedding."""
-    return float(np.linalg.norm(np.asarray(pair.uncertainty, dtype=np.float64)))
-
-
 def uncertainty_levels(U) -> np.ndarray:
     U = np.asarray(U, dtype=np.float64)
     if U.ndim != 2:
@@ -273,11 +266,6 @@ def relative_embeddings(E, anchors) -> np.ndarray:
     rel = (E @ A.T) / (safe[:, None] * anorm[None, :])
     rel[enorm == 0.0] = 0.0
     return np.clip(rel, -1.0, 1.0)
-
-
-def relative_embedding(e, anchors) -> np.ndarray:
-    """Single-vector form of `relative_embeddings`."""
-    return relative_embeddings(np.asarray(e, dtype=np.float64)[None, :], anchors)[0]
 
 
 def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:

@@ -14,9 +14,11 @@ more gently. The module also provides the strict (indicator) variant, the
 "treat uncertain as dissimilar" ablation, the sum-of-norms uncertainty
 ablation, and the gradient attenuation factor H = dD/dalpha.
 
-Scalar functions operate on single pairs; the *_table helpers evaluate a
-whole pairwise matrix together with its partial derivatives and are the
-entry points the losses use.
+Every formula has one implementation, over tables: pairwise_* build the
+alpha and beta tables, and distance_table / similarity_table evaluate the
+selected metric and its partials on them; a single pair is a 2-row table.
+gradient_weight is the one scalar: the closed form of H that the gradient
+checks hold the tables' dD/dalpha against.
 
 Note D is not a metric in the strict sense: it can violate the triangle
 inequality (tests construct an explicit counterexample).
@@ -24,32 +26,13 @@ inequality (tests construct an explicit counterexample).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from idml.core import (
-    DegenerateInputError,
-    EmbeddingPair,
-    MetricParams,
-    ParameterError,
-    ShapeError,
-    as_vector,
-)
+from idml.core import MetricParams, ParameterError
 
 __all__ = [
     "METRIC_NAMES",
-    "PairGeometry",
-    "euclidean_distance",
-    "kl_gaussian",
-    "pair_geometry",
-    "pair_uncertainty_sumnorm",
-    "ism_strict",
-    "ism_distance",
-    "ism_similarity",
-    "ism_dissim",
     "gradient_weight",
-    "cosine_similarity",
     "pairwise_semantic_distance",
     "pairwise_pair_uncertainty",
     "distance_table",
@@ -60,109 +43,6 @@ __all__ = [
 # uncertainty-blind baseline (plain distance / plain cosine); "uncert_sumnorm"
 # is the ISM with beta = ||u1|| + ||u2|| instead of ||u1 + u2||.
 METRIC_NAMES = ("euclidean", "ism", "ism_strict", "ism_dis", "uncert_sumnorm")
-
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Semantic distance, pair uncertainty, and their ratio for one pair."""
-
-    alpha: float
-    beta: float
-    beta_rel: float
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray, what: str):
-    if a.shape != b.shape:
-        raise ShapeError(f"{what} dims differ: {a.shape[0]} vs {b.shape[0]}")
-
-
-def euclidean_distance(s1, s2) -> float:
-    """Plain Euclidean distance between two semantic vectors."""
-    s1, s2 = as_vector(s1, "s1"), as_vector(s2, "s2")
-    _check_same_dim(s1, s2, "semantic")
-    return float(np.linalg.norm(s1 - s2))
-
-
-def kl_gaussian(mu1, sigma1, mu2, sigma2) -> float:
-    """KL divergence of two diagonal Gaussians, reference baseline only.
-
-    Evaluates, per dimension k (sigmas are standard deviations):
-
-        -1/2 * sum_k [ log(s1k^2/s2k^2) - s1k^2/s2k^2 - (mu1k-mu2k)^2/s2k^2 + 1 ]
-
-    which is the standard closed-form KL(N1 || N2). Kept as the
-    distributional-embedding baseline the introspective metric is
-    contrasted against in tests; not used in training.
-    """
-    mu1, mu2 = as_vector(mu1, "mu1"), as_vector(mu2, "mu2")
-    sigma1, sigma2 = as_vector(sigma1, "sigma1"), as_vector(sigma2, "sigma2")
-    for v, w in ((mu1, mu2), (mu1, sigma1), (mu1, sigma2)):
-        _check_same_dim(v, w, "gaussian")
-    if np.any(sigma1 <= 0) or np.any(sigma2 <= 0):
-        raise ParameterError("sigma entries must be strictly positive")
-    ratio = sigma1**2 / sigma2**2
-    sq = (mu1 - mu2) ** 2 / sigma2**2
-    return float(-0.5 * np.sum(np.log(ratio) - ratio - sq + 1.0))
-
-
-def pair_geometry(p1: EmbeddingPair, p2: EmbeddingPair, mp: MetricParams) -> PairGeometry:
-    """alpha, beta, and beta_rel = (beta + gamma) / max(alpha, alpha_min)."""
-    _check_same_dim(p1.semantic, p2.semantic, "semantic")
-    _check_same_dim(p1.uncertainty, p2.uncertainty, "uncertainty")
-    alpha = float(np.linalg.norm(p1.semantic - p2.semantic))
-    beta = float(np.linalg.norm(p1.uncertainty + p2.uncertainty))
-    beta_rel = (beta + mp.gamma) / max(alpha, mp.alpha_min)
-    return PairGeometry(alpha=alpha, beta=beta, beta_rel=beta_rel)
-
-
-def pair_uncertainty_sumnorm(p1: EmbeddingPair, p2: EmbeddingPair) -> float:
-    """Ablation uncertainty ||u1|| + ||u2|| (cannot cancel, unlike ||u1 + u2||)."""
-    _check_same_dim(p1.uncertainty, p2.uncertainty, "uncertainty")
-    return float(np.linalg.norm(p1.uncertainty) + np.linalg.norm(p2.uncertainty))
-
-
-def ism_strict(p1: EmbeddingPair, p2: EmbeddingPair, mp: MetricParams) -> float:
-    """Strict variant: alpha if alpha - beta - gamma > 0, else 0.
-
-    A pair whose uncertainty (plus bias) covers its semantic distance is
-    treated as indistinguishable.
-    """
-    g = pair_geometry(p1, p2, mp)
-    return g.alpha if g.alpha - g.beta - mp.gamma > 0 else 0.0
-
-
-def ism_distance(p1: EmbeddingPair, p2: EmbeddingPair, mp: MetricParams) -> float:
-    """Introspective distance alpha * exp(-beta_rel / tau).
-
-    Always <= alpha, symmetric, and equal to alpha exactly when beta_rel = 0.
-    Identical semantic embeddings give 0 regardless of uncertainty.
-    """
-    g = pair_geometry(p1, p2, mp)
-    if g.alpha == 0.0:
-        return 0.0
-    return g.alpha * float(np.exp(-g.beta_rel / mp.tau))
-
-
-def ism_similarity(c: float, beta_rel: float, tau: float) -> float:
-    """Similarity form 1 - (1 - c) * exp(-beta_rel / tau); in [c, 1]."""
-    if not -1.0 <= c <= 1.0:
-        raise ParameterError(f"cosine similarity must lie in [-1, 1], got {c}")
-    if tau <= 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    return 1.0 - (1.0 - c) * float(np.exp(-beta_rel / tau))
-
-
-def ism_dissim(c: float, beta_rel: float, tau: float) -> float:
-    """Ablation c * exp(-beta_rel / tau): shrinks similarity toward 0.
-
-    Treats an uncertain pair as dissimilar instead of similar; kept for the
-    ablation comparison (it trains worse).
-    """
-    if not -1.0 <= c <= 1.0:
-        raise ParameterError(f"cosine similarity must lie in [-1, 1], got {c}")
-    if tau <= 0:
-        raise ParameterError(f"tau must be > 0, got {tau}")
-    return c * float(np.exp(-beta_rel / tau))
 
 
 def gradient_weight(alpha: float, beta: float, mp: MetricParams) -> float:
@@ -176,17 +56,6 @@ def gradient_weight(alpha: float, beta: float, mp: MetricParams) -> float:
         raise ParameterError(f"alpha must be >= alpha_min={mp.alpha_min}, got {alpha}")
     x = (beta + mp.gamma) / alpha / mp.tau
     return float(np.exp(-x) * (1.0 + x))
-
-
-def cosine_similarity(a, b, alpha_min: float = 1e-12) -> float:
-    """Cosine of the angle between two nonzero vectors, clamped to [-1, 1]."""
-    a, b = as_vector(a, "a"), as_vector(b, "b")
-    _check_same_dim(a, b, "vector")
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero vector is undefined")
-    c = float(np.dot(a, b)) / (max(na, alpha_min) * max(nb, alpha_min))
-    return min(1.0, max(-1.0, c))
 
 
 # ---------------------------------------------------------------------------

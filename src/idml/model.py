@@ -25,7 +25,6 @@ import numpy as np
 
 from idml.core import (
     Batch,
-    EmbeddingPair,
     FormatError,
     MetricParams,
     NumericalFailure,
@@ -47,7 +46,6 @@ __all__ = [
     "init_model",
     "init_proxies",
     "forward",
-    "forward_pair",
     "loss_and_grad",
     "AdamW",
     "SgdMomentum",
@@ -182,12 +180,6 @@ def forward(model: EncoderModel, X):
     """Encode a feature batch (N, D) into semantic and uncertainty rows."""
     S, U, _ = _forward_cached(model, X)
     return S, U
-
-
-def forward_pair(model: EncoderModel, x) -> EmbeddingPair:
-    """Encode a single feature vector."""
-    S, U = forward(model, np.asarray(x, dtype=np.float64)[None, :])
-    return EmbeddingPair(semantic=S[0], uncertainty=U[0])
 
 
 def _backward(model: EncoderModel, hs, dS, dU) -> dict:
@@ -544,7 +536,7 @@ def h_factor_check(
     equality exactly at zero scaled uncertainty.
     """
     from idml.losses import compute_loss
-    from idml.metric import gradient_weight, pair_geometry
+    from idml.metric import gradient_weight
 
     if rng is None:
         raise ParameterError("h_factor_check needs an rng")
@@ -563,8 +555,7 @@ def h_factor_check(
         intro = compute_loss("contrastive", S, U, labels, metric="ism", mp=mp)
         gb = np.linalg.norm(base.d_semantic[0])
         gi = np.linalg.norm(intro.d_semantic[0])
-        geom = pair_geometry(EmbeddingPair(S[0], U[0]), EmbeddingPair(S[1], U[1]), mp)
-        beta = geom.beta
+        beta = float(np.linalg.norm(U[0] + U[1]))
         h = gradient_weight(alpha, beta, mp)
         err = abs(gi / gb - h)
         max_err = max(max_err, err)

@@ -15,14 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 # labels_match stays importable here: perfbench counts calls at this name.
-from idml.core import MiningExhausted, ParameterError, Rng, ShapeError, labels_match, match_matrix  # noqa: F401
+from idml.core import ParameterError, Rng, ShapeError, labels_match, match_matrix  # noqa: F401
 
 __all__ = [
-    "semi_hard_negative",
     "mine_triplets",
-    "dw_log_weight",
     "dw_log_weights",
-    "sample_negatives_dw",
     "sample_negatives_for_pairs",
 ]
 
@@ -55,17 +52,6 @@ def _semi_hard_row(d_row: np.ndarray, match_row: np.ndarray, positives: np.ndarr
     return np.where(cand[np.arange(len(positives)), best] < np.inf, best, -1)
 
 
-def semi_hard_negative(anchor: int, positive: int, dists, labels):
-    """Closest negative still farther from the anchor than the positive.
-
-    Returns the index minimizing D(a, n) subject to D(a, n) > D(a, p) and
-    labels not matching, or None when no negative qualifies.
-    """
-    dists = _check_dists(dists, len(labels))
-    best = _semi_hard_row(dists[anchor], match_matrix(labels)[anchor], np.array([positive]))[0]
-    return None if best < 0 else int(best)
-
-
 def mine_triplets(dists, labels):
     """Semi-hard triplets for every ordered (anchor, positive) pair.
 
@@ -86,20 +72,16 @@ def mine_triplets(dists, labels):
     return rows[found], int((~found).sum())
 
 
-def dw_log_weight(d: float, n_dim: int, phi: float) -> float:
-    """Log of the inverse-density sampling weight at distance d.
+def dw_log_weights(d, n_dim: int, phi: float) -> np.ndarray:
+    """Log of the inverse-density sampling weight at each distance in d.
 
     The pairwise-distance density on the unit (n-1)-sphere is proportional
     to d^(n-2) * (1 - d^2/4)^((n-3)/2); sampling proportionally to its
     clamped inverse min(phi, 1/density) flattens the otherwise very peaked
-    distance distribution. Evaluated fully in the log domain because
-    d^(2-n) overflows for large n.
+    distance distribution. d is clamped into [D_CLAMP, 2 - D_CLAMP] and the
+    weight evaluated fully in the log domain, because d^(2-n) overflows for
+    large n.
     """
-    return float(dw_log_weights(np.array([d]), n_dim, phi)[0])
-
-
-def dw_log_weights(d, n_dim: int, phi: float) -> np.ndarray:
-    """Vectorized dw_log_weight; clamps d into [D_CLAMP, 2 - D_CLAMP]."""
     if n_dim < 1:
         raise ParameterError(f"n_dim must be positive, got {n_dim}")
     if phi <= 0:
@@ -107,19 +89,6 @@ def dw_log_weights(d, n_dim: int, phi: float) -> np.ndarray:
     d = np.clip(np.asarray(d, dtype=np.float64), D_CLAMP, 2.0 - D_CLAMP)
     lw = (2.0 - n_dim) * np.log(d) + ((3.0 - n_dim) / 2.0) * np.log1p(-0.25 * d * d)
     return np.minimum(np.log(phi), lw)
-
-
-def sample_negatives_dw(anchor: int, dists, labels, n_dim: int, phi: float, rng: Rng) -> int:
-    """Draw one negative for the anchor, distance-weighted.
-
-    Selection probability is proportional to exp(dw_log_weight(D(a, n)))
-    over the anchor's in-batch negatives, normalized after subtracting the
-    max log weight for stability.
-    """
-    rows = sample_negatives_for_pairs([(anchor, anchor)], dists, labels, n_dim, phi, rng)
-    if rows.shape[0] == 0:
-        raise MiningExhausted(f"anchor {anchor} has no negatives in this batch")
-    return int(rows[0, 1])
 
 
 def sample_negatives_for_pairs(pos_pairs, dists, labels, n_dim: int, phi: float, rng: Rng):

@@ -1,8 +1,3 @@
-import numpy as np
-import pytest
-
-from idml.core import Batch, Rng
-
 # One line per acceptance check, printed at the end of the run so the
 # verdicts are visible even when the tests pass. test_acceptance.py fills it.
 ACCEPTANCE_LINES = []
@@ -13,24 +8,3 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance checks")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def rng():
-    return Rng(seed=0)
-
-
-def random_batch(seed, n=12, dim=6, n_classes=3, spread=1.0):
-    """Small labeled feature batch with at least two samples per class."""
-    r = np.random.default_rng(seed)
-    labels = tuple(frozenset({i % n_classes}) for i in range(n))
-    feats = spread * r.normal(size=(n, dim))
-    return Batch(features=feats, labels=labels)
-
-
-def embedding_pairs(seed, n=12, s_dim=4, u_dim=4, u_scale=0.3):
-    """Random semantic/uncertainty embeddings for metric-level tests."""
-    r = np.random.default_rng(seed)
-    s = r.normal(size=(n, s_dim))
-    u = u_scale * r.normal(size=(n, u_dim))
-    return s, u

@@ -53,15 +53,6 @@ def gradient_weight_ref(alpha, beta, gamma, tau, alpha_min=1e-12):
     return float(mp.exp(-x) * (1 + x))
 
 
-def kl_gaussian_ref(mu1, sigma1, mu2, sigma2):
-    """Closed-form KL between diagonal Gaussians, term by term in mpmath."""
-    total = mpf(0)
-    for m1, s1, m2, s2 in zip(mu1, sigma1, mu2, sigma2):
-        r = (mpf(s1) / mpf(s2)) ** 2
-        total += -mpf("0.5") * (mp.log(r) - r - ((mpf(m1) - mpf(m2)) / mpf(s2)) ** 2 + 1)
-    return float(total)
-
-
 def dw_log_weight_ref(d, n_dim, phi):
     dd = min(max(mpf(d), mpf("1e-4")), mpf(2) - mpf("1e-4"))
     raw = (2 - n_dim) * mp.log(dd) + ((3 - n_dim) / mpf(2)) * mp.log(1 - dd**2 / 4)

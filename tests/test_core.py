@@ -14,7 +14,6 @@ from idml.core import (
     Rng,
     ShapeError,
     as_vector,
-    l2_norm,
     label_set,
     labels_match,
     match_matrix,
@@ -38,11 +37,6 @@ def test_as_vector_rejects_non_finite():
         as_vector([1.0, np.nan], name="v")
     with pytest.raises(NumericalFailure):
         as_vector([np.inf, 0.0], name="v")
-
-
-def test_l2_norm_matches_hand_value():
-    assert l2_norm(np.array([3.0, 4.0])) == 5.0
-    assert l2_norm(np.zeros(4)) == 0.0
 
 
 def test_label_set_normalizes_scalars_and_iterables():

@@ -22,9 +22,7 @@ from idml.evaluation import (
     pick_anchor_indices,
     r_precision_and_map_at_r,
     recall_at_k,
-    relative_embedding,
     relative_embeddings,
-    uncertainty_level,
     uncertainty_levels,
 )
 
@@ -250,12 +248,8 @@ def test_rp_map_matches_brute_force():
 
 
 def test_uncertainty_level_is_norm():
-    from idml.core import EmbeddingPair
-
-    p = EmbeddingPair(semantic=np.zeros(2), uncertainty=np.array([3.0, 4.0]))
-    assert uncertainty_level(p) == 5.0
-    q = EmbeddingPair(semantic=np.zeros(2), uncertainty=np.zeros(3))
-    assert uncertainty_level(q) == 0.0
+    assert uncertainty_levels(np.array([[3.0, 4.0]]))[0] == 5.0
+    assert uncertainty_levels(np.zeros((1, 3)))[0] == 0.0
     np.testing.assert_allclose(
         uncertainty_levels(np.array([[3.0, 4.0], [0.0, 0.0]])), [5.0, 0.0]
     )
@@ -263,21 +257,21 @@ def test_uncertainty_level_is_norm():
 
 def test_relative_embedding_trig_values():
     anchors = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(relative_embedding(np.array([1.0, 0.0]), anchors), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(relative_embeddings(np.array([[1.0, 0.0]]), anchors), [[1.0, 0.0]], atol=1e-15)
     # scale of the input doesn't matter, only direction
-    np.testing.assert_allclose(relative_embedding(np.array([7.0, 0.0]), anchors), [1.0, 0.0], atol=1e-15)
-    v = np.array([1.0, 1.0])
-    np.testing.assert_allclose(relative_embedding(v, anchors), [np.sqrt(0.5)] * 2, rtol=1e-12)
+    np.testing.assert_allclose(relative_embeddings(np.array([[7.0, 0.0]]), anchors), [[1.0, 0.0]], atol=1e-15)
+    v = np.array([[1.0, 1.0]])
+    np.testing.assert_allclose(relative_embeddings(v, anchors), [[np.sqrt(0.5)] * 2], rtol=1e-12)
 
 
 def test_relative_embedding_zero_row_maps_to_zero():
     anchors = np.array([[1.0, 0.0]])
-    np.testing.assert_array_equal(relative_embedding(np.zeros(2), anchors), [0.0])
+    np.testing.assert_array_equal(relative_embeddings(np.zeros((1, 2)), anchors), [[0.0]])
 
 
 def test_relative_embedding_zero_anchor_rejected():
     with pytest.raises(DegenerateInputError):
-        relative_embedding(np.ones(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        relative_embeddings(np.ones((1, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_relative_embeddings_match_single_rows():
@@ -287,7 +281,7 @@ def test_relative_embeddings_match_single_rows():
     R = relative_embeddings(E, anchors)
     assert R.shape == (6, 3)
     for i in range(6):
-        np.testing.assert_allclose(R[i], relative_embedding(E[i], anchors), rtol=1e-12)
+        np.testing.assert_allclose(R[i], relative_embeddings(E[i : i + 1], anchors)[0], rtol=1e-12)
 
 
 def test_pick_anchor_indices_subset_and_deterministic():

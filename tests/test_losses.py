@@ -86,8 +86,7 @@ def test_contrastive_uncertainty_discounts_positive_distance():
 def test_contrastive_gradient_ratio_is_gradient_weight():
     """On a positive pair the uncertainty-aware pull is the plain pull scaled
     by the closed-form slope factor."""
-    from idml.metric import gradient_weight, pair_geometry
-    from idml.core import EmbeddingPair
+    from idml.metric import gradient_weight
 
     S = np.array([[0.0, 0.0], [2.0, 0.0]])
     U = np.array([[0.4, 0.3], [0.1, 0.2]])
@@ -95,10 +94,8 @@ def test_contrastive_gradient_ratio_is_gradient_weight():
     mp_ = MetricParams(tau=5.0)
     g_ism = compute_loss("contrastive", S, U, same, metric="ism", mp=mp_).d_semantic
     g_euc = compute_loss("contrastive", S, U, same, metric="euclidean", mp=mp_).d_semantic
-    p1 = EmbeddingPair(semantic=S[0], uncertainty=U[0])
-    p2 = EmbeddingPair(semantic=S[1], uncertainty=U[1])
-    geom = pair_geometry(p1, p2, mp_)
-    h = gradient_weight(geom.alpha, geom.beta, mp_)
+    alpha, beta, _ = oracles.pair_geometry_ref(S[0], S[1], U[0], U[1])
+    h = gradient_weight(alpha, beta, mp_)
     assert h < 1.0
     np.testing.assert_allclose(g_ism, h * g_euc, rtol=1e-12)
 

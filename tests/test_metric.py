@@ -1,8 +1,12 @@
-"""Uncertainty-aware similarity: scalar formulas, tables, and their partials.
+"""Uncertainty-aware similarity: the pairwise tables and their partials.
 
-Scalar values are pinned against an extended-precision reference route
-(tests/oracles.py); structural properties run as randomized invariants.
+Every formula has one implementation, over tables; a single pair is a
+2-row table. Values are pinned against an extended-precision reference
+route (tests/oracles.py); structural properties run as randomized
+invariants.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,20 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from idml.core import EmbeddingPair, MetricParams, ParameterError
+from idml.core import DegenerateInputError, MetricParams, ParameterError
+from idml.evaluation import relative_embeddings
 from idml.metric import (
     METRIC_NAMES,
-    cosine_similarity,
+    _beta_rel_parts,
     distance_table,
-    euclidean_distance,
     gradient_weight,
-    ism_dissim,
-    ism_distance,
-    ism_similarity,
-    ism_strict,
-    kl_gaussian,
-    pair_geometry,
-    pair_uncertainty_sumnorm,
     pairwise_pair_uncertainty,
     pairwise_semantic_distance,
     similarity_table,
@@ -32,8 +29,21 @@ from idml.metric import (
 MP0 = MetricParams()
 
 
-def pair(s, u):
-    return EmbeddingPair(semantic=np.asarray(s, float), uncertainty=np.asarray(u, float))
+def pair_tables(*points):
+    """alpha and beta tables over (s, u) points, one row per point."""
+    S = np.array([p[0] for p in points], dtype=float)
+    U = np.array([p[1] for p in points], dtype=float)
+    return pairwise_semantic_distance(S), pairwise_pair_uncertainty(U)
+
+
+def pair_distance(metric, p1, p2, mp_):
+    A, B = pair_tables(p1, p2)
+    return distance_table(metric, A, B, mp_)[0][0, 1]
+
+
+def similarity(metric, c, beta, tau=5.0):
+    """The similarity form at one cosine c and pair uncertainty beta (gamma = 0)."""
+    return similarity_table(metric, np.array([[c]]), np.array([[beta]]), MetricParams(tau=tau))[0][0, 0]
 
 
 finite = st.floats(-10, 10, allow_nan=False)
@@ -46,31 +56,44 @@ pos = st.floats(0.05, 10, allow_nan=False)
 
 
 def test_pair_geometry_worked_example():
-    p1 = pair((1, 0, 0), (0.3, 0.4, 0))
-    p2 = pair((0, 1, 0), (0.3, 0.4, 0))
-    g = pair_geometry(p1, p2, MP0)
-    assert g.alpha == pytest.approx(1.4142135623730951, rel=1e-12)
-    assert g.beta == pytest.approx(1.0, rel=1e-12)
-    assert g.beta_rel == pytest.approx(0.7071067811865476, rel=1e-12)
-    g2 = pair_geometry(p1, p2, MetricParams(gamma=2.0))
-    assert g2.beta_rel == pytest.approx(2.1213203435596424, rel=1e-12)
+    A, B = pair_tables(((1, 0, 0), (0.3, 0.4, 0)), ((0, 1, 0), (0.3, 0.4, 0)))
+    assert A[0, 1] == pytest.approx(1.4142135623730951, rel=1e-12)
+    assert B[0, 1] == pytest.approx(1.0, rel=1e-12)
+    assert _beta_rel_parts(A, B, MP0)[1][0, 1] == pytest.approx(0.7071067811865476, rel=1e-12)
+    bt2 = _beta_rel_parts(A, B, MetricParams(gamma=2.0))[1]
+    assert bt2[0, 1] == pytest.approx(2.1213203435596424, rel=1e-12)
 
 
 def test_pair_geometry_cancellation_vs_sumnorm():
     # opposite uncertainty directions cancel in the pairwise form but not in
     # the per-sample-norm ablation
-    p1 = pair((0, 0), (1.0, 0.0))
-    p2 = pair((1, 0), (-1.0, 0.0))
-    assert pair_geometry(p1, p2, MP0).beta == 0.0
-    assert pair_uncertainty_sumnorm(p1, p2) == 2.0
+    U = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert pairwise_pair_uncertainty(U)[0, 1] == 0.0
+    assert pairwise_pair_uncertainty(U, sumnorm=True)[0, 1] == 2.0
 
 
 def test_pair_geometry_alpha_floor():
-    # coincident semantics: the alpha floor keeps beta_rel finite
-    p = pair((1, 1), (0.5, 0))
-    g = pair_geometry(p, p, MetricParams(alpha_min=1e-6))
-    assert g.alpha == 0.0
-    assert g.beta_rel == pytest.approx(1.0 / 1e-6, rel=1e-12)
+    """At zero semantic distance the alpha_min clamp keeps beta_rel, every
+    metric and every partial finite; the distance form gives D = 0 there."""
+    p = ((1, 1), (0.5, 0))
+    A, B = pair_tables(p, p)
+    assert A[0, 1] == 0.0
+    assert _beta_rel_parts(A, B, MetricParams(alpha_min=1e-6))[1][0, 1] == pytest.approx(
+        1.0 / 1e-6, rel=1e-12
+    )
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric in METRIC_NAMES:
+            for beta in (0.0, 0.5):
+                for alpha_min in (1e-12, 1e-6):
+                    mp_ = MetricParams(alpha_min=alpha_min)
+                    Bt = np.full((1, 1), beta)
+                    D, dDdA, dDdB = distance_table(metric, zero, Bt, mp_)
+                    sim = similarity_table(metric, one, Bt, mp_)
+                    assert all(np.isfinite(t).all() for t in (D, dDdA, dDdB) + sim)
+                    assert D[0, 0] == 0.0
+                    assert dDdB[0, 0] == 0.0
 
 
 @given(
@@ -81,22 +104,26 @@ def test_pair_geometry_alpha_floor():
     gamma=st.floats(0, 5),
 )
 def test_pair_geometry_matches_reference(s1, s2, u1, u2, gamma):
-    mp_ = MetricParams(gamma=gamma)
-    g = pair_geometry(pair(s1, u1), pair(s2, u2), mp_)
+    A, B = pair_tables((s1, u1), (s2, u2))
     a, b, br = oracles.pair_geometry_ref(s1, s2, u1, u2, gamma=gamma)
-    assert g.alpha == pytest.approx(a, rel=1e-12, abs=1e-12)
-    assert g.beta == pytest.approx(b, rel=1e-12, abs=1e-12)
-    assert g.beta_rel == pytest.approx(br, rel=1e-9, abs=1e-9)
+    assert A[0, 1] == pytest.approx(a, rel=1e-12, abs=1e-12)
+    assert B[0, 1] == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert _beta_rel_parts(A, B, MetricParams(gamma=gamma))[1][0, 1] == pytest.approx(
+        br, rel=1e-9, abs=1e-9
+    )
 
 
-def test_pair_geometry_symmetry_is_exact():
+def test_self_tables_symmetry():
+    """A self alpha table equals its transpose exactly. The self beta table
+    (U against -U) only to rounding: its centering and Gram products round
+    differently in the two triangles."""
     r = np.random.default_rng(0)
-    for _ in range(50):
-        p1 = pair(r.normal(size=4), r.normal(size=3))
-        p2 = pair(r.normal(size=4), r.normal(size=3))
-        g12 = pair_geometry(p1, p2, MP0)
-        g21 = pair_geometry(p2, p1, MP0)
-        assert (g12.alpha, g12.beta, g12.beta_rel) == (g21.alpha, g21.beta, g21.beta_rel)
+    for _ in range(20):
+        n, d = int(r.integers(2, 61)), int(r.integers(1, 601))
+        A = pairwise_semantic_distance(r.normal(size=(n, d)))
+        assert np.array_equal(A, A.T)
+        B = pairwise_pair_uncertainty(r.normal(size=(n, d)))
+        np.testing.assert_allclose(B, B.T, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +132,23 @@ def test_pair_geometry_symmetry_is_exact():
 
 
 def test_euclidean_distance_hand_values():
-    assert euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
-    assert euclidean_distance(np.ones(3), np.ones(3)) == 0.0
+    A = pairwise_semantic_distance(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    assert A[0, 1] == 5.0
+    assert distance_table("euclidean", A, np.zeros_like(A), MP0)[0][0, 1] == 5.0
+    assert pairwise_semantic_distance(np.ones((2, 3)))[0, 1] == 0.0
 
 
 def test_ism_distance_worked_example():
     # alpha = sqrt(2), beta_rel = 1/sqrt(2), tau = 5
-    p1 = pair((1, 0, 0), (0.3, 0.4, 0))
-    p2 = pair((0, 1, 0), (0.3, 0.4, 0))
-    d = ism_distance(p1, p2, MetricParams(tau=5.0))
+    p1 = ((1, 0, 0), (0.3, 0.4, 0))
+    p2 = ((0, 1, 0), (0.3, 0.4, 0))
+    d = pair_distance("ism", p1, p2, MetricParams(tau=5.0))
     assert d == pytest.approx(1.227711950291081, rel=1e-12)
 
 
 def test_ism_distance_certain_pair_is_euclidean():
-    p1 = pair((1, 2, 3), (0, 0, 0))
-    p2 = pair((4, 6, 3), (0, 0, 0))
-    assert ism_distance(p1, p2, MP0) == euclidean_distance(p1.semantic, p2.semantic)
+    A, B = pair_tables(((1, 2, 3), (0, 0, 0)), ((4, 6, 3), (0, 0, 0)))
+    assert distance_table("ism", A, B, MP0)[0][0, 1] == A[0, 1]
 
 
 @given(
@@ -135,7 +163,7 @@ def test_ism_distance_matches_reference(s1, s2, u1, u2, gamma, tau):
     mp_ = MetricParams(gamma=gamma, tau=tau)
     g = oracles.pair_geometry_ref(s1, s2, u1, u2, gamma=gamma)
     want = oracles.ism_distance_ref(g[0], g[1], gamma, tau)
-    got = ism_distance(pair(s1, u1), pair(s2, u2), mp_)
+    got = pair_distance("ism", (s1, u1), (s2, u2), mp_)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
@@ -146,45 +174,39 @@ def test_ism_distance_matches_reference(s1, s2, u1, u2, gamma, tau):
     u2=st.tuples(finite, finite),
 )
 def test_soften_never_exceeds_alpha(s1, s2, u1, u2):
-    p1, p2 = pair(s1, u1), pair(s2, u2)
-    g = pair_geometry(p1, p2, MP0)
-    d = ism_distance(p1, p2, MP0)
-    assert d <= g.alpha + 1e-15
-    if g.beta_rel > 1e-9 and g.alpha > 1e-9:
-        assert d < g.alpha
+    A, B = pair_tables((s1, u1), (s2, u2))
+    alpha, beta_rel = A[0, 1], _beta_rel_parts(A, B, MP0)[1][0, 1]
+    d = distance_table("ism", A, B, MP0)[0][0, 1]
+    assert d <= alpha + 1e-15
+    if beta_rel > 1e-9 and alpha > 1e-9:
+        assert d < alpha
 
 
 def test_ism_distance_monotone_decreasing_in_beta():
-    p1 = pair((0, 0), (0, 0))
-    ds = [
-        ism_distance(p1, pair((2, 0), (b, 0)), MP0)
-        for b in (0.0, 0.5, 1.0, 2.0, 4.0)
-    ]
+    betas = (0.0, 0.5, 1.0, 2.0, 4.0)
+    A, B = pair_tables(((0, 0), (0, 0)), *[((2, 0), (b, 0)) for b in betas])
+    ds = distance_table("ism", A, B, MP0)[0][0, 1:]
     assert all(a > b for a, b in zip(ds, ds[1:]))
 
 
 def test_ism_distance_violates_triangle_inequality():
     """A maximally uncertain midpoint makes both legs cheap while the direct
     path stays at full length — the softened distance is not a metric."""
-    mp_ = MetricParams(tau=5.0)
-    a = pair((0.0,), (0.0,))
-    mid = pair((1.0,), (50.0,))
-    b = pair((2.0,), (0.0,))
-    legs = ism_distance(a, mid, mp_) + ism_distance(mid, b, mp_)
-    direct = ism_distance(a, b, mp_)
-    assert direct > legs
+    A, B = pair_tables(((0.0,), (0.0,)), ((1.0,), (50.0,)), ((2.0,), (0.0,)))
+    D = distance_table("ism", A, B, MetricParams(tau=5.0))[0]
+    assert D[0, 2] > D[0, 1] + D[1, 2]
 
 
 def test_ism_strict_indicator():
-    mp_ = MetricParams()
-    certain = pair((0, 0), (0, 0))
-    far = pair((3, 0), (0.1, 0))
-    assert ism_strict(certain, far, mp_) == pair_geometry(certain, far, mp_).alpha
+    certain, far = ((0, 0), (0, 0)), ((3, 0), (0.1, 0))
     # uncertainty dominating the separation kills the distance
-    noisy = pair((3, 0), (5.0, 0))
-    assert ism_strict(certain, noisy, mp_) == 0.0
+    noisy = ((3, 0), (5.0, 0))
+    A, B = pair_tables(certain, far, noisy)
+    D = distance_table("ism_strict", A, B, MP0)[0]
+    assert D[0, 1] == A[0, 1]
+    assert D[0, 2] == 0.0
     # gamma can push a surviving pair over the edge
-    assert ism_strict(certain, far, MetricParams(gamma=4.0)) == 0.0
+    assert distance_table("ism_strict", A, B, MetricParams(gamma=4.0))[0][0, 1] == 0.0
 
 
 @given(
@@ -193,13 +215,10 @@ def test_ism_strict_indicator():
     gamma=st.floats(0, 3),
 )
 def test_ism_strict_sign_set(s2, u2, gamma):
-    mp_ = MetricParams(gamma=gamma)
-    p1 = pair((0, 0), (0, 0))
-    p2 = pair(s2, u2)
-    g = pair_geometry(p1, p2, mp_)
-    got = ism_strict(p1, p2, mp_)
-    if g.alpha - g.beta - gamma > 0:
-        assert got == g.alpha
+    A, B = pair_tables(((0, 0), (0, 0)), (s2, u2))
+    got = distance_table("ism_strict", A, B, MetricParams(gamma=gamma))[0][0, 1]
+    if A[0, 1] - B[0, 1] - gamma > 0:
+        assert got == A[0, 1]
     else:
         assert got == 0.0
 
@@ -210,30 +229,37 @@ def test_ism_strict_sign_set(s2, u2, gamma):
 
 
 def test_ism_similarity_worked_values():
-    assert ism_similarity(0.5, 5.0, 5.0) == pytest.approx(0.8160602794142788, rel=1e-12)
-    assert ism_similarity(0.7, 0.0, 5.0) == pytest.approx(0.7, rel=1e-15)
-    assert ism_similarity(1.0, 3.0, 5.0) == 1.0
+    # at c = 0.5 the chord sqrt(2 - 2c) is 1, so beta_rel = beta
+    assert similarity("ism", 0.5, 5.0) == pytest.approx(0.8160602794142788, rel=1e-12)
+    assert similarity("ism", 0.7, 0.0) == pytest.approx(0.7, rel=1e-15)
+    assert similarity("ism", 1.0, 3.0) == 1.0
 
 
 def test_ism_dissim_worked_values():
-    assert ism_dissim(0.5, 5.0, 5.0) == pytest.approx(0.18393972058572117, rel=1e-12)
-    assert ism_dissim(0.5, 0.0, 5.0) == pytest.approx(0.5, rel=1e-15)
-    assert ism_dissim(0.0, 2.0, 5.0) == 0.0
+    assert similarity("ism_dis", 0.5, 5.0) == pytest.approx(0.18393972058572117, rel=1e-12)
+    assert similarity("ism_dis", 0.5, 0.0) == pytest.approx(0.5, rel=1e-15)
+    assert similarity("ism_dis", 0.0, 2.0) == 0.0
 
 
-@given(c=st.floats(-1, 1), beta_rel=st.floats(0, 50), tau=st.floats(0.5, 20))
-def test_similarity_bounds(c, beta_rel, tau):
-    s = ism_similarity(c, beta_rel, tau)
+def _chord_beta_rel(c, beta):
+    return beta / max(np.sqrt(max(2 - 2 * c, 0.0)), MP0.alpha_min)
+
+
+@given(c=st.floats(-1, 1), beta=st.floats(0, 50), tau=st.floats(0.5, 20))
+def test_similarity_bounds(c, beta, tau):
+    s = similarity("ism", c, beta, tau)
     assert s >= c - 1e-15
     assert s <= 1.0 + 1e-15
-    assert s == pytest.approx(oracles.ism_similarity_ref(c, beta_rel, tau), rel=1e-12, abs=1e-12)
+    want = oracles.ism_similarity_ref(c, _chord_beta_rel(c, beta), tau)
+    assert s == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@given(c=st.floats(0, 1), beta_rel=st.floats(0, 50), tau=st.floats(0.5, 20))
-def test_dissim_bounds(c, beta_rel, tau):
-    d = ism_dissim(c, beta_rel, tau)
+@given(c=st.floats(0, 1), beta=st.floats(0, 50), tau=st.floats(0.5, 20))
+def test_dissim_bounds(c, beta, tau):
+    d = similarity("ism_dis", c, beta, tau)
     assert 0.0 - 1e-15 <= d <= c + 1e-15
-    assert d == pytest.approx(oracles.ism_dissim_ref(c, beta_rel, tau), rel=1e-12, abs=1e-12)
+    want = oracles.ism_dissim_ref(c, _chord_beta_rel(c, beta), tau)
+    assert d == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,62 +312,28 @@ def test_gradient_weight_is_distance_slope(alpha, beta, gamma, tau):
 
 
 # ---------------------------------------------------------------------------
-# KL divergence and cosine
+# Cosine (its batch form is evaluation.relative_embeddings)
 # ---------------------------------------------------------------------------
 
 
-def test_kl_gaussian_worked_values():
-    z = np.zeros(1)
-    o = np.ones(1)
-    assert kl_gaussian(z, o, z, o) == 0.0
-    # unit variances, means one apart
-    assert kl_gaussian(z, o, o, o) == pytest.approx(0.5, rel=1e-15)
-    # sigma ratio e, equal means
-    e = float(np.e)
-    assert kl_gaussian(z, e * o, z, o) == pytest.approx(
-        oracles.kl_gaussian_ref([0], [e], [0], [1]), rel=1e-12
-    )
-
-
-@given(
-    mu1=st.tuples(finite, finite),
-    mu2=st.tuples(finite, finite),
-    s1=st.tuples(pos, pos),
-    s2=st.tuples(pos, pos),
-)
-def test_kl_gaussian_nonnegative_and_matches_reference(mu1, mu2, s1, s2):
-    got = kl_gaussian(np.array(mu1), np.array(s1), np.array(mu2), np.array(s2))
-    assert got >= -1e-12
-    assert got == pytest.approx(oracles.kl_gaussian_ref(mu1, s1, mu2, s2), rel=1e-9, abs=1e-9)
-
-
-def test_kl_gaussian_asymmetric():
-    mu, o = np.zeros(1), np.ones(1)
-    a = kl_gaussian(mu, 2 * o, mu, o)
-    b = kl_gaussian(mu, o, mu, 2 * o)
-    assert a != pytest.approx(b)
-
-
 def test_cosine_similarity_hand_values():
-    a = np.array([1.0, 0.0])
-    assert cosine_similarity(a, np.array([2.0, 0.0])) == pytest.approx(1.0)
-    assert cosine_similarity(a, np.array([0.0, 3.0])) == pytest.approx(0.0, abs=1e-15)
-    assert cosine_similarity(a, np.array([-1.0, 0.0])) == pytest.approx(-1.0)
+    R = relative_embeddings(np.array([[2.0, 0.0], [0.0, 3.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert R[0, 0] == pytest.approx(1.0)
+    assert R[1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert R[2, 0] == pytest.approx(-1.0)
 
 
 def test_cosine_similarity_zero_vector_rejected():
-    from idml.core import DegenerateInputError
-
     with pytest.raises(DegenerateInputError):
-        cosine_similarity(np.zeros(3), np.ones(3))
+        relative_embeddings(np.ones((1, 3)), np.zeros((1, 3)))
 
 
 @given(a=st.tuples(finite, finite, finite), b=st.tuples(finite, finite, finite))
 def test_cosine_similarity_clamped(a, b):
-    va, vb = np.array(a), np.array(b)
+    va, vb = np.array([a]), np.array([b])
     if np.linalg.norm(va) < 1e-6 or np.linalg.norm(vb) < 1e-6:
         return
-    c = cosine_similarity(va, vb)
+    c = relative_embeddings(va, vb)[0, 0]
     assert -1.0 <= c <= 1.0
 
 

@@ -9,20 +9,26 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from idml.core import MiningExhausted, Rng
-from idml.sampling import (
-    dw_log_weight,
-    dw_log_weights,
-    mine_triplets,
-    sample_negatives_dw,
-    sample_negatives_for_pairs,
-    semi_hard_negative,
-)
+from idml.core import Rng
+from idml.sampling import dw_log_weights, mine_triplets, sample_negatives_for_pairs
 
 
 def dist_matrix(points):
     pts = np.asarray(points, float).reshape(len(points), -1)
     return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+
+def semi_hard(anchor, positive, d, labels):
+    """The negative `mine_triplets` picks for one (anchor, positive) row, or None."""
+    triplets, _ = mine_triplets(d, labels)
+    hit = triplets[(triplets[:, 0] == anchor) & (triplets[:, 1] == positive)]
+    return int(hit[0, 2]) if len(hit) else None
+
+
+def draw_negatives(anchor, d, labels, n_dim, rng, draws=1):
+    """Distance-weighted negatives for `draws` pairs anchored at `anchor`, in one call."""
+    rows = sample_negatives_for_pairs([(anchor, anchor)] * draws, d, labels, n_dim, 10.0, rng)
+    return rows[:, 1]
 
 
 def mixed_labels(r, n):
@@ -47,7 +53,7 @@ def test_semi_hard_picks_closest_qualifying_negative():
     d[0, 2] = d[2, 0] = 0.4
     d[0, 3] = d[3, 0] = 0.7
     d[0, 4] = d[4, 0] = 1.2
-    assert semi_hard_negative(0, 1, d, labels) == 3
+    assert semi_hard(0, 1, d, labels) == 3
 
 
 def test_semi_hard_none_when_all_negatives_too_close():
@@ -55,19 +61,21 @@ def test_semi_hard_none_when_all_negatives_too_close():
     d = np.zeros((3, 3))
     d[0, 1] = d[1, 0] = 1.0
     d[0, 2] = d[2, 0] = 0.9
-    assert semi_hard_negative(0, 1, d, labels) is None
+    assert semi_hard(0, 1, d, labels) is None
 
 
 def test_semi_hard_none_without_negatives():
     labels = (frozenset({0}), frozenset({0}))
-    assert semi_hard_negative(0, 1, np.zeros((2, 2)), labels) is None
+    triplets, skipped = mine_triplets(np.zeros((2, 2)), labels)
+    assert triplets.shape == (0, 3)
+    assert skipped == 2
 
 
 def test_semi_hard_shared_label_not_a_negative():
     # the multi-label sample overlaps the anchor's class, so it can't be mined
     labels = (frozenset({0}), frozenset({0}), frozenset({0, 1}), frozenset({1}))
     d = dist_matrix([(0.0,), (0.5,), (0.8,), (2.0,)])
-    assert semi_hard_negative(0, 1, d, labels) == 3
+    assert semi_hard(0, 1, d, labels) == 3
 
 
 @settings(max_examples=40)
@@ -86,7 +94,6 @@ def test_semi_hard_matches_brute_force(seed):
             want = oracles.semi_hard_ref(
                 d[a, p], [(j, d[a, j]) for j in range(n) if not (labels[a] & labels[j])]
             )
-            assert semi_hard_negative(a, p, d, labels) == want
             if want is None:
                 want_skipped += 1
             else:
@@ -119,42 +126,41 @@ def test_mine_triplets_structure_and_skip_count():
 
 def test_dw_log_weight_worked_value():
     # n=4, d=1: min(log 10, log(1.154701...))
-    assert dw_log_weight(1.0, 4, 10.0) == pytest.approx(0.14384103622589045, rel=1e-12)
+    assert dw_log_weights(1.0, 4, 10.0) == pytest.approx(0.14384103622589045, rel=1e-12)
 
 
 def test_dw_log_weight_caps_at_log_phi():
     # d near the antipode: the raw density blows up and the cap binds
-    assert dw_log_weight(1.9999, 4, 10.0) == pytest.approx(np.log(10.0), rel=1e-12)
-    assert dw_log_weight(2.5, 4, 10.0) == pytest.approx(np.log(10.0), rel=1e-12)
+    lw = dw_log_weights(np.array([1.9999, 2.5]), 4, 10.0)
+    assert lw == pytest.approx([np.log(10.0)] * 2, rel=1e-12)
 
 
 def test_dw_log_weight_clamps_domain():
     # inputs outside (0, 2) are pulled to the edge of the valid chord range
-    assert dw_log_weight(0.0, 8, 10.0) == pytest.approx(
-        dw_log_weight(1e-4, 8, 10.0), rel=1e-12
-    )
-    assert dw_log_weight(-1.0, 8, 10.0) == dw_log_weight(0.0, 8, 10.0)
+    lw = dw_log_weights(np.array([0.0, 1e-4, -1.0]), 8, 10.0)
+    assert lw[0] == pytest.approx(lw[1], rel=1e-12)
+    assert lw[2] == lw[0]
 
 
 def test_dw_log_weight_three_dims():
     # n=3 kills the second term; weight is -log d up to the cap
-    assert dw_log_weight(0.5, 3, 10.0) == pytest.approx(np.log(2.0), rel=1e-12)
-    assert dw_log_weight(0.05, 3, 10.0) == pytest.approx(np.log(10.0), rel=1e-12)
+    lw = dw_log_weights(np.array([0.5, 0.05]), 3, 10.0)
+    assert lw[0] == pytest.approx(np.log(2.0), rel=1e-12)
+    assert lw[1] == pytest.approx(np.log(10.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("n_dim", [3, 4, 16, 64])
 def test_dw_log_weight_matches_reference_on_grid(n_dim):
-    for d in np.linspace(0.01, 1.99, 100):
-        assert dw_log_weight(float(d), n_dim, 10.0) == pytest.approx(
-            oracles.dw_log_weight_ref(d, n_dim, 10.0), rel=1e-12, abs=1e-12
-        )
+    ds = np.linspace(0.01, 1.99, 100)
+    for d, lw in zip(ds, dw_log_weights(ds, n_dim, 10.0)):
+        assert lw == pytest.approx(oracles.dw_log_weight_ref(d, n_dim, 10.0), rel=1e-12, abs=1e-12)
 
 
 def test_dw_log_weights_vector_matches_scalar():
     ds = np.array([0.3, 0.9, 1.4, 1.99, 2.7])
     vec = dw_log_weights(ds, 16, 10.0)
     for i, d in enumerate(ds):
-        assert vec[i] == dw_log_weight(float(d), 16, 10.0)
+        assert vec[i] == dw_log_weights(float(d), 16, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +171,13 @@ def test_dw_log_weights_vector_matches_scalar():
 def test_sample_negatives_dw_single_candidate():
     labels = (frozenset({0}), frozenset({1}))
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    r = Rng(seed=0)
-    assert all(sample_negatives_dw(0, d, labels, 16, 10.0, r) == 1 for _ in range(20))
-
-
-def test_sample_negatives_dw_raises_without_negatives():
-    labels = (frozenset({0}), frozenset({0}))
-    with pytest.raises(MiningExhausted):
-        sample_negatives_dw(0, np.zeros((2, 2)), labels, 16, 10.0, Rng(seed=0))
+    assert (draw_negatives(0, d, labels, 16, Rng(seed=0), draws=20) == 1).all()
 
 
 def test_sample_negatives_dw_equal_distances_near_uniform():
     labels = (frozenset({0}), frozenset({1}), frozenset({1}))
     d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
-    r = Rng(seed=7)
-    picks = np.array([sample_negatives_dw(0, d, labels, 16, 10.0, r) for _ in range(10_000)])
+    picks = draw_negatives(0, d, labels, 16, Rng(seed=7), draws=10_000)
     frac = float((picks == 1).mean())
     assert frac == pytest.approx(0.5, abs=0.02)
 
@@ -188,12 +186,10 @@ def test_sample_negatives_dw_both_capped_split_evenly():
     """In high dimension both a near (0.2) and a mid (1.0) chord saturate the
     density cap, so the draw is a coin flip despite the distance gap."""
     n_dim = 128
-    assert dw_log_weight(0.2, n_dim, 10.0) == pytest.approx(np.log(10.0))
-    assert dw_log_weight(1.0, n_dim, 10.0) == pytest.approx(np.log(10.0))
+    assert dw_log_weights(np.array([0.2, 1.0]), n_dim, 10.0) == pytest.approx([np.log(10.0)] * 2)
     labels = (frozenset({0}), frozenset({1}), frozenset({1}))
     d = np.array([[0.0, 0.2, 1.0], [0.2, 0.0, 0.5], [1.0, 0.5, 0.0]])
-    r = Rng(seed=11)
-    picks = np.array([sample_negatives_dw(0, d, labels, n_dim, 10.0, r) for _ in range(10_000)])
+    picks = draw_negatives(0, d, labels, n_dim, Rng(seed=11), draws=10_000)
     frac = float((picks == 1).mean())
     assert frac == pytest.approx(0.5, abs=0.02)
 
@@ -208,9 +204,8 @@ def test_sample_negatives_dw_frequencies_match_weights():
     for j, dist in enumerate(dists, start=1):
         d[0, j] = d[j, 0] = dist
     want = oracles.dw_weights_ref(dists, 16, 10.0)
-    r = Rng(seed=3)
     draws = 10_000
-    picks = np.array([sample_negatives_dw(0, d, labels, 16, 10.0, r) for _ in range(draws)])
+    picks = draw_negatives(0, d, labels, 16, Rng(seed=3), draws=draws)
     observed = np.array([(picks == j).sum() for j in range(1, n)])
     expected = draws * np.array(want)
     _, p = stats.chisquare(observed, expected)
@@ -220,9 +215,9 @@ def test_sample_negatives_dw_frequencies_match_weights():
 def test_sample_negatives_dw_deterministic_given_stream():
     labels = (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({1}))
     d = dist_matrix([(0.0,), (0.4,), (0.9,), (1.6,)])
-    a = [sample_negatives_dw(0, d, labels, 16, 10.0, Rng(seed=5)) for _ in range(5)]
-    b = [sample_negatives_dw(0, d, labels, 16, 10.0, Rng(seed=5)) for _ in range(5)]
-    assert a == b
+    a = draw_negatives(0, d, labels, 16, Rng(seed=5), draws=5)
+    b = draw_negatives(0, d, labels, 16, Rng(seed=5), draws=5)
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_negatives_for_pairs_rows_are_valid():
