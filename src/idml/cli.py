@@ -139,10 +139,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    """eval and diagnose: the report on stdout; diagnose adds a row count on stderr."""
     from idml import harness
 
     cfg = _load_config(args)
-    report, _ = harness.diagnose(
+    report, rows = harness.diagnose(
         args.checkpoint,
         args.data,
         seed=cfg.seed,
@@ -151,6 +152,8 @@ def _cmd_eval(args) -> int:
         output_dir=args.output,
     )
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+    if args.command == "diagnose":
+        print(f"{len(rows)} per-sample uncertainty rows", file=sys.stderr)
     return EXIT_OK
 
 
@@ -179,30 +182,13 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_GRADCHECK
 
 
-def _cmd_diagnose(args) -> int:
-    from idml import harness
-
-    cfg = _load_config(args)
-    report, rows = harness.diagnose(
-        args.checkpoint,
-        args.data,
-        seed=cfg.seed,
-        test_metric=cfg.test_metric,
-        mp=cfg.metric_params,
-        output_dir=args.output,
-    )
-    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    print(f"{len(rows)} per-sample uncertainty rows", file=sys.stderr)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "train": _cmd_train,
     "eval": _cmd_eval,
     "sweep": _cmd_sweep,
     "gradcheck": _cmd_gradcheck,
-    "diagnose": _cmd_diagnose,
+    "diagnose": _cmd_eval,
 }
 
 

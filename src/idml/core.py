@@ -174,8 +174,8 @@ class Rng:
     """Deterministic random stream backed by the counter-based Philox generator.
 
     Identical (seed, stream) pairs produce bit-identical draws across runs
-    and platforms. `substream()` derives an independent generator keyed on
-    (seed, stream_id) so e.g. batching noise never perturbs init noise.
+    and platforms. Each consumer keys its own generator on (seed, stream id),
+    so e.g. batching noise never perturbs init noise.
     """
 
     def __init__(self, seed: int, stream: int = STREAM_ROOT):
@@ -186,10 +186,6 @@ class Rng:
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream: int) -> "Rng":
-        """Independent generator for the same seed under a different stream id."""
-        return Rng(self.seed, stream)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
         """Uniform draw(s) in [lo, hi); requires lo < hi."""

@@ -138,12 +138,6 @@ class Dataset:
             out |= self.labels[i]
         return frozenset(out)
 
-    def test_classes(self) -> frozenset:
-        out = set()
-        for i in np.nonzero(~self.is_train)[0]:
-            out |= self.labels[i]
-        return frozenset(out)
-
 
 def generate(cfg: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset per the config's own seed.

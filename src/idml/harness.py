@@ -469,19 +469,24 @@ def _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed):
     return rows
 
 
-def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
+def _write_eval_outputs(out: Path, report: EvalReport, u_rows):
+    """eval.json and uncertainty.csv, the outputs `train` and `diagnose` share."""
     out.mkdir(parents=True, exist_ok=True)
+    (out / "eval.json").write_text(_json_text(report.to_json_dict()))
+    (out / "uncertainty.csv").write_text("\n".join(["id,label,is_mixed,u_norm"] + u_rows) + "\n")
+
+
+def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
+    _write_eval_outputs(out, record.final, u_rows)
     (out / "config.json").write_text(_json_text(config_to_json_dict(record.config)))
     (out / "record.json").write_text(_json_text(record.record_json_dict()))
     (out / "timing.json").write_text(_json_text({"wall_time_s": record.wall_time_s}))
-    (out / "eval.json").write_text(_json_text(record.final.to_json_dict()))
     lines = ["epoch,loss,uncert_clean,uncert_mixed,grad_norm"]
     for e in record.epochs:
         lines.append(
             f"{e.epoch},{e.loss!r},{e.uncert_clean!r},{e.uncert_mixed!r},{e.grad_norm!r}"
         )
     (out / "epochs.csv").write_text("\n".join(lines) + "\n")
-    (out / "uncertainty.csv").write_text("\n".join(["id,label,is_mixed,u_norm"] + u_rows) + "\n")
     save_checkpoint(out / "model.bin", model, proxies)
 
 
@@ -624,8 +629,5 @@ def diagnose(
         mp if mp is not None else MetricParams(),
     )
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval.json").write_text(_json_text(report.to_json_dict()))
-        (out / "uncertainty.csv").write_text("\n".join(["id,label,is_mixed,u_norm"] + rows) + "\n")
+        _write_eval_outputs(Path(output_dir), report, rows)
     return report, rows

@@ -13,6 +13,13 @@ held fixed, which makes the planned loss a (piecewise-)smooth function of
 the embeddings; hinge and norm kinks are reported as ``kink_margin`` so the
 gradient checker can resample batches that sit on a corner.
 
+Every loss runs in three pieces. One table step (``_tables``), shared by
+planning and evaluation, builds the semantic distance A, the pair
+uncertainty B and the selected metric's table with its partials. A small
+head per loss maps the tables and the plan to its terms and to weights on
+dL/dA (or dL/dC) and dL/dB. One pull-back (``_pull_back``) turns those
+weights into gradients on the rows and proxies.
+
 Distance-form losses (contrastive, margin_dw, triplet_sh, proxy_nca) use
 the raw semantic Euclidean distance; cosine-form losses (multi_similarity,
 softmax_proxy, proxy_anchor) and margin_dw L2-normalize semantic embeddings
@@ -24,6 +31,7 @@ embeddings are never normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +73,8 @@ PROXY_LOSSES = frozenset({"softmax_proxy", "proxy_nca", "proxy_anchor"})
 # Losses that L2-normalize semantic embeddings (cosine-form, plus margin_dw
 # whose sampler needs unit-sphere distances).
 NORMALIZED_LOSSES = frozenset({"margin_dw", "multi_similarity", "softmax_proxy", "proxy_anchor"})
+# Losses whose head reads a similarity table C' of the cosine C.
+_COSINE_LOSSES = NORMALIZED_LOSSES - {"margin_dw"}
 
 _TINY = 1e-300  # safe-divide floor; gradients at exact norm kinks are defined as 0
 
@@ -154,7 +164,6 @@ class LossResult:
     d_proxy_semantic: np.ndarray = None
     d_proxy_uncertainty: np.ndarray = None
     kink_margin: float = np.inf
-    mining_exhausted: bool = False
     plan: Plan = field(default=None, repr=False)
     # Uncertainty rows the loss was evaluated at (set by model.loss_and_grad).
     uncertainty: np.ndarray = field(default=None, repr=False)
@@ -187,57 +196,88 @@ def _denormalize_grad(dXhat: np.ndarray, Xhat: np.ndarray, norms: np.ndarray) ->
     return (dXhat - proj * Xhat) / np.maximum(norms, _TINY)[:, None]
 
 
-def _uncertainty_tables(U: np.ndarray, PU, metric: str):
-    """Pair-uncertainty table(s) in the representation the metric expects."""
-    sumnorm = metric == "uncert_sumnorm"
-    B = pairwise_pair_uncertainty(U, None if PU is None else PU, sumnorm=sumnorm)
-    return B, sumnorm
+class _Tables(NamedTuple):
+    """One loss's rows and tables: batch rows X, U against proxy rows Y, V.
 
-
-def _grad_from_pair_weights(Wa, Wb, S, U, A, B, sumnorm: bool):
-    """Gradients on S and U from symmetric per-pair weight matrices.
-
-    Wa[i, j] = dL/dA[i, j] and Wb[i, j] = dL/dB[i, j], with each unordered
-    pair's weight mirrored across the diagonal. Uses dA/ds_i = (s_i - s_j)/A
-    and dB/du_i = (u_i + u_j)/B (both defined as 0 at a zero denominator).
+    Y and V are None when the batch is paired with itself.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        Ga = np.where(A > 0, Wa / np.maximum(A, _TINY), 0.0)
-    dS = Ga.sum(axis=1, keepdims=True) * S - Ga @ S
-    if sumnorm:
-        # B = ||u_i|| + ||u_j||: dB/du_i = u_i/||u_i||.
-        row = Wb.sum(axis=1)
-        nu = np.linalg.norm(U, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(nu > 0, row / np.maximum(nu, _TINY), 0.0)
-        dU = scale[:, None] * U
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            Gb = np.where(B > 0, Wb / np.maximum(B, _TINY), 0.0)
-        dU = Gb.sum(axis=1, keepdims=True) * U + Gb @ U
-    return dS, dU
+
+    X: np.ndarray  # semantic rows, unit rows for NORMALIZED_LOSSES
+    U: np.ndarray
+    Y: np.ndarray
+    V: np.ndarray
+    norms: np.ndarray  # raw row norms of X, None when not normalized
+    pnorms: np.ndarray  # raw row norms of Y, likewise
+    A: np.ndarray  # semantic distance
+    B: np.ndarray  # pair uncertainty
+    M: np.ndarray  # metric table: distance D, or similarity C' for _COSINE_LOSSES
+    dM: np.ndarray  # dM/dA, or dC'/dC for _COSINE_LOSSES
+    dMb: np.ndarray  # dM/dB
 
 
-def _grad_from_cross_weights(Wa, Wb, S, U, PS, PU, A, B, sumnorm: bool):
-    """Gradients for sample-vs-proxy tables; returns (dS, dU, dPS, dPU)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        Ga = np.where(A > 0, Wa / np.maximum(A, _TINY), 0.0)
-    dS = Ga.sum(axis=1, keepdims=True) * S - Ga @ PS
-    dPS = Ga.sum(axis=0)[:, None] * PS - Ga.T @ S
-    if sumnorm:
-        nu = np.linalg.norm(U, axis=1)
-        npu = np.linalg.norm(PU, axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            su = np.where(nu > 0, Wb.sum(axis=1) / np.maximum(nu, _TINY), 0.0)
-            sp = np.where(npu > 0, Wb.sum(axis=0) / np.maximum(npu, _TINY), 0.0)
-        dU = su[:, None] * U
-        dPU = sp[:, None] * PU
+def _tables(loss, S, U, metric, mp, proxies) -> _Tables:
+    """The one table step of planning and evaluation; nothing is cached between calls.
+
+    Cosine-form losses take C = X Y^T and the chord distance A = sqrt(2 - 2C);
+    the others take A = ||x_i - y_j||.
+    """
+    Y = V = norms = pnorms = None
+    if loss in PROXY_LOSSES:
+        Y, V = proxies.semantic, proxies.uncertainty
+    if loss in NORMALIZED_LOSSES:
+        S, norms = _normalize_rows(S)
+        if Y is not None:
+            Y, pnorms = _normalize_rows(Y)
+    cosine = loss in _COSINE_LOSSES
+    if cosine:
+        C = np.clip(S @ (S if Y is None else Y).T, -1.0, 1.0)
+        A = np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
+    else:
+        A = pairwise_semantic_distance(S, Y)
+    B = pairwise_pair_uncertainty(U, V, sumnorm=metric == "uncert_sumnorm")
+    M = similarity_table(metric, C, B, mp) if cosine else distance_table(metric, A, B, mp)
+    return _Tables(S, U, Y, V, norms, pnorms, A, B, *M)
+
+
+def _row_side(Wa, Wb, A, B, X, Y, U, V, cosine: bool, sumnorm: bool):
+    """Gradients on the rows X, U of tables built from X, U against Y, V.
+
+    Wa[i, j] = dL/dA[i, j] (dL/dC[i, j] when cosine) and Wb[i, j] = dL/dB[i, j].
+    Uses dA/dx_i = (x_i - y_j)/A, dC/dx_i = y_j and dB/du_i = (u_i + v_j)/B,
+    or u_i/||u_i|| for the sum of norms; each is 0 at a zero denominator.
+    """
+    if cosine:
+        dX = Wa @ Y
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
-            Gb = np.where(B > 0, Wb / np.maximum(B, _TINY), 0.0)
-        dU = Gb.sum(axis=1, keepdims=True) * U + Gb @ PU
-        dPU = Gb.sum(axis=0)[:, None] * PU + Gb.T @ U
-    return dS, dU, dPS, dPU
+            Ga = np.where(A > 0, Wa / np.maximum(A, _TINY), 0.0)
+        dX = Ga.sum(axis=1, keepdims=True) * X - Ga @ Y
+    if sumnorm:
+        nu = np.linalg.norm(U, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return dX, np.where(nu > 0, Wb.sum(axis=1) / np.maximum(nu, _TINY), 0.0)[:, None] * U
+    with np.errstate(invalid="ignore", divide="ignore"):
+        Gb = np.where(B > 0, Wb / np.maximum(B, _TINY), 0.0)
+    return dX, Gb.sum(axis=1, keepdims=True) * U + Gb @ V
+
+
+def _pull_back(t: _Tables, Wa, Wb, cosine: bool, sumnorm: bool):
+    """(dS, dU, dPS, dPU) from the head's weights on the tables.
+
+    A self table takes the row side only: its heads mirror or symmetrize
+    their weights, so row i carries every pair that i is in. A proxy table
+    also takes its column side, onto the proxy rows.
+    """
+    Y, V = (t.X, t.U) if t.Y is None else (t.Y, t.V)
+    dX, dU = _row_side(Wa, Wb, t.A, t.B, t.X, Y, t.U, V, cosine, sumnorm)
+    dY = dV = None
+    if t.Y is not None:
+        dY, dV = _row_side(Wa.T, Wb.T, t.A.T, t.B.T, t.Y, t.X, t.V, t.U, cosine, sumnorm)
+    if t.norms is not None:
+        dX = _denormalize_grad(dX, t.X, t.norms)
+        if t.Y is not None:
+            dY = _denormalize_grad(dY, t.Y, t.pnorms)
+    return dX, dU, dY, dV
 
 
 def _accumulate_sym(W, idx_a, idx_b, weights):
@@ -305,23 +345,15 @@ def build_plan(
             raise ParameterError("margin_dw needs at least one positive pair")
         if rng is None:
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
-        Shat, _ = _normalize_rows(S)
-        A = pairwise_semantic_distance(Shat)
-        B, _ = _uncertainty_tables(U, None, metric)
-        D, _, _ = distance_table(metric, A, B, mp)
+        D = _tables(loss, S, U, metric, mp, proxies).M
         plan.dw_negatives = sample_negatives_for_pairs(
             plan.pos_pairs, D, labels, n_dim=S.shape[1], phi=lp.phi, rng=rng
         )
     elif loss == "triplet_sh":
-        A = pairwise_semantic_distance(S)
-        B, _ = _uncertainty_tables(U, None, metric)
-        D, _, _ = distance_table(metric, A, B, mp)
+        D = _tables(loss, S, U, metric, mp, proxies).M
         plan.triplets, plan.n_skipped = mine_triplets(D, labels)
     elif loss == "multi_similarity":
-        Shat, _ = _normalize_rows(S)
-        C = np.clip(Shat @ Shat.T, -1.0, 1.0)
-        B, _ = _uncertainty_tables(U, None, metric)
-        Cs, _, _ = similarity_table(metric, C, B, mp)
+        Cs = _tables(loss, S, U, metric, mp, proxies).M
         plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(Cs, labels, lp.ms_eps)
     elif loss in PROXY_LOSSES:
         if proxies is None or len(proxies) == 0:
@@ -372,8 +404,23 @@ def evaluate_loss(
     lp = lp or default_loss_params(loss)
     if plan is None or plan.loss != loss:
         raise ParameterError("evaluate_loss needs a plan built for the same loss")
-    fn = _EVALUATORS[loss]
-    return fn(S, U, labels, plan, metric, mp, lp, proxies)
+    t = _tables(loss, S, U, metric, mp, proxies)
+    terms, Wa, Wb, used, gaps = _HEADS[loss](t, plan, lp)
+    dS, dU, dPS, dPU = _pull_back(t, Wa, Wb, loss in _COSINE_LOSSES, metric == "uncert_sumnorm")
+    if t.Y is None:
+        used = used | used.T
+    kinks = [np.abs(g) for g in gaps] + [n for n in (t.norms, t.pnorms) if n is not None]
+    margin = min([_min_or_inf(k) for k in kinks] + [_kink_margin_tables(t.A, t.B, used, metric, mp)])
+    return LossResult(
+        value=float(np.sum(terms)),
+        pair_terms=terms,
+        d_semantic=dS,
+        d_uncertainty=dU,
+        d_proxy_semantic=dPS,
+        d_proxy_uncertainty=dPU,
+        kink_margin=margin,
+        plan=plan,
+    )
 
 
 def compute_loss(
@@ -392,291 +439,6 @@ def compute_loss(
     return evaluate_loss(loss, S, U, labels, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
 
 
-def _contrastive(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    A = pairwise_semantic_distance(S)
-    B, sumnorm = _uncertainty_tables(U, None, metric)
-    D, dDa, dDb = distance_table(metric, A, B, mp)
-
-    pos, neg = plan.pos_pairs, plan.neg_pairs
-    pos_d = D[pos[:, 0], pos[:, 1]]
-    neg_d = D[neg[:, 0], neg[:, 1]]
-    neg_gap = lp.margin_delta - neg_d
-    neg_active = neg_gap > 0
-
-    terms = np.concatenate([pos_d, np.maximum(neg_gap, 0.0)])
-    W = np.zeros((n, n))
-    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.ones(len(pos)))
-    _accumulate_sym(W, neg[:, 0], neg[:, 1], np.where(neg_active, -1.0, 0.0))
-
-    dS, dU = _grad_from_pair_weights(W * dDa, W * dDb, S, U, A, B, sumnorm)
-    used = np.zeros((n, n), dtype=bool)
-    used[pos[:, 0], pos[:, 1]] = True
-    used[neg[:, 0], neg[:, 1]] = neg_active
-    margin = min(
-        _min_or_inf(np.abs(neg_gap)),
-        _kink_margin_tables(A, B, used | used.T, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _margin_dw(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    Shat, norms = _normalize_rows(S)
-    A = pairwise_semantic_distance(Shat)
-    B, sumnorm = _uncertainty_tables(U, None, metric)
-    D, dDa, dDb = distance_table(metric, A, B, mp)
-
-    pos, negs = plan.pos_pairs, plan.dw_negatives
-    pos_gap = D[pos[:, 0], pos[:, 1]] - lp.margin_xi
-    pos_active = pos_gap > 0
-    terms = [np.maximum(pos_gap, 0.0)]
-    W = np.zeros((n, n))
-    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.where(pos_active, 1.0, 0.0))
-
-    neg_gap = np.array([])
-    if negs.shape[0]:
-        neg_gap = lp.margin_omega - D[negs[:, 0], negs[:, 1]]
-        neg_active = neg_gap > 0
-        terms.append(np.maximum(neg_gap, 0.0))
-        _accumulate_sym(W, negs[:, 0], negs[:, 1], np.where(neg_active, -1.0, 0.0))
-
-    dShat, dU = _grad_from_pair_weights(W * dDa, W * dDb, Shat, U, A, B, sumnorm)
-    dS = _denormalize_grad(dShat, Shat, norms)
-    used = np.zeros((n, n), dtype=bool)
-    used[pos[:, 0], pos[:, 1]] = pos_active
-    if negs.shape[0]:
-        used[negs[:, 0], negs[:, 1]] = neg_active
-    terms = np.concatenate(terms)
-    margin = min(
-        _min_or_inf(np.abs(pos_gap)),
-        _min_or_inf(np.abs(neg_gap)),
-        _min_or_inf(norms),
-        _kink_margin_tables(A, B, used | used.T, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _triplet_sh(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    A = pairwise_semantic_distance(S)
-    B, sumnorm = _uncertainty_tables(U, None, metric)
-    D, dDa, dDb = distance_table(metric, A, B, mp)
-
-    t = plan.triplets
-    if t.shape[0] == 0:
-        zero = np.zeros(0)
-        return LossResult(
-            value=0.0,
-            pair_terms=zero,
-            d_semantic=np.zeros_like(S),
-            d_uncertainty=np.zeros_like(U),
-            mining_exhausted=True,
-            plan=plan,
-        )
-    gap = D[t[:, 0], t[:, 1]] - D[t[:, 0], t[:, 2]] + lp.margin_delta
-    active = gap > 0
-    terms = np.maximum(gap, 0.0)
-    W = np.zeros((n, n))
-    w = np.where(active, 1.0, 0.0)
-    _accumulate_sym(W, t[:, 0], t[:, 1], w)
-    _accumulate_sym(W, t[:, 0], t[:, 2], -w)
-
-    dS, dU = _grad_from_pair_weights(W * dDa, W * dDb, S, U, A, B, sumnorm)
-    used = np.zeros((n, n), dtype=bool)
-    used[t[active, 0], t[active, 1]] = True
-    used[t[active, 0], t[active, 2]] = True
-    margin = min(
-        _min_or_inf(np.abs(gap)),
-        _kink_margin_tables(A, B, used | used.T, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _multi_similarity(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    Shat, norms = _normalize_rows(S)
-    C = np.clip(Shat @ Shat.T, -1.0, 1.0)
-    B, sumnorm = _uncertainty_tables(U, None, metric)
-    Cs, dCdC, dCdB = similarity_table(metric, C, B, mp)
-
-    posm, negm = plan.ms_pos_mask, plan.ms_neg_mask
-    ep = np.where(posm, np.exp(-lp.ms_alpha * (Cs - lp.ms_lambda)), 0.0)
-    en = np.where(negm, np.exp(lp.ms_beta * (Cs - lp.ms_lambda)), 0.0)
-    sp = ep.sum(axis=1)
-    sn = en.sum(axis=1)
-    terms = (np.log1p(sp) / lp.ms_alpha + np.log1p(sn) / lp.ms_beta) / n
-
-    # dterm/dCs for kept pairs; anchors are rows.
-    Wc = (-ep / (1.0 + sp)[:, None] + en / (1.0 + sn)[:, None]) / n
-    dL_dC = Wc * dCdC
-    dL_dB = Wc * dCdB
-    A = np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
-    dShat = (dL_dC + dL_dC.T) @ Shat
-    _, dU = _grad_from_pair_weights(np.zeros_like(A), dL_dB + dL_dB.T, Shat, U, A, B, sumnorm)
-    dS = _denormalize_grad(dShat, Shat, norms)
-
-    used = posm | negm
-    margin = min(
-        _min_or_inf(norms),
-        _kink_margin_tables(A, B, used | used.T, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _softmax_proxy(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    Shat, norms = _normalize_rows(S)
-    Phat, pnorms = _normalize_rows(proxies.semantic)
-    C = np.clip(Shat @ Phat.T, -1.0, 1.0)
-    B, sumnorm = _uncertainty_tables(U, proxies.uncertainty, metric)
-    Cs, dCdC, dCdB = similarity_table(metric, C, B, mp)
-
-    posm, negm = plan.proxy_pos, plan.proxy_neg
-    ep = np.where(posm, np.exp(Cs), 0.0)
-    en = np.where(negm, np.exp(Cs), 0.0)
-    sp = ep.sum(axis=1)
-    sn = en.sum(axis=1)
-    terms = (np.log(sn) - np.log(sp)) / n
-
-    Wc = (-ep / sp[:, None] + en / sn[:, None]) / n
-    dL_dC = Wc * dCdC
-    dL_dB = Wc * dCdB
-    A = np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
-    dShat = dL_dC @ Phat
-    dPhat = dL_dC.T @ Shat
-    _, dU, _, dPU = _grad_from_cross_weights(
-        np.zeros_like(A), dL_dB, Shat, U, Phat, proxies.uncertainty, A, B, sumnorm
-    )
-    dS = _denormalize_grad(dShat, Shat, norms)
-    dPS = _denormalize_grad(dPhat, Phat, pnorms)
-
-    margin = min(
-        _min_or_inf(norms),
-        _min_or_inf(pnorms),
-        _kink_margin_tables(A, B, posm | negm, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        d_proxy_semantic=dPS,
-        d_proxy_uncertainty=dPU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _proxy_nca(S, U, labels, plan, metric, mp, lp, proxies):
-    A = pairwise_semantic_distance(S, proxies.semantic)
-    B, sumnorm = _uncertainty_tables(U, proxies.uncertainty, metric)
-    D, dDa, dDb = distance_table(metric, A, B, mp)
-
-    posm, negm = plan.proxy_pos, plan.proxy_neg
-    ep = np.where(posm, np.exp(-D), 0.0)
-    en = np.where(negm, np.exp(-D), 0.0)
-    sp = ep.sum(axis=1)
-    sn = en.sum(axis=1)
-    terms = np.log(sn) - np.log(sp)
-
-    # d(-D) path: dterm/dD = +softmax within positives, -softmax within negatives.
-    W = ep / sp[:, None] - en / sn[:, None]
-    dS, dU, dPS, dPU = _grad_from_cross_weights(
-        W * dDa, W * dDb, S, U, proxies.semantic, proxies.uncertainty, A, B, sumnorm
-    )
-    margin = _kink_margin_tables(A, B, posm | negm, metric, mp)
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        d_proxy_semantic=dPS,
-        d_proxy_uncertainty=dPU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
-def _proxy_anchor(S, U, labels, plan, metric, mp, lp, proxies):
-    n = S.shape[0]
-    Shat, norms = _normalize_rows(S)
-    Phat, pnorms = _normalize_rows(proxies.semantic)
-    C = np.clip(Shat @ Phat.T, -1.0, 1.0)
-    B, sumnorm = _uncertainty_tables(U, proxies.uncertainty, metric)
-    Cs, dCdC, dCdB = similarity_table(metric, C, B, mp)
-
-    posm, negm = plan.proxy_pos, plan.proxy_neg
-    plus = posm.any(axis=0)  # proxies with a positive sample in the batch
-    n_plus = max(int(plus.sum()), 1)
-    n_all = len(proxies)
-    ep = np.where(posm, np.exp(-lp.pa_alpha * (Cs - lp.pa_delta)), 0.0)
-    en = np.where(negm, np.exp(lp.pa_alpha * (Cs + lp.pa_delta)), 0.0)
-    sp = ep.sum(axis=0)  # per proxy
-    sn = en.sum(axis=0)
-    pos_terms = np.log1p(sp[plus]) / n_plus
-    neg_terms = np.log1p(sn) / n_all
-    terms = np.concatenate([pos_terms, neg_terms])
-
-    Wc = np.zeros_like(Cs)
-    Wc += np.where(posm & plus[None, :], -lp.pa_alpha * ep / (1.0 + sp)[None, :] / n_plus, 0.0)
-    Wc += np.where(negm, lp.pa_alpha * en / (1.0 + sn)[None, :] / n_all, 0.0)
-    dL_dC = Wc * dCdC
-    dL_dB = Wc * dCdB
-    A = np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
-    dShat = dL_dC @ Phat
-    dPhat = dL_dC.T @ Shat
-    _, dU, _, dPU = _grad_from_cross_weights(
-        np.zeros_like(A), dL_dB, Shat, U, Phat, proxies.uncertainty, A, B, sumnorm
-    )
-    dS = _denormalize_grad(dShat, Shat, norms)
-    dPS = _denormalize_grad(dPhat, Phat, pnorms)
-
-    margin = min(
-        _min_or_inf(norms),
-        _min_or_inf(pnorms),
-        _kink_margin_tables(A, B, (posm & plus[None, :]) | negm, metric, mp),
-    )
-    return LossResult(
-        value=float(np.sum(terms)),
-        pair_terms=terms,
-        d_semantic=dS,
-        d_uncertainty=dU,
-        d_proxy_semantic=dPS,
-        d_proxy_uncertainty=dPU,
-        kink_margin=margin,
-        plan=plan,
-    )
-
-
 def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:
     """Distance-to-nearest-kink of the metric tables over the pairs in play.
 
@@ -686,16 +448,106 @@ def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:
     if not used.any():
         return np.inf
     m = _min_or_inf(A[used])
-    if metric in ("ism", "ism_dis", "ism_strict"):
-        m = min(m, _min_or_inf(B[used]))
-    if metric == "uncert_sumnorm":
+    if metric != "euclidean":
         m = min(m, _min_or_inf(B[used]))
     if metric == "ism_strict":
         m = min(m, _min_or_inf(np.abs(A[used] - B[used] - mp.gamma)))
     return m
 
 
-_EVALUATORS = {
+# ---------------------------------------------------------------------------
+# Loss heads: (tables, plan, params) -> (terms, dL/dA or dL/dC, dL/dB, pairs
+# in play, hinge gaps). Distance heads mirror each pair's weight across the
+# diagonal; multi_similarity symmetrizes after multiplying by the partials.
+# A distance head's pairs in play are its nonzero weights: positive and
+# negative pairs never share a cell, so +1 and -1 never cancel.
+# ---------------------------------------------------------------------------
+
+
+def _contrastive(t, plan, lp):
+    pos, neg = plan.pos_pairs, plan.neg_pairs
+    neg_gap = lp.margin_delta - t.M[neg[:, 0], neg[:, 1]]
+    W = np.zeros_like(t.A)
+    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.ones(len(pos)))
+    _accumulate_sym(W, neg[:, 0], neg[:, 1], np.where(neg_gap > 0, -1.0, 0.0))
+    terms = np.concatenate([t.M[pos[:, 0], pos[:, 1]], np.maximum(neg_gap, 0.0)])
+    return terms, W * t.dM, W * t.dMb, W != 0, [neg_gap]
+
+
+def _margin_dw(t, plan, lp):
+    pos, neg = plan.pos_pairs, plan.dw_negatives
+    pos_gap = t.M[pos[:, 0], pos[:, 1]] - lp.margin_xi
+    neg_gap = lp.margin_omega - t.M[neg[:, 0], neg[:, 1]]
+    W = np.zeros_like(t.A)
+    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.where(pos_gap > 0, 1.0, 0.0))
+    _accumulate_sym(W, neg[:, 0], neg[:, 1], np.where(neg_gap > 0, -1.0, 0.0))
+    terms = np.concatenate([np.maximum(pos_gap, 0.0), np.maximum(neg_gap, 0.0)])
+    return terms, W * t.dM, W * t.dMb, W != 0, [pos_gap, neg_gap]
+
+
+def _triplet_sh(t, plan, lp):
+    a, p, n = plan.triplets.T
+    gap = t.M[a, p] - t.M[a, n] + lp.margin_delta
+    w = np.where(gap > 0, 1.0, 0.0)
+    W = np.zeros_like(t.A)
+    _accumulate_sym(W, a, p, w)
+    _accumulate_sym(W, a, n, -w)
+    return np.maximum(gap, 0.0), W * t.dM, W * t.dMb, W != 0, [gap]
+
+
+def _multi_similarity(t, plan, lp):
+    n = t.M.shape[0]
+    posm, negm = plan.ms_pos_mask, plan.ms_neg_mask
+    ep = np.where(posm, np.exp(-lp.ms_alpha * (t.M - lp.ms_lambda)), 0.0)
+    en = np.where(negm, np.exp(lp.ms_beta * (t.M - lp.ms_lambda)), 0.0)
+    sp = ep.sum(axis=1)
+    sn = en.sum(axis=1)
+    terms = (np.log1p(sp) / lp.ms_alpha + np.log1p(sn) / lp.ms_beta) / n
+    # dterm/dCs for kept pairs; anchors are rows.
+    Wc = (-ep / (1.0 + sp)[:, None] + en / (1.0 + sn)[:, None]) / n
+    Wa, Wb = Wc * t.dM, Wc * t.dMb
+    return terms, Wa + Wa.T, Wb + Wb.T, posm | negm, []
+
+
+def _softmax_proxy(t, plan, lp):
+    posm, negm = plan.proxy_pos, plan.proxy_neg
+    ep = np.where(posm, np.exp(t.M), 0.0)
+    en = np.where(negm, np.exp(t.M), 0.0)
+    sp = ep.sum(axis=1)
+    sn = en.sum(axis=1)
+    n = t.M.shape[0]
+    Wc = (-ep / sp[:, None] + en / sn[:, None]) / n
+    return (np.log(sn) - np.log(sp)) / n, Wc * t.dM, Wc * t.dMb, posm | negm, []
+
+
+def _proxy_nca(t, plan, lp):
+    posm, negm = plan.proxy_pos, plan.proxy_neg
+    ep = np.where(posm, np.exp(-t.M), 0.0)
+    en = np.where(negm, np.exp(-t.M), 0.0)
+    sp = ep.sum(axis=1)
+    sn = en.sum(axis=1)
+    # d(-D) path: dterm/dD = +softmax within positives, -softmax within negatives.
+    W = ep / sp[:, None] - en / sn[:, None]
+    return np.log(sn) - np.log(sp), W * t.dM, W * t.dMb, posm | negm, []
+
+
+def _proxy_anchor(t, plan, lp):
+    posm, negm = plan.proxy_pos, plan.proxy_neg
+    plus = posm.any(axis=0)  # proxies with a positive sample in the batch
+    n_plus = max(int(plus.sum()), 1)
+    n_all = posm.shape[1]
+    ep = np.where(posm, np.exp(-lp.pa_alpha * (t.M - lp.pa_delta)), 0.0)
+    en = np.where(negm, np.exp(lp.pa_alpha * (t.M + lp.pa_delta)), 0.0)
+    sp = ep.sum(axis=0)  # per proxy
+    sn = en.sum(axis=0)
+    terms = np.concatenate([np.log1p(sp[plus]) / n_plus, np.log1p(sn) / n_all])
+    Wc = np.zeros_like(t.M)
+    Wc += np.where(posm & plus[None, :], -lp.pa_alpha * ep / (1.0 + sp)[None, :] / n_plus, 0.0)
+    Wc += np.where(negm, lp.pa_alpha * en / (1.0 + sn)[None, :] / n_all, 0.0)
+    return terms, Wc * t.dM, Wc * t.dMb, (posm & plus[None, :]) | negm, []
+
+
+_HEADS = {
     "contrastive": _contrastive,
     "margin_dw": _margin_dw,
     "triplet_sh": _triplet_sh,

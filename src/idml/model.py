@@ -100,14 +100,10 @@ class EncoderModel:
         return p
 
 
-def proxy_parameters(proxies: ProxySet) -> dict:
-    return {"proxy.semantic": proxies.semantic, "proxy.uncertainty": proxies.uncertainty}
-
-
 def all_parameters(model: EncoderModel, proxies: ProxySet = None) -> dict:
     p = model.parameters()
     if proxies is not None:
-        p.update(proxy_parameters(proxies))
+        p.update({"proxy.semantic": proxies.semantic, "proxy.uncertainty": proxies.uncertainty})
     return p
 
 

@@ -105,11 +105,10 @@ def test_rng_streams_are_distinct():
 
 
 def test_rng_substream_reproducible_and_distinct():
-    r = Rng(seed=3, stream=0)
-    a = r.substream(9).normal(size=20)
-    b = Rng(seed=3, stream=0).substream(9).normal(size=20)
+    a = Rng(3, 9).normal(size=20)
+    b = Rng(3, 9).normal(size=20)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, r.substream(10).normal(size=20))
+    assert not np.array_equal(a, Rng(3, 10).normal(size=20))
 
 
 def test_rng_draw_order_does_not_cross_streams():

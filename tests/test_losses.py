@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from idml.core import MetricParams, ParameterError, Rng
+from idml.core import Batch, MetricParams, ParameterError, Rng
 from idml.losses import (
     LOSS_NAMES,
     NORMALIZED_LOSSES,
@@ -18,6 +18,8 @@ from idml.losses import (
     default_loss_params,
     evaluate_loss,
 )
+from idml.metric import METRIC_NAMES
+from idml.model import init_model, loss_and_grad
 
 LOG2 = float(np.log(2.0))
 
@@ -182,6 +184,28 @@ def test_triplet_mined_negative_already_satisfied():
     assert r.value == pytest.approx(0.0, abs=0.0)
     assert r.plan.triplets.tolist() == [[0, 1, 2]]
     assert r.plan.n_skipped == 1  # anchor 1's negative is nearer than its positive
+
+
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_triplet_exhausted_mining_is_a_zero_loss(metric):
+    # no (anchor, positive) pair has a negative farther than its positive
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}))
+    S = np.array([[0.0], [1.0], [0.1]])
+    U = np.zeros((3, 1))
+    direct = compute_loss("triplet_sh", S, U, labels, metric=metric)
+    model = init_model(1, hidden=(), semantic_dim=1, uncertainty_dim=1, rng=Rng(0))
+    model.head_s_w[:] = 1.0
+    model.head_u_w[:] = 0.0
+    via_model, grads = loss_and_grad(model, Batch(features=S, labels=labels), "triplet_sh", metric=metric)
+    np.testing.assert_array_equal(via_model.uncertainty, U)
+    for r in (direct, via_model):
+        assert r.value == 0.0
+        assert r.pair_terms.size == 0
+        assert r.kink_margin == np.inf
+        assert r.plan.triplets.shape[0] == 0
+        assert r.plan.n_skipped == 2  # both ordered positive pairs, (0, 1) and (1, 0)
+        assert not np.any(r.d_semantic) and not np.any(r.d_uncertainty)
+    assert not any(np.any(g) for g in grads.values())
 
 
 def test_triplet_default_margin():

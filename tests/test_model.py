@@ -5,6 +5,7 @@ import pytest
 
 from idml.core import Batch, FormatError, NumericalFailure, Rng, ShapeError
 from idml.losses import LOSS_NAMES, PROXY_LOSSES
+from idml.metric import METRIC_NAMES
 from idml.model import (
     AdamW,
     SgdMomentum,
@@ -328,10 +329,21 @@ def test_checkpoint_trailing_garbage_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "ism", "ism_dis"])
-def test_finite_difference_check_passes(metric):
-    m = small_model(5, hidden=(5,))
-    rep = finite_difference_check(m, batch_fn(), "contrastive", metric=metric, rng=Rng(0))
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_finite_difference_check_passes(loss, metric):
+    # acceptance 3's batch, model and seeds, over every metric
+    labels = tuple(frozenset({c}) for c in (0, 0, 1, 1, 2, 2, 3, 3))
+    m = init_model(6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=Rng(21))
+    proxies = init_proxies((0, 1, 2, 3), 5, 4, Rng(22)) if loss in PROXY_LOSSES else None
+    rep = finite_difference_check(
+        m,
+        lambda r: Batch(features=r.normal(size=(8, 6)), labels=labels),
+        loss,
+        metric=metric,
+        proxies=proxies,
+        rng=Rng(23),
+    )
     assert rep.passed, f"max_rel_err={rep.max_rel_err} at {rep.worst_param}"
     assert rep.max_rel_err < 1e-4
 
