@@ -5,7 +5,8 @@ label sets, so a mixed sample is a positive partner for either source
 class. The image corruptions that raise a model's uncertainty get
 feature-space analogues here: blur becomes additive Gaussian noise,
 occlusion zeroes a fraction of coordinates, and low resolution becomes
-block averaging.
+block averaging. Both steps work on the whole (N, D) batch array; only the
+per-row draws of blur and occlusion loop over the rows.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from idml.core import Batch, ParameterError, Rng, ShapeError, as_vector, label_set
+from idml.core import Batch, ParameterError, Rng, label_set
 
-__all__ = ["AugmentConfig", "mix", "occlude", "blur", "lowres", "augment_batch"]
+__all__ = ["AugmentConfig", "mix_rows", "augment_batch"]
 
 
 @dataclass(frozen=True)
@@ -51,70 +52,17 @@ class AugmentConfig:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def mix(x1, l1, x2, l2, lam: float):
-    """Blend two samples: lam*x1 + (1-lam)*x2 with the union of both label sets."""
-    x1, x2 = as_vector(x1, "x1"), as_vector(x2, "x2")
-    if x1.shape != x2.shape:
-        raise ShapeError(f"mix needs equal dims, got {x1.shape[0]} and {x2.shape[0]}")
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lambda must lie in [0, 1], got {lam}")
-    return lam * x1 + (1.0 - lam) * x2, label_set(l1) | label_set(l2)
+def mix_rows(batch: Batch, cfg: AugmentConfig, rng: Rng):
+    """The (features, labels) of round(len(batch) * mix_fraction) mixed rows.
 
-
-def occlude(x, fraction: float, rng: Rng) -> np.ndarray:
-    """Zero ceil(fraction * dim) uniformly chosen coordinates."""
-    x = as_vector(x).copy()
-    if not 0.0 <= fraction <= 1.0:
-        raise ParameterError(f"fraction must lie in [0, 1], got {fraction}")
-    k = math.ceil(fraction * x.size)
-    if k:
-        idx = rng.choice(x.size, size=k, replace=False)
-        x[idx] = 0.0
-    return x
-
-
-def blur(x, noise_sigma: float, rng: Rng) -> np.ndarray:
-    """Add i.i.d. Gaussian noise with the given standard deviation."""
-    x = as_vector(x)
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if noise_sigma == 0:
-        return x.copy()
-    return x + noise_sigma * rng.normal(size=x.size)
-
-
-def lowres(x, factor: int) -> np.ndarray:
-    """Replace contiguous blocks of length `factor` by their mean.
-
-    When factor does not divide the dim, the tail block is padded by edge
-    replication before averaging and the result trimmed back.
-    """
-    x = as_vector(x)
-    if factor < 1:
-        raise ParameterError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x.copy()
-    pad = (-x.size) % factor
-    padded = np.concatenate([x, np.full(pad, x[-1])]) if pad else x
-    means = padded.reshape(-1, factor).mean(axis=1)
-    return np.repeat(means, factor)[: x.size]
-
-
-def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
-    """Append mixed samples to a batch and apply the configured corruptions.
-
-    round(len(batch) * mix_fraction) synthetic samples are mixed from random
-    in-batch pairs (preferring pairs with non-matching labels, so the label
-    union genuinely has two members); the clean samples are kept as-is, so a
-    run with mixing and one without see the same originals.
+    Each row blends a random in-batch pair, lam * x_i + (1 - lam) * x_j with
+    lam ~ Beta(a, a) for a = mix_lambda_dist, and carries the union of both
+    label sets. Pairs with non-matching labels are preferred, so the union
+    genuinely has two members.
     """
     n = len(batch)
-    feats = [batch.features[i] for i in range(n)]
-    labels = list(batch.labels)
-    mixed = list(batch.is_mixed)
-
-    n_mix = round(n * cfg.mix_fraction)
-    for _ in range(n_mix):
+    rows_i, rows_j, lams = [], [], []
+    for _ in range(round(n * cfg.mix_fraction)):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
         for _ in range(8):  # prefer a cross-class partner when one exists
@@ -123,19 +71,44 @@ def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
             j = int(rng.integers(0, n))
         if j == i:
             j = (i + 1) % n
-        lam = rng.beta(cfg.mix_lambda_dist, cfg.mix_lambda_dist)
-        xm, lm = mix(batch.features[i], batch.labels[i], batch.features[j], batch.labels[j], lam)
-        feats.append(xm)
-        labels.append(lm)
-        mixed.append(True)
+        rows_i.append(i)
+        rows_j.append(j)
+        lams.append(rng.beta(cfg.mix_lambda_dist, cfg.mix_lambda_dist))
+    lam = np.array(lams, dtype=np.float64)[:, None]
+    X, L = batch.features, batch.labels
+    labels = tuple(label_set(L[i]) | label_set(L[j]) for i, j in zip(rows_i, rows_j))
+    return lam * X[rows_i] + (1.0 - lam) * X[rows_j], labels
 
-    out = []
-    for f in feats:
-        if cfg.lowres_factor > 1:
-            f = lowres(f, cfg.lowres_factor)
-        if cfg.blur_prob > 0 and rng.uniform() < cfg.blur_prob:
-            f = blur(f, cfg.noise_sigma, rng)
-        if cfg.occl_prob > 0 and rng.uniform() < cfg.occl_prob:
-            f = occlude(f, cfg.occl_fraction, rng)
-        out.append(f)
-    return Batch(features=np.stack(out), labels=tuple(labels), is_mixed=np.array(mixed, dtype=bool))
+
+def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
+    """Append the mixed rows to a batch, then apply the configured corruptions.
+
+    The clean rows are kept as they are and the mixed rows come last, so a
+    run with mixing and one without see the same originals. Low resolution
+    replaces contiguous blocks of lowres_factor coordinates by their mean
+    (a tail block that does not fill up is padded with its last value).
+    Then each row in turn, with its own draws: blur adds Gaussian noise of
+    std noise_sigma with probability blur_prob, and occlusion zeroes
+    ceil(occl_fraction * D) uniformly chosen coordinates with probability
+    occl_prob.
+    """
+    mixed, mixed_labels = mix_rows(batch, cfg, rng)
+    X = np.concatenate([batch.features, mixed])
+    n, d = X.shape
+    f = cfg.lowres_factor
+    if f > 1:
+        pad = (-d) % f
+        padded = np.concatenate([X, np.repeat(X[:, -1:], pad, axis=1)], axis=1)
+        means = padded.reshape(n, -1, f).mean(axis=2)
+        X = np.ascontiguousarray(np.repeat(means, f, axis=1)[:, :d])
+    k = math.ceil(cfg.occl_fraction * d)
+    for r in range(n):
+        if cfg.blur_prob > 0 and rng.random() < cfg.blur_prob and cfg.noise_sigma > 0:
+            X[r] += cfg.noise_sigma * rng.normal(size=d)
+        if cfg.occl_prob > 0 and rng.random() < cfg.occl_prob and k:
+            X[r, rng.choice(d, size=k, replace=False)] = 0.0
+    return Batch(
+        features=X,
+        labels=batch.labels + mixed_labels,
+        is_mixed=np.concatenate([batch.is_mixed, np.ones(len(mixed_labels), dtype=bool)]),
+    )

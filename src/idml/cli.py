@@ -149,6 +149,7 @@ def _cmd_eval(args) -> int:
         seed=cfg.seed,
         test_metric=cfg.test_metric,
         mp=cfg.metric_params,
+        augment=cfg.augment,
         output_dir=args.output,
     )
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))

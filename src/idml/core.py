@@ -21,7 +21,6 @@ __all__ = [
     "FormatError",
     "DegenerateInputError",
     "NumericalFailure",
-    "as_vector",
     "label_set",
     "labels_match",
     "multi_hot",
@@ -50,18 +49,6 @@ class DegenerateInputError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A computation produced a non-finite value."""
-
-
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Validate and return `values` as a finite 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size == 0:
-        raise ShapeError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(v)):
-        raise NumericalFailure(f"{name} contains non-finite entries")
-    return v
 
 
 def label_set(labels) -> frozenset[int]:
@@ -186,12 +173,6 @@ class Rng:
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
-        """Uniform draw(s) in [lo, hi); requires lo < hi."""
-        if not lo < hi:
-            raise ParameterError(f"uniform requires lo < hi, got [{lo}, {hi})")
-        return self._gen.uniform(lo, hi, size=size)
 
     def random(self, size=None):
         """Uniform double(s) in [0, 1); random(n) equals n successive random() draws."""

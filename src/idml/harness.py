@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from idml.augment import AugmentConfig, augment_batch
+from idml.augment import AugmentConfig, augment_batch, mix_rows
 from idml.core import (
     STREAM_AUGMENT,
     STREAM_BATCH,
@@ -308,27 +308,6 @@ def _epoch_stream(seed: int, epoch: int, stream: int) -> Rng:
     return Rng(seed, (epoch << 8) | stream)
 
 
-def _eval_mix_config(aug: AugmentConfig) -> AugmentConfig:
-    """Mixing only — corruption channels off — for eval-time mixed samples."""
-    return AugmentConfig(
-        mix_lambda_dist=aug.mix_lambda_dist,
-        mix_fraction=aug.mix_fraction,
-    )
-
-
-def _mixed_eval_batch(features, labels, aug: AugmentConfig, rng: Rng):
-    base = Batch(
-        features=features,
-        labels=labels,
-        is_mixed=np.zeros(len(labels), dtype=bool),
-    )
-    mixed = augment_batch(base, _eval_mix_config(aug), rng)
-    keep = mixed.is_mixed
-    return mixed.features[keep], tuple(
-        ls for ls, m in zip(mixed.labels, keep) if m
-    )
-
-
 def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     """Mini-batch training per the config; writes run outputs if a dir is given.
 
@@ -429,16 +408,20 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
 
 
 def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test_metric: str, mp):
-    """Embed the test split and its eval-time mixed samples, then evaluate.
+    """Embed the test split and its mixed samples, then evaluate.
+
+    The mixed samples are `mix_rows` of the test split under the run's
+    AugmentConfig, on the eval stream; no corruption applies at eval time.
 
     Returns (EvalReport, uncertainty.csv rows). `forward` and `evaluate` are
     looked up in this module's globals, so wrapping them here wraps the
     evaluation of both `train` and `diagnose`.
     """
     x_test, l_test, idx_test = ds.test_split()
-    s_test, u_test = forward(model, x_test)
+    test = Batch(features=x_test, labels=l_test)  # rejects non-finite features
+    s_test, u_test = forward(model, test.features)
     eval_rng = Rng(seed, STREAM_EVAL)
-    mixed_feats, mixed_labels = _mixed_eval_batch(x_test, l_test, aug, eval_rng)
+    mixed_feats, mixed_labels = mix_rows(test, aug, eval_rng)
     if mixed_feats.shape[0]:
         _, u_mixed = forward(model, mixed_feats)
     else:
@@ -606,13 +589,15 @@ def diagnose(
     seed: int = 0,
     test_metric: str = "euclidean",
     mp: MetricParams = None,
-    mix_fraction: float = 0.5,
+    augment: AugmentConfig = AugmentConfig(),
     output_dir=None,
 ):
     """Evaluate a saved model on a dataset's test split.
 
-    Returns (EvalReport, uncertainty rows); writes eval.json and
-    uncertainty.csv when an output directory is given.
+    Pass the training run's seed, test_metric, mp and augment to reproduce
+    its eval.json and uncertainty.csv. Returns (EvalReport, uncertainty
+    rows); writes eval.json and uncertainty.csv when an output directory is
+    given.
     """
     model, proxies = load_checkpoint(checkpoint_path)
     ds = load_dataset(dataset_path)
@@ -624,7 +609,7 @@ def diagnose(
         model,
         ds,
         seed,
-        AugmentConfig(mix_fraction=mix_fraction),
+        augment,
         test_metric,
         mp if mp is not None else MetricParams(),
     )

@@ -235,7 +235,7 @@ def _tables(loss, S, U, metric, mp, proxies) -> _Tables:
     else:
         A = pairwise_semantic_distance(S, Y)
     B = pairwise_pair_uncertainty(U, V, sumnorm=metric == "uncert_sumnorm")
-    M = similarity_table(metric, C, B, mp) if cosine else distance_table(metric, A, B, mp)
+    M = similarity_table(metric, C, A, B, mp) if cosine else distance_table(metric, A, B, mp)
     return _Tables(S, U, Y, V, norms, pnorms, A, B, *M)
 
 

@@ -162,17 +162,16 @@ def distance_table(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams):
     raise ParameterError(f"unknown metric {metric!r}")
 
 
-def similarity_table(metric: str, C: np.ndarray, B: np.ndarray, mp: MetricParams):
+def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, mp: MetricParams):
     """Similarity matrix for the selected metric plus partials dC'/dC, dC'/dB.
 
-    C holds plain cosine similarities of L2-normalized semantic embeddings;
-    the pair's alpha is their chord distance sqrt(2 - 2C), so beta_rel lives
-    on the same sphere as C. Partials are total derivatives (the alpha(C)
-    path included).
+    C holds plain cosine similarities of L2-normalized semantic embeddings
+    and A their chord distances sqrt(max(2 - 2C, 0)), the pairs' alpha, so
+    beta_rel lives on the same sphere as C. Partials are total derivatives
+    (the alpha(C) path included).
     """
     if metric == "euclidean":
         return C.copy(), np.ones_like(C), np.zeros_like(C)
-    A = np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
     denom, bt, E = _beta_rel_parts(A, B, mp)
     live = A > mp.alpha_min
     # dE/dC through alpha: dalpha/dC = -1/alpha, so dbt/dC = (B+gamma)/(denom^2 * alpha).

@@ -13,7 +13,7 @@ Parameters are addressed by name ("trunk.0.W", "head_s.b", "proxy.semantic",
 Checkpoint layout (little-endian): magic "IDML", u32 version (1), u32 trunk
 layer count, u32 dims [input, hidden..., semantic, uncertainty], u32 proxy
 count (0 if none) followed by u32 class ids, then float64 parameter blocks
-in named order, proxies last.
+in `all_parameters` order: trunk layers, the two heads, proxies last.
 """
 
 from __future__ import annotations
@@ -304,18 +304,9 @@ def make_optimizer(name: str, lr: float, weight_decay: float = 0.0, momentum: fl
 # ---------------------------------------------------------------------------
 
 
-def _param_order(model: EncoderModel):
-    names = []
-    for i in range(len(model.trunk_w)):
-        names += [f"trunk.{i}.W", f"trunk.{i}.b"]
-    names += ["head_s.W", "head_s.b", "head_u.W", "head_u.b"]
-    return names
-
-
 def save_checkpoint(path, model: EncoderModel, proxies: ProxySet = None):
     """Write the versioned little-endian binary checkpoint."""
     dims = [model.input_dim, *model.hidden_dims, model.semantic_dim, model.uncertainty_dim]
-    params = all_parameters(model, proxies)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.trunk_w)))
@@ -324,11 +315,8 @@ def save_checkpoint(path, model: EncoderModel, proxies: ProxySet = None):
         f.write(struct.pack("<I", len(classes)))
         if classes:
             f.write(struct.pack(f"<{len(classes)}I", *classes))
-        order = _param_order(model)
-        if proxies is not None:
-            order += ["proxy.semantic", "proxy.uncertainty"]
-        for name in order:
-            f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        for p in all_parameters(model, proxies).values():
+            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -349,36 +337,25 @@ def load_checkpoint(path):
     classes = struct.unpack_from(f"<{n_proxies}I", raw, off) if n_proxies else ()
     off += 4 * n_proxies
 
-    def take(shape):
-        nonlocal off
-        n = int(np.prod(shape))
-        if off + 8 * n > len(raw):
-            raise FormatError(f"{path}: truncated parameter block")
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        return arr.astype(np.float64)
-
     layer_dims = dims[: n_trunk + 1]
     sdim, udim = dims[-2], dims[-1]
-    trunk_w, trunk_b = [], []
-    for i in range(n_trunk):
-        trunk_w.append(take((layer_dims[i], layer_dims[i + 1])))
-        trunk_b.append(take((layer_dims[i + 1],)))
     model = EncoderModel(
-        trunk_w=trunk_w,
-        trunk_b=trunk_b,
-        head_s_w=take((layer_dims[-1], sdim)),
-        head_s_b=take((sdim,)),
-        head_u_w=take((layer_dims[-1], udim)),
-        head_u_b=take((udim,)),
+        trunk_w=[np.empty((a, b)) for a, b in zip(layer_dims, layer_dims[1:])],
+        trunk_b=[np.empty(b) for b in layer_dims[1:]],
+        head_s_w=np.empty((layer_dims[-1], sdim)),
+        head_s_b=np.empty(sdim),
+        head_u_w=np.empty((layer_dims[-1], udim)),
+        head_u_b=np.empty(udim),
     )
     proxies = None
     if n_proxies:
-        proxies = ProxySet(
-            semantic=take((n_proxies, sdim)),
-            uncertainty=take((n_proxies, udim)),
-            classes=classes,
-        )
+        proxies = ProxySet(np.empty((n_proxies, sdim)), np.empty((n_proxies, udim)), classes)
+    for p in all_parameters(model, proxies).values():
+        n = p.size
+        if off + 8 * n > len(raw):
+            raise FormatError(f"{path}: truncated parameter block")
+        p[...] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(p.shape)
+        off += 8 * n
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
     return model, proxies

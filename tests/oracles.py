@@ -193,3 +193,67 @@ def dw_negatives_ref(pos_pairs, dists, labels, n_dim, phi, gen):
         w = np.exp(lw - lw.max())
         out.append([int(a), int(gen.choice(neg, p=w / w.sum()))])
     return np.array(out, dtype=np.intp).reshape(-1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Augmentation (per-row route)
+# ---------------------------------------------------------------------------
+
+
+def augment_batch_ref(
+    features,
+    labels,
+    is_mixed,
+    gen,
+    mix_lambda_dist,
+    mix_fraction,
+    blur_prob,
+    occl_prob,
+    occl_fraction,
+    lowres_factor,
+    noise_sigma,
+):
+    """Mix and corrupt a batch one row at a time; returns (features, labels, is_mixed).
+
+    `gen` is a numpy Generator. Each mixed row draws i, j (up to 8 redraws
+    of j for a partner with a different label set) and lam ~ Beta(a, a) in
+    that order, blends lam * x_i + (1 - lam) * x_j and takes the label
+    union. Then every row in turn is block-averaged, blurred (one uniform,
+    then D normals if noise_sigma > 0) and occluded (one uniform, then a
+    choice of ceil(occl_fraction * D) coordinates without replacement).
+    """
+    X = np.asarray(features, dtype=np.float64)
+    n = X.shape[0]
+    feats = [X[r].copy() for r in range(n)]
+    out_labels = [frozenset(l) for l in labels]
+    mixed = [bool(m) for m in is_mixed]
+    for _ in range(round(n * mix_fraction)):
+        i = int(gen.integers(0, n))
+        j = int(gen.integers(0, n))
+        for _ in range(8):
+            if j != i and out_labels[i] != out_labels[j]:
+                break
+            j = int(gen.integers(0, n))
+        if j == i:
+            j = (i + 1) % n
+        lam = float(gen.beta(mix_lambda_dist, mix_lambda_dist))
+        feats.append(lam * X[i] + (1.0 - lam) * X[j])
+        out_labels.append(out_labels[i] | out_labels[j])
+        mixed.append(True)
+
+    out = []
+    for x in feats:
+        d = x.size
+        if lowres_factor > 1:
+            pad = (-d) % lowres_factor
+            padded = np.concatenate([x, np.full(pad, x[-1])])
+            x = np.repeat(padded.reshape(-1, lowres_factor).mean(axis=1), lowres_factor)[:d]
+        if blur_prob > 0 and gen.uniform(0.0, 1.0) < blur_prob and noise_sigma > 0:
+            x = x + noise_sigma * gen.standard_normal(size=d)
+        if occl_prob > 0 and gen.uniform(0.0, 1.0) < occl_prob:
+            k = math.ceil(occl_fraction * d)
+            if k:
+                x = x.copy()
+                x[gen.choice(d, size=k, replace=False)] = 0.0
+        out.append(x)
+    return np.stack(out), tuple(out_labels), np.array(mixed, dtype=bool)

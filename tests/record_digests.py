@@ -8,11 +8,15 @@ refactor prints identical text. It covers:
 
 - record_sha256: the sha256 of record.json for every loss under
   baseline_run_config and introspective_run_config at seeds 5 and 6;
+- model_bin_sha256: the sha256 of model.bin from the same runs;
 - gradcheck: the `idml gradcheck --loss L` summary for every loss;
 - compute_loss: value, pair terms, all four gradients and kink margin for
   every loss x metric on one fixed batch that includes a mixed (two-label)
   row. Floats print in shortest round-trip form, so equal text means equal
-  bits.
+  bits;
+- augment_sha256: the sha256 of augment_batch's features, labels, mixed
+  flags and next draw on one fixed batch under each channel (mixing, blur,
+  occlusion, low resolution with and without padding, all at once).
 
 The name keeps pytest from collecting it. It trains 28 small runs and takes
 under a minute on one core.
@@ -30,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from idml import harness
-from idml.core import Rng
+from idml.augment import AugmentConfig, augment_batch
+from idml.core import STREAM_AUGMENT, Batch, Rng
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, compute_loss
 from idml.metric import METRIC_NAMES
 
@@ -41,17 +46,40 @@ CONFIGS = {
 }
 
 
-def record_digests() -> dict:
-    out = {}
+AUGMENT_CHANNELS = {
+    "mix": AugmentConfig(mix_fraction=0.5, mix_lambda_dist=2.0),
+    "blur": AugmentConfig(mix_fraction=0.0, blur_prob=0.5, noise_sigma=0.3),
+    "occlusion": AugmentConfig(mix_fraction=0.0, occl_prob=0.5, occl_fraction=0.25),
+    "lowres_divides": AugmentConfig(mix_fraction=0.0, lowres_factor=4),
+    "lowres_pads": AugmentConfig(mix_fraction=0.0, lowres_factor=5),
+    "all": AugmentConfig(
+        mix_lambda_dist=0.5,
+        mix_fraction=0.5,
+        blur_prob=0.5,
+        occl_prob=0.5,
+        occl_fraction=0.25,
+        lowres_factor=3,
+        noise_sigma=0.2,
+    ),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def record_digests() -> tuple:
+    records, models = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in CONFIGS.items():
             for loss in LOSS_NAMES:
                 for seed in SEEDS:
                     run_dir = Path(tmp) / f"{name}-{loss}-{seed}"
                     harness.train(make(loss, seed=seed), output_dir=run_dir)
-                    data = (run_dir / "record.json").read_bytes()
-                    out[f"{name}/{loss}/seed={seed}"] = hashlib.sha256(data).hexdigest()
-    return out
+                    key = f"{name}/{loss}/seed={seed}"
+                    records[key] = _sha256(run_dir / "record.json")
+                    models[key] = _sha256(run_dir / "model.bin")
+    return records, models
 
 
 def gradcheck_summaries() -> dict:
@@ -104,9 +132,28 @@ def loss_outputs() -> dict:
     return out
 
 
+def augment_digests() -> dict:
+    r = np.random.default_rng(21)
+    labels = [{0}, {0}, {1}, {1}, {2}, {2}, {3}, {0, 1}, {3}]
+    batch = Batch(features=r.normal(size=(9, 18)), labels=labels, is_mixed=[False] * 7 + [True, False])
+    out = {}
+    for name, cfg in AUGMENT_CHANNELS.items():
+        rng = Rng(41, STREAM_AUGMENT)
+        res = augment_batch(batch, cfg, rng)
+        h = hashlib.sha256(res.features.tobytes())
+        h.update(repr([sorted(ls) for ls in res.labels]).encode())
+        h.update(res.is_mixed.tobytes())
+        h.update(repr(rng.random()).encode())
+        out[name] = h.hexdigest()
+    return out
+
+
 def main() -> int:
+    records, models = record_digests()
     report = {
-        "record_sha256": record_digests(),
+        "record_sha256": records,
+        "model_bin_sha256": models,
+        "augment_sha256": augment_digests(),
         "gradcheck": gradcheck_summaries(),
         "compute_loss": loss_outputs(),
     }

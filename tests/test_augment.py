@@ -1,14 +1,32 @@
-"""Feature-space mixing and the low-information corruptions."""
+"""Feature-space mixing and the low-information corruptions, through augment_batch."""
+
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idml.augment import AugmentConfig, augment_batch, blur, lowres, mix, occlude
-from idml.core import Batch, ParameterError, Rng
+import oracles
+from idml.augment import AugmentConfig, augment_batch
+from idml.core import STREAM_AUGMENT, Batch, ParameterError, Rng
 
 finite = st.floats(-100, 100, allow_nan=False)
+
+
+def corrupt(x, seed=0, **channels):
+    """One row through augment_batch with mixing off and the given channels."""
+    cfg = AugmentConfig(mix_fraction=0.0, **channels)
+    return augment_batch(Batch(features=[x], labels=[0]), cfg, Rng(seed)).features[0]
+
+
+def mixed_row(x1, l1, x2, l2, seed=0, **cfg):
+    """The one mixed row (features, labels) of a two-row batch."""
+    b = Batch(features=[x1, x2], labels=[l1, l2])
+    out = augment_batch(b, AugmentConfig(mix_fraction=0.5, **cfg), Rng(seed))
+    assert out.is_mixed.tolist() == [False, False, True]
+    return out.features[2], out.labels[2]
 
 
 # ---------------------------------------------------------------------------
@@ -17,37 +35,55 @@ finite = st.floats(-100, 100, allow_nan=False)
 
 
 def test_mix_midpoint_and_union_label():
-    x, ls = mix(np.array([0.0, 2.0]), frozenset({1}), np.array([2.0, 0.0]), frozenset({2}), 0.5)
-    np.testing.assert_array_equal(x, [1.0, 1.0])
+    # Beta(1e6, 1e6) puts lam within 0.01 of 1/2 (about 28 standard deviations)
+    x, ls = mixed_row([0.0, 2.0], {1}, [2.0, 0.0], {2}, mix_lambda_dist=1e6)
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=0.01)
     assert ls == frozenset({1, 2})
 
 
 def test_mix_endpoint_keeps_union():
-    # lam = 1 reproduces the first sample's features but still both labels
-    x, ls = mix(np.array([3.0]), frozenset({0}), np.array([5.0]), frozenset({4}), 1.0)
-    assert x[0] == 3.0
+    # a mixed row that reproduces its sources' features still carries both labels
+    x, ls = mixed_row([3.0], {0}, [3.0], {4})
+    assert x[0] == pytest.approx(3.0, rel=1e-15)
     assert ls == frozenset({0, 4})
 
 
 def test_mix_weights():
-    x, _ = mix(np.array([0.0]), frozenset({0}), np.array([2.0]), frozenset({1}), 0.3)
-    assert x[0] == pytest.approx(0.3 * 0.0 + 0.7 * 2.0, rel=1e-15)
+    # replay the pair and lam draws on a twin stream: x = lam*x_i + (1-lam)*x_j
+    X = np.array([[0.0, 1.0], [2.0, -3.0]])
+    for seed in range(20):
+        x, _ = mixed_row(X[0], {0}, X[1], {1}, seed=seed, mix_lambda_dist=2.0)
+        twin = Rng(seed)
+        i = int(twin.integers(0, 2))
+        j = int(twin.integers(0, 2))
+        for _ in range(8):
+            if j != i:
+                break
+            j = int(twin.integers(0, 2))
+        if j == i:
+            j = 1 - i
+        lam = twin.beta(2.0, 2.0)
+        np.testing.assert_array_equal(x, lam * X[i] + (1.0 - lam) * X[j])
 
 
 def test_mix_same_class_label_stays_singleton():
-    _, ls = mix(np.ones(2), frozenset({3}), np.zeros(2), frozenset({3}), 0.5)
-    assert ls == frozenset({3})
+    b = Batch(features=[np.ones(2), np.zeros(2)], labels=[{3}, {3}])
+    out = augment_batch(b, AugmentConfig(mix_fraction=1.0), Rng(0))
+    assert out.labels[2:] == (frozenset({3}),) * 2
 
 
 @given(
     a=st.tuples(finite, finite),
     b=st.tuples(finite, finite),
-    lam=st.floats(0, 1),
+    shape=st.floats(0.1, 10),
+    seed=st.integers(0, 2**32),
 )
-def test_mix_is_convex(a, b, lam):
-    x, _ = mix(np.array(a), frozenset({0}), np.array(b), frozenset({1}), lam)
+def test_mix_is_convex(a, b, shape, seed):
+    batch = Batch(features=[a, b], labels=[0, 1])
+    out = augment_batch(batch, AugmentConfig(mix_fraction=1.0, mix_lambda_dist=shape), Rng(seed))
     lo = np.minimum(a, b) - 1e-9
     hi = np.maximum(a, b) + 1e-9
+    x = out.features[out.is_mixed]
     assert np.all(x >= lo) and np.all(x <= hi)
 
 
@@ -58,7 +94,7 @@ def test_mix_is_convex(a, b, lam):
 
 def test_occlude_zeroes_ceil_fraction_of_entries():
     x = np.arange(1.0, 11.0)  # strictly positive so zeros are unambiguous
-    out = occlude(x, 0.3, Rng(1))
+    out = corrupt(x, seed=1, occl_prob=1.0, occl_fraction=0.3)
     assert (out == 0).sum() == 3  # ceil(0.3 * 10)
     kept = out != 0
     np.testing.assert_array_equal(out[kept], x[kept])
@@ -66,54 +102,65 @@ def test_occlude_zeroes_ceil_fraction_of_entries():
 
 def test_occlude_extremes():
     x = np.arange(1.0, 7.0)
-    np.testing.assert_array_equal(occlude(x, 0.0, Rng(0)), x)
-    assert (occlude(x, 1.0, Rng(0)) == 0).all()
+    np.testing.assert_array_equal(corrupt(x, occl_prob=1.0, occl_fraction=0.0), x)
+    assert (corrupt(x, occl_prob=1.0, occl_fraction=1.0) == 0).all()
 
 
 def test_occlude_deterministic():
     x = np.arange(1.0, 21.0)
-    np.testing.assert_array_equal(occlude(x, 0.4, Rng(9)), occlude(x, 0.4, Rng(9)))
+    np.testing.assert_array_equal(
+        corrupt(x, seed=9, occl_prob=1.0, occl_fraction=0.4),
+        corrupt(x, seed=9, occl_prob=1.0, occl_fraction=0.4),
+    )
 
 
 def test_blur_zero_sigma_identity():
+    # the blur coin is still tossed, but no noise is drawn
     x = np.array([1.0, -2.0, 3.5])
-    np.testing.assert_array_equal(blur(x, 0.0, Rng(0)), x)
+    rng = Rng(0)
+    cfg = AugmentConfig(mix_fraction=0.0, blur_prob=1.0, noise_sigma=0.0)
+    out = augment_batch(Batch(features=[x], labels=[0]), cfg, rng)
+    np.testing.assert_array_equal(out.features[0], x)
+    twin = Rng(0)
+    twin.random()
+    assert rng.random() == twin.random()
 
 
 def test_blur_noise_is_centered():
-    # mean displacement over many draws stays inside the CLT envelope
-    x = np.zeros(8)
+    # mean displacement over many rows stays inside the CLT envelope
     sigma = 0.5
     n = 10_000
-    r = Rng(3)
-    total = np.zeros(8)
-    for _ in range(n):
-        total += blur(x, sigma, r)
+    b = Batch(features=np.zeros((n, 8)), labels=[0] * n)
+    cfg = AugmentConfig(mix_fraction=0.0, blur_prob=1.0, noise_sigma=sigma)
+    out = augment_batch(b, cfg, Rng(3)).features
     bound = 3 * sigma / np.sqrt(n)
-    assert np.all(np.abs(total / n) < bound)
+    assert np.all(np.abs(out.mean(axis=0)) < bound)
 
 
 def test_lowres_block_means():
-    np.testing.assert_array_equal(lowres(np.array([1.0, 3.0, 5.0, 7.0]), 2), [2.0, 2.0, 6.0, 6.0])
+    np.testing.assert_array_equal(
+        corrupt(np.array([1.0, 3.0, 5.0, 7.0]), lowres_factor=2), [2.0, 2.0, 6.0, 6.0]
+    )
 
 
 def test_lowres_identity_and_constant():
     x = np.array([2.0, 4.0, 8.0])
-    np.testing.assert_array_equal(lowres(x, 1), x)
+    np.testing.assert_array_equal(corrupt(x, lowres_factor=1), x)
     c = np.full(6, 3.25)
-    np.testing.assert_array_equal(lowres(c, 3), c)
+    np.testing.assert_array_equal(corrupt(c, lowres_factor=3), c)
 
 
 def test_lowres_pads_with_edge_value():
     # length 5, factor 2: the dangling cell averages with its own replica
     np.testing.assert_array_equal(
-        lowres(np.array([1.0, 3.0, 5.0, 7.0, 9.0]), 2), [2.0, 2.0, 6.0, 6.0, 9.0]
+        corrupt(np.array([1.0, 3.0, 5.0, 7.0, 9.0]), lowres_factor=2), [2.0, 2.0, 6.0, 6.0, 9.0]
     )
 
 
 def test_lowres_rejects_bad_factor():
-    with pytest.raises(ParameterError):
-        lowres(np.ones(4), 0)
+    for factor in (0, -2):
+        with pytest.raises(ParameterError):
+            AugmentConfig(lowres_factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -175,5 +222,47 @@ def test_augment_config_validation():
         AugmentConfig(mix_fraction=-0.1)
     with pytest.raises(ParameterError):
         AugmentConfig(occl_fraction=1.5)
-    with pytest.raises(ParameterError):
-        AugmentConfig(lowres_factor=0)
+
+
+# ---------------------------------------------------------------------------
+# The batch route against the per-row reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lowres_factor", [1, 2, 3, 4, 16])
+@pytest.mark.parametrize("mix_lambda_dist", [0.5, 1.0, 2.0])
+def test_augment_batch_matches_per_row_reference(mix_lambda_dist, lowres_factor):
+    """Features, labels, is_mixed and the next draw equal oracles.augment_batch_ref
+    bit for bit, over every mixing fraction and corruption setting; D is 12
+    (factors 2, 3 and 4 divide it) or 13 (none does)."""
+    grid = itertools.product(
+        (0.0, 0.3, 1.0),  # mix_fraction
+        (0.0, 0.5, 1.0),  # blur_prob
+        (0.0, 0.5, 1.0),  # occl_prob
+        (0.0, 0.25, 1.0),  # occl_fraction
+        (0.0, 0.3),  # noise_sigma
+        (12, 13),  # D
+    )
+    for case, (mix_fraction, blur_prob, occl_prob, occl_fraction, noise_sigma, d) in enumerate(grid):
+        r = np.random.default_rng(case)
+        n = int(r.integers(2, 9))
+        labels = [frozenset(r.choice(4, size=int(r.integers(1, 3))).tolist()) for _ in range(n)]
+        batch = Batch(features=r.normal(size=(n, d)), labels=labels, is_mixed=r.random(n) < 0.2)
+        cfg = AugmentConfig(
+            mix_lambda_dist=mix_lambda_dist,
+            mix_fraction=mix_fraction,
+            blur_prob=blur_prob,
+            occl_prob=occl_prob,
+            occl_fraction=occl_fraction,
+            lowres_factor=lowres_factor,
+            noise_sigma=noise_sigma,
+        )
+        rng = Rng(case, STREAM_AUGMENT)
+        gen = np.random.Generator(np.random.Philox(key=np.array([case, STREAM_AUGMENT], dtype=np.uint64)))
+        out = augment_batch(batch, cfg, rng)
+        X, L, M = oracles.augment_batch_ref(
+            batch.features, batch.labels, batch.is_mixed, gen, **dataclasses.asdict(cfg)
+        )
+        assert out.features.tobytes() == X.tobytes(), cfg
+        assert out.labels == L and out.is_mixed.tolist() == M.tolist(), cfg
+        assert rng.random() == gen.random(), cfg

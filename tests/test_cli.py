@@ -15,7 +15,7 @@ import pytest
 
 from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, main
 from idml.data import SynthConfig, generate, load_csv
-from idml.harness import RunConfig, config_to_json_dict
+from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
 
 
 def run_cli(*args, env=None):
@@ -113,6 +113,31 @@ def test_train_eval_diagnose_pipeline(tmp_path):
     assert (diag_dir / "eval.json").exists()
 
 
+def test_eval_reproduces_training_outputs(tmp_path):
+    # eval takes the mixing settings of --config, so on the run's own config
+    # and data it rewrites the run's eval.json and uncertainty.csv exactly
+    cfg = introspective_run_config("contrastive", seed=3, epochs=2)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_json_dict(cfg)))
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    from idml.data import save_csv
+
+    ds_path = tmp_path / "data.csv"
+    save_csv(generate(cfg.data), ds_path)
+    proc = run_cli(
+        "eval", "--config", str(cfg_path),
+        "--checkpoint", str(run_dir / "model.bin"),
+        "--data", str(ds_path),
+        "--output", str(eval_dir),
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("eval.json", "uncertainty.csv"):
+        assert (eval_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 def test_train_runs_are_byte_identical(tmp_path):
     cfg_path = tmp_path / "config.json"
     write_config(cfg_path)
@@ -190,6 +215,29 @@ def test_non_finite_dataset_exits_numerical(tmp_path):
     cfg_path = tmp_path / "config.json"
     write_config(cfg_path, dataset_path=str(ds_path))
     proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == EXIT_NUMERICAL
+    assert "numerical failure" in proc.stderr
+
+
+def test_non_finite_test_split_exits_numerical_on_eval(tmp_path):
+    # train on clean data, then evaluate on a copy whose test split holds a nan
+    from idml.data import save_csv
+
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    run_dir = tmp_path / "run"
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+    ds = generate(SynthConfig(n_classes=4, per_class=8, input_dim=6, seed=1))
+    ds.features[np.flatnonzero(~ds.is_train)[0], 2] = np.nan
+    ds_path = tmp_path / "bad.csv"
+    save_csv(ds, ds_path)
+    proc = run_cli(
+        "eval", "--config", str(cfg_path),
+        "--checkpoint", str(run_dir / "model.bin"),
+        "--data", str(ds_path),
+    )
     assert proc.returncode == EXIT_NUMERICAL
     assert "numerical failure" in proc.stderr
 

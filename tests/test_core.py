@@ -13,7 +13,6 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
-    as_vector,
     label_set,
     labels_match,
     match_matrix,
@@ -21,22 +20,25 @@ from idml.core import (
 )
 
 
-def test_as_vector_accepts_lists_and_casts():
-    v = as_vector([1, 2, 3], name="v")
-    assert v.dtype == np.float64
-    assert v.shape == (3,)
+def test_batch_accepts_lists_and_casts():
+    b = Batch(features=[[1, 2, 3]], labels=[0])
+    assert b.features.dtype == np.float64
+    assert b.features.shape == (1, 3)
+    assert b.labels == (frozenset({0}),)
 
 
-def test_as_vector_rejects_matrix():
+def test_batch_rejects_non_matrix_features():
     with pytest.raises(ShapeError):
-        as_vector(np.ones((2, 2)), name="v")
+        Batch(features=np.ones(3), labels=(0, 0, 0))
+    with pytest.raises(ShapeError):
+        Batch(features=np.ones((0, 2)), labels=())
 
 
-def test_as_vector_rejects_non_finite():
+def test_batch_rejects_non_finite_features():
     with pytest.raises(NumericalFailure):
-        as_vector([1.0, np.nan], name="v")
+        Batch(features=[[1.0, np.nan]], labels=[0])
     with pytest.raises(NumericalFailure):
-        as_vector([np.inf, 0.0], name="v")
+        Batch(features=[[np.inf, 0.0]], labels=[0])
 
 
 def test_label_set_normalizes_scalars_and_iterables():
@@ -145,6 +147,16 @@ def test_rng_random_batch_equals_successive_draws():
         fresh = Rng(seed=13, stream=5)
         assert np.array_equal(batch, [fresh.random() for _ in range(n)])
         assert one.random() == fresh.random()
+
+
+def test_rng_random_is_the_unit_uniform():
+    # Generator.uniform(0, 1) returns 0 + 1 * random(), one draw each, so
+    # random() replaces a unit uniform without moving the stream
+    r = Rng(seed=13, stream=4)
+    gen = np.random.Generator(np.random.Philox(key=np.array([13, 4], dtype=np.uint64)))
+    for _ in range(1000):
+        assert r.random() == gen.uniform(0.0, 1.0)
+    assert r.normal() == gen.standard_normal()
 
 
 def test_rng_integers_and_choice_bounds():

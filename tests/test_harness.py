@@ -351,9 +351,7 @@ def test_gradcheck_passes(cfg):
 
 
 def test_diagnose_reproduces_training_eval(tmp_path):
-    # diagnose only exposes mix_fraction, so train with the default mixing
-    # weight distribution to make the two eval paths coincide.
-    cfg = tiny_config(augment=AugmentConfig(mix_fraction=0.5))
+    cfg = tiny_config(augment=AugmentConfig(mix_fraction=0.5, mix_lambda_dist=2.0))
     run_dir = tmp_path / "run"
     rec = train(cfg, output_dir=run_dir)
 
@@ -365,7 +363,7 @@ def test_diagnose_reproduces_training_eval(tmp_path):
         seed=cfg.seed,
         test_metric=cfg.test_metric,
         mp=cfg.metric_params,
-        mix_fraction=cfg.augment.mix_fraction,
+        augment=cfg.augment,
         output_dir=tmp_path / "diag",
     )
     assert report.to_json_dict() == rec.final.to_json_dict()

@@ -41,9 +41,15 @@ def pair_distance(metric, p1, p2, mp_):
     return distance_table(metric, A, B, mp_)[0][0, 1]
 
 
+def chords(C):
+    """The chord distances sqrt(2 - 2C) of unit rows with cosines C, as `similarity_table` takes them."""
+    return np.sqrt(np.maximum(2.0 - 2.0 * C, 0.0))
+
+
 def similarity(metric, c, beta, tau=5.0):
     """The similarity form at one cosine c and pair uncertainty beta (gamma = 0)."""
-    return similarity_table(metric, np.array([[c]]), np.array([[beta]]), MetricParams(tau=tau))[0][0, 0]
+    C = np.array([[c]])
+    return similarity_table(metric, C, chords(C), np.array([[beta]]), MetricParams(tau=tau))[0][0, 0]
 
 
 finite = st.floats(-10, 10, allow_nan=False)
@@ -90,7 +96,7 @@ def test_pair_geometry_alpha_floor():
                     mp_ = MetricParams(alpha_min=alpha_min)
                     Bt = np.full((1, 1), beta)
                     D, dDdA, dDdB = distance_table(metric, zero, Bt, mp_)
-                    sim = similarity_table(metric, one, Bt, mp_)
+                    sim = similarity_table(metric, one, zero, Bt, mp_)
                     assert all(np.isfinite(t).all() for t in (D, dDdA, dDdB) + sim)
                     assert D[0, 0] == 0.0
                     assert dDdB[0, 0] == 0.0
@@ -461,7 +467,7 @@ def test_similarity_table_matches_scalar_formula(metric):
     mp_ = MetricParams(gamma=0.1, tau=5.0)
     C = np.clip(r.uniform(-0.9, 0.9, size=(5, 5)), -0.9, 0.9)
     B = np.abs(r.normal(size=(5, 5)))
-    Cp, _, _ = similarity_table(metric, C, B, mp_)
+    Cp, _, _ = similarity_table(metric, C, chords(C), B, mp_)
     for i in range(5):
         for j in range(5):
             c, b = float(C[i, j]), float(B[i, j])
@@ -482,20 +488,20 @@ def test_similarity_table_partials_match_finite_differences():
     mp_ = MetricParams(gamma=0.1, tau=5.0)
     C = r.uniform(-0.8, 0.8, size=(4, 4))
     B = np.abs(r.normal(size=(4, 4))) + 0.05
-    _, dCdC, dCdB = similarity_table("ism", C, B, mp_)
+    _, dCdC, dCdB = similarity_table("ism", C, chords(C), B, mp_)
     h = 1e-6
     for i, j in [(0, 2), (3, 1)]:
         dC = np.array(C)
         dC[i, j] += h
-        up = similarity_table("ism", dC, B, mp_)[0][i, j]
+        up = similarity_table("ism", dC, chords(dC), B, mp_)[0][i, j]
         dC[i, j] -= 2 * h
-        dn = similarity_table("ism", dC, B, mp_)[0][i, j]
+        dn = similarity_table("ism", dC, chords(dC), B, mp_)[0][i, j]
         assert dCdC[i, j] == pytest.approx((up - dn) / (2 * h), rel=2e-5, abs=1e-8)
         dB = np.array(B)
         dB[i, j] += h
-        up = similarity_table("ism", C, dB, mp_)[0][i, j]
+        up = similarity_table("ism", C, chords(C), dB, mp_)[0][i, j]
         dB[i, j] -= 2 * h
-        dn = similarity_table("ism", C, dB, mp_)[0][i, j]
+        dn = similarity_table("ism", C, chords(C), dB, mp_)[0][i, j]
         assert dCdB[i, j] == pytest.approx((up - dn) / (2 * h), rel=2e-5, abs=1e-8)
 
 
