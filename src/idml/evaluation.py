@@ -1,8 +1,9 @@
 """Retrieval / clustering metrics and the uncertainty diagnostics.
 
 Everything here is deterministic: neighbor rankings break distance ties by
-sample index (stable sort), and the k-means backend for NMI is seeded
-through the shared Rng streams.
+sample index (a stable top-k selection that ranks only as many neighbors as
+the metrics read), and the k-means backend for NMI is seeded through the
+shared Rng streams.
 
 Test-time retrieval defaults to plain Euclidean distance over the semantic
 embeddings; an alternate pair metric can be selected to measure how much
@@ -19,6 +20,7 @@ import numpy as np
 from idml.core import (
     DegenerateInputError,
     MetricParams,
+    NumericalFailure,
     ParameterError,
     Rng,
     ShapeError,
@@ -61,24 +63,48 @@ def _as_labelsets(labels) -> tuple:
     return tuple(ls if isinstance(ls, frozenset) else label_set(ls) for ls in labels)
 
 
-def neighbor_order(dists: np.ndarray) -> np.ndarray:
-    """(N, N-1) neighbor indices per row, nearest first, self excluded.
+def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
+    """(N, k) neighbor indices per row, nearest first, self excluded by index.
 
-    Stable sort: equal distances rank by sample index.
+    Equal distances rank by sample index, so row i is the first k entries of
+    a stable sort of row i without its diagonal; k = None ranks all N - 1.
+    The k nearest are picked by partition and ordered by (distance, index).
+    A row with more entries at or below its k-th value than k (a tie across
+    the boundary) or a non-finite k-th value is stably sorted whole instead.
+    An off-diagonal NaN or +inf raises NumericalFailure: it has no rank.
     """
-    d = np.array(dists, dtype=np.float64)
+    d = np.asarray(dists, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"expected a square distance matrix, got {d.shape}")
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    return order[:, :-1]
+    n = d.shape[0]
+    m = max(n - 1, 0)
+    k = m if k is None else int(k)
+    if not 0 <= k <= m:
+        raise ParameterError(f"neighbor_order needs 0 <= k < n, got k={k}, n={n}")
+    # row i without column i: column j of `off` is sample j + (j >= i)
+    off = d[~np.eye(n, dtype=bool)].reshape(n, m)
+    if not (off < np.inf).all():
+        raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
+    if k == 0:
+        return np.empty((n, 0), dtype=np.intp)
+    top = np.argpartition(off, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(off, top, axis=1)
+    kth = vals[:, k - 1]
+    top = np.take_along_axis(top, np.lexsort((top, vals), axis=1), axis=1)
+    ragged = ((off <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
+    for i in np.nonzero(ragged)[0]:
+        top[i] = np.argsort(off[i], kind="stable")[:k]
+    return top + (top >= np.arange(n)[:, None])
 
 
-def _semantic_order(embeddings) -> tuple:
+def _semantic_order(embeddings, n: int, k: int) -> np.ndarray:
+    """The k nearest semantic neighbors of each of the n embedding rows."""
     S = np.asarray(embeddings, dtype=np.float64)
     if S.ndim != 2:
         raise ShapeError(f"expected (N, D) embeddings, got {S.shape}")
-    return neighbor_order(pairwise_semantic_distance(S)), S
+    if S.shape[0] != n:
+        raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
+    return neighbor_order(pairwise_semantic_distance(S), k)
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +117,18 @@ def recall_at_k(
 ) -> float:
     """Fraction of queries whose k nearest others include a same-label sample.
 
-    `order` and `match` take a precomputed `neighbor_order` and
-    `match_matrix(labels)`, so callers scoring several k build them once.
+    `order` and `match` take a precomputed `neighbor_order` (at least k
+    columns) and `match_matrix(labels)`, so callers scoring several k build
+    them once.
     """
     labelsets = _as_labelsets(labels)
     n = len(labelsets)
-    if order is None:
-        order, S = _semantic_order(embeddings)
-        if S.shape[0] != n:
-            raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
     if not 1 <= k < n:
         raise ParameterError(f"recall@k needs 1 <= k < n_samples, got k={k}, n={n}")
+    if order is None:
+        order = _semantic_order(embeddings, n, k)
+    if order.shape[1] < k:
+        raise ShapeError(f"recall@{k} needs {k} ranked neighbors, order has {order.shape[1]}")
     if match is None:
         match = match_matrix(labelsets)
     hits = int(match[np.arange(n)[:, None], order[:, :k]].any(axis=1).sum())
@@ -116,18 +143,19 @@ def r_precision_and_map_at_r(
     Per query, R counts same-label others; precision is measured among the
     top R neighbors, and MAP@R is (1/R)·Σ_{i≤R} P(i)·rel(i). Queries with no
     same-label counterpart are skipped (reported via a warning). `order`
-    and `match` work as in `recall_at_k`.
+    (at least the largest R columns) and `match` work as in `recall_at_k`.
     """
     labelsets = _as_labelsets(labels)
     n = len(labelsets)
-    if order is None:
-        order, S = _semantic_order(embeddings)
-        if S.shape[0] != n:
-            raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
     if match is None:
         match = match_matrix(labelsets)
     # a query is not its own counterpart; `order` already leaves it out
     counts = match.sum(axis=1) - match.diagonal()
+    depth = int(counts.max(initial=0))
+    if order is None:
+        order = _semantic_order(embeddings, n, depth)
+    if order.shape[1] < depth:
+        raise ShapeError(f"R = {depth} needs {depth} ranked neighbors, order has {order.shape[1]}")
     rps, maps = [], []
     n_skipped = 0
     for i in range(n):
@@ -182,17 +210,27 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
         for _ in range(max_iter):
             d2 = _squared_distances(X, centers)
             new_assign = np.argmin(d2, axis=1)
-            if assign is not None and np.array_equal(new_assign, assign):
-                break
+            if assign is None:
+                stale = np.ones(k, dtype=bool)
+            else:
+                moved = new_assign != assign
+                if not moved.any():
+                    break  # centers unchanged since d2: it scores this restart
+                # a cluster no sample left or joined keeps its mean, bit for bit
+                stale = np.zeros(k, dtype=bool)
+                stale[assign[moved]] = True
+                stale[new_assign[moved]] = True
             assign = new_assign
-            for c in range(k):
+            stale |= np.bincount(assign, minlength=k) == 0
+            for c in np.nonzero(stale)[0]:
                 mask = assign == c
                 if mask.any():
                     centers[c] = X[mask].mean(axis=0)
                 else:
                     # re-seed an empty cluster at the worst-served point
                     centers[c] = X[int(np.argmax(d2.min(axis=1)))]
-        d2 = _squared_distances(X, centers)
+        else:
+            d2 = _squared_distances(X, centers)
         inertia = float(d2.min(axis=1).sum())
         if inertia < best_inertia:
             best_inertia, best_assign = inertia, assign
@@ -283,16 +321,23 @@ def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:
     n = rel_s.shape[0]
     if not 1 <= knn_k < n:
         raise ParameterError(f"knn_k must satisfy 1 <= k < n, got k={knn_k}, n={n}")
-    order_s = neighbor_order(pairwise_semantic_distance(rel_s))
-    order_u = neighbor_order(pairwise_semantic_distance(rel_u))
-    jac, rr, cos = [], [], []
-    for i in range(n):
-        top_s = set(order_s[i, :knn_k].tolist())
-        top_u = set(order_u[i, :knn_k].tolist())
-        jac.append(len(top_s & top_u) / len(top_s | top_u))
-        nn_s = order_s[i, 0]
-        rank = int(np.nonzero(order_u[i] == nn_s)[0][0]) + 1
-        rr.append(1.0 / rank)
+    order_s = neighbor_order(pairwise_semantic_distance(rel_s), knn_k)
+    du = pairwise_semantic_distance(rel_u)
+    order_u = neighbor_order(du, knn_k)
+    # both top-k lists hold distinct indices: the overlap c gives |union| = 2k - c
+    in_s = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(in_s, order_s, True, axis=1)
+    common = np.take_along_axis(in_s, order_u, axis=1).sum(axis=1)
+    jac = common / (2 * knn_k - common)
+    # rank of the semantic nearest neighbor in the uncertainty ranking: the
+    # entries before it in the stable order, self at +inf, plus one
+    nn_s = order_s[:, 0]
+    np.fill_diagonal(du, np.inf)
+    t = du[np.arange(n), nn_s][:, None]
+    earlier_tie = (du == t) & (np.arange(n)[None, :] < nn_s[:, None])
+    rr = 1.0 / ((du < t).sum(axis=1) + earlier_tie.sum(axis=1) + 1)
+    cos = []
+    for i in range(n):  # row by row: a batched norm or dot rounds differently
         ns = np.linalg.norm(rel_s[i])
         nu = np.linalg.norm(rel_u[i])
         cos.append(float(rel_s[i] @ rel_u[i] / (ns * nu)) if ns > 0 and nu > 0 else 0.0)
@@ -406,9 +451,12 @@ def evaluate(
     else:
         B = pairwise_pair_uncertainty(U, sumnorm=test_metric == "uncert_sumnorm")
         D, _, _ = distance_table(test_metric, A, B, mp)
-    order = neighbor_order(D)
-
     match = match_matrix(labelsets)
+    # rank only as deep as recall@max(ks) and the largest R read
+    counts = match.sum(axis=1) - match.diagonal()
+    depth = max([int(k) for k in ks] + [int(counts.max(initial=0))])
+    order = neighbor_order(D, min(depth, S.shape[0] - 1))
+
     recalls = {int(k): recall_at_k(S, labelsets, int(k), order=order, match=match) for k in ks}
     rp, map_r = r_precision_and_map_at_r(S, labelsets, order=order, match=match)
     del match  # N² bytes that k-means and the correlation diagnostic do not need

@@ -7,6 +7,7 @@ none of these helpers may import library internals beyond plain data.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
@@ -130,6 +131,74 @@ def rp_map_ref(X, labels):
     if not rps:
         return None
     return sum(rps) / len(rps), sum(maps) / len(maps)
+
+
+def correlation_ref(rel_s, rel_u, knn_k):
+    """Mean top-k Jaccard, mean reciprocal rank and mean cosine of paired rows.
+
+    Each ranking sorts the other rows by (exact squared distance, index), so
+    ties are judged in rational arithmetic. Jaccard compares plain-Python
+    sets of the two top-k lists; the rank is the 1-based position of the
+    semantic nearest neighbor in the full uncertainty ranking. A zero row's
+    cosine is 0.
+    """
+    rel_s = [[Fraction(float(v)) for v in row] for row in rel_s]
+    rel_u = [[Fraction(float(v)) for v in row] for row in rel_u]
+    n = len(rel_s)
+
+    def ranking(rows, i):
+        d = [(sum((a - b) ** 2 for a, b in zip(rows[i], rows[j])), j) for j in range(n) if j != i]
+        return [j for _, j in sorted(d)]
+
+    jac, rr, cos = [], [], []
+    for i in range(n):
+        order_s, order_u = ranking(rel_s, i), ranking(rel_u, i)
+        top_s, top_u = set(order_s[:knn_k]), set(order_u[:knn_k])
+        jac.append(len(top_s & top_u) / len(top_s | top_u))
+        rr.append(1.0 / (order_u.index(order_s[0]) + 1))
+        ss = sum(a * a for a in rel_s[i])
+        uu = sum(b * b for b in rel_u[i])
+        su = sum(a * b for a, b in zip(rel_s[i], rel_u[i]))
+        cos.append(float(su) / math.sqrt(float(ss * uu)) if ss and uu else 0.0)
+    return {
+        "jaccard": math.fsum(jac) / n,
+        "mrr": math.fsum(rr) / n,
+        "cosine": math.fsum(cos) / n,
+    }
+
+
+def kmeans_ref(X, k, rng, kmeanspp_init, squared_distances, n_restarts=10, max_iter=100):
+    """The Lloyd loop that recomputes every center mean on every iteration.
+
+    `kmeanspp_init(X, k, rng)` and `squared_distances(X, centers)` are the
+    library's seeding and distance helpers, passed in: only the loop is the
+    reference. Every empty cluster is re-seeded at the worst-served point on
+    every iteration, and the inertia of each restart comes from a fresh
+    distance table.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    best_assign, best_inertia = None, np.inf
+    for _ in range(n_restarts):
+        centers = kmeanspp_init(X, k, rng)
+        assign = None
+        for _ in range(max_iter):
+            d2 = squared_distances(X, centers)
+            new_assign = np.argmin(d2, axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for c in range(k):
+                mask = assign == c
+                if mask.any():
+                    centers[c] = X[mask].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the worst-served point
+                    centers[c] = X[int(np.argmax(d2.min(axis=1)))]
+        d2 = squared_distances(X, centers)
+        inertia = float(d2.min(axis=1).sum())
+        if inertia < best_inertia:
+            best_inertia, best_assign = inertia, assign
+    return best_assign
 
 
 def semi_hard_ref(d_pos, neg_dists):

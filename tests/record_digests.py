@@ -16,7 +16,11 @@ refactor prints identical text. It covers:
   bits;
 - augment_sha256: the sha256 of augment_batch's features, labels, mixed
   flags and next draw on one fixed batch under each channel (mixing, blur,
-  occlusion, low resolution with and without padding, all at once).
+  occlusion, low resolution with and without padding, all at once);
+- evaluate_sha256: the sha256 of `EvalReport.to_json_dict()` under every
+  test metric on one fixed 600-row input on an integer grid, so that
+  duplicate rows and distance ties at the ranking depth are common, with
+  one single-sample class.
 
 The name keeps pytest from collecting it. It trains 28 small runs and takes
 under a minute on one core.
@@ -29,6 +33,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +41,7 @@ import numpy as np
 from idml import harness
 from idml.augment import AugmentConfig, augment_batch
 from idml.core import STREAM_AUGMENT, Batch, Rng
+from idml.evaluation import evaluate
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, compute_loss
 from idml.metric import METRIC_NAMES
 
@@ -148,12 +154,30 @@ def augment_digests() -> dict:
     return out
 
 
+def evaluate_digests() -> dict:
+    r = np.random.default_rng(23)
+    S = r.integers(-2, 3, size=(600, 4)).astype(np.float64)
+    U = 0.5 * r.integers(-2, 3, size=(600, 3))
+    ids = r.integers(0, 12, size=600)
+    ids[-1] = 12  # a single-sample class: its query is skipped by R-precision
+    labels = [{int(i)} for i in ids]
+    out = {}
+    for metric in METRIC_NAMES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = evaluate(S, U, labels, Rng(43), test_metric=metric)
+        text = json.dumps(rep.to_json_dict(), sort_keys=True)
+        out[metric] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def main() -> int:
     records, models = record_digests()
     report = {
         "record_sha256": records,
         "model_bin_sha256": models,
         "augment_sha256": augment_digests(),
+        "evaluate_sha256": evaluate_digests(),
         "gradcheck": gradcheck_summaries(),
         "compute_loss": loss_outputs(),
     }

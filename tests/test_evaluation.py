@@ -1,6 +1,7 @@
 """Retrieval, clustering, and the semantic/uncertainty agreement diagnostics."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 
 import idml
 import oracles
-from idml.core import DegenerateInputError, ParameterError, Rng, match_matrix
+from idml.core import DegenerateInputError, NumericalFailure, ParameterError, Rng, ShapeError, match_matrix
 from idml.evaluation import (
     EvalReport,
+    _kmeanspp_init,
     correlation_stats,
     evaluate,
     kmeans,
@@ -25,6 +27,7 @@ from idml.evaluation import (
     relative_embeddings,
     uncertainty_levels,
 )
+from idml.metric import _squared_distances
 
 
 def singleton_labels(ids):
@@ -122,6 +125,100 @@ def test_neighbor_order_breaks_ties_by_index():
     assert list(order[0][:2]) == [1, 2]
 
 
+def exact_table(X):
+    """Distances by math.dist, the same floats the ranking oracle sorts."""
+    return np.array([[math.dist(a, b) for b in X] for a in X])
+
+
+def count_argsort(monkeypatch):
+    """Count np.argsort calls: neighbor_order sorts a whole row only on a tie."""
+    calls = [0]
+    real = np.argsort
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    return calls
+
+
+def test_neighbor_order_top_k_matches_brute_force_on_ties(monkeypatch):
+    # integer grid points in 2-d with duplicate rows: ties everywhere,
+    # including across the k-th place
+    fallbacks = count_argsort(monkeypatch)
+    r = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(r.integers(3, 61))
+        X = r.integers(0, int(r.integers(2, 9)), size=(n, 2)).astype(np.float64)
+        d = exact_table(X)
+        want = [oracles._neighbor_order(X, i) for i in range(n)]
+        for k in range(1, n):
+            assert neighbor_order(d, k).tolist() == [w[:k] for w in want]
+        assert neighbor_order(d).tolist() == want
+    assert fallbacks[0] > 0
+
+
+def test_neighbor_order_partition_path_matches_brute_force(monkeypatch):
+    X = np.random.default_rng(18).normal(size=(200, 3))
+    d = exact_table(X)
+    fallbacks = count_argsort(monkeypatch)
+    got = {k: neighbor_order(d, k) for k in (1, 7, 50, 199)}
+    assert fallbacks[0] == 0  # no tie: every row went through the partition
+    for i in range(len(X)):
+        want = oracles._neighbor_order(X, i)
+        for k, order in got.items():
+            assert order[i].tolist() == want[:k]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_neighbor_order_rejects_non_finite_off_diagonal(bad):
+    # sorting with self at +inf and dropping the last column ranked query 0
+    # as its own neighbor here: [2, 0]
+    d = np.array([[0.0, bad, 1.0], [bad, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    for k in (None, 1, 2):
+        with pytest.raises(NumericalFailure):
+            neighbor_order(d, k)
+
+
+def test_neighbor_order_excludes_self_by_index():
+    # the diagonal is never read, whatever it holds
+    d = np.array([[np.nan, 1.0, 1.0], [1.0, np.inf, 2.0], [1.0, 2.0, -1.0]])
+    assert neighbor_order(d).tolist() == [[1, 2], [0, 2], [0, 1]]
+    assert neighbor_order(d, 1).tolist() == [[1], [0], [0]]
+
+
+def test_neighbor_order_k_bounds():
+    d = np.abs(np.arange(4.0)[:, None] - np.arange(4.0)[None, :])
+    assert neighbor_order(d, 0).shape == (4, 0)
+    with pytest.raises(ParameterError):
+        neighbor_order(d, 4)
+    with pytest.raises(ParameterError):
+        neighbor_order(d, -1)
+
+
+def test_evaluate_rejects_overflowing_embeddings():
+    # finite rows whose distances overflow: NaN on the diagonal, +inf off it
+    S = np.array([[1e200, 0.0], [-1e200, 0.0], [1e200, 1e200], [-1e200, 1e200], [0.0, 1e200], [0.0, -1e200]])
+    U = 0.1 * np.random.default_rng(0).normal(size=(6, 2))
+    labels = singleton_labels([0, 0, 1, 1, 2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericalFailure):
+            evaluate(S, U, labels, Rng(0), ks=(1, 2), knn_k=2, n_anchors=3)
+        with pytest.raises(NumericalFailure):
+            recall_at_k(S, labels, 2)
+
+
+def test_ranking_metrics_reject_a_shallow_order():
+    X, labels = random_instance(6, max_n=15)
+    d = np.linalg.norm(X[:, None] - X[None, :], axis=-1)
+    with pytest.raises(ShapeError):
+        recall_at_k(X, labels, 4, order=neighbor_order(d, 3))
+    with pytest.raises(ShapeError):
+        r_precision_and_map_at_r(X, labels, order=neighbor_order(d, 1))
+
+
 # ---------------------------------------------------------------------------
 # NMI + k-means
 # ---------------------------------------------------------------------------
@@ -178,6 +275,24 @@ def test_kmeans_deterministic_under_seed():
     a = kmeans(X, 4, Rng(5))
     b = kmeans(X, 4, Rng(5))
     np.testing.assert_array_equal(a, b)
+
+
+def test_kmeans_matches_reference_loop():
+    # duplicate rows and k near n: identical rows share one nearest center,
+    # so with k above the distinct-row count some cluster is empty on every
+    # iteration and is re-seeded again and again
+    r = np.random.default_rng(21)
+    for case in range(120):
+        n = int(r.integers(2, 40))
+        distinct = int(r.integers(1, n + 1))
+        X = r.normal(size=(distinct, int(r.integers(1, 4))))[r.integers(0, distinct, size=n)]
+        k = int(r.integers(max(1, n - 4), n + 1)) if case % 2 else int(r.integers(1, n + 1))
+        max_iter = int(r.choice([1, 2, 5, 100]))
+        a, b = Rng(case), Rng(case)
+        got = kmeans(X, k, a, n_restarts=3, max_iter=max_iter)
+        want = oracles.kmeans_ref(X, k, b, _kmeanspp_init, _squared_distances, n_restarts=3, max_iter=max_iter)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert a.random() == b.random()
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +447,25 @@ def test_correlation_three_point_enumeration():
     stats2 = correlation_stats(rel_s, rel_u2, knn_k=1)
     assert 0.0 <= stats2["jaccard"] <= 1.0
     assert stats2["cosine"] < stats["cosine"]
+
+
+def test_correlation_matches_brute_force_on_ties():
+    # rows on a 0.25 or 0.5 grid and n a power of two keep the library's
+    # Gram-form distances exact, so tied rows and tied distances are real
+    # ties and both rankings must match the rational-arithmetic reference
+    r = np.random.default_rng(19)
+    for _ in range(30):
+        n = int(r.choice([8, 16, 32, 64]))
+        step = float(r.choice([0.25, 0.5]))
+        n_anchors = int(r.integers(2, 5))
+        rel_s = np.round(r.uniform(-1, 1, size=(n, n_anchors)) / step) * step
+        rel_u = np.round(r.uniform(-1, 1, size=(n, n_anchors)) / step) * step
+        rel_u[int(r.integers(n))] = 0.0
+        knn_k = int(r.integers(1, min(n, 13)))
+        got = correlation_stats(rel_s, rel_u, knn_k=knn_k)
+        want = oracles.correlation_ref(rel_s, rel_u, knn_k)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
 
 
 def test_correlation_knn_k_bound():
