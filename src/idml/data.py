@@ -29,6 +29,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    label_set,
 )
 
 __all__ = [
@@ -103,7 +104,7 @@ class Dataset:
             raise ShapeError(
                 f"{self.features.shape[0]} feature rows vs {len(self.labels)} label sets"
             )
-        self.labels = tuple(frozenset(ls) for ls in self.labels)
+        self.labels = tuple(label_set(ls) for ls in self.labels)
         if self.is_train is None:
             train_ids = train_class_ids(self.all_class_ids())
             self.is_train = np.array([min(ls) in train_ids for ls in self.labels], dtype=bool)
@@ -275,16 +276,19 @@ def load_binary(path) -> Dataset:
         raw = f.read()
     if raw[:4] != BINARY_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, n, d = struct.unpack_from("<III", raw, 4)
-    if version != BINARY_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    off = 16
-    labels = []
-    for _ in range(n):
-        (cnt,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        labels.append(frozenset(struct.unpack_from(f"<{cnt}I", raw, off)))
-        off += 4 * cnt
+    try:
+        version, n, d = struct.unpack_from("<III", raw, 4)
+        if version != BINARY_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        off = 16
+        labels = []
+        for _ in range(n):
+            (cnt,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            labels.append(frozenset(struct.unpack_from(f"<{cnt}I", raw, off)))
+            off += 4 * cnt
+    except struct.error:
+        raise FormatError(f"{path}: truncated header or label block") from None
     need = 8 * n * d
     if len(raw) - off != need:
         raise FormatError(f"{path}: expected {need} feature bytes, found {len(raw) - off}")

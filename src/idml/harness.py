@@ -362,11 +362,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         clean_norms, mixed_norms = [], []
         for b in range(n_batches):
             rows = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = Batch(
-                features=x_train[rows],
-                labels=tuple(l_train[r] for r in rows),
-                is_mixed=np.zeros(rows.size, dtype=bool),
-            )
+            batch = Batch(features=x_train[rows], labels=tuple(l_train[r] for r in rows))
             batch = augment_batch(batch, cfg.augment, aug_rng)
             res, grads = loss_and_grad(
                 model,
@@ -563,11 +559,7 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
 
     def batch_fn(r):
         n = len(_GRADCHECK_LABELS)
-        return Batch(
-            features=r.normal(size=(n, 6)),
-            labels=_GRADCHECK_LABELS,
-            is_mixed=np.zeros(n, dtype=bool),
-        )
+        return Batch(features=r.normal(size=(n, 6)), labels=_GRADCHECK_LABELS)
 
     fd = finite_difference_check(
         model,

@@ -174,11 +174,10 @@ class LossResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_lists(labels):
-    """All unordered pairs, split by label match."""
-    m = match_matrix(labels)
-    iu, ju = np.triu_indices(len(labels), k=1)
-    matched = m[iu, ju]
+def _pair_lists(match):
+    """All unordered pairs, split by the label match table."""
+    iu, ju = np.triu_indices(len(match), k=1)
+    matched = match[iu, ju]
     pos = np.stack([iu[matched], ju[matched]], axis=1)
     neg = np.stack([iu[~matched], ju[~matched]], axis=1)
     return pos.astype(np.intp), neg.astype(np.intp)
@@ -323,7 +322,9 @@ def build_plan(
 
     margin_dw and triplet_sh consult the selected metric's distance table
     for their sampling; multi_similarity computes its mining mask from the
-    selected similarity table. `rng` is only required for margin_dw.
+    selected similarity table. The pair losses convert the labels once, to
+    the match table that every one of these choices reads; the proxy losses
+    read the multi-hot rows instead. `rng` is only required for margin_dw.
     """
     if loss not in LOSS_NAMES:
         raise ParameterError(f"unknown loss {loss!r}")
@@ -336,9 +337,10 @@ def build_plan(
     mp = mp or MetricParams()
     lp = lp or default_loss_params(loss)
     plan = Plan(loss=loss)
+    match = None if loss in PROXY_LOSSES else match_matrix(labels)
 
     if loss in ("contrastive", "margin_dw", "triplet_sh"):
-        plan.pos_pairs, plan.neg_pairs = _pair_lists(labels)
+        plan.pos_pairs, plan.neg_pairs = _pair_lists(match)
 
     if loss == "margin_dw":
         if plan.pos_pairs.shape[0] == 0:
@@ -347,14 +349,14 @@ def build_plan(
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
         D = _tables(loss, S, U, metric, mp, proxies).M
         plan.dw_negatives = sample_negatives_for_pairs(
-            plan.pos_pairs, D, labels, n_dim=S.shape[1], phi=lp.phi, rng=rng
+            plan.pos_pairs, D, match, n_dim=S.shape[1], phi=lp.phi, rng=rng
         )
     elif loss == "triplet_sh":
         D = _tables(loss, S, U, metric, mp, proxies).M
-        plan.triplets, plan.n_skipped = mine_triplets(D, labels)
+        plan.triplets, plan.n_skipped = mine_triplets(D, match)
     elif loss == "multi_similarity":
         Cs = _tables(loss, S, U, metric, mp, proxies).M
-        plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(Cs, labels, lp.ms_eps)
+        plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(Cs, match, lp.ms_eps)
     elif loss in PROXY_LOSSES:
         if proxies is None or len(proxies) == 0:
             raise ParameterError(f"{loss} needs a nonempty proxy set")
@@ -364,7 +366,7 @@ def build_plan(
     return plan
 
 
-def _ms_mining_masks(Cs: np.ndarray, labels, eps: float):
+def _ms_mining_masks(Cs: np.ndarray, match: np.ndarray, eps: float):
     """Surviving pairs per anchor under the informative-pair mining rule.
 
     A negative (i, j) survives iff Cs[i, j] > min over i's positives - eps
@@ -372,8 +374,7 @@ def _ms_mining_masks(Cs: np.ndarray, labels, eps: float):
     iff Cs[i, j] < max over i's negatives + eps. An anchor with no
     counterpart set keeps its pairs vacuously.
     """
-    m = match_matrix(labels)
-    pos, neg = m & ~np.eye(m.shape[0], dtype=bool), ~m
+    pos, neg = match & ~np.eye(len(match), dtype=bool), ~match
     min_pos = np.where(pos, Cs, np.inf).min(axis=1, keepdims=True)
     max_neg = np.where(neg, Cs, -np.inf).max(axis=1, keepdims=True)
     neg_keep = neg & ((Cs > min_pos - eps) | ~pos.any(axis=1, keepdims=True))
@@ -390,7 +391,6 @@ def evaluate_loss(
     loss: str,
     S,
     U,
-    labels,
     plan: Plan,
     metric: str = "ism",
     mp: MetricParams = None,
@@ -436,7 +436,7 @@ def compute_loss(
 ) -> LossResult:
     """build_plan + evaluate_loss in one call (the training-step path)."""
     plan = build_plan(loss, S, U, labels, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng)
-    return evaluate_loss(loss, S, U, labels, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
+    return evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
 
 
 def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:

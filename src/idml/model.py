@@ -217,9 +217,7 @@ def loss_and_grad(
         plan = build_plan(
             loss, S, U, batch.labels, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
         )
-    res = evaluate_loss(
-        loss, S, U, batch.labels, plan, metric=metric, mp=mp, lp=lp, proxies=proxies
-    )
+    res = evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
     res.uncertainty = U
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))
@@ -326,16 +324,19 @@ def load_checkpoint(path):
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     off = 4
-    version, n_trunk = struct.unpack_from("<II", raw, off)
-    off += 8
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    dims = struct.unpack_from(f"<{n_trunk + 3}I", raw, off)
-    off += 4 * (n_trunk + 3)
-    (n_proxies,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    classes = struct.unpack_from(f"<{n_proxies}I", raw, off) if n_proxies else ()
-    off += 4 * n_proxies
+    try:
+        version, n_trunk = struct.unpack_from("<II", raw, off)
+        off += 8
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        dims = struct.unpack_from(f"<{n_trunk + 3}I", raw, off)
+        off += 4 * (n_trunk + 3)
+        (n_proxies,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        classes = struct.unpack_from(f"<{n_proxies}I", raw, off) if n_proxies else ()
+        off += 4 * n_proxies
+    except struct.error:
+        raise FormatError(f"{path}: truncated header or proxy class block") from None
 
     layer_dims = dims[: n_trunk + 1]
     sdim, udim = dims[-2], dims[-1]

@@ -20,7 +20,13 @@ refactor prints identical text. It covers:
 - evaluate_sha256: the sha256 of `EvalReport.to_json_dict()` under every
   test metric on one fixed 600-row input on an integer grid, so that
   duplicate rows and distance ties at the ranking depth are common, with
-  one single-sample class.
+  one single-sample class;
+- plan_sha256: the sha256 of every `Plan` field (name, dtype, shape and
+  bytes of each array) that `build_plan` returns for every loss x metric on
+  one fixed 16-row batch on an integer grid, so that distance ties decide
+  mined triplets and masks, with four two-label (mixed) rows. It also
+  hashes the next draw of the plan's rng, which checks that margin_dw's
+  sampling consumed exactly the draws it did before.
 
 The name keeps pytest from collecting it. It trains 28 small runs and takes
 under a minute on one core.
@@ -40,9 +46,9 @@ import numpy as np
 
 from idml import harness
 from idml.augment import AugmentConfig, augment_batch
-from idml.core import STREAM_AUGMENT, Batch, Rng
+from idml.core import STREAM_AUGMENT, STREAM_LOSS, Batch, Rng
 from idml.evaluation import evaluate
-from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, compute_loss
+from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, build_plan, compute_loss
 from idml.metric import METRIC_NAMES
 
 SEEDS = (5, 6)
@@ -171,6 +177,44 @@ def evaluate_digests() -> dict:
     return out
 
 
+def plan_digests() -> dict:
+    r = np.random.default_rng(24)
+    S = r.integers(-1, 2, size=(16, 3)).astype(np.float64)
+    U = 0.5 * r.integers(0, 3, size=(16, 2))
+    classes = [{int(c)} for c in r.integers(0, 4, size=12)]
+    labels = classes + [{0, 1}, {1, 2}, {2, 3}, {0, 3}]
+    proxies = ProxySet(
+        semantic=r.integers(-1, 2, size=(4, 3)).astype(np.float64),
+        uncertainty=0.5 * r.integers(0, 3, size=(4, 2)),
+        classes=(0, 1, 2, 3),
+    )
+    out = {}
+    for loss in LOSS_NAMES:
+        for metric in METRIC_NAMES:
+            rng = Rng(47, STREAM_LOSS)
+            plan = build_plan(
+                loss,
+                S,
+                U,
+                labels,
+                metric=metric,
+                proxies=proxies if loss in PROXY_LOSSES else None,
+                rng=rng,
+            )
+            h = hashlib.sha256()
+            for f in dataclasses.fields(plan):
+                v = getattr(plan, f.name)
+                h.update(f.name.encode())
+                if isinstance(v, np.ndarray):
+                    h.update(f"{v.dtype.str}{v.shape}".encode())
+                    h.update(np.ascontiguousarray(v).tobytes())
+                else:
+                    h.update(repr(v).encode())
+            h.update(repr(rng.random()).encode())
+            out[f"{loss}/{metric}"] = h.hexdigest()
+    return out
+
+
 def main() -> int:
     records, models = record_digests()
     report = {
@@ -178,6 +222,7 @@ def main() -> int:
         "model_bin_sha256": models,
         "augment_sha256": augment_digests(),
         "evaluate_sha256": evaluate_digests(),
+        "plan_sha256": plan_digests(),
         "gradcheck": gradcheck_summaries(),
         "compute_loss": loss_outputs(),
     }

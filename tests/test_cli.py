@@ -7,6 +7,7 @@ installed `idml` console script produces identical output.
 
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, main
+from idml.core import Rng
 from idml.data import SynthConfig, generate, load_csv
 from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
+from idml.model import init_model, save_checkpoint
 
 
 def run_cli(*args, env=None):
@@ -190,6 +193,36 @@ def test_missing_paths_exit_config(tmp_path):
         "eval", "--checkpoint", str(tmp_path / "no.bin"), "--data", str(tmp_path / "no.csv")
     )
     assert proc.returncode == EXIT_CONFIG
+
+
+def test_truncated_binary_files_exit_config(tmp_path):
+    good = tmp_path / "model.bin"
+    save_checkpoint(good, init_model(6, hidden=(8,), semantic_dim=4, uncertainty_dim=4, rng=Rng(0)))
+    short_model = tmp_path / "short_model.bin"
+    short_model.write_bytes(good.read_bytes()[:6])
+    short_data = tmp_path / "short_data.bin"
+    short_data.write_bytes(b"IDMD\x01\x00")
+    for checkpoint in (good, short_model):
+        proc = run_cli("eval", "--checkpoint", str(checkpoint), "--data", str(short_data))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "truncated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_zero_count_label_set_in_binary_dataset_exits_config(tmp_path):
+    ds = generate(SynthConfig(n_classes=4, per_class=8, input_dim=6, seed=1))
+    ds_path = tmp_path / "empty_label.bin"
+    with open(ds_path, "wb") as f:
+        f.write(b"IDMD" + struct.pack("<III", 1, *ds.features.shape))
+        for i, ls in enumerate(ds.labels):
+            ids = sorted(ls) if i else []  # the first row names no class
+            f.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
+        f.write(ds.features.astype("<f8").tobytes())
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, dataset_path=str(ds_path))
+    proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "label set must be nonempty" in proc.stderr
 
 
 def test_bad_flag_value_exits_config():

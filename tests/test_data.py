@@ -1,5 +1,7 @@
 """Synthetic generator, the class-disjoint split rule, and dataset file I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,51 @@ def test_binary_truncation_rejected(tmp_path):
     p.write_bytes(raw[:-8])
     with pytest.raises(FormatError):
         load_binary(p)
+
+
+def test_binary_truncated_header_rejected(tmp_path):
+    p = tmp_path / "short.bin"
+    p.write_bytes(b"IDMD\x01\x00")
+    with pytest.raises(FormatError, match="truncated"):
+        load_binary(p)
+
+
+def test_binary_truncated_label_block_rejected(tmp_path):
+    ds = generate(tiny_cfg(n_classes=4, per_class=2))
+    p = tmp_path / "t.bin"
+    save_binary(ds, p)
+    # header (16 bytes), the first row's count and id, then half a count
+    p.write_bytes(p.read_bytes()[: 16 + 8 + 2])
+    with pytest.raises(FormatError, match="truncated"):
+        load_binary(p)
+
+
+def write_binary_rows(path, label_ids, features):
+    """A binary dataset written field by field, so a row may hold no label id."""
+    n, d = features.shape
+    with open(path, "wb") as f:
+        f.write(b"IDMD" + struct.pack("<III", 1, n, d))
+        for ids in label_ids:
+            f.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
+        f.write(features.astype("<f8").tobytes())
+
+
+def test_binary_zero_count_label_set_rejected(tmp_path):
+    p = tmp_path / "empty_label.bin"
+    write_binary_rows(p, [(0,), (), (1,), (2,)], np.zeros((4, 2)))
+    with pytest.raises(ParameterError, match="nonempty"):
+        load_binary(p)
+
+
+def test_dataset_validates_label_sets():
+    with pytest.raises(ParameterError, match="nonempty"):
+        Dataset(features=np.zeros((1, 2)), labels=(frozenset(),))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        Dataset(features=np.zeros((1, 2)), labels=(frozenset({-1}),))
+    assert Dataset(features=np.zeros((2, 2)), labels=(3, [1, 1])).labels == (
+        frozenset({3}),
+        frozenset({1}),
+    )
 
 
 def test_dataset_split_views_are_consistent():

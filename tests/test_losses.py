@@ -166,11 +166,11 @@ def test_triplet_hinge_arithmetic_on_fixed_plan():
     plan = Plan(loss="triplet_sh", triplets=np.array([[0, 1, 2]]), n_skipped=0)
     lp = LossParams(margin_delta=0.2)
     S = np.array([[0.0], [1.0], [0.9]])
-    r = evaluate_loss("triplet_sh", S, U, labels, plan, metric="euclidean", lp=lp)
+    r = evaluate_loss("triplet_sh", S, U, plan, metric="euclidean", lp=lp)
     assert r.value == pytest.approx(0.3, rel=1e-12)
     # fully coincident degenerate triplet pays exactly the margin
     S0 = np.zeros((3, 1))
-    r0 = evaluate_loss("triplet_sh", S0, U, labels, plan, metric="euclidean", lp=lp)
+    r0 = evaluate_loss("triplet_sh", S0, U, plan, metric="euclidean", lp=lp)
     assert r0.value == pytest.approx(0.2, rel=1e-15)
 
 
@@ -408,8 +408,8 @@ def test_plan_freeze_makes_evaluation_deterministic():
     # the same frozen plan must give bit-identical values on re-evaluation
     S, U, labels = random_labeled(7, u_scale=0.2)
     plan = build_plan("margin_dw", S, U, labels, metric="ism", rng=Rng(3))
-    a = evaluate_loss("margin_dw", S, U, labels, plan, metric="ism")
-    b = evaluate_loss("margin_dw", S, U, labels, plan, metric="ism")
+    a = evaluate_loss("margin_dw", S, U, plan, metric="ism")
+    b = evaluate_loss("margin_dw", S, U, plan, metric="ism")
     assert a.value == b.value
     assert np.array_equal(a.d_semantic, b.d_semantic)
 

@@ -315,6 +315,25 @@ def test_checkpoint_truncation_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_truncated_header_rejected(tmp_path):
+    p = tmp_path / "short.bin"
+    p.write_bytes(b"IDML\x01\x00")
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("keep", [14, 34], ids=["layer-dims", "proxy-classes"])
+def test_checkpoint_truncated_dims_or_classes_rejected(tmp_path, keep):
+    # magic 4 + version and trunk count 8 + four layer dims 16 + proxy count 4:
+    # byte 14 cuts the dims, byte 34 the proxy class ids
+    m = small_model(2)
+    p = tmp_path / "m.bin"
+    save_checkpoint(p, m, proxies=init_proxies((0, 1, 5), 2, 2, Rng(1)))
+    p.write_bytes(p.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_trailing_garbage_rejected(tmp_path):
     m = small_model(2)
     p = tmp_path / "m.bin"

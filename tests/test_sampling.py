@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from idml.core import Rng
+from idml.core import Rng, ShapeError, match_matrix
 from idml.sampling import dw_log_weights, mine_triplets, sample_negatives_for_pairs
 
 
@@ -20,14 +20,15 @@ def dist_matrix(points):
 
 def semi_hard(anchor, positive, d, labels):
     """The negative `mine_triplets` picks for one (anchor, positive) row, or None."""
-    triplets, _ = mine_triplets(d, labels)
+    triplets, _ = mine_triplets(d, match_matrix(labels))
     hit = triplets[(triplets[:, 0] == anchor) & (triplets[:, 1] == positive)]
     return int(hit[0, 2]) if len(hit) else None
 
 
 def draw_negatives(anchor, d, labels, n_dim, rng, draws=1):
     """Distance-weighted negatives for `draws` pairs anchored at `anchor`, in one call."""
-    rows = sample_negatives_for_pairs([(anchor, anchor)] * draws, d, labels, n_dim, 10.0, rng)
+    match = match_matrix(labels)
+    rows = sample_negatives_for_pairs([(anchor, anchor)] * draws, d, match, n_dim, 10.0, rng)
     return rows[:, 1]
 
 
@@ -66,7 +67,7 @@ def test_semi_hard_none_when_all_negatives_too_close():
 
 def test_semi_hard_none_without_negatives():
     labels = (frozenset({0}), frozenset({0}))
-    triplets, skipped = mine_triplets(np.zeros((2, 2)), labels)
+    triplets, skipped = mine_triplets(np.zeros((2, 2)), match_matrix(labels))
     assert triplets.shape == (0, 3)
     assert skipped == 2
 
@@ -76,6 +77,38 @@ def test_semi_hard_shared_label_not_a_negative():
     labels = (frozenset({0}), frozenset({0}), frozenset({0, 1}), frozenset({1}))
     d = dist_matrix([(0.0,), (0.5,), (0.8,), (2.0,)])
     assert semi_hard(0, 1, d, labels) == 3
+
+
+def test_semi_hard_never_picks_a_non_finite_negative():
+    # +inf and NaN sit "beyond" any positive, yet neither ever qualifies
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}), frozenset({1}))
+    d = np.zeros((5, 5))
+    d[0, 1] = 0.5
+    d[0, 2] = np.inf
+    d[0, 3] = np.nan
+    d[0, 4] = 0.9
+    assert semi_hard(0, 1, d, labels) == 4
+    d[0, 4] = 0.3  # the one finite negative is now too close
+    assert semi_hard(0, 1, d, labels) is None
+    d[0, 4] = np.inf
+    assert semi_hard(0, 1, d, labels) is None
+
+
+@pytest.mark.parametrize("d_pos", [np.inf, np.nan], ids=["inf", "nan"])
+def test_semi_hard_skips_a_pair_at_non_finite_positive_distance(d_pos):
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
+    d = np.ones((4, 4)) - np.eye(4)
+    d[1, 0] = d[2, 3] = d[3, 2] = 0.5
+    d[0, 1] = d_pos
+    d[0, 3] = np.inf
+    triplets, skipped = mine_triplets(d, match_matrix(labels))
+    assert triplets.tolist() == [[1, 0, 2], [2, 3, 0], [3, 2, 0]]
+    assert skipped == 1
+
+
+def test_mine_triplets_rejects_a_table_of_another_size():
+    with pytest.raises(ShapeError):
+        mine_triplets(np.zeros((3, 3)), match_matrix((frozenset({0}), frozenset({0}))))
 
 
 @settings(max_examples=40)
@@ -98,7 +131,7 @@ def test_semi_hard_matches_brute_force(seed):
                 want_skipped += 1
             else:
                 want_rows.append([a, p, want])
-    triplets, skipped = mine_triplets(d, labels)
+    triplets, skipped = mine_triplets(d, match_matrix(labels))
     assert triplets.tolist() == want_rows
     assert skipped == want_skipped
 
@@ -106,7 +139,7 @@ def test_semi_hard_matches_brute_force(seed):
 def test_mine_triplets_structure_and_skip_count():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
     d = dist_matrix([(0.0,), (0.5,), (0.7,), (10.0,)])
-    triplets, skipped = mine_triplets(d, labels)
+    triplets, skipped = mine_triplets(d, match_matrix(labels))
     assert triplets.shape[1] == 3
     for a, p, n in triplets:
         assert a != p
@@ -231,7 +264,7 @@ def test_sample_negatives_for_pairs_rows_are_valid():
         for p in range(n)
         if a != p and labels[a] & labels[p]
     ]
-    rows = sample_negatives_for_pairs(pos_pairs, d, labels, 16, 10.0, Rng(seed=0))
+    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(labels), 16, 10.0, Rng(seed=0))
     assert rows.shape[1] == 2
     assert len(rows) == len(pos_pairs)  # every anchor here has a negative
     for a, neg in rows:
@@ -247,7 +280,7 @@ def assert_matches_per_pair_choice(pos_pairs, d, labels, n_dim, phi, seed=9):
     """Rows equal the per-pair `Generator.choice` oracle's, and both leave
     their streams at the same next draw."""
     rng, gen = Rng(seed=seed, stream=5), per_pair_generator(seed, 5)
-    rows = sample_negatives_for_pairs(pos_pairs, d, labels, n_dim, phi, rng)
+    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(labels), n_dim, phi, rng)
     want = oracles.dw_negatives_ref(pos_pairs, d, labels, n_dim, phi, gen)
     assert rows.dtype == np.intp
     assert rows.shape == want.shape
@@ -315,7 +348,7 @@ def test_sample_negatives_for_pairs_nan_distance_raises_like_choice():
     with pytest.raises(ValueError):
         oracles.dw_negatives_ref(pairs, d, labels, 16, 10.0, per_pair_generator(0, 5))
     with pytest.raises(ValueError):
-        sample_negatives_for_pairs(pairs, d, labels, 16, 10.0, Rng(seed=0, stream=5))
+        sample_negatives_for_pairs(pairs, d, match_matrix(labels), 16, 10.0, Rng(seed=0, stream=5))
 
 
 def test_sample_negatives_for_pairs_inf_distance_is_clamped_and_drawn():
