@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--param", required=True, metavar="NAME")
     p.add_argument("--values", required=True, metavar="V1,V2,...")
-    p.add_argument("--parallel", action="store_true", help="run sweep points in processes")
 
     p = sub.add_parser("gradcheck", help="finite-difference and attenuation checks")
     _add_common(p)
@@ -166,9 +165,7 @@ def _cmd_sweep(args) -> int:
         values = [float(v) if "." in v or "e" in v.lower() else int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ParameterError(f"bad sweep values {args.values!r}") from None
-    records = harness.sweep(
-        cfg, args.param, values, output_dir=args.output, parallel=args.parallel
-    )
+    records = harness.sweep(cfg, args.param, values, output_dir=args.output)
     for v, rec in zip(values, records):
         print(f"{args.param}={v}: R@1 {rec.final.recall_at_k.get(1):.4f}, NMI {rec.final.nmi:.4f}")
     return EXIT_OK

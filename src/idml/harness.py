@@ -1,4 +1,4 @@
-"""Experiment harness: configured runs, sweeps, gradient checks, diagnosis.
+"""Experiment harness: runs, run grids, sweeps, gradient checks, diagnosis.
 
 A run is fully described by a RunConfig (JSON round-trippable, exactly) and
 a seed; everything downstream — data generation, init, batch order, mixing,
@@ -24,6 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,7 @@ __all__ = [
     "load_dataset",
     "load_dataset_for",
     "train",
+    "run_grid",
     "sweep",
     "GradcheckOutcome",
     "gradcheck",
@@ -470,7 +472,7 @@ def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Run grids and sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -492,36 +494,36 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_one(args):
-    cfg, out_dir = args
-    return train(cfg, output_dir=out_dir)
+def run_grid(configs, output_dirs=None) -> list:
+    """Train every config in min(worker_count(), len(configs)) processes, or
+    in this one when that is 1. Records come back in config order, and an
+    exception raised in a run reaches the caller with its type."""
+    configs = list(configs)
+    dirs = [None] * len(configs) if output_dirs is None else list(output_dirs)
+    if len(dirs) != len(configs):
+        raise ParameterError(f"{len(configs)} configs but {len(dirs)} output dirs")
+    n_workers = min(worker_count(), len(configs))
+    if n_workers <= 1:
+        return [train(cfg, d) for cfg, d in zip(configs, dirs)]
+    with ProcessPoolExecutor(n_workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(train, configs, dirs))
 
 
-def sweep(cfg: RunConfig, param: str, values, output_dir=None, parallel: bool = False):
+def sweep(cfg: RunConfig, param: str, values, output_dir=None):
     """One run per value, shared seed; returns the records, writes sweep.csv."""
     if param not in SWEEP_PARAMS:
         raise ParameterError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = list(values)
     if not values:
         raise ParameterError("sweep needs at least one value")
-    jobs = []
-    for v in values:
-        run_cfg = _with_sweep_value(cfg, param, v)
-        run_dir = None if output_dir is None else str(Path(output_dir) / f"{param}={v}")
-        jobs.append((run_cfg, run_dir))
-    if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(worker_count(), len(jobs))) as pool:
-            records = list(pool.map(_sweep_one, jobs))
-    else:
-        records = [_sweep_one(j) for j in jobs]
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        header = f"{param},final_loss,{records[0].final.csv_header()}"
-        lines = [header]
+    configs = [_with_sweep_value(cfg, param, v) for v in values]
+    dirs = None if output_dir is None else [Path(output_dir) / f"{param}={v}" for v in values]
+    records = run_grid(configs, dirs)
+    if output_dir is not None:  # the runs have created it
+        lines = [f"{param},final_loss,{records[0].final.csv_header()}"]
         for v, rec in zip(values, records):
             lines.append(f"{v},{rec.epochs[-1].loss!r},{rec.final.csv_row()}")
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (Path(output_dir) / "sweep.csv").write_text("\n".join(lines) + "\n")
     return records
 
 

@@ -340,6 +340,12 @@ def load_checkpoint(path):
 
     layer_dims = dims[: n_trunk + 1]
     sdim, udim = dims[-2], dims[-1]
+    if 0 in dims:
+        raise FormatError(f"{path}: zero layer dim in {dims}")
+    n_params = sum((a + 1) * b for a, b in zip(layer_dims, layer_dims[1:]))
+    n_params += (layer_dims[-1] + 1 + n_proxies) * (sdim + udim)
+    if 8 * n_params != len(raw) - off:
+        raise FormatError(f"{path}: dims need {8 * n_params} parameter bytes, got {len(raw) - off}")
     model = EncoderModel(
         trunk_w=[np.empty((a, b)) for a, b in zip(layer_dims, layer_dims[1:])],
         trunk_b=[np.empty(b) for b in layer_dims[1:]],
@@ -352,13 +358,8 @@ def load_checkpoint(path):
     if n_proxies:
         proxies = ProxySet(np.empty((n_proxies, sdim)), np.empty((n_proxies, udim)), classes)
     for p in all_parameters(model, proxies).values():
-        n = p.size
-        if off + 8 * n > len(raw):
-            raise FormatError(f"{path}: truncated parameter block")
-        p[...] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(p.shape)
-        off += 8 * n
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
+        p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=off).reshape(p.shape)
+        off += 8 * p.size
     return model, proxies
 
 

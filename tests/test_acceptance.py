@@ -9,7 +9,8 @@ verdicts and the measured numbers are visible even on a fully green run.
 
 The training experiments share one module-scoped fixture: five seeds, three
 arms per loss family (plain baseline, introspective, dissimilar-ablation)
-plus a variant that swaps the test-time metric.
+plus a variant that swaps the test-time metric, all trained by one
+`run_grid` call.
 """
 
 import subprocess
@@ -28,7 +29,7 @@ from idml.harness import (
     baseline_run_config,
     config_to_json_dict,
     introspective_run_config,
-    train,
+    run_grid,
 )
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, default_loss_params
 from idml.metric import gradient_weight
@@ -219,18 +220,18 @@ def test_4_metric_oracles():
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    runs = {}
+    arms = {}
     for loss in ("contrastive", "proxy_anchor"):
-        runs[loss, "base"] = [train(baseline_run_config(loss, seed=s)) for s in SEEDS]
-        runs[loss, "ism"] = [train(introspective_run_config(loss, seed=s)) for s in SEEDS]
-        runs[loss, "dis"] = [
-            train(introspective_run_config(loss, seed=s, metric="ism_dis")) for s in SEEDS
+        arms[loss, "base"] = [baseline_run_config(loss, seed=s) for s in SEEDS]
+        arms[loss, "ism"] = [introspective_run_config(loss, seed=s) for s in SEEDS]
+        arms[loss, "dis"] = [
+            introspective_run_config(loss, seed=s, metric="ism_dis") for s in SEEDS
         ]
-    runs["contrastive", "ism_test"] = [
-        train(introspective_run_config("contrastive", seed=s, test_metric="ism"))
-        for s in SEEDS
+    arms["contrastive", "ism_test"] = [
+        introspective_run_config("contrastive", seed=s, test_metric="ism") for s in SEEDS
     ]
-    return runs
+    records = iter(run_grid([cfg for cfgs in arms.values() for cfg in cfgs]))
+    return {key: [next(records) for _ in cfgs] for key, cfgs in arms.items()}
 
 
 def _mean_r1(records):

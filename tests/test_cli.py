@@ -6,6 +6,7 @@ installed `idml` console script produces identical output.
 """
 
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -209,6 +210,18 @@ def test_truncated_binary_files_exit_config(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_corrupt_checkpoint_dims_exit_config(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, init_model(6, hidden=(8,), semantic_dim=4, uncertainty_dim=4, rng=Rng(0)))
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)  # input and hidden dims
+    path.write_bytes(bytes(raw))
+    proc = run_cli("eval", "--checkpoint", str(path), "--data", str(tmp_path / "unread.csv"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "parameter bytes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_count_label_set_in_binary_dataset_exits_config(tmp_path):
     ds = generate(SynthConfig(n_classes=4, per_class=8, input_dim=6, seed=1))
     ds_path = tmp_path / "empty_label.bin"
@@ -314,13 +327,25 @@ def test_sweep_cli(tmp_path):
     assert proc.returncode == EXIT_CONFIG
 
 
+def test_sweep_cli_child_error_exits_config(tmp_path):
+    # Two points and two workers, so the run whose batch_size exceeds the
+    # train split fails in a pool process.
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    proc = run_cli(
+        "sweep", "--config", str(cfg_path), "--param", "batch_size", "--values", "8,1000",
+        env={**os.environ, "IDML_THREADS": "2"},
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "fewer than batch_size=1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_blas_thread_cap(tmp_path):
     # Importing the CLI caps BLAS threads at 1 unless IDML_THREADS or an
     # explicit *_NUM_THREADS variable says otherwise. BLAS reads these
     # variables once, when numpy loads it, so the probe records them at the
     # moment numpy is first imported rather than after the import finishes.
-    import os
-
     probe = (
         "import os, sys\n"
         "class NumpyImportProbe:\n"

@@ -23,6 +23,7 @@ from idml.harness import (
     introspective_run_config,
     load_dataset,
     paper_config,
+    run_grid,
     sweep,
     train,
     worker_count,
@@ -308,12 +309,31 @@ def test_sweep_rejects_bad_requests():
         sweep(cfg, "tau", [])
 
 
-def test_sweep_parallel_matches_serial():
-    cfg = tiny_config(epochs=2)
-    serial = sweep(cfg, "gamma", [0.0, 1.0], parallel=False)
-    parallel = sweep(cfg, "gamma", [0.0, 1.0], parallel=True)
-    for a, b in zip(serial, parallel):
-        assert a.record_json_dict() == b.record_json_dict()
+RUN_FILES = ("record.json", "model.bin", "eval.json", "uncertainty.csv")
+
+
+def test_run_grid_serial_and_parallel_write_the_same_bytes(tmp_path, monkeypatch):
+    configs = [tiny_config(epochs=2), tiny_config(epochs=2, loss="proxy_anchor")]
+    outputs = {}
+    for mode in ("serial", "parallel"):
+        if mode == "serial":
+            monkeypatch.setenv("IDML_THREADS", "1")
+        else:
+            monkeypatch.delenv("IDML_THREADS", raising=False)
+        dirs = [tmp_path / mode / cfg.loss for cfg in configs]
+        records = run_grid(configs, dirs)
+        assert [rec.config for rec in records] == configs
+        outputs[mode] = [{name: (d / name).read_bytes() for name in RUN_FILES} for d in dirs]
+    assert outputs["serial"] == outputs["parallel"]
+
+
+def test_run_grid_child_error_keeps_its_type(tmp_path, monkeypatch):
+    monkeypatch.setenv("IDML_THREADS", "2")
+    configs = [tiny_config(epochs=1), tiny_config(epochs=1, batch_size=1000)]
+    with pytest.raises(ParameterError, match="fewer than batch_size=1000"):
+        run_grid(configs)
+    with pytest.raises(ParameterError, match="output dirs"):
+        run_grid(configs, [tmp_path])
 
 
 def test_worker_count_env_override(monkeypatch):

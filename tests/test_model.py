@@ -1,5 +1,7 @@
 """Encoder, optimizers, checkpoints, and the gradient checker itself."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,24 @@ def test_checkpoint_truncated_dims_or_classes_rejected(tmp_path, keep):
     save_checkpoint(p, m, proxies=init_proxies((0, 1, 5), 2, 2, Rng(1)))
     p.write_bytes(p.read_bytes()[:keep])
     with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "first_dims, n_params, message",
+    [((0xFFFFFFFF, 0xFFFFFFFF), 52, "parameter bytes"), ((0, 6), 34, "zero layer dim")],
+    ids=["huge-dims", "zero-dim"],
+)
+def test_checkpoint_bad_layer_dims_rejected(tmp_path, first_dims, n_params, message):
+    # The dims start at byte 12 and the parameters at byte 32. small_model has
+    # 52 parameters, and 34 once its input dim is 0, so the zero-dim file
+    # holds exactly the bytes its dims ask for.
+    p = tmp_path / "m.bin"
+    save_checkpoint(p, small_model(2))
+    raw = bytearray(p.read_bytes()[: 32 + 8 * n_params])
+    raw[12:20] = struct.pack("<II", *first_dims)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(p)
 
 
