@@ -4,7 +4,8 @@ Embeddings are plain 1-D float64 numpy arrays validated at the boundaries
 (finite, nonempty). Labels are frozensets of nonnegative ints so that a
 mixed sample can carry both of its source classes; inside a batch they
 become rows of a boolean multi-hot matrix (:func:`multi_hot`), and every
-"do these samples match?" question is answered by :func:`match_matrix`.
+"do these samples match?" question is answered by :func:`match_matrix`
+over those rows.
 All randomness flows through :class:`Rng`, a counter-based generator with
 named substreams, so every run is replayable from a single 64-bit seed.
 """
@@ -88,9 +89,10 @@ def multi_hot(labels):
     return Y, classes
 
 
-def match_matrix(labels) -> np.ndarray:
-    """(N, N) boolean table of `labels_match` over every pair, diagonal true."""
-    Y = multi_hot(labels)[0].astype(np.float64)
+def match_matrix(Y) -> np.ndarray:
+    """(N, N) boolean table of `labels_match` over every pair of multi-hot rows
+    `Y` (from `multi_hot`), diagonal true."""
+    Y = np.asarray(Y, dtype=np.float64)
     return Y @ Y.T > 0
 
 

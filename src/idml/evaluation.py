@@ -24,8 +24,9 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
-    label_set,
+    label_set,  # noqa: F401  (stays importable: perfbench counts calls at this name)
     match_matrix,
+    multi_hot,
 )
 from idml.metric import (
     METRIC_NAMES,
@@ -55,12 +56,8 @@ DEFAULT_N_ANCHORS = 100
 
 
 # ---------------------------------------------------------------------------
-# Shared ranking plumbing
+# Ranking
 # ---------------------------------------------------------------------------
-
-
-def _as_labelsets(labels) -> tuple:
-    return tuple(ls if isinstance(ls, frozenset) else label_set(ls) for ls in labels)
 
 
 def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
@@ -97,76 +94,46 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     return top + (top >= np.arange(n)[:, None])
 
 
-def _semantic_order(embeddings, n: int, k: int) -> np.ndarray:
-    """The k nearest semantic neighbors of each of the n embedding rows."""
-    S = np.asarray(embeddings, dtype=np.float64)
-    if S.ndim != 2:
-        raise ShapeError(f"expected (N, D) embeddings, got {S.shape}")
-    if S.shape[0] != n:
-        raise ShapeError(f"{S.shape[0]} embeddings vs {n} labels")
-    return neighbor_order(pairwise_semantic_distance(S), k)
-
-
 # ---------------------------------------------------------------------------
 # Retrieval metrics
 # ---------------------------------------------------------------------------
+#
+# Both read the relevance table that `evaluate` gathers from its ranking:
+# rel[i, j] is true iff query i shares a label with its (j + 1)-th nearest
+# other sample.
 
 
-def recall_at_k(
-    embeddings, labels, k: int, order: np.ndarray = None, match: np.ndarray = None
-) -> float:
-    """Fraction of queries whose k nearest others include a same-label sample.
-
-    `order` and `match` take a precomputed `neighbor_order` (at least k
-    columns) and `match_matrix(labels)`, so callers scoring several k build
-    them once.
-    """
-    labelsets = _as_labelsets(labels)
-    n = len(labelsets)
+def recall_at_k(rel: np.ndarray, k: int) -> float:
+    """Fraction of queries whose k nearest others include a same-label sample."""
+    n = rel.shape[0]
     if not 1 <= k < n:
         raise ParameterError(f"recall@k needs 1 <= k < n_samples, got k={k}, n={n}")
-    if order is None:
-        order = _semantic_order(embeddings, n, k)
-    if order.shape[1] < k:
-        raise ShapeError(f"recall@{k} needs {k} ranked neighbors, order has {order.shape[1]}")
-    if match is None:
-        match = match_matrix(labelsets)
-    hits = int(match[np.arange(n)[:, None], order[:, :k]].any(axis=1).sum())
-    return hits / n
+    if rel.shape[1] < k:
+        raise ShapeError(f"recall@{k} needs {k} ranked neighbors, rel has {rel.shape[1]}")
+    return int(rel[:, :k].any(axis=1).sum()) / n
 
 
-def r_precision_and_map_at_r(
-    embeddings, labels, order: np.ndarray = None, match: np.ndarray = None
-):
+def r_precision_and_map_at_r(rel: np.ndarray, counts: np.ndarray):
     """(R-precision, MAP@R) averaged over queries.
 
-    Per query, R counts same-label others; precision is measured among the
-    top R neighbors, and MAP@R is (1/R)·Σ_{i≤R} P(i)·rel(i). Queries with no
-    same-label counterpart are skipped (reported via a warning). `order`
-    (at least the largest R columns) and `match` work as in `recall_at_k`.
+    counts[i] is query i's R, the number of other samples sharing a label
+    with it; precision is measured among its top R neighbors, and MAP@R is
+    (1/R)·Σ_{i≤R} P(i)·rel(i). Queries with no same-label counterpart are
+    skipped (reported via a warning).
     """
-    labelsets = _as_labelsets(labels)
-    n = len(labelsets)
-    if match is None:
-        match = match_matrix(labelsets)
-    # a query is not its own counterpart; `order` already leaves it out
-    counts = match.sum(axis=1) - match.diagonal()
     depth = int(counts.max(initial=0))
-    if order is None:
-        order = _semantic_order(embeddings, n, depth)
-    if order.shape[1] < depth:
-        raise ShapeError(f"R = {depth} needs {depth} ranked neighbors, order has {order.shape[1]}")
+    if rel.shape[1] < depth:
+        raise ShapeError(f"R = {depth} needs {depth} ranked neighbors, rel has {rel.shape[1]}")
     rps, maps = [], []
     n_skipped = 0
-    for i in range(n):
-        r = int(counts[i])
+    for row, r in zip(rel, counts.tolist()):
         if r == 0:
             n_skipped += 1
             continue
-        rel = match[i, order[i, :r]]
-        rps.append(rel.sum() / r)
-        prec_at = np.cumsum(rel) / np.arange(1, r + 1)
-        maps.append(float((prec_at * rel).sum() / r))
+        hit = row[:r]
+        rps.append(hit.sum() / r)
+        prec_at = np.cumsum(hit) / np.arange(1, r + 1)
+        maps.append(float((prec_at * hit).sum() / r))
     if not rps:
         raise ParameterError("no query has a same-label counterpart")
     if n_skipped:
@@ -410,10 +377,6 @@ class EvalReport:
         return ",".join(repr(float(v)) for v in vals)
 
 
-def _canonical_int_labels(labelsets) -> np.ndarray:
-    return np.array([min(ls) for ls in labelsets], dtype=np.int64)
-
-
 def evaluate(
     semantic,
     uncertainty,
@@ -435,11 +398,11 @@ def evaluate(
     """
     S = np.asarray(semantic, dtype=np.float64)
     U = np.asarray(uncertainty, dtype=np.float64)
-    labelsets = _as_labelsets(labels)
-    if S.shape[0] != U.shape[0] or S.shape[0] != len(labelsets):
+    Y = multi_hot(labels)[0]
+    if S.shape[0] != U.shape[0] or S.shape[0] != len(Y):
         raise ShapeError(
             f"sample count mismatch: {S.shape[0]} semantic, {U.shape[0]} "
-            f"uncertainty, {len(labelsets)} labels"
+            f"uncertainty, {len(Y)} labels"
         )
     if test_metric not in METRIC_NAMES:
         raise ParameterError(f"unknown test metric {test_metric!r}")
@@ -451,20 +414,21 @@ def evaluate(
     else:
         B = pairwise_pair_uncertainty(U, sumnorm=test_metric == "uncert_sumnorm")
         D, _, _ = distance_table(test_metric, A, B, mp)
-    match = match_matrix(labelsets)
+    match = match_matrix(Y)
+    counts = match.sum(axis=1) - 1  # R per query: a query is not its own counterpart
     # rank only as deep as recall@max(ks) and the largest R read
-    counts = match.sum(axis=1) - match.diagonal()
     depth = max([int(k) for k in ks] + [int(counts.max(initial=0))])
-    order = neighbor_order(D, min(depth, S.shape[0] - 1))
-
-    recalls = {int(k): recall_at_k(S, labelsets, int(k), order=order, match=match) for k in ks}
-    rp, map_r = r_precision_and_map_at_r(S, labelsets, order=order, match=match)
+    rel = np.take_along_axis(match, neighbor_order(D, min(depth, len(Y) - 1)), axis=1)
     del match  # N² bytes that k-means and the correlation diagnostic do not need
 
-    ints = _canonical_int_labels(labelsets)
-    n_classes = int(np.unique(ints).size)
-    clusters = kmeans(S, n_classes, rng)
-    nmi_val = nmi(ints, clusters)
+    recalls = {int(k): recall_at_k(rel, int(k)) for k in ks}
+    rp, map_r = r_precision_and_map_at_r(rel, counts)
+
+    # NMI scores one class per sample: a multi-label row's first true column,
+    # its smallest class id
+    ids = Y.argmax(axis=1)
+    clusters = kmeans(S, int(np.unique(ids).size), rng)
+    nmi_val = nmi(ids, clusters)
 
     u_norms = uncertainty_levels(U)
     mean_clean = float(u_norms.mean())

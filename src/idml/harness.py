@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -119,6 +120,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if v is not None or f.default is not None:
+                # the two fields that default to None take a path or LossParams
+                want = {"dataset_path": str, "loss_params": LossParams}.get(f.name, type(f.default))
+                _check_type(f.name, v, want)
         if self.loss not in LOSS_NAMES:
             raise ParameterError(f"unknown loss {self.loss!r}")
         if self.metric not in METRIC_NAMES or self.test_metric not in METRIC_NAMES:
@@ -144,6 +151,26 @@ class RunConfig:
             raise ParameterError(f"hidden layer sizes must be positive, got {self.hidden}")
         if self.loss_params is None:
             object.__setattr__(self, "loss_params", default_loss_params(self.loss))
+
+
+# What a RunConfig value of each default's type may be, and its name in errors.
+_ACCEPTED_TYPES = {
+    int: (numbers.Integral, "an int"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: ((tuple, list), "a list"),
+}
+
+
+def _check_type(name: str, v, want: type):
+    """Reject a RunConfig value of the wrong type: an int stands in for a
+    float, a bool for neither, and a list of ints for the `hidden` tuple."""
+    accepted, label = _ACCEPTED_TYPES.get(want, (want, want.__name__))
+    if isinstance(v, bool) or not isinstance(v, accepted):
+        raise ParameterError(f"{name} must be {label}, got {v!r}")
+    if want is tuple:
+        for h in v:
+            _check_type(f"{name} entry", h, int)
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -230,12 +257,18 @@ def config_to_json_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_json_dict(d: dict) -> RunConfig:
+    """The RunConfig a JSON object describes; a null loss_params section
+    means the loss's defaults."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"a config must be a JSON object, got {d!r}")
     kwargs = {}
     known = {f.name for f in dataclasses.fields(RunConfig)}
     for key, v in d.items():
         if key not in known:
             raise ParameterError(f"unknown config key {key!r}")
-        if key in _NESTED and v is not None:
+        if key in _NESTED and not (key == "loss_params" and v is None):
+            if not isinstance(v, dict):
+                raise ParameterError(f"{key} must be a JSON object, got {v!r}")
             try:
                 kwargs[key] = _NESTED[key](**v)
             except TypeError as e:

@@ -290,14 +290,13 @@ def _min_or_inf(values) -> float:
     return float(values.min()) if values.size else np.inf
 
 
-def _proxy_masks(labels, proxies: ProxySet):
+def _proxy_masks(Y, classes, proxies: ProxySet):
     """(N, K) sample-proxy label matches: the batch's multi-hot columns placed at their proxies."""
-    Y, classes = multi_hot(labels)
     missing = set(classes) - set(proxies.classes)
     if missing:
         raise ParameterError(f"proxy set lacks classes {sorted(missing)}")
     col = {c: k for k, c in enumerate(proxies.classes)}
-    pos = np.zeros((len(labels), len(proxies)), dtype=bool)
+    pos = np.zeros((len(Y), len(proxies)), dtype=bool)
     pos[:, [col[c] for c in classes]] = Y
     return pos, ~pos
 
@@ -322,9 +321,10 @@ def build_plan(
 
     margin_dw and triplet_sh consult the selected metric's distance table
     for their sampling; multi_similarity computes its mining mask from the
-    selected similarity table. The pair losses convert the labels once, to
-    the match table that every one of these choices reads; the proxy losses
-    read the multi-hot rows instead. `rng` is only required for margin_dw.
+    selected similarity table. The labels are converted once, to multi-hot
+    rows: the pair losses build from them the match table that every one of
+    these choices reads, and the proxy losses place them at their proxies.
+    `rng` is only required for margin_dw.
     """
     if loss not in LOSS_NAMES:
         raise ParameterError(f"unknown loss {loss!r}")
@@ -337,7 +337,8 @@ def build_plan(
     mp = mp or MetricParams()
     lp = lp or default_loss_params(loss)
     plan = Plan(loss=loss)
-    match = None if loss in PROXY_LOSSES else match_matrix(labels)
+    Y, classes = multi_hot(labels)
+    match = None if loss in PROXY_LOSSES else match_matrix(Y)
 
     if loss in ("contrastive", "margin_dw", "triplet_sh"):
         plan.pos_pairs, plan.neg_pairs = _pair_lists(match)
@@ -360,7 +361,7 @@ def build_plan(
     elif loss in PROXY_LOSSES:
         if proxies is None or len(proxies) == 0:
             raise ParameterError(f"{loss} needs a nonempty proxy set")
-        plan.proxy_pos, plan.proxy_neg = _proxy_masks(labels, proxies)
+        plan.proxy_pos, plan.proxy_neg = _proxy_masks(Y, classes, proxies)
         if loss in ("softmax_proxy", "proxy_nca") and not plan.proxy_neg.any(axis=1).all():
             raise ParameterError(f"{loss} needs at least one negative proxy per sample")
     return plan

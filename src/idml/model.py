@@ -38,8 +38,10 @@ from idml.losses import (
     LossResult,
     ProxySet,
     build_plan,
+    compute_loss,
     evaluate_loss,
 )
+from idml.metric import gradient_weight
 
 __all__ = [
     "EncoderModel",
@@ -388,6 +390,7 @@ class GradCheckReport:
 # A batch whose nearest hinge/norm kink is closer than this gets resampled
 # before finite differencing.
 KINK_MARGIN = 1e-3
+FD_MAX_RESAMPLE = 25
 FD_STEP = 1e-6
 FD_TOL = 1e-4
 # Relative-error floor: differences are measured against
@@ -405,37 +408,34 @@ def finite_difference_check(
     lp: LossParams = None,
     proxies: ProxySet = None,
     rng: Rng = None,
-    step: float = FD_STEP,
-    tol: float = FD_TOL,
-    kink_margin: float = KINK_MARGIN,
-    max_resample: int = 25,
     grads_override: dict = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences on one batch.
 
     `batch_fn(rng) -> Batch` supplies candidate batches; ones sitting within
-    `kink_margin` of a hinge/norm kink are discarded and redrawn (their
-    count is reported). The discrete sampling plan is frozen once, so the
-    differentiated function is smooth. `grads_override` substitutes a
-    corrupted gradient set (detector self-test).
+    KINK_MARGIN of a hinge/norm kink are discarded and redrawn, up to
+    FD_MAX_RESAMPLE draws (their count is reported). The discrete sampling
+    plan is frozen once, so the differentiated function is smooth.
+    `grads_override` substitutes a corrupted gradient set (detector
+    self-test).
     """
     if rng is None:
         raise ParameterError("finite_difference_check needs an rng")
     batch = None
     res = grads = None
     n_resampled = 0
-    for _ in range(max_resample):
+    for _ in range(FD_MAX_RESAMPLE):
         cand = batch_fn(rng)
         res, grads = loss_and_grad(
             model, cand, loss, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
         )
-        if res.kink_margin >= kink_margin:
+        if res.kink_margin >= KINK_MARGIN:
             batch = cand
             break
         n_resampled += 1
     if batch is None:
         raise NumericalFailure(
-            f"no kink-free batch found for {loss}/{metric} in {max_resample} draws"
+            f"no kink-free batch found for {loss}/{metric} in {FD_MAX_RESAMPLE} draws"
         )
     if grads_override is not None:
         grads = grads_override
@@ -458,18 +458,18 @@ def finite_difference_check(
         gflat = np.asarray(g).reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + step
+            flat[k] = orig + FD_STEP
             f_plus = value()
-            flat[k] = orig - step
+            flat[k] = orig - FD_STEP
             f_minus = value()
             flat[k] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             err = abs(gflat[k] - fd) / max(abs(gflat[k]), abs(fd), FD_FLOOR)
             total += 1
             if err > max_err:
                 max_err, worst = err, f"{name}[{k}]"
     return GradCheckReport(
-        passed=max_err < tol,
+        passed=max_err < FD_TOL,
         max_rel_err=max_err,
         worst_param=worst,
         n_params=total,
@@ -495,13 +495,12 @@ class HFactorReport:
         )
 
 
-def h_factor_check(
-    rng: Rng,
-    n_pairs: int = 1000,
-    dim: int = 8,
-    mp: MetricParams = None,
-    tol: float = 1e-6,
-) -> HFactorReport:
+# h_factor_check's pair dimension and its tolerance on |ratio - H|.
+H_CHECK_DIM = 8
+H_CHECK_TOL = 1e-6
+
+
+def h_factor_check(rng: Rng, n_pairs: int = 1000, mp: MetricParams = None) -> HFactorReport:
     """Verify the attenuation identity on single-positive-pair batches.
 
     For a positive pair, the introspective contrastive gradient must be the
@@ -510,19 +509,17 @@ def h_factor_check(
     H comes from the closed form. Also asserts H <= 1 everywhere, with
     equality exactly at zero scaled uncertainty.
     """
-    from idml.losses import compute_loss
-    from idml.metric import gradient_weight
-
     if rng is None:
         raise ParameterError("h_factor_check needs an rng")
     mp = mp if mp is not None else MetricParams()
     labels = (frozenset({0}), frozenset({0}))
+    shape = (2, H_CHECK_DIM)
 
     max_err, max_h = 0.0, -np.inf
     for i in range(n_pairs):
-        S = rng.normal(size=(2, dim))
+        S = rng.normal(size=shape)
         # every tenth pair runs at exactly zero uncertainty (the H=1 point)
-        U = np.zeros((2, dim)) if i % 10 == 0 else 0.5 * rng.normal(size=(2, dim))
+        U = np.zeros(shape) if i % 10 == 0 else 0.5 * rng.normal(size=shape)
         alpha = float(np.linalg.norm(S[0] - S[1]))
         if alpha < 1e-6:
             continue
@@ -538,5 +535,5 @@ def h_factor_check(
         if (beta + mp.gamma) > 0 and h >= 1.0:
             return HFactorReport(False, max_err, h, np.nan, i + 1)
     h_zero = gradient_weight(1.0, 0.0, MetricParams(gamma=0.0, tau=mp.tau))
-    passed = max_err < tol and max_h <= 1.0 and h_zero == 1.0
+    passed = max_err < H_CHECK_TOL and max_h <= 1.0 and h_zero == 1.0
     return HFactorReport(passed, max_err, max_h, h_zero, n_pairs)

@@ -18,9 +18,11 @@ refactor prints identical text. It covers:
   flags and next draw on one fixed batch under each channel (mixing, blur,
   occlusion, low resolution with and without padding, all at once);
 - evaluate_sha256: the sha256 of `EvalReport.to_json_dict()` under every
-  test metric on one fixed 600-row input on an integer grid, so that
-  duplicate rows and distance ties at the ranking depth are common, with
-  one single-sample class;
+  test metric on two fixed inputs on an integer grid, so that duplicate
+  rows and distance ties at the ranking depth are common: 600 rows with one
+  single-sample class, and (keys `two_label/<metric>`) 300 rows of which
+  every third carries two classes, which exercises multi-label matching in
+  the ranking metrics and the smallest-class rule of the NMI ids;
 - plan_sha256: the sha256 of every `Plan` field (name, dtype, shape and
   bytes of each array) that `build_plan` returns for every loss x metric on
   one fixed 16-row batch on an integer grid, so that distance ties decide
@@ -170,14 +172,26 @@ def evaluate_digests() -> dict:
     U = 0.5 * r.integers(-2, 3, size=(600, 3))
     ids = r.integers(0, 12, size=600)
     ids[-1] = 12  # a single-sample class: its query is skipped by R-precision
-    labels = [{int(i)} for i in ids]
+    out = _evaluate_hashes(S, U, [{int(i)} for i in ids], "")
+    # every third row carries a second, different class, listed first
+    r = np.random.default_rng(25)
+    S = r.integers(-2, 3, size=(300, 4)).astype(np.float64)
+    U = 0.5 * r.integers(-2, 3, size=(300, 3))
+    ids = r.integers(0, 8, size=300)
+    other = (ids + r.integers(1, 8, size=300)) % 8
+    labels = [[int(b), int(a)] if i % 3 == 0 else [int(a)] for i, (a, b) in enumerate(zip(ids, other))]
+    out.update(_evaluate_hashes(S, U, labels, "two_label/"))
+    return out
+
+
+def _evaluate_hashes(S, U, labels, prefix: str) -> dict:
     out = {}
     for metric in METRIC_NAMES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rep = evaluate(S, U, labels, Rng(43), test_metric=metric)
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
-        out[metric] = hashlib.sha256(text.encode()).hexdigest()
+        out[prefix + metric] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 

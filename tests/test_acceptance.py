@@ -23,8 +23,8 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from oracles import nmi_ref, recall_at_k_ref, rp_map_ref
 
-from idml.core import Batch, MetricParams, Rng
-from idml.evaluation import nmi, r_precision_and_map_at_r, recall_at_k
+from idml.core import Batch, MetricParams, Rng, match_matrix, multi_hot
+from idml.evaluation import neighbor_order, nmi, r_precision_and_map_at_r, recall_at_k
 from idml.harness import (
     baseline_run_config,
     config_to_json_dict,
@@ -32,7 +32,7 @@ from idml.harness import (
     run_grid,
 )
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, default_loss_params
-from idml.metric import gradient_weight
+from idml.metric import gradient_weight, pairwise_semantic_distance
 from idml.model import (
     finite_difference_check,
     h_factor_check,
@@ -192,12 +192,15 @@ def test_4_metric_oracles():
         labels = np.repeat(np.arange(k_classes), counts)[r.permutation(n)]
         labelsets = tuple(frozenset({int(c)}) for c in labels)
         X = r.normal(size=(n, int(r.integers(2, 9))))
+        # the relevance table evaluate gathers, over a full Euclidean ranking
+        match = match_matrix(multi_hot(labelsets)[0])
+        rel = np.take_along_axis(match, neighbor_order(pairwise_semantic_distance(X)), axis=1)
 
         for k in (1, 2, 4, 8):
             if k < n:
-                if recall_at_k(X, labelsets, k) != recall_at_k_ref(X, labelsets, k):
+                if recall_at_k(rel, k) != recall_at_k_ref(X, labelsets, k):
                     rank_exact = False
-        rp, mp_ = r_precision_and_map_at_r(X, labelsets)
+        rp, mp_ = r_precision_and_map_at_r(rel, match.sum(axis=1) - 1)
         rp_ref, mp_ref = rp_map_ref(X, labelsets)
         worst_cont = max(worst_cont, abs(rp - rp_ref), abs(mp_ - mp_ref))
 

@@ -171,20 +171,36 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, named",
     [
-        '{"loss": "contrastive", "bogus_key": 1}',
-        '{"loss": "no_such_loss"}',
-        "{not json",
+        ('{"loss": "contrastive", "bogus_key": 1}', "bogus_key"),
+        ('{"loss": "no_such_loss"}', "no_such_loss"),
+        ("{not json", "config.json"),
+        ('{"hidden": 64}', "hidden"),
+        ('{"hidden": [8, true]}', "hidden"),
+        ('{"batch_size": "32"}', "batch_size"),
+        ('{"epochs": 1.5}', "epochs"),
+        ('{"seed": true}', "seed"),
+        ('{"lr": "0.01"}', "lr"),
+        ('{"dataset_path": 3}', "dataset_path"),
+        ('{"data": null}', "data"),
+        ('{"metric_params": []}', "metric_params"),
+        ('{"augment": 3}', "augment"),
+        ('{"loss_params": "defaults"}', "loss_params"),
+        ("[1, 2]", "JSON object"),
     ],
-    ids=["unknown-key", "bad-loss", "malformed"],
+    ids=[
+        "unknown-key", "bad-loss", "malformed", "hidden-int", "hidden-bool", "batch-size-str",
+        "epochs-float", "seed-bool", "lr-str", "path-int", "data-null", "metric-params-list",
+        "augment-int", "loss-params-str", "top-list",
+    ],
 )
-def test_bad_config_file_exits_config(tmp_path, content):
+def test_bad_config_file_exits_config(tmp_path, content, named):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(content)
     proc = run_cli("train", "--config", str(cfg_path))
-    assert proc.returncode == EXIT_CONFIG
-    assert "error" in proc.stderr
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
 
 
 def test_missing_paths_exit_config(tmp_path):

@@ -60,10 +60,10 @@ def test_match_matrix_equals_pairwise_labels_match():
     Y, classes = multi_hot(labels)
     assert classes == [0, 3, 7, 10**6]
     assert Y.shape == (7, 4)
-    assert match_matrix(labels).tolist() == [[labels_match(a, b) for b in labels] for a in labels]
+    assert match_matrix(Y).tolist() == [[labels_match(a, b) for b in labels] for a in labels]
     for bad in (({0}, set()), ({0}, {-1})):
         with pytest.raises(ParameterError):
-            match_matrix(bad)
+            match_matrix(multi_hot(bad)[0])
 
 
 def test_metric_params_defaults_and_validation():

@@ -12,7 +12,15 @@ import pytest
 
 import idml
 import oracles
-from idml.core import DegenerateInputError, NumericalFailure, ParameterError, Rng, ShapeError, match_matrix
+from idml.core import (
+    DegenerateInputError,
+    NumericalFailure,
+    ParameterError,
+    Rng,
+    ShapeError,
+    match_matrix,
+    multi_hot,
+)
 from idml.evaluation import (
     EvalReport,
     _kmeanspp_init,
@@ -27,11 +35,27 @@ from idml.evaluation import (
     relative_embeddings,
     uncertainty_levels,
 )
-from idml.metric import _squared_distances
+from idml.metric import _squared_distances, pairwise_semantic_distance
 
 
 def singleton_labels(ids):
     return tuple(frozenset({int(i)}) for i in ids)
+
+
+def relevance(X, labels):
+    """The relevance table `evaluate` gathers, over Euclidean distances ranked
+    in full, and each query's R (its count of same-label others)."""
+    match = match_matrix(multi_hot(labels)[0])
+    rel = np.take_along_axis(match, neighbor_order(pairwise_semantic_distance(X)), axis=1)
+    return rel, match.sum(axis=1) - 1
+
+
+def recall(X, labels, k):
+    return recall_at_k(relevance(X, labels)[0], k)
+
+
+def rp_map(X, labels):
+    return r_precision_and_map_at_r(*relevance(X, labels))
 
 
 def random_instance(seed, max_n=50):
@@ -54,13 +78,13 @@ def random_instance(seed, max_n=50):
 
 def test_recall_single_class_is_one():
     X = np.random.default_rng(0).normal(size=(6, 3))
-    assert recall_at_k(X, singleton_labels([1] * 6), 1) == 1.0
+    assert recall(X, singleton_labels([1] * 6), 1) == 1.0
 
 
 def test_recall_two_tight_clusters():
     X = np.array([[0.0], [0.1], [5.0], [5.1]])
     labels = singleton_labels([0, 0, 1, 1])
-    assert recall_at_k(X, labels, 1) == 1.0
+    assert recall(X, labels, 1) == 1.0
 
 
 def test_recall_interleaved_points():
@@ -68,53 +92,37 @@ def test_recall_interleaved_points():
     # end points recover but the middle ones see two wrong-class ties
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     labels = singleton_labels([0, 1, 0, 1])
-    assert recall_at_k(X, labels, 1) == 0.0
-    assert recall_at_k(X, labels, 2) == 0.5
-    assert recall_at_k(X, labels, 3) == 1.0
+    assert recall(X, labels, 1) == 0.0
+    assert recall(X, labels, 2) == 0.5
+    assert recall(X, labels, 3) == 1.0
 
 
 def test_recall_monotone_in_k():
     for seed in range(5):
         X, labels = random_instance(seed, max_n=20)
-        vals = [recall_at_k(X, labels, k) for k in (1, 2, 4, 8)]
+        vals = [recall(X, labels, k) for k in (1, 2, 4, 8)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_recall_requires_k_below_n():
     X = np.ones((3, 2)) * np.arange(3)[:, None]
     with pytest.raises(ParameterError):
-        recall_at_k(X, singleton_labels([0, 0, 1]), 3)
+        recall(X, singleton_labels([0, 0, 1]), 3)
 
 
 def test_recall_matches_brute_force():
     for seed in range(30):
         X, labels = random_instance(seed, max_n=25)
         for k in (1, 2, 4):
-            assert recall_at_k(X, labels, k) == oracles.recall_at_k_ref(X, labels, k)
+            assert recall(X, labels, k) == oracles.recall_at_k_ref(X, labels, k)
 
 
 def test_recall_permutation_invariant():
     X, labels = random_instance(3, max_n=20)
     perm = np.random.default_rng(1).permutation(len(X))
-    a = recall_at_k(X, labels, 2)
-    b = recall_at_k(X[perm], tuple(labels[i] for i in perm), 2)
+    a = recall(X, labels, 2)
+    b = recall(X[perm], tuple(labels[i] for i in perm), 2)
     assert a == b
-
-
-def test_recall_accepts_precomputed_order():
-    X, labels = random_instance(4, max_n=15)
-    d = np.linalg.norm(X[:, None] - X[None, :], axis=-1)
-    order = neighbor_order(d)
-    assert recall_at_k(X, labels, 2, order=order) == recall_at_k(X, labels, 2)
-
-
-def test_ranking_metrics_accept_precomputed_match():
-    X, labels = random_instance(5, max_n=15)
-    match = match_matrix(labels)
-    kept = match.copy()
-    assert recall_at_k(X, labels, 2, match=match) == recall_at_k(X, labels, 2)
-    assert r_precision_and_map_at_r(X, labels, match=match) == r_precision_and_map_at_r(X, labels)
-    assert np.array_equal(match, kept)
 
 
 def test_neighbor_order_breaks_ties_by_index():
@@ -206,17 +214,15 @@ def test_evaluate_rejects_overflowing_embeddings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericalFailure):
             evaluate(S, U, labels, Rng(0), ks=(1, 2), knn_k=2, n_anchors=3)
-        with pytest.raises(NumericalFailure):
-            recall_at_k(S, labels, 2)
 
 
 def test_ranking_metrics_reject_a_shallow_order():
     X, labels = random_instance(6, max_n=15)
-    d = np.linalg.norm(X[:, None] - X[None, :], axis=-1)
+    rel, counts = relevance(X, labels)
     with pytest.raises(ShapeError):
-        recall_at_k(X, labels, 4, order=neighbor_order(d, 3))
+        recall_at_k(rel[:, :3], 4)
     with pytest.raises(ShapeError):
-        r_precision_and_map_at_r(X, labels, order=neighbor_order(d, 1))
+        r_precision_and_map_at_r(rel[:, :1], counts)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +309,7 @@ def test_kmeans_matches_reference_loop():
 def test_rp_map_perfect_retrieval():
     X = np.array([[0.0], [0.1], [5.0], [5.1]])
     labels = singleton_labels([0, 0, 1, 1])
-    rp, mapr = r_precision_and_map_at_r(X, labels)
+    rp, mapr = rp_map(X, labels)
     assert rp == 1.0 and mapr == 1.0
 
 
@@ -312,7 +318,7 @@ def test_rp_map_hand_cases():
     # precision-weighted average
     X = np.array([[0.0], [1.0], [1.5], [10.0], [11.0], [20.0]])
     labels = singleton_labels([0, 0, 1, 0, 1, 1])
-    rp, mapr = r_precision_and_map_at_r(X, labels)
+    rp, mapr = rp_map(X, labels)
     want_rp, want_map = oracles.rp_map_ref(X, labels)
     assert rp == pytest.approx(want_rp, rel=1e-12)
     assert mapr == pytest.approx(want_map, rel=1e-12)
@@ -327,7 +333,7 @@ def test_rp_map_hand_enumerated_instance():
     """
     X = np.array([[0.0], [1.0], [1.5], [3.0], [10.0], [10.5]])
     labels = singleton_labels([0, 0, 1, 0, 1, 1])
-    rp, mapr = r_precision_and_map_at_r(X, labels)
+    rp, mapr = rp_map(X, labels)
     assert rp == pytest.approx((0.5 + 0.5 + 0.0 + 0.5 + 0.5 + 0.5) / 6, rel=1e-12)
     assert mapr == pytest.approx((0.5 + 0.25 + 0.0 + 0.25 + 0.5 + 0.5) / 6, rel=1e-12)
     assert (rp, mapr) == pytest.approx(oracles.rp_map_ref(X, labels), rel=1e-12)
@@ -337,7 +343,7 @@ def test_rp_map_skips_singleton_classes_with_warning():
     X = np.array([[0.0], [0.1], [9.0]])
     labels = singleton_labels([0, 0, 7])
     with pytest.warns(UserWarning):
-        rp, mapr = r_precision_and_map_at_r(X, labels)
+        rp, mapr = rp_map(X, labels)
     assert rp == 1.0 and mapr == 1.0
 
 
@@ -346,13 +352,13 @@ def test_rp_map_all_singletons_rejected():
     with pytest.raises(ParameterError):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            r_precision_and_map_at_r(X, singleton_labels([0, 1, 2]))
+            rp_map(X, singleton_labels([0, 1, 2]))
 
 
 def test_rp_map_matches_brute_force():
     for seed in range(30):
         X, labels = random_instance(100 + seed, max_n=30)
-        got = r_precision_and_map_at_r(X, labels)
+        got = rp_map(X, labels)
         want = oracles.rp_map_ref(X, labels)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -531,6 +537,23 @@ def test_evaluate_test_metric_changes_ranking_only():
     assert soft.nmi == plain.nmi
     # uncertainty statistics don't depend on the retrieval metric
     assert soft.mean_uncert_clean == plain.mean_uncert_clean
+
+
+def test_evaluate_nmi_reads_a_multi_label_row_as_its_smallest_class():
+    # four tight blobs, one class each; row 0 sits in class 0's blob
+    r = np.random.default_rng(11)
+    ids = np.repeat(np.arange(4), 10)
+    S = 10.0 * np.eye(4)[ids] + 0.01 * r.normal(size=(40, 4))
+    U = 0.3 * r.normal(size=(40, 3))
+
+    def nmi_with_row_0(first):
+        labels = (frozenset(first),) + singleton_labels(ids[1:])
+        return evaluate(S, U, labels, Rng(0), ks=(1,), knn_k=5, n_anchors=10).nmi
+
+    two = nmi_with_row_0({3, 0})
+    assert two == nmi_with_row_0({0}) == pytest.approx(1.0)
+    # as class 3, row 0 leaves the partition that k-means recovers
+    assert two != nmi_with_row_0({3})
 
 
 # Caps the child's own address space, then evaluates a 1500 x 512 split: one

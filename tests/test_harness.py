@@ -28,7 +28,7 @@ from idml.harness import (
     train,
     worker_count,
 )
-from idml.losses import LossParams
+from idml.losses import LossParams, default_loss_params
 from idml.model import load_checkpoint
 
 
@@ -81,6 +81,12 @@ def test_runconfig_defaults():
         dict(seed=-1),
         dict(hidden=()),
         dict(hidden=(8, 0)),
+        dict(batch_size=32.0),
+        dict(seed=True),
+        dict(lr=True),
+        dict(hidden=(8.0,)),
+        dict(data=None),
+        dict(loss=None),
     ],
 )
 def test_runconfig_rejects_bad_values(kwargs):
@@ -150,6 +156,16 @@ def test_config_from_json_rejects_bad_nested_section():
     d["data"] = {"n_classes": 10, "bogus_knob": 1}
     with pytest.raises(ParameterError, match="bad data section"):
         config_from_json_dict(d)
+
+
+def test_config_from_json_null_loss_params_means_defaults():
+    cfg = config_from_json_dict({"loss": "triplet_sh", "loss_params": None})
+    assert cfg.loss_params == default_loss_params("triplet_sh")
+
+
+def test_runconfig_accepts_an_int_for_a_float_and_numpy_ints():
+    cfg = RunConfig(lr=1, seed=np.int64(3), hidden=[np.int32(8)])
+    assert cfg.lr == 1 and cfg.seed == 3 and cfg.hidden == (8,)
 
 
 # ---------------------------------------------------------------------------

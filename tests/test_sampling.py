@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from idml.core import Rng, ShapeError, match_matrix
+from idml.core import Rng, ShapeError, match_matrix, multi_hot
 from idml.sampling import dw_log_weights, mine_triplets, sample_negatives_for_pairs
 
 
@@ -20,14 +20,14 @@ def dist_matrix(points):
 
 def semi_hard(anchor, positive, d, labels):
     """The negative `mine_triplets` picks for one (anchor, positive) row, or None."""
-    triplets, _ = mine_triplets(d, match_matrix(labels))
+    triplets, _ = mine_triplets(d, match_matrix(multi_hot(labels)[0]))
     hit = triplets[(triplets[:, 0] == anchor) & (triplets[:, 1] == positive)]
     return int(hit[0, 2]) if len(hit) else None
 
 
 def draw_negatives(anchor, d, labels, n_dim, rng, draws=1):
     """Distance-weighted negatives for `draws` pairs anchored at `anchor`, in one call."""
-    match = match_matrix(labels)
+    match = match_matrix(multi_hot(labels)[0])
     rows = sample_negatives_for_pairs([(anchor, anchor)] * draws, d, match, n_dim, 10.0, rng)
     return rows[:, 1]
 
@@ -67,7 +67,7 @@ def test_semi_hard_none_when_all_negatives_too_close():
 
 def test_semi_hard_none_without_negatives():
     labels = (frozenset({0}), frozenset({0}))
-    triplets, skipped = mine_triplets(np.zeros((2, 2)), match_matrix(labels))
+    triplets, skipped = mine_triplets(np.zeros((2, 2)), match_matrix(multi_hot(labels)[0]))
     assert triplets.shape == (0, 3)
     assert skipped == 2
 
@@ -101,14 +101,14 @@ def test_semi_hard_skips_a_pair_at_non_finite_positive_distance(d_pos):
     d[1, 0] = d[2, 3] = d[3, 2] = 0.5
     d[0, 1] = d_pos
     d[0, 3] = np.inf
-    triplets, skipped = mine_triplets(d, match_matrix(labels))
+    triplets, skipped = mine_triplets(d, match_matrix(multi_hot(labels)[0]))
     assert triplets.tolist() == [[1, 0, 2], [2, 3, 0], [3, 2, 0]]
     assert skipped == 1
 
 
 def test_mine_triplets_rejects_a_table_of_another_size():
     with pytest.raises(ShapeError):
-        mine_triplets(np.zeros((3, 3)), match_matrix((frozenset({0}), frozenset({0}))))
+        mine_triplets(np.zeros((3, 3)), match_matrix(multi_hot((frozenset({0}), frozenset({0})))[0]))
 
 
 @settings(max_examples=40)
@@ -131,7 +131,7 @@ def test_semi_hard_matches_brute_force(seed):
                 want_skipped += 1
             else:
                 want_rows.append([a, p, want])
-    triplets, skipped = mine_triplets(d, match_matrix(labels))
+    triplets, skipped = mine_triplets(d, match_matrix(multi_hot(labels)[0]))
     assert triplets.tolist() == want_rows
     assert skipped == want_skipped
 
@@ -139,7 +139,7 @@ def test_semi_hard_matches_brute_force(seed):
 def test_mine_triplets_structure_and_skip_count():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
     d = dist_matrix([(0.0,), (0.5,), (0.7,), (10.0,)])
-    triplets, skipped = mine_triplets(d, match_matrix(labels))
+    triplets, skipped = mine_triplets(d, match_matrix(multi_hot(labels)[0]))
     assert triplets.shape[1] == 3
     for a, p, n in triplets:
         assert a != p
@@ -264,7 +264,7 @@ def test_sample_negatives_for_pairs_rows_are_valid():
         for p in range(n)
         if a != p and labels[a] & labels[p]
     ]
-    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(labels), 16, 10.0, Rng(seed=0))
+    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(multi_hot(labels)[0]), 16, 10.0, Rng(seed=0))
     assert rows.shape[1] == 2
     assert len(rows) == len(pos_pairs)  # every anchor here has a negative
     for a, neg in rows:
@@ -280,7 +280,7 @@ def assert_matches_per_pair_choice(pos_pairs, d, labels, n_dim, phi, seed=9):
     """Rows equal the per-pair `Generator.choice` oracle's, and both leave
     their streams at the same next draw."""
     rng, gen = Rng(seed=seed, stream=5), per_pair_generator(seed, 5)
-    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(labels), n_dim, phi, rng)
+    rows = sample_negatives_for_pairs(pos_pairs, d, match_matrix(multi_hot(labels)[0]), n_dim, phi, rng)
     want = oracles.dw_negatives_ref(pos_pairs, d, labels, n_dim, phi, gen)
     assert rows.dtype == np.intp
     assert rows.shape == want.shape
@@ -345,10 +345,11 @@ def test_sample_negatives_for_pairs_nan_distance_raises_like_choice():
     d = dist_matrix([(0.0,), (0.3,), (0.8,), (1.4,)])
     d[1, 3] = d[3, 1] = np.nan
     pairs = all_positive_pairs(labels)
+    match = match_matrix(multi_hot(labels)[0])
     with pytest.raises(ValueError):
         oracles.dw_negatives_ref(pairs, d, labels, 16, 10.0, per_pair_generator(0, 5))
     with pytest.raises(ValueError):
-        sample_negatives_for_pairs(pairs, d, match_matrix(labels), 16, 10.0, Rng(seed=0, stream=5))
+        sample_negatives_for_pairs(pairs, d, match, 16, 10.0, Rng(seed=0, stream=5))
 
 
 def test_sample_negatives_for_pairs_inf_distance_is_clamped_and_drawn():
