@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import Batch, ParameterError, Rng, label_set  # noqa: F401
+from idml.core import Batch, ParameterError, Rng, check_fields, label_set  # noqa: F401
 
 __all__ = ["AugmentConfig", "mix_rows", "augment_batch"]
 
@@ -41,6 +41,7 @@ class AugmentConfig:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("mix_fraction", "blur_prob", "occl_prob", "occl_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

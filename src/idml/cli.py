@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, FormatError, ShapeError, FileNotFoundError) as e:
+    except (ParameterError, FormatError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as e:

@@ -12,6 +12,9 @@ named substreams, so every run is replayable from a single 64-bit seed.
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "labels_match",
     "multi_hot",
     "match_matrix",
+    "check_fields",
     "MetricParams",
     "Batch",
     "Rng",
@@ -96,6 +100,34 @@ def match_matrix(Y) -> np.ndarray:
     return Y @ Y.T > 0
 
 
+# What a config field of each annotated type may hold, and its name in errors.
+_ACCEPTED = {
+    int: (numbers.Integral, "an int"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: ((tuple, list), "a list of ints"),
+}
+
+
+def _holds(v, accepted) -> bool:
+    return isinstance(v, accepted) and not isinstance(v, bool)
+
+
+def check_fields(cfg):
+    """Reject a config dataclass field whose value lacks its annotated type.
+    An int stands in for a float, a bool for neither, a tuple field takes a
+    list of ints, a section must be an instance of its class, and None
+    passes only where the default is None."""
+    types = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        v, want = getattr(cfg, f.name), types[f.name]
+        if v is None and f.default is None:
+            continue
+        accepted, label = _ACCEPTED.get(want, (want, f"a {want.__name__}"))
+        if not _holds(v, accepted) or want is tuple and not all(_holds(h, numbers.Integral) for h in v):
+            raise ParameterError(f"{f.name} must be {label}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Introspective-metric knobs.
@@ -111,6 +143,7 @@ class MetricParams:
     alpha_min: float = 1e-12
 
     def __post_init__(self):
+        check_fields(self)
         if self.gamma < 0:
             raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
         if self.tau <= 0:

@@ -29,6 +29,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    check_fields,
     label_set,
 )
 
@@ -61,6 +62,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_classes < 4:
             raise ParameterError(
                 f"need n_classes >= 4 for a two-sided class-disjoint split, got {self.n_classes}"

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -42,6 +42,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    check_fields,
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
 from idml.evaluation import EvalReport, evaluate, uncertainty_levels
@@ -120,12 +121,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is not None or f.default is not None:
-                # the two fields that default to None take a path or LossParams
-                want = {"dataset_path": str, "loss_params": LossParams}.get(f.name, type(f.default))
-                _check_type(f.name, v, want)
+        check_fields(self)
         if self.loss not in LOSS_NAMES:
             raise ParameterError(f"unknown loss {self.loss!r}")
         if self.metric not in METRIC_NAMES or self.test_metric not in METRIC_NAMES:
@@ -151,26 +147,6 @@ class RunConfig:
             raise ParameterError(f"hidden layer sizes must be positive, got {self.hidden}")
         if self.loss_params is None:
             object.__setattr__(self, "loss_params", default_loss_params(self.loss))
-
-
-# What a RunConfig value of each default's type may be, and its name in errors.
-_ACCEPTED_TYPES = {
-    int: (numbers.Integral, "an int"),
-    float: (numbers.Real, "a number"),
-    str: (str, "a string"),
-    tuple: ((tuple, list), "a list"),
-}
-
-
-def _check_type(name: str, v, want: type):
-    """Reject a RunConfig value of the wrong type: an int stands in for a
-    float, a bool for neither, and a list of ints for the `hidden` tuple."""
-    accepted, label = _ACCEPTED_TYPES.get(want, (want, want.__name__))
-    if isinstance(v, bool) or not isinstance(v, accepted):
-        raise ParameterError(f"{name} must be {label}, got {v!r}")
-    if want is tuple:
-        for h in v:
-            _check_type(f"{name} entry", h, int)
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -235,47 +211,32 @@ def introspective_run_config(loss: str, seed: int = 0, metric: str = "ism", **ov
 # Config serialization
 # ---------------------------------------------------------------------------
 
-_NESTED = {
-    "data": SynthConfig,
-    "metric_params": MetricParams,
-    "loss_params": LossParams,
-    "augment": AugmentConfig,
-}
-
-
 def config_to_json_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in _NESTED:
-            out[f.name] = dataclasses.asdict(v)
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        else:
-            out[f.name] = v
-    return out
+    return {**dataclasses.asdict(cfg), "hidden": list(cfg.hidden)}
 
 
 def config_from_json_dict(d: dict) -> RunConfig:
     """The RunConfig a JSON object describes; a null loss_params section
     means the loss's defaults."""
+    return _from_json(RunConfig, d)
+
+
+def _from_json(cls, d):
+    """The config dataclass `cls` from a JSON object, and each section from its own."""
     if not isinstance(d, dict):
         raise ParameterError(f"a config must be a JSON object, got {d!r}")
+    types = typing.get_type_hints(cls)
     kwargs = {}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     for key, v in d.items():
-        if key not in known:
+        if key not in types:
             raise ParameterError(f"unknown config key {key!r}")
-        if key in _NESTED and not (key == "loss_params" and v is None):
-            if not isinstance(v, dict):
-                raise ParameterError(f"{key} must be a JSON object, got {v!r}")
+        if dataclasses.is_dataclass(types[key]) and v is not None:
             try:
-                kwargs[key] = _NESTED[key](**v)
-            except TypeError as e:
+                v = _from_json(types[key], v)
+            except ParameterError as e:
                 raise ParameterError(f"bad {key} section: {e}") from None
-        else:
-            kwargs[key] = v
-    return RunConfig(**kwargs)
+        kwargs[key] = v
+    return cls(**kwargs)
 
 
 def _json_text(obj) -> str:
@@ -325,8 +286,6 @@ def load_dataset_for(cfg: RunConfig) -> Dataset:
 
 def load_dataset(path) -> Dataset:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset not found: {path}")
     with open(path, "rb") as f:
         head = f.read(4)
     if head == BINARY_MAGIC:
@@ -510,19 +469,20 @@ def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
 
 
 def _with_sweep_value(cfg: RunConfig, param: str, value) -> RunConfig:
+    # float() is exact for a swept int and keeps the tau/gamma echo a float
     if param in ("tau", "gamma"):
         return dataclasses.replace(
             cfg, metric_params=dataclasses.replace(cfg.metric_params, **{param: float(value)})
         )
-    return dataclasses.replace(cfg, **{param: int(value)})
+    return dataclasses.replace(cfg, **{param: value})
 
 
 def worker_count() -> int:
     env = os.environ.get("IDML_THREADS", "").strip()
     if env:
-        n = int(env)
+        n = int(env) if env.isdecimal() else 0
         if n < 1:
-            raise ParameterError(f"IDML_THREADS must be positive, got {env!r}")
+            raise ParameterError(f"IDML_THREADS must be a positive integer, got {env!r}")
         return n
     return os.cpu_count() or 1
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import MetricParams, ParameterError, Rng, ShapeError, label_set, match_matrix, multi_hot  # noqa: F401
+from idml.core import MetricParams, ParameterError, Rng, ShapeError, check_fields, label_set, match_matrix, multi_hot  # noqa: F401
 from idml.metric import (
     METRIC_NAMES,
     distance_table,
@@ -99,6 +99,7 @@ class LossParams:
     pa_delta: float = 0.1
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("phi", "ms_alpha", "ms_beta", "pa_alpha"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")

@@ -61,6 +61,12 @@ __all__ = [
 CHECKPOINT_MAGIC = b"IDML"
 CHECKPOINT_VERSION = 1
 
+# Init scale of the uncertainty head and the proxies' uncertainty rows.
+U_INIT_SCALE = 0.1
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+
 
 @dataclass
 class EncoderModel:
@@ -115,9 +121,8 @@ def init_model(
     semantic_dim: int = 32,
     uncertainty_dim: int = 32,
     rng: Rng = None,
-    head_u_scale: float = 0.1,
 ) -> EncoderModel:
-    """Variance-scaled random init; the uncertainty head starts at 0.1x."""
+    """Variance-scaled random init; the uncertainty head is scaled by U_INIT_SCALE."""
     if rng is None:
         raise ParameterError("init_model needs an rng")
     dims = [int(input_dim)] + [int(h) for h in hidden]
@@ -136,7 +141,7 @@ def init_model(
         trunk_b=trunk_b,
         head_s_w=glorot(last, semantic_dim),
         head_s_b=np.zeros(semantic_dim),
-        head_u_w=glorot(last, uncertainty_dim, scale=head_u_scale),
+        head_u_w=glorot(last, uncertainty_dim, scale=U_INIT_SCALE),
         head_u_b=np.zeros(uncertainty_dim),
     )
 
@@ -146,7 +151,6 @@ def init_proxies(
     semantic_dim: int,
     uncertainty_dim: int,
     rng: Rng,
-    u_scale: float = 0.1,
 ) -> ProxySet:
     """One random proxy per class; uncertainty rows small like the u head."""
     classes = tuple(int(c) for c in classes)
@@ -155,7 +159,7 @@ def init_proxies(
         raise ParameterError("need at least one proxy class")
     return ProxySet(
         semantic=rng.normal(size=(k, semantic_dim)) / np.sqrt(semantic_dim),
-        uncertainty=u_scale * rng.normal(size=(k, uncertainty_dim)) / np.sqrt(uncertainty_dim),
+        uncertainty=U_INIT_SCALE * rng.normal(size=(k, uncertainty_dim)) / np.sqrt(uncertainty_dim),
         classes=classes,
     )
 
@@ -246,9 +250,6 @@ class AdamW:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     state: dict = field(default_factory=dict)
 
@@ -261,11 +262,11 @@ class AdamW:
             m, v, t = self.state.get(name, (np.zeros_like(p), np.zeros_like(p), 0))
             if self.weight_decay:
                 p *= 1.0 - lr * self.weight_decay
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = ADAMW_BETA1 * m + (1.0 - ADAMW_BETA1) * g
+            v = ADAMW_BETA2 * v + (1.0 - ADAMW_BETA2) * g * g
             t += 1
-            step_size = lr * np.sqrt(1.0 - self.beta2**t) / (1.0 - self.beta1**t)
-            p -= step_size * m / (np.sqrt(v) + self.eps)
+            step_size = lr * np.sqrt(1.0 - ADAMW_BETA2**t) / (1.0 - ADAMW_BETA1**t)
+            p -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
             self.state[name] = (m, v, t)
 
 

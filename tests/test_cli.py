@@ -188,11 +188,18 @@ def test_seed_flag_overrides_config(tmp_path):
         ('{"augment": 3}', "augment"),
         ('{"loss_params": "defaults"}', "loss_params"),
         ("[1, 2]", "JSON object"),
+        ('{"data": {"per_class": true}}', "bad data section: per_class"),
+        ('{"data": {"seed": 1.5}}', "bad data section: seed"),
+        ('{"augment": {"lowres_factor": 2.5}}', "bad augment section: lowres_factor"),
+        ('{"metric_params": {"tau": "5"}}', "bad metric_params section: tau"),
+        ('{"loss_params": {"phi": "10"}}', "bad loss_params section: phi"),
+        ('{"data": {"bogus": 1}}', "bad data section: unknown config key 'bogus'"),
     ],
     ids=[
         "unknown-key", "bad-loss", "malformed", "hidden-int", "hidden-bool", "batch-size-str",
         "epochs-float", "seed-bool", "lr-str", "path-int", "data-null", "metric-params-list",
-        "augment-int", "loss-params-str", "top-list",
+        "augment-int", "loss-params-str", "top-list", "data-per-class-bool", "data-seed-float",
+        "augment-lowres-float", "metric-params-tau-str", "loss-params-phi-str", "data-unknown-key",
     ],
 )
 def test_bad_config_file_exits_config(tmp_path, content, named):
@@ -210,6 +217,35 @@ def test_missing_paths_exit_config(tmp_path):
         "eval", "--checkpoint", str(tmp_path / "no.bin"), "--data", str(tmp_path / "no.csv")
     )
     assert proc.returncode == EXIT_CONFIG
+
+
+def test_unusable_paths_exit_config(tmp_path):
+    # a directory where a file is read, and a file where the output directory goes
+    a_dir = tmp_path / "a_dir"
+    a_dir.mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, dataset_path=str(a_dir))
+    proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "a_dir" in proc.stderr and "Traceback" not in proc.stderr
+
+    write_config(cfg_path)
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(a_file))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "a_file" in proc.stderr and "Traceback" not in proc.stderr
+
+    checkpoint = tmp_path / "model.bin"
+    save_checkpoint(checkpoint, init_model(6, hidden=(8,), semantic_dim=4, uncertainty_dim=4, rng=Rng(0)))
+    ds_path = tmp_path / "data.csv"
+    from idml.data import save_csv
+
+    save_csv(generate(SynthConfig(n_classes=4, per_class=8, input_dim=6, seed=1)), ds_path)
+    for model_path, data_path in ((checkpoint, a_dir), (a_dir, ds_path)):
+        proc = run_cli("eval", "--checkpoint", str(model_path), "--data", str(data_path))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "a_dir" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_truncated_binary_files_exit_config(tmp_path):
@@ -354,6 +390,32 @@ def test_sweep_cli_child_error_exits_config(tmp_path):
     )
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "fewer than batch_size=1000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_cli_fractional_int_value_exits_config(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    out = tmp_path / "sw"
+    proc = run_cli(
+        "sweep", "--config", str(cfg_path), "--param", "batch_size", "--values", "32.5,64",
+        "--output", str(out),
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "batch_size must be an int, got 32.5" in proc.stderr
+    assert not out.exists()  # nothing trained
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_sweep_cli_bad_idml_threads_exits_config(tmp_path, threads):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    proc = run_cli(
+        "sweep", "--config", str(cfg_path), "--param", "tau", "--values", "1,3",
+        env={**os.environ, "IDML_THREADS": threads},
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"IDML_THREADS must be a positive integer, got '{threads}'" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

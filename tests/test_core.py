@@ -1,11 +1,14 @@
 """Shared primitives: vectors, label sets, parameter bundles, seeded streams."""
 
+import dataclasses
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from idml.augment import AugmentConfig
 from idml.core import (
     Batch,
     MetricParams,
@@ -18,6 +21,9 @@ from idml.core import (
     match_matrix,
     multi_hot,
 )
+from idml.data import SynthConfig
+from idml.harness import RunConfig
+from idml.losses import LossParams
 
 
 def test_batch_accepts_lists_and_casts():
@@ -75,6 +81,20 @@ def test_metric_params_defaults_and_validation():
         MetricParams(tau=0.0)
     with pytest.raises(ParameterError):
         MetricParams(alpha_min=0.0)
+
+
+@pytest.mark.parametrize(
+    "cls", [RunConfig, SynthConfig, AugmentConfig, MetricParams, LossParams], ids=lambda c: c.__name__
+)
+def test_config_fields_of_the_wrong_type_are_rejected_by_name(cls):
+    # A string for an int field, a bool for any other, and None where the
+    # default is not None. A class whose __post_init__ skips check_fields
+    # lets some of these through, or fails on them with a TypeError.
+    for f in dataclasses.fields(cls):
+        bads = ["1" if type(f.default) is int else True] + ([None] if f.default is not None else [])
+        for bad in bads:
+            with pytest.raises(ParameterError, match=rf"^{f.name} must be .*, got {re.escape(repr(bad))}$"):
+                cls(**{f.name: bad})
 
 
 def test_batch_default_mixed_flags_are_false():

@@ -355,9 +355,10 @@ def test_run_grid_child_error_keeps_its_type(tmp_path, monkeypatch):
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("IDML_THREADS", "3")
     assert worker_count() == 3
-    monkeypatch.setenv("IDML_THREADS", "0")
-    with pytest.raises(ParameterError):
-        worker_count()
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("IDML_THREADS", bad)
+        with pytest.raises(ParameterError, match="IDML_THREADS"):
+            worker_count()
     monkeypatch.delenv("IDML_THREADS")
     assert worker_count() >= 1
 

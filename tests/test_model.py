@@ -107,13 +107,13 @@ def test_init_model_deterministic_and_bias_free():
 def test_init_model_uncertainty_head_is_damped():
     # the uncertainty head starts an order of magnitude smaller than the
     # semantic head so early training is dominated by geometry
-    m = init_model(16, hidden=(32,), semantic_dim=8, uncertainty_dim=8, rng=Rng(0), head_u_scale=0.1)
+    m = init_model(16, hidden=(32,), semantic_dim=8, uncertainty_dim=8, rng=Rng(0))
     ratio = np.std(m.head_u_w) / np.std(m.head_s_w)
     assert 0.05 < ratio < 0.2
 
 
 def test_init_proxies_shapes_and_scale():
-    p = init_proxies((0, 1, 2), 4, 3, Rng(5), u_scale=0.1)
+    p = init_proxies((0, 1, 2), 4, 3, Rng(5))
     assert p.semantic.shape == (3, 4)
     assert p.uncertainty.shape == (3, 3)
     assert p.classes == (0, 1, 2)
