@@ -12,11 +12,13 @@ __version__ = "0.1.0"
 import os
 
 # Single-threaded BLAS by default: threaded reductions reorder float sums,
-# which would break byte-identical reruns. IDML_THREADS raises the cap (it
-# also sets harness.run_grid's process count, which defaults to the CPU
-# count); explicitly-set *_NUM_THREADS vars win. BLAS reads these variables
-# once, when numpy loads it, so this runs before any import below.
-_cap = os.environ.get("IDML_THREADS", "").strip() or "1"
+# which would break byte-identical reruns. A positive integer IDML_THREADS
+# raises the cap (it also sets harness.run_grid's process count, which
+# defaults to the CPU count; the CLI rejects any other value); explicitly-set
+# *_NUM_THREADS vars win. BLAS reads these variables once, when numpy loads
+# it, so this runs before any import below.
+_cap = os.environ.get("IDML_THREADS", "").strip()
+_cap = str(int(_cap)) if _cap.isdecimal() and int(_cap) > 0 else "1"
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, _cap)
 

@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+from idml import data as data_mod
+from idml import harness
 from idml.core import (
     FormatError,
     NumericalFailure,
@@ -73,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    from idml import harness
-
     if args.config:
         try:
             with open(args.config) as f:
@@ -108,8 +108,6 @@ def _load_config(args):
 
 
 def _cmd_synth(args) -> int:
-    from idml import data as data_mod
-
     cfg = _load_config(args)
     ds = data_mod.generate(cfg.data)
     out_dir = args.output or "."
@@ -122,8 +120,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from idml import harness
-
     cfg = _load_config(args)
     record = harness.train(cfg, output_dir=args.output)
     final = record.final
@@ -139,8 +135,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     """eval and diagnose: the report on stdout; diagnose adds a row count on stderr."""
-    from idml import harness
-
     cfg = _load_config(args)
     report, rows = harness.diagnose(
         args.checkpoint,
@@ -158,8 +152,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from idml import harness
-
     cfg = _load_config(args)
     try:
         values = [float(v) if "." in v or "e" in v.lower() else int(v) for v in args.values.split(",") if v.strip()]
@@ -172,8 +164,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from idml import harness
-
     cfg = _load_config(args)
     outcome = harness.gradcheck(cfg)
     print(outcome.summary())
@@ -193,6 +183,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        harness.worker_count()  # a bad IDML_THREADS fails before any command runs
         return _COMMANDS[args.command](args)
     except (ParameterError, FormatError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

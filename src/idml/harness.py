@@ -54,12 +54,10 @@ from idml.losses import (
 )
 from idml.metric import METRIC_NAMES
 from idml.model import (
-    all_parameters,
     finite_difference_check,
     forward,
     h_factor_check,
     init_model,
-    init_proxies,
     load_checkpoint,
     loss_and_grad,
     make_optimizer,
@@ -303,50 +301,59 @@ def _epoch_stream(seed: int, epoch: int, stream: int) -> Rng:
 
 
 def train(cfg: RunConfig, output_dir=None) -> RunRecord:
-    """Mini-batch training per the config; writes run outputs if a dir is given.
-
-    Each epoch consumes fresh Rng streams for shuffling, mixing, and
-    sampling. Partial trailing batches are dropped so every step sees the
-    configured batch size.
-    """
+    """Mini-batch training per the config; writes run outputs if a dir is given."""
     t0 = time.perf_counter()
+    if output_dir is not None:  # an unusable output path fails before any work
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
     ds = load_dataset_for(cfg)
-    mp, lp = cfg.metric_params, cfg.loss_params
     x_train, l_train, _ = ds.train_split()
-    n_train = x_train.shape[0]
-    if n_train < cfg.batch_size:
+    if x_train.shape[0] < cfg.batch_size:
         raise ParameterError(
-            f"training split has {n_train} samples, fewer than batch_size={cfg.batch_size}"
+            f"training split has {x_train.shape[0]} samples, fewer than batch_size={cfg.batch_size}"
         )
-
-    init_rng = Rng(cfg.seed, STREAM_INIT)
     model = init_model(
         input_dim=ds.features.shape[1],
         hidden=cfg.hidden,
         semantic_dim=cfg.semantic_dim,
         uncertainty_dim=cfg.uncertainty_dim,
-        rng=init_rng,
+        rng=Rng(cfg.seed, STREAM_INIT),
+        proxy_classes=sorted(ds.train_classes()) if cfg.loss in PROXY_LOSSES else (),
     )
-    proxies = None
-    if cfg.loss in PROXY_LOSSES:
-        proxies = init_proxies(
-            sorted(ds.train_classes()), cfg.semantic_dim, cfg.uncertainty_dim, init_rng
-        )
-    if cfg.uncertainty_mode == "frozen_zero":
-        model.head_u_w[:] = 0.0
-        model.head_u_b[:] = 0.0
-        if proxies is not None:
-            proxies.uncertainty[:] = 0.0
+    stats = _fit(cfg, model, x_train, l_train)
+    report, u_rows = _evaluate_test_split(
+        model, ds, cfg.seed, cfg.augment, cfg.test_metric, cfg.metric_params
+    )
+    record = RunRecord(
+        config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
+    )
+    if output_dir is not None:
+        _write_run_outputs(Path(output_dir), record, model, u_rows)
+    return record
 
-    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, cfg.momentum)
+
+def _fit(cfg: RunConfig, model, x_train, l_train) -> list:
+    """Train `model.theta` in place for cfg.epochs; returns the EpochStats.
+
+    Each epoch consumes fresh Rng streams for shuffling, mixing, and
+    sampling. Partial trailing batches are dropped so every step sees the
+    configured batch size. The optimizer state and the last gradient are
+    freed on return, before the evaluation.
+    """
+    # frozen_zero: the uncertainty head and proxy rows start at 0 and never move
+    u_scale = 0.0 if cfg.uncertainty_mode == "frozen_zero" else cfg.uncert_lr_scale
     lr_scale = {
         "proxy.semantic": cfg.proxy_lr_scale,
-        "proxy.uncertainty": cfg.proxy_lr_scale * cfg.uncert_lr_scale,
-        "head_u.W": cfg.uncert_lr_scale,
-        "head_u.b": cfg.uncert_lr_scale,
+        "proxy.uncertainty": cfg.proxy_lr_scale * u_scale,
+        "head_u.W": u_scale,
+        "head_u.b": u_scale,
     }
+    spans = [(sl, lr_scale.get(name, 1.0)) for name, sl in model.slices.items()]
+    for sl, scale in spans:
+        if scale == 0.0:
+            model.theta[sl] = 0.0
+    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, cfg.momentum)
 
-    n_batches = n_train // cfg.batch_size
+    mp, lp, n_train = cfg.metric_params, cfg.loss_params, x_train.shape[0]
     stats = []
     for epoch in range(1, cfg.epochs + 1):
         perm = _epoch_stream(cfg.seed, epoch, STREAM_BATCH).permutation(n_train)
@@ -354,30 +361,19 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         loss_rng = _epoch_stream(cfg.seed, epoch, STREAM_LOSS)
         ep_loss, ep_grad = [], []
         clean_norms, mixed_norms = [], []
-        for b in range(n_batches):
+        for b in range(n_train // cfg.batch_size):
             rows = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             batch = Batch(features=x_train[rows], labels=tuple(l_train[r] for r in rows))
             batch = augment_batch(batch, cfg.augment, aug_rng)
-            res, grads = loss_and_grad(
-                model,
-                batch,
-                cfg.loss,
-                metric=cfg.metric,
-                mp=mp,
-                lp=lp,
-                proxies=proxies,
-                rng=loss_rng,
+            res, grad = loss_and_grad(
+                model, batch, cfg.loss, metric=cfg.metric, mp=mp, lp=lp, rng=loss_rng
             )
             norms = uncertainty_levels(res.uncertainty)
             clean_norms.extend(norms[~batch.is_mixed])
             mixed_norms.extend(norms[batch.is_mixed])
             ep_loss.append(res.value)
             ep_grad.append(float(np.linalg.norm(res.d_semantic, axis=1).mean()))
-            if cfg.uncertainty_mode == "frozen_zero":
-                grads.pop("head_u.W", None)
-                grads.pop("head_u.b", None)
-                grads.pop("proxy.uncertainty", None)
-            opt.step(all_parameters(model, proxies), grads, lr_scale)
+            opt.step(model.theta, grad, spans)
         stats.append(
             EpochStats(
                 epoch=epoch,
@@ -387,14 +383,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
                 grad_norm=float(np.mean(ep_grad)),
             )
         )
-
-    report, u_rows = _evaluate_test_split(model, ds, cfg.seed, cfg.augment, cfg.test_metric, mp)
-    record = RunRecord(
-        config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
-    )
-    if output_dir is not None:
-        _write_run_outputs(Path(output_dir), record, model, proxies, u_rows)
-    return record
+    return stats
 
 
 def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test_metric: str, mp):
@@ -449,7 +438,7 @@ def _write_eval_outputs(out: Path, report: EvalReport, u_rows):
     (out / "uncertainty.csv").write_text("\n".join(["id,label,is_mixed,u_norm"] + u_rows) + "\n")
 
 
-def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
+def _write_run_outputs(out: Path, record: RunRecord, model, u_rows):
     _write_eval_outputs(out, record.final, u_rows)
     (out / "config.json").write_text(_json_text(config_to_json_dict(record.config)))
     (out / "record.json").write_text(_json_text(record.record_json_dict()))
@@ -460,7 +449,7 @@ def _write_run_outputs(out: Path, record: RunRecord, model, proxies, u_rows):
             f"{e.epoch},{e.loss!r},{e.uncert_clean!r},{e.uncert_mixed!r},{e.grad_norm!r}"
         )
     (out / "epochs.csv").write_text("\n".join(lines) + "\n")
-    save_checkpoint(out / "model.bin", model, proxies)
+    save_checkpoint(out / "model.bin", model)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +534,10 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
     """Finite-difference check for the configured loss/metric, plus the
     attenuation-identity check; model kept deliberately tiny."""
     rng = Rng(cfg.seed, STREAM_LOSS)
+    classes = (0, 1, 2, 3) if cfg.loss in PROXY_LOSSES else ()
     model = init_model(
-        input_dim=6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=rng
+        input_dim=6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=rng, proxy_classes=classes
     )
-    proxies = None
-    if cfg.loss in PROXY_LOSSES:
-        proxies = init_proxies((0, 1, 2, 3), 5, 4, rng)
 
     def batch_fn(r):
         n = len(_GRADCHECK_LABELS)
@@ -563,7 +550,6 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
         metric=cfg.metric,
         mp=cfg.metric_params,
         lp=cfg.loss_params,
-        proxies=proxies,
         rng=rng,
     )
     hf = h_factor_check(Rng(cfg.seed, STREAM_EVAL), mp=MetricParams(tau=cfg.metric_params.tau))
@@ -586,7 +572,7 @@ def diagnose(
     rows); writes eval.json and uncertainty.csv when an output directory is
     given.
     """
-    model, proxies = load_checkpoint(checkpoint_path)
+    model = load_checkpoint(checkpoint_path)
     ds = load_dataset(dataset_path)
     if ds.features.shape[1] != model.input_dim:
         raise ShapeError(

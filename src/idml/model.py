@@ -7,19 +7,23 @@ nonlinearity). tanh keeps every activation smooth, so central finite
 differences agree with the analytic gradients to high precision — which the
 gradient checker here exploits.
 
-Parameters are addressed by name ("trunk.0.W", "head_s.b", "proxy.semantic",
-...) so the optimizers and the checkpoint format stay order-stable.
+Every trainable scalar of a run, the proxies included, lives in one float64
+vector `theta`; the named tensors ("trunk.0.W", "head_s.b",
+"proxy.semantic", ...) are views into it, in the order `_layout` gives:
+trunk layers, the two heads, proxies last. The optimizers, the checkpoint
+and the gradient checker each handle `theta` whole.
 
 Checkpoint layout (little-endian): magic "IDML", u32 version (1), u32 trunk
 layer count, u32 dims [input, hidden..., semantic, uncertainty], u32 proxy
-count (0 if none) followed by u32 class ids, then float64 parameter blocks
-in `all_parameters` order: trunk layers, the two heads, proxies last.
+count (0 if none) followed by u32 class ids, then `theta` as one float64
+block.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from idml.core import (
     ShapeError,
 )
 from idml.losses import (
-    PROXY_LOSSES,
     LossParams,
     LossResult,
     ProxySet,
@@ -68,51 +71,64 @@ ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
 
 
-@dataclass
-class EncoderModel:
-    """Trunk affine layers with tanh, plus linear semantic/uncertainty heads."""
+def _layout(dims, n_proxies: int) -> list:
+    """(name, shape) of every trainable tensor, in `theta` and checkpoint order.
 
-    trunk_w: list
-    trunk_b: list
-    head_s_w: np.ndarray
-    head_s_b: np.ndarray
-    head_u_w: np.ndarray
-    head_u_b: np.ndarray
+    `dims` is [input, hidden..., semantic, uncertainty]; the two proxy
+    blocks follow the heads when there are proxies.
+    """
+    *layers, sdim, udim = dims
+    out = []
+    for i, (a, b) in enumerate(zip(layers, layers[1:])):
+        out += [(f"trunk.{i}.W", (a, b)), (f"trunk.{i}.b", (b,))]
+    out += [
+        ("head_s.W", (layers[-1], sdim)),
+        ("head_s.b", (sdim,)),
+        ("head_u.W", (layers[-1], udim)),
+        ("head_u.b", (udim,)),
+    ]
+    if n_proxies:
+        out += [("proxy.semantic", (n_proxies, sdim)), ("proxy.uncertainty", (n_proxies, udim))]
+    return out
+
+
+class EncoderModel:
+    """Trunk affine layers with tanh, plus linear semantic/uncertainty heads.
+
+    `dims` is [input, hidden..., semantic, uncertainty]. Every trainable
+    scalar, proxies included, lives in the float64 vector `theta`; the named
+    tensors are views into it, and `slices` maps each name to its span of
+    `theta`. `proxies` is None without proxy classes.
+    """
+
+    def __init__(self, dims, theta: np.ndarray, proxy_classes=()):
+        self.dims = tuple(int(d) for d in dims)
+        self._shapes = dict(_layout(self.dims, len(proxy_classes)))
+        self.slices = {}
+        off = 0
+        for name, shape in self._shapes.items():
+            self.slices[name] = slice(off, off + math.prod(shape))
+            off += math.prod(shape)
+        if theta.dtype != np.float64 or theta.shape != (off,):
+            raise ShapeError(f"dims {self.dims} need a float64 theta of {off} values")
+        self.theta = theta
+        p = self.views(theta)
+        n_trunk = len(self.dims) - 3
+        self.trunk_w = [p[f"trunk.{i}.W"] for i in range(n_trunk)]
+        self.trunk_b = [p[f"trunk.{i}.b"] for i in range(n_trunk)]
+        self.head_s_w, self.head_s_b = p["head_s.W"], p["head_s.b"]
+        self.head_u_w, self.head_u_b = p["head_u.W"], p["head_u.b"]
+        self.proxies = None
+        if len(proxy_classes):
+            self.proxies = ProxySet(p["proxy.semantic"], p["proxy.uncertainty"], proxy_classes)
+
+    def views(self, vec: np.ndarray) -> dict:
+        """Name -> shaped view of `vec`, a vector laid out like `theta`."""
+        return {name: vec[sl].reshape(self._shapes[name]) for name, sl in self.slices.items()}
 
     @property
     def input_dim(self) -> int:
-        return self.trunk_w[0].shape[0] if self.trunk_w else self.head_s_w.shape[0]
-
-    @property
-    def semantic_dim(self) -> int:
-        return self.head_s_w.shape[1]
-
-    @property
-    def uncertainty_dim(self) -> int:
-        return self.head_u_w.shape[1]
-
-    @property
-    def hidden_dims(self) -> tuple:
-        return tuple(w.shape[1] for w in self.trunk_w)
-
-    def parameters(self) -> dict:
-        """Name -> array view of every trainable tensor."""
-        p = {}
-        for i, (w, b) in enumerate(zip(self.trunk_w, self.trunk_b)):
-            p[f"trunk.{i}.W"] = w
-            p[f"trunk.{i}.b"] = b
-        p["head_s.W"] = self.head_s_w
-        p["head_s.b"] = self.head_s_b
-        p["head_u.W"] = self.head_u_w
-        p["head_u.b"] = self.head_u_b
-        return p
-
-
-def all_parameters(model: EncoderModel, proxies: ProxySet = None) -> dict:
-    p = model.parameters()
-    if proxies is not None:
-        p.update({"proxy.semantic": proxies.semantic, "proxy.uncertainty": proxies.uncertainty})
-    return p
+        return self.dims[0]
 
 
 def init_model(
@@ -121,29 +137,35 @@ def init_model(
     semantic_dim: int = 32,
     uncertainty_dim: int = 32,
     rng: Rng = None,
+    proxy_classes=(),
 ) -> EncoderModel:
-    """Variance-scaled random init; the uncertainty head is scaled by U_INIT_SCALE."""
+    """Variance-scaled random init; the uncertainty head is scaled by U_INIT_SCALE.
+
+    With proxy classes, `init_proxies` then draws one proxy per class from
+    the same rng.
+    """
     if rng is None:
         raise ParameterError("init_model needs an rng")
-    dims = [int(input_dim)] + [int(h) for h in hidden]
-    if any(d < 1 for d in dims + [semantic_dim, uncertainty_dim]):
+    dims = [int(input_dim)] + [int(h) for h in hidden] + [int(semantic_dim), int(uncertainty_dim)]
+    if any(d < 1 for d in dims):
         raise ParameterError("all layer dims must be positive")
+    n_params = sum(math.prod(shape) for _, shape in _layout(dims, len(proxy_classes)))
+    model = EncoderModel(dims, np.zeros(n_params), proxy_classes)
 
-    def glorot(fan_in, fan_out, scale=1.0):
+    def glorot(w, scale=1.0):
+        fan_in, fan_out = w.shape
         std = np.sqrt(2.0 / (fan_in + fan_out))
-        return scale * std * rng.normal(size=(fan_in, fan_out))
+        w[...] = scale * std * rng.normal(size=w.shape)
 
-    trunk_w = [glorot(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    trunk_b = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    last = dims[-1]
-    return EncoderModel(
-        trunk_w=trunk_w,
-        trunk_b=trunk_b,
-        head_s_w=glorot(last, semantic_dim),
-        head_s_b=np.zeros(semantic_dim),
-        head_u_w=glorot(last, uncertainty_dim, scale=U_INIT_SCALE),
-        head_u_b=np.zeros(uncertainty_dim),
-    )
+    for w in model.trunk_w:
+        glorot(w)
+    glorot(model.head_s_w)
+    glorot(model.head_u_w, scale=U_INIT_SCALE)
+    if model.proxies is not None:
+        drawn = init_proxies(proxy_classes, semantic_dim, uncertainty_dim, rng)
+        model.proxies.semantic[...] = drawn.semantic
+        model.proxies.uncertainty[...] = drawn.uncertainty
+    return model
 
 
 def init_proxies(
@@ -184,22 +206,20 @@ def forward(model: EncoderModel, X):
     return S, U
 
 
-def _backward(model: EncoderModel, hs, dS, dU) -> dict:
-    """Parameter gradients given embedding gradients; hs are cached activations."""
+def _backward(model: EncoderModel, hs, dS, dU, g: dict):
+    """Write parameter gradients into the views `g` given embedding gradients;
+    hs are cached activations."""
     h_last = hs[-1]
-    grads = {
-        "head_s.W": h_last.T @ dS,
-        "head_s.b": dS.sum(axis=0),
-        "head_u.W": h_last.T @ dU,
-        "head_u.b": dU.sum(axis=0),
-    }
+    np.matmul(h_last.T, dS, out=g["head_s.W"])
+    dS.sum(axis=0, out=g["head_s.b"])
+    np.matmul(h_last.T, dU, out=g["head_u.W"])
+    dU.sum(axis=0, out=g["head_u.b"])
     dh = dS @ model.head_s_w.T + dU @ model.head_u_w.T
     for i in range(len(model.trunk_w) - 1, -1, -1):
         dz = dh * (1.0 - hs[i + 1] ** 2)  # tanh'
-        grads[f"trunk.{i}.W"] = hs[i].T @ dz
-        grads[f"trunk.{i}.b"] = dz.sum(axis=0)
+        np.matmul(hs[i].T, dz, out=g[f"trunk.{i}.W"])
+        dz.sum(axis=0, out=g[f"trunk.{i}.b"])
         dh = dz @ model.trunk_w[i].T
-    return grads
 
 
 def loss_and_grad(
@@ -209,16 +229,17 @@ def loss_and_grad(
     metric: str = "ism",
     mp: MetricParams = None,
     lp: LossParams = None,
-    proxies: ProxySet = None,
     rng: Rng = None,
     plan=None,
 ):
-    """Loss value plus exact gradients for every model (and proxy) parameter.
+    """Loss value plus exact gradients for every parameter in `model.theta`.
 
-    Returns (LossResult, grads dict). A fresh plan is built unless one is
-    passed in (the gradient checker passes the same plan repeatedly).
+    Returns (LossResult, grad), with grad laid out like `model.theta`; the
+    proxies are `model.proxies`. A fresh plan is built unless one is passed
+    in (the gradient checker passes the same plan repeatedly).
     """
     S, U, hs = _forward_cached(model, batch.features)
+    proxies = model.proxies
     if plan is None:
         plan = build_plan(
             loss, S, U, batch.labels, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
@@ -228,11 +249,13 @@ def loss_and_grad(
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))
         raise NumericalFailure(f"non-finite loss value {res.value} (term {worst})")
-    grads = _backward(model, hs, res.d_semantic, res.d_uncertainty)
+    grad = np.zeros_like(model.theta)
+    g = model.views(grad)
+    _backward(model, hs, res.d_semantic, res.d_uncertainty, g)
     if res.d_proxy_semantic is not None:
-        grads["proxy.semantic"] = res.d_proxy_semantic
-        grads["proxy.uncertainty"] = res.d_proxy_uncertainty
-    return res, grads
+        g["proxy.semantic"][...] = res.d_proxy_semantic
+        g["proxy.uncertainty"][...] = res.d_proxy_uncertainty
+    return res, grad
 
 
 # ---------------------------------------------------------------------------
@@ -242,54 +265,58 @@ def loss_and_grad(
 
 @dataclass
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adaptive moments with decoupled weight decay, on one parameter vector.
 
-    Each step first shrinks the parameter by lr * weight_decay, then applies
-    the bias-corrected moment update. `lr_scale` lets a parameter group
-    (proxies) run at a multiple of the base rate.
+    Each step first shrinks the parameters by lr * weight_decay, then applies
+    the bias-corrected moment update. `spans` is a list of (slice, lr scale)
+    pairs that covers the vector: a group (proxies) runs at a multiple of
+    the base rate, and a scale of 0 leaves its entries unchanged.
     """
 
     lr: float = 1e-3
     weight_decay: float = 0.0
-    state: dict = field(default_factory=dict)
+    m: np.ndarray = None
+    v: np.ndarray = None
+    t: int = 0
 
-    def step(self, params: dict, grads: dict, lr_scale: dict = None):
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            g = grads[name]
-            lr = self.lr * (lr_scale or {}).get(name, 1.0)
-            m, v, t = self.state.get(name, (np.zeros_like(p), np.zeros_like(p), 0))
+    def step(self, theta: np.ndarray, grad: np.ndarray, spans):
+        if self.m is None:
+            self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+        self.t += 1
+        # span by span, so that temporaries stay the size of one span
+        for sl, scale in spans:
+            g, m, v = grad[sl], self.m[sl], self.v[sl]
+            lr = self.lr * scale
             if self.weight_decay:
-                p *= 1.0 - lr * self.weight_decay
-            m = ADAMW_BETA1 * m + (1.0 - ADAMW_BETA1) * g
-            v = ADAMW_BETA2 * v + (1.0 - ADAMW_BETA2) * g * g
-            t += 1
-            step_size = lr * np.sqrt(1.0 - ADAMW_BETA2**t) / (1.0 - ADAMW_BETA1**t)
-            p -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
-            self.state[name] = (m, v, t)
+                theta[sl] *= 1.0 - lr * self.weight_decay
+            m *= ADAMW_BETA1
+            m += (1.0 - ADAMW_BETA1) * g
+            v *= ADAMW_BETA2
+            v += (1.0 - ADAMW_BETA2) * g * g
+            step_size = lr * np.sqrt(1.0 - ADAMW_BETA2**self.t) / (1.0 - ADAMW_BETA1**self.t)
+            theta[sl] -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
 
 
 @dataclass
 class SgdMomentum:
-    """Classic momentum SGD with (decoupled) weight decay."""
+    """Classic momentum SGD with (decoupled) weight decay; `step` takes the
+    same (theta, grad, spans) as AdamW's."""
 
     lr: float = 1e-2
     momentum: float = 0.9
     weight_decay: float = 0.0
-    state: dict = field(default_factory=dict)
+    velocity: np.ndarray = None
 
-    def step(self, params: dict, grads: dict, lr_scale: dict = None):
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            lr = self.lr * (lr_scale or {}).get(name, 1.0)
-            vel = self.state.get(name, np.zeros_like(p))
-            vel = self.momentum * vel - lr * grads[name]
+    def step(self, theta: np.ndarray, grad: np.ndarray, spans):
+        if self.velocity is None:
+            self.velocity = np.zeros_like(theta)
+        vel = self.velocity
+        for sl, scale in spans:
+            lr = self.lr * scale
+            vel[sl] = self.momentum * vel[sl] - lr * grad[sl]
             if self.weight_decay:
-                p *= 1.0 - lr * self.weight_decay
-            p += vel
-            self.state[name] = vel
+                theta[sl] *= 1.0 - lr * self.weight_decay
+            theta[sl] += vel[sl]
 
 
 def make_optimizer(name: str, lr: float, weight_decay: float = 0.0, momentum: float = 0.9):
@@ -305,23 +332,21 @@ def make_optimizer(name: str, lr: float, weight_decay: float = 0.0, momentum: fl
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, model: EncoderModel, proxies: ProxySet = None):
+def save_checkpoint(path, model: EncoderModel):
     """Write the versioned little-endian binary checkpoint."""
-    dims = [model.input_dim, *model.hidden_dims, model.semantic_dim, model.uncertainty_dim]
+    classes = model.proxies.classes if model.proxies is not None else ()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.trunk_w)))
-        f.write(struct.pack(f"<{len(dims)}I", *dims))
-        classes = proxies.classes if proxies is not None else ()
+        f.write(struct.pack(f"<{len(model.dims)}I", *model.dims))
         f.write(struct.pack("<I", len(classes)))
         if classes:
             f.write(struct.pack(f"<{len(classes)}I", *classes))
-        for p in all_parameters(model, proxies).values():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        f.write(model.theta.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path):
-    """Read a checkpoint back into (model, proxies-or-None)."""
+def load_checkpoint(path) -> EncoderModel:
+    """Read a checkpoint back into a model; its proxies (or None) are `model.proxies`."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -341,29 +366,13 @@ def load_checkpoint(path):
     except struct.error:
         raise FormatError(f"{path}: truncated header or proxy class block") from None
 
-    layer_dims = dims[: n_trunk + 1]
-    sdim, udim = dims[-2], dims[-1]
     if 0 in dims:
         raise FormatError(f"{path}: zero layer dim in {dims}")
-    n_params = sum((a + 1) * b for a, b in zip(layer_dims, layer_dims[1:]))
-    n_params += (layer_dims[-1] + 1 + n_proxies) * (sdim + udim)
+    n_params = sum(math.prod(shape) for _, shape in _layout(dims, n_proxies))
     if 8 * n_params != len(raw) - off:
         raise FormatError(f"{path}: dims need {8 * n_params} parameter bytes, got {len(raw) - off}")
-    model = EncoderModel(
-        trunk_w=[np.empty((a, b)) for a, b in zip(layer_dims, layer_dims[1:])],
-        trunk_b=[np.empty(b) for b in layer_dims[1:]],
-        head_s_w=np.empty((layer_dims[-1], sdim)),
-        head_s_b=np.empty(sdim),
-        head_u_w=np.empty((layer_dims[-1], udim)),
-        head_u_b=np.empty(udim),
-    )
-    proxies = None
-    if n_proxies:
-        proxies = ProxySet(np.empty((n_proxies, sdim)), np.empty((n_proxies, udim)), classes)
-    for p in all_parameters(model, proxies).values():
-        p[...] = np.frombuffer(raw, dtype="<f8", count=p.size, offset=off).reshape(p.shape)
-        off += 8 * p.size
-    return model, proxies
+    theta = np.frombuffer(raw, dtype="<f8", offset=off).astype(np.float64)
+    return EncoderModel(dims, theta, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +416,27 @@ def finite_difference_check(
     metric: str = "ism",
     mp: MetricParams = None,
     lp: LossParams = None,
-    proxies: ProxySet = None,
     rng: Rng = None,
-    grads_override: dict = None,
+    grads_override: np.ndarray = None,
 ) -> GradCheckReport:
-    """Compare analytic gradients against central differences on one batch.
+    """Compare analytic gradients against central differences on one batch,
+    over every entry of `model.theta`.
 
     `batch_fn(rng) -> Batch` supplies candidate batches; ones sitting within
     KINK_MARGIN of a hinge/norm kink are discarded and redrawn, up to
     FD_MAX_RESAMPLE draws (their count is reported). The discrete sampling
     plan is frozen once, so the differentiated function is smooth.
-    `grads_override` substitutes a corrupted gradient set (detector
+    `grads_override` substitutes a corrupted gradient vector (detector
     self-test).
     """
     if rng is None:
         raise ParameterError("finite_difference_check needs an rng")
     batch = None
-    res = grads = None
+    res = grad = None
     n_resampled = 0
     for _ in range(FD_MAX_RESAMPLE):
         cand = batch_fn(rng)
-        res, grads = loss_and_grad(
-            model, cand, loss, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
-        )
+        res, grad = loss_and_grad(model, cand, loss, metric=metric, mp=mp, lp=lp, rng=rng)
         if res.kink_margin >= KINK_MARGIN:
             batch = cand
             break
@@ -439,41 +446,33 @@ def finite_difference_check(
             f"no kink-free batch found for {loss}/{metric} in {FD_MAX_RESAMPLE} draws"
         )
     if grads_override is not None:
-        grads = grads_override
+        grad = grads_override
 
-    params = all_parameters(model, proxies if loss in PROXY_LOSSES else None)
+    theta = model.theta
     plan = res.plan
 
     def value():
-        r, _ = loss_and_grad(
-            model, batch, loss, metric=metric, mp=mp, lp=lp, proxies=proxies, plan=plan
-        )
+        r, _ = loss_and_grad(model, batch, loss, metric=metric, mp=mp, lp=lp, plan=plan)
         return r.value
 
-    max_err, worst, total = 0.0, "", 0
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + FD_STEP
+    max_err, worst = 0.0, ""
+    for name, sl in model.slices.items():
+        for k in range(sl.start, sl.stop):
+            orig = theta[k]
+            theta[k] = orig + FD_STEP
             f_plus = value()
-            flat[k] = orig - FD_STEP
+            theta[k] = orig - FD_STEP
             f_minus = value()
-            flat[k] = orig
+            theta[k] = orig
             fd = (f_plus - f_minus) / (2.0 * FD_STEP)
-            err = abs(gflat[k] - fd) / max(abs(gflat[k]), abs(fd), FD_FLOOR)
-            total += 1
+            err = abs(grad[k] - fd) / max(abs(grad[k]), abs(fd), FD_FLOOR)
             if err > max_err:
-                max_err, worst = err, f"{name}[{k}]"
+                max_err, worst = err, f"{name}[{k - sl.start}]"
     return GradCheckReport(
         passed=max_err < FD_TOL,
         max_rel_err=max_err,
         worst_param=worst,
-        n_params=total,
+        n_params=theta.size,
         n_resampled=n_resampled,
         kink_margin=res.kink_margin,
     )

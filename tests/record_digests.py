@@ -9,6 +9,10 @@ refactor prints identical text. It covers:
 - record_sha256: the sha256 of record.json for every loss under
   baseline_run_config and introspective_run_config at seeds 5 and 6;
 - model_bin_sha256: the sha256 of model.bin from the same runs;
+- the same two digests (keys `extra/...`) for five short runs on the paths
+  those runs never take: the frozen uncertainty head
+  (`uncertainty_mode="frozen_zero"`) and the momentum optimizer
+  (`optimizer="sgd"`);
 - gradcheck: the `idml gradcheck --loss L` summary for every loss;
 - compute_loss: value, pair terms, all four gradients and kink margin for
   every loss x metric on one fixed batch that includes a mixed (two-label)
@@ -30,7 +34,7 @@ refactor prints identical text. It covers:
   hashes the next draw of the plan's rng, which checks that margin_dw's
   sampling consumed exactly the draws it did before.
 
-The name keeps pytest from collecting it. It trains its 28 small runs
+The name keeps pytest from collecting it. It trains its 33 small runs
 through one `harness.run_grid` call and takes about 20 s on two cores, or
 about 35 s with IDML_THREADS=1.
 """
@@ -59,6 +63,19 @@ CONFIGS = {
     "baseline_run_config": harness.baseline_run_config,
     "introspective_run_config": harness.introspective_run_config,
 }
+# (loss, RunConfig overrides) of the short extra runs, all on
+# introspective_run_config at seed 5.
+EXTRA_RUNS = {
+    "frozen_zero/contrastive": ("contrastive", dict(uncertainty_mode="frozen_zero")),
+    "frozen_zero/proxy_anchor": ("proxy_anchor", dict(uncertainty_mode="frozen_zero")),
+    "sgd/proxy_nca": ("proxy_nca", dict(optimizer="sgd")),
+    "sgd/margin_dw": ("margin_dw", dict(optimizer="sgd")),
+    "sgd/frozen_zero/multi_similarity": (
+        "multi_similarity",
+        dict(optimizer="sgd", uncertainty_mode="frozen_zero"),
+    ),
+}
+EXTRA_EPOCHS = 5
 
 
 AUGMENT_CHANNELS = {
@@ -90,6 +107,11 @@ def record_digests() -> tuple:
             for seed in SEEDS:
                 keys.append(f"{name}/{loss}/seed={seed}")
                 configs.append(make(loss, seed=seed))
+    for name, (loss, overrides) in EXTRA_RUNS.items():
+        keys.append(f"extra/{name}")
+        configs.append(
+            harness.introspective_run_config(loss, seed=5, epochs=EXTRA_EPOCHS, **overrides)
+        )
     records, models = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         run_dirs = [Path(tmp) / key.replace("/", "-") for key in keys]

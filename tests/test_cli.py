@@ -419,6 +419,22 @@ def test_sweep_cli_bad_idml_threads_exits_config(tmp_path, threads):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_train_cli_bad_idml_threads_exits_config_before_training(tmp_path, threads):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    out = tmp_path / "run"
+    proc = run_cli(
+        "train", "--config", str(cfg_path), "--output", str(out),
+        env={**os.environ, "IDML_THREADS": threads},
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"IDML_THREADS must be a positive integer, got '{threads}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()  # nothing trained
+
+
 def test_blas_thread_cap(tmp_path):
     # Importing the CLI caps BLAS threads at 1 unless IDML_THREADS or an
     # explicit *_NUM_THREADS variable says otherwise. BLAS reads these
@@ -448,4 +464,7 @@ def test_blas_thread_cap(tmp_path):
 
     assert run_probe({}) == ["1", "1", "1"]
     assert run_probe({"IDML_THREADS": "4"}) == ["4", "4", "4"]
+    # a value the CLI rejects never reaches BLAS
+    assert run_probe({"IDML_THREADS": "abc"}) == ["1", "1", "1"]
+    assert run_probe({"IDML_THREADS": "0"}) == ["1", "1", "1"]
     assert run_probe({"OMP_NUM_THREADS": "2"}) == ["2", "1", "1"]

@@ -265,9 +265,21 @@ def test_train_writes_run_outputs(tmp_path):
     flags = {line.split(",")[2] for line in u_lines[1:]}
     assert flags == {"0", "1"}  # clean test rows plus mixed eval rows
 
-    model, proxies = load_checkpoint(tmp_path / "model.bin")
+    model = load_checkpoint(tmp_path / "model.bin")
     assert model.input_dim == cfg.data.input_dim
-    assert proxies is None  # contrastive is not a proxy loss
+    assert model.proxies is None  # contrastive is not a proxy loss
+
+
+def test_unusable_output_dir_fails_before_training(tmp_path, monkeypatch):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+
+    def no_training(*args, **kwargs):
+        raise RuntimeError("a training step ran")
+
+    monkeypatch.setattr("idml.harness.loss_and_grad", no_training)
+    with pytest.raises(FileExistsError):
+        train(tiny_config(), output_dir=a_file)
 
 
 def test_record_json_text_is_reproducible(tmp_path):

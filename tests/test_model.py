@@ -10,6 +10,7 @@ from idml.losses import LOSS_NAMES, PROXY_LOSSES
 from idml.metric import METRIC_NAMES
 from idml.model import (
     AdamW,
+    EncoderModel,
     SgdMomentum,
     finite_difference_check,
     forward,
@@ -23,8 +24,11 @@ from idml.model import (
 )
 
 
-def small_model(seed=0, input_dim=3, hidden=(6,), s=2, u=2):
-    return init_model(input_dim, hidden=hidden, semantic_dim=s, uncertainty_dim=u, rng=Rng(seed))
+def small_model(seed=0, input_dim=3, hidden=(6,), s=2, u=2, proxy_classes=()):
+    return init_model(
+        input_dim, hidden=hidden, semantic_dim=s, uncertainty_dim=u, rng=Rng(seed),
+        proxy_classes=proxy_classes,
+    )
 
 
 def small_batch(seed=0, n=8, dim=3, n_classes=2):
@@ -97,8 +101,7 @@ def test_forward_deterministic():
 def test_init_model_deterministic_and_bias_free():
     a = small_model(7)
     b = small_model(7)
-    for k, v in a.parameters().items():
-        np.testing.assert_array_equal(v, b.parameters()[k])
+    np.testing.assert_array_equal(a.theta, b.theta)
     assert np.all(a.head_s_b == 0.0)
     assert np.all(a.head_u_b == 0.0)
     assert all(np.all(tb == 0.0) for tb in a.trunk_b)
@@ -120,6 +123,34 @@ def test_init_proxies_shapes_and_scale():
     assert np.std(p.uncertainty) < np.std(p.semantic)
 
 
+def test_init_model_draws_proxies_after_the_model():
+    m = small_model(5, proxy_classes=(0, 1, 2))
+    rng = Rng(5)
+    plain = init_model(3, hidden=(6,), semantic_dim=2, uncertainty_dim=2, rng=rng)
+    drawn = init_proxies((0, 1, 2), 2, 2, rng)
+    np.testing.assert_array_equal(m.theta[: plain.theta.size], plain.theta)
+    np.testing.assert_array_equal(m.proxies.semantic, drawn.semantic)
+    np.testing.assert_array_equal(m.proxies.uncertainty, drawn.uncertainty)
+    assert m.proxies.classes == (0, 1, 2)
+
+
+def test_parameters_are_views_into_theta():
+    m = small_model(1, hidden=(5, 4), proxy_classes=(3, 7))
+    assert list(m.slices) == [
+        "trunk.0.W", "trunk.0.b", "trunk.1.W", "trunk.1.b",
+        "head_s.W", "head_s.b", "head_u.W", "head_u.b",
+        "proxy.semantic", "proxy.uncertainty",
+    ]
+    assert m.slices["proxy.uncertainty"].stop == m.theta.size
+    arrays = m.trunk_w + m.trunk_b + [m.head_s_w, m.head_s_b, m.head_u_w, m.head_u_b]
+    for a in arrays + [m.proxies.semantic, m.proxies.uncertainty]:
+        assert np.shares_memory(a, m.theta)
+    m.theta[m.slices["head_u.b"]] = 2.5
+    assert np.all(m.head_u_b == 2.5)
+    with pytest.raises(ShapeError):
+        EncoderModel(m.dims, m.theta[:-1], (3, 7))
+
+
 # ---------------------------------------------------------------------------
 # Loss-and-gradient plumbing
 # ---------------------------------------------------------------------------
@@ -128,21 +159,22 @@ def test_init_proxies_shapes_and_scale():
 def test_loss_and_grad_covers_every_parameter():
     m = small_model()
     batch = small_batch()
-    res, grads = loss_and_grad(m, batch, "contrastive", metric="ism")
-    assert set(grads.keys()) == set(m.parameters().keys())
+    res, grad = loss_and_grad(m, batch, "contrastive", metric="ism")
+    assert grad.shape == m.theta.shape
     assert np.array_equal(res.uncertainty, forward(m, batch.features)[1])
-    for k, g in grads.items():
-        assert g.shape == m.parameters()[k].shape
-        assert np.all(np.isfinite(g))
+    assert np.all(np.isfinite(grad))
+    for name, sl in m.slices.items():
+        assert np.any(grad[sl]), name
     assert np.isfinite(res.value)
 
 
 def test_loss_and_grad_includes_proxy_gradients():
-    m = small_model()
-    prox = init_proxies((0, 1), 2, 2, Rng(3))
-    _, grads = loss_and_grad(m, small_batch(), "proxy_anchor", metric="ism", proxies=prox)
-    assert "proxy.semantic" in grads and "proxy.uncertainty" in grads
-    assert grads["proxy.semantic"].shape == prox.semantic.shape
+    m = small_model(proxy_classes=(0, 1))
+    res, grad = loss_and_grad(m, small_batch(), "proxy_anchor", metric="ism")
+    np.testing.assert_array_equal(grad[m.slices["proxy.semantic"]], res.d_proxy_semantic.ravel())
+    np.testing.assert_array_equal(
+        grad[m.slices["proxy.uncertainty"]], res.d_proxy_uncertainty.ravel()
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -165,8 +197,8 @@ def test_training_steps_decrease_loss():
     opt = AdamW(lr=0.01)
     first, _ = loss_and_grad(m, b, "contrastive", metric="ism")
     for _ in range(30):
-        _, grads = loss_and_grad(m, b, "contrastive", metric="ism")
-        opt.step(m.parameters(), grads)
+        _, grad = loss_and_grad(m, b, "contrastive", metric="ism")
+        opt.step(m.theta, grad, [(slice(None), 1.0)])
     last, _ = loss_and_grad(m, b, "contrastive", metric="ism")
     assert last.value < first.value
 
@@ -178,8 +210,8 @@ def test_two_runs_share_a_bitwise_trajectory():
         vals = []
         for step in range(20):
             b = small_batch(seed=step)
-            res, grads = loss_and_grad(m, b, "contrastive", metric="ism")
-            opt.step(m.parameters(), grads)
+            res, grad = loss_and_grad(m, b, "contrastive", metric="ism")
+            opt.step(m.theta, grad, [(slice(None), 1.0)])
             vals.append(res.value)
         return vals
 
@@ -191,69 +223,82 @@ def test_two_runs_share_a_bitwise_trajectory():
 # ---------------------------------------------------------------------------
 
 
+ALL = [(slice(None), 1.0)]
+
+
 def test_adamw_single_step_matches_hand_trace():
-    p = {"w": np.array([1.0])}
-    g = {"w": np.array([0.5])}
+    p = np.array([1.0])
     opt = AdamW(lr=0.1, weight_decay=0.1)
-    opt.step(p, g)
+    opt.step(p, np.array([0.5]), ALL)
     # decay first, then the bias-corrected moment update
     expect = 1.0 * (1 - 0.1 * 0.1)
     m = 0.1 * 0.5
     v = 0.001 * 0.25
     step_size = 0.1 * np.sqrt(1 - 0.999) / (1 - 0.9)
     expect -= step_size * m / (np.sqrt(v) + 1e-8)
-    assert p["w"][0] == pytest.approx(expect, rel=1e-15)
+    assert p[0] == pytest.approx(expect, rel=1e-15)
+
+
+# Three spans of one 6-vector: base rate, a 10x group and a frozen group.
+SPANS = [(slice(0, 2), 1.0), (slice(2, 4), 10.0), (slice(4, 6), 0.0)]
+START = np.array([0.3, -0.7, 1.5, 0.2, -0.4, 0.9])
 
 
 def test_adamw_multi_step_matches_reference_loop():
-    p = {"w": np.array([0.3, -0.7])}
+    p = START.copy()
     opt = AdamW(lr=0.05, weight_decay=0.01)
-    ref = np.array([0.3, -0.7])
-    m = np.zeros(2)
-    v = np.zeros(2)
+    ref = START.copy()
+    m = np.zeros(6)
+    v = np.zeros(6)
     r = np.random.default_rng(0)
     for t in range(1, 11):
-        g = r.normal(size=2)
-        opt.step(p, {"w": g.copy()})
-        ref *= 1 - 0.05 * 0.01
+        g = r.normal(size=6)
+        opt.step(p, g.copy(), SPANS)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
-        step_size = 0.05 * np.sqrt(1 - 0.999**t) / (1 - 0.9**t)
-        ref -= step_size * m / (np.sqrt(v) + 1e-8)
-    np.testing.assert_allclose(p["w"], ref, rtol=1e-14)
+        for sl, scale in SPANS:
+            lr = 0.05 * scale
+            ref[sl] *= 1 - lr * 0.01
+            step_size = lr * np.sqrt(1 - 0.999**t) / (1 - 0.9**t)
+            ref[sl] -= step_size * m[sl] / (np.sqrt(v[sl]) + 1e-8)
+    np.testing.assert_allclose(p, ref, rtol=1e-14)
+    assert p[4:].tobytes() == START[4:].tobytes()  # scale 0: bit for bit unchanged
 
 
 def test_sgd_momentum_matches_reference_loop():
-    p = {"w": np.array([1.0])}
-    opt = SgdMomentum(lr=0.1, momentum=0.9)
-    ref, vel = 1.0, 0.0
+    p = START.copy()
+    opt = SgdMomentum(lr=0.1, momentum=0.9, weight_decay=0.01)
+    ref, vel = START.copy(), np.zeros(6)
     for g in (1.0, 1.0, -0.5):
-        opt.step(p, {"w": np.array([g])})
-        vel = 0.9 * vel - 0.1 * g
-        ref += vel
-    assert p["w"][0] == pytest.approx(ref, rel=1e-15)
+        opt.step(p, np.full(6, g), SPANS)
+        for sl, scale in SPANS:
+            lr = 0.1 * scale
+            vel[sl] = 0.9 * vel[sl] - lr * g
+            ref[sl] *= 1 - lr * 0.01
+            ref[sl] += vel[sl]
+    np.testing.assert_allclose(p, ref, rtol=1e-15)
+    assert p[4:].tobytes() == START[4:].tobytes()
 
 
 def test_zero_gradient_moves_nothing_without_decay():
-    p = {"w": np.array([2.0])}
-    AdamW(lr=0.1).step(p, {"w": np.array([0.0])})
-    assert p["w"][0] == 2.0
-    SgdMomentum(lr=0.1).step(p, {"w": np.array([0.0])})
-    assert p["w"][0] == 2.0
+    p = np.array([2.0])
+    AdamW(lr=0.1).step(p, np.array([0.0]), ALL)
+    assert p[0] == 2.0
+    SgdMomentum(lr=0.1).step(p, np.array([0.0]), ALL)
+    assert p[0] == 2.0
 
 
 def test_weight_decay_shrinks_even_at_zero_gradient():
-    p = {"w": np.array([2.0])}
-    AdamW(lr=0.1, weight_decay=0.5).step(p, {"w": np.array([0.0])})
-    assert p["w"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-15)
+    p = np.array([2.0])
+    AdamW(lr=0.1, weight_decay=0.5).step(p, np.array([0.0]), ALL)
+    assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-15)
 
 
 def test_lr_scale_applies_per_parameter():
-    p = {"a": np.array([1.0]), "b": np.array([1.0])}
-    g = {"a": np.array([1.0]), "b": np.array([1.0])}
-    SgdMomentum(lr=0.1, momentum=0.0).step(p, g, lr_scale={"b": 10.0})
-    assert p["a"][0] == pytest.approx(0.9)
-    assert p["b"][0] == pytest.approx(0.0, abs=1e-15)
+    p = np.array([1.0, 1.0])
+    SgdMomentum(lr=0.1, momentum=0.0).step(p, np.ones(2), [(slice(0, 1), 1.0), (slice(1, 2), 10.0)])
+    assert p[0] == pytest.approx(0.9)
+    assert p[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_make_optimizer_names():
@@ -274,30 +319,31 @@ def test_checkpoint_round_trip(tmp_path):
     m = small_model(9, hidden=(5, 4))
     path = tmp_path / "model.bin"
     save_checkpoint(path, m)
-    m2, prox2 = load_checkpoint(path)
-    assert prox2 is None
-    for k, v in m.parameters().items():
-        np.testing.assert_array_equal(v, m2.parameters()[k])
+    m2 = load_checkpoint(path)
+    assert m2.proxies is None
+    assert m2.dims == m.dims
+    np.testing.assert_array_equal(m.theta, m2.theta)
     x = np.random.default_rng(0).normal(size=(3, 3))
     np.testing.assert_array_equal(forward(m, x)[0], forward(m2, x)[0])
 
 
 def test_checkpoint_round_trip_with_proxies(tmp_path):
-    m = small_model(2)
-    prox = init_proxies((0, 1, 5), 2, 2, Rng(1))
+    m = small_model(2, proxy_classes=(0, 1, 5))
     path = tmp_path / "model.bin"
-    save_checkpoint(path, m, proxies=prox)
-    _, prox2 = load_checkpoint(path)
-    assert prox2.classes == (0, 1, 5)
-    np.testing.assert_array_equal(prox.semantic, prox2.semantic)
-    np.testing.assert_array_equal(prox.uncertainty, prox2.uncertainty)
+    save_checkpoint(path, m)
+    m2 = load_checkpoint(path)
+    assert m2.proxies.classes == (0, 1, 5)
+    np.testing.assert_array_equal(m.theta, m2.theta)
+    np.testing.assert_array_equal(m.proxies.semantic, m2.proxies.semantic)
+    np.testing.assert_array_equal(m.proxies.uncertainty, m2.proxies.uncertainty)
 
 
 def test_checkpoint_loaded_arrays_are_writable(tmp_path):
     m = small_model(1)
     save_checkpoint(tmp_path / "m.bin", m)
-    m2, _ = load_checkpoint(tmp_path / "m.bin")
+    m2 = load_checkpoint(tmp_path / "m.bin")
     m2.head_s_w += 1.0  # must not raise
+    assert np.shares_memory(m2.head_s_w, m2.theta)
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -328,9 +374,9 @@ def test_checkpoint_truncated_header_rejected(tmp_path):
 def test_checkpoint_truncated_dims_or_classes_rejected(tmp_path, keep):
     # magic 4 + version and trunk count 8 + four layer dims 16 + proxy count 4:
     # byte 14 cuts the dims, byte 34 the proxy class ids
-    m = small_model(2)
+    m = small_model(2, proxy_classes=(0, 1, 5))
     p = tmp_path / "m.bin"
-    save_checkpoint(p, m, proxies=init_proxies((0, 1, 5), 2, 2, Rng(1)))
+    save_checkpoint(p, m)
     p.write_bytes(p.read_bytes()[:keep])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(p)
@@ -373,14 +419,17 @@ def test_checkpoint_trailing_garbage_rejected(tmp_path):
 def test_finite_difference_check_passes(loss, metric):
     # acceptance 3's batch, model and seeds, over every metric
     labels = tuple(frozenset({c}) for c in (0, 0, 1, 1, 2, 2, 3, 3))
-    m = init_model(6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=Rng(21))
-    proxies = init_proxies((0, 1, 2, 3), 5, 4, Rng(22)) if loss in PROXY_LOSSES else None
+    classes = (0, 1, 2, 3) if loss in PROXY_LOSSES else ()
+    m = init_model(6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=Rng(21), proxy_classes=classes)
+    if classes:
+        drawn = init_proxies(classes, 5, 4, Rng(22))
+        m.proxies.semantic[:] = drawn.semantic
+        m.proxies.uncertainty[:] = drawn.uncertainty
     rep = finite_difference_check(
         m,
         lambda r: Batch(features=r.normal(size=(8, 6)), labels=labels),
         loss,
         metric=metric,
-        proxies=proxies,
         rng=Rng(23),
     )
     assert rep.passed, f"max_rel_err={rep.max_rel_err} at {rep.worst_param}"
@@ -388,26 +437,26 @@ def test_finite_difference_check_passes(loss, metric):
 
 
 def test_finite_difference_check_covers_proxies():
-    m = small_model(6, hidden=(5,))
-    prox = init_proxies((0, 1), 2, 2, Rng(2))
-    rep = finite_difference_check(m, batch_fn(), "proxy_anchor", metric="ism", proxies=prox, rng=Rng(1))
+    m = small_model(6, hidden=(5,), proxy_classes=(0, 1))
+    rep = finite_difference_check(m, batch_fn(), "proxy_anchor", metric="ism", rng=Rng(1))
     assert rep.passed
-    n_scalars = sum(v.size for v in m.parameters().values()) + prox.semantic.size + prox.uncertainty.size
-    assert rep.n_params == n_scalars
+    # 3x5 + 5 trunk, 5x2 + 2 per head, 2x2 per proxy block
+    assert rep.n_params == m.theta.size == 20 + 2 * 12 + 2 * 4
 
 
 def test_finite_difference_check_detects_corruption():
     """Sanity check of the checker itself: a poisoned gradient must fail."""
     m = small_model(7, hidden=(5,))
-    _, grads = loss_and_grad(
+    _, grad = loss_and_grad(
         m, batch_fn()(Rng(3)), "contrastive", metric="ism", rng=Rng(3)
     )
-    bad = {k: g.copy() for k, g in grads.items()}
-    bad["head_s.W"] = bad["head_s.W"] + 0.05
+    bad = grad.copy()
+    bad[m.slices["head_s.W"]] += 0.05
     rep = finite_difference_check(
         m, batch_fn(), "contrastive", metric="ism", rng=Rng(3), grads_override=bad
     )
     assert not rep.passed
+    assert rep.worst_param.startswith("head_s.W[")
 
 
 def test_h_factor_identity_holds():
