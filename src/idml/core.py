@@ -87,9 +87,10 @@ def multi_hot(labels):
     sets = [label_set(l) for l in labels]
     classes = sorted(frozenset().union(*sets))
     col = {c: k for k, c in enumerate(classes)}
+    rows = [i for i, s in enumerate(sets) for _ in s]
+    cols = [col[c] for s in sets for c in s]
     Y = np.zeros((len(sets), len(classes)), dtype=bool)
-    for i, s in enumerate(sets):
-        Y[i, [col[c] for c in s]] = True
+    Y[rows, cols] = True
     return Y, classes
 
 

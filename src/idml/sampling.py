@@ -6,8 +6,11 @@ metric the caller trains with) plus the batch's label match table
 correctly: they are "positive" with either source class and never get mined
 as negatives for them.
 
-Distance-weighted negatives are drawn by inverse CDF: one CDF per distinct
-anchor, one uniform per pair from a single RNG call, byte-identical to one
+Distance-weighted negatives are drawn by inverse CDF from one table with a
+row per distinct anchor: its negatives left-packed in index order, their
+weights, and the CDF built from them the way `Generator.choice` builds it,
+padded past each row's negative count. One uniform per pair from a single
+RNG call then picks from the pair's anchor row, byte-identical to one
 `Generator.choice(neg, p=p)` per pair in pair order.
 """
 
@@ -90,21 +93,30 @@ def sample_negatives_for_pairs(pos_pairs, dists, match, n_dim: int, phi: float, 
     n = len(match)
     anchors = np.asarray(pos_pairs, dtype=np.intp).reshape(-1, 2)[:, 0]
     anchors = anchors[~match.all(axis=1)[anchors]]
-    # Row i holds anchor i's CDF built the way `choice` builds it, padded
-    # with +inf so padding is never at or below a uniform in [0, 1).
-    cdf = np.full((n, n), np.inf)
-    negs = np.zeros((n, n), dtype=np.intp)
-    for i in np.unique(anchors):
-        neg = np.flatnonzero(~match[i])
-        lw = dw_log_weights(dists[i, neg], n_dim, phi)
-        w = np.exp(lw - lw.max())
-        p = w / w.sum()
-        if not np.isfinite(p).all() or (p < 0).any():
-            raise ValueError(f"anchor {i}: sampling probabilities must be finite and nonnegative")
-        c = p.cumsum()
-        cdf[i, : neg.size] = c / c[-1]
-        negs[i, : neg.size] = neg
+    rows = np.flatnonzero(np.bincount(anchors, minlength=n))  # distinct anchors, ascending
+    # Row r holds anchor rows[r]'s k[r] negatives in index order, then its
+    # matches; only the first k[r] entries of a row are live.
+    negs = np.argsort(match[rows], axis=1, kind="stable")
+    k = n - match[rows].sum(axis=1)
+    live = np.arange(n) < k[:, None]
+    lw = dw_log_weights(np.take_along_axis(dists[rows], negs, axis=1), n_dim, phi)
+    lw = np.where(live, lw, -np.inf)
+    w = np.exp(lw - lw.max(axis=1, initial=-np.inf)[:, None])
+    # `choice` sums each row's own k entries; numpy's pairwise sum blocks by
+    # length, so rows are summed per negative count, never over the padding
+    total = np.empty(len(rows))
+    for count in np.flatnonzero(np.bincount(k)):
+        sel = k == count
+        total[sel] = w[sel, :count].sum(axis=1)
+    p = w / total[:, None]
+    bad = ~np.isfinite(p).all(axis=1)  # w = exp(.) is never negative
+    if bad.any():
+        raise ValueError(f"anchor {rows[bad.argmax()]}: sampling probabilities must be finite")
+    c = p.cumsum(axis=1)
+    # padding is +inf, so it is never at or below a uniform in [0, 1)
+    cdf = np.where(live, c / c[np.arange(len(rows)), k - 1][:, None], np.inf)
     u = rng.random(anchors.size)
+    r = np.searchsorted(rows, anchors)
     # searchsorted(u, side="right") on a nondecreasing row
-    picks = (cdf[anchors] <= u[:, None]).sum(axis=1)
-    return np.stack([anchors, negs[anchors, picks]], axis=1)
+    picks = (cdf[r] <= u[:, None]).sum(axis=1)
+    return np.stack([anchors, negs[r, picks]], axis=1)

@@ -240,27 +240,37 @@ def dw_weights_ref(dists, n_dim, phi):
     return [float(w / z) for w in ws]
 
 
+def dw_probabilities_ref(a, dists, labels, n_dim, phi):
+    """Anchor a's negatives, ascending, and the p that `dw_negatives_ref`
+    hands to `choice` for them.
+
+    The weights repeat the library's float recipe step for step (clamp, log
+    weight, max shift, normalize), since a byte-identical draw needs
+    bit-identical p; `dw_weights_ref` checks those weights against mpmath
+    separately.
+    """
+    neg = [j for j in range(len(labels)) if not _match(labels[a], labels[j])]
+    neg = np.array(neg, dtype=np.intp)
+    if neg.size == 0:
+        return neg, np.empty(0)
+    d = np.clip(np.asarray(dists, dtype=np.float64)[a, neg], 1e-4, 2.0 - 1e-4)
+    lw = (2.0 - n_dim) * np.log(d) + ((3.0 - n_dim) / 2.0) * np.log1p(-0.25 * d * d)
+    lw = np.minimum(np.log(phi), lw)
+    w = np.exp(lw - lw.max())
+    return neg, w / w.sum()
+
+
 def dw_negatives_ref(pos_pairs, dists, labels, n_dim, phi, gen):
     """Per-pair distance-weighted draws: one `gen.choice(neg, p=p)` per pair.
 
-    `gen` is a numpy Generator. The weights repeat the library's float
-    recipe step for step (clamp, log weight, max shift, normalize), since
-    a byte-identical draw needs bit-identical p; `dw_weights_ref` checks
-    those weights against mpmath separately. Anchors without a negative
-    draw nothing.
+    `gen` is a numpy Generator and p is `dw_probabilities_ref`'s. Anchors
+    without a negative draw nothing.
     """
-    log_phi = np.log(phi)
     out = []
     for a, _ in pos_pairs:
-        neg = [j for j in range(len(labels)) if not _match(labels[a], labels[j])]
-        neg = np.array(neg, dtype=np.intp)
-        if neg.size == 0:
-            continue
-        d = np.clip(np.asarray(dists, dtype=np.float64)[a, neg], 1e-4, 2.0 - 1e-4)
-        lw = (2.0 - n_dim) * np.log(d) + ((3.0 - n_dim) / 2.0) * np.log1p(-0.25 * d * d)
-        lw = np.minimum(log_phi, lw)
-        w = np.exp(lw - lw.max())
-        out.append([int(a), int(gen.choice(neg, p=w / w.sum()))])
+        neg, p = dw_probabilities_ref(a, dists, labels, n_dim, phi)
+        if neg.size:
+            out.append([int(a), int(gen.choice(neg, p=p))])
     return np.array(out, dtype=np.intp).reshape(-1, 2)
 
 

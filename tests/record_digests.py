@@ -32,7 +32,10 @@ refactor prints identical text. It covers:
   one fixed 16-row batch on an integer grid, so that distance ties decide
   mined triplets and masks, with four two-label (mixed) rows. It also
   hashes the next draw of the plan's rng, which checks that margin_dw's
-  sampling consumed exactly the draws it did before.
+  sampling consumed exactly the draws it did before. Keys `paper/...` hash
+  margin_dw's plan under every metric at paper shape: 120 clean rows over
+  30 classes plus 60 two-label rows, 512-d, so rows have more than 128
+  negatives and many distinct negative counts.
 
 The name keeps pytest from collecting it. It trains its 33 small runs
 through one `harness.run_grid` call and takes about 20 s on two cores, or
@@ -231,28 +234,34 @@ def plan_digests() -> dict:
     out = {}
     for loss in LOSS_NAMES:
         for metric in METRIC_NAMES:
-            rng = Rng(47, STREAM_LOSS)
-            plan = build_plan(
-                loss,
-                S,
-                U,
-                labels,
-                metric=metric,
-                proxies=proxies if loss in PROXY_LOSSES else None,
-                rng=rng,
+            out[f"{loss}/{metric}"] = _plan_hash(
+                loss, S, U, labels, metric, proxies if loss in PROXY_LOSSES else None
             )
-            h = hashlib.sha256()
-            for f in dataclasses.fields(plan):
-                v = getattr(plan, f.name)
-                h.update(f.name.encode())
-                if isinstance(v, np.ndarray):
-                    h.update(f"{v.dtype.str}{v.shape}".encode())
-                    h.update(np.ascontiguousarray(v).tobytes())
-                else:
-                    h.update(repr(v).encode())
-            h.update(repr(rng.random()).encode())
-            out[f"{loss}/{metric}"] = h.hexdigest()
+    r = np.random.default_rng(26)
+    S = r.normal(size=(180, 512))
+    U = 0.1 * r.normal(size=(180, 512))
+    classes = r.integers(0, 30, size=180)
+    labels = [{int(c)} for c in classes[:120]]
+    labels += [{int(c), int((c + i) % 30)} for c, i in zip(classes[120:], r.integers(1, 30, size=60))]
+    for metric in METRIC_NAMES:
+        out[f"paper/margin_dw/{metric}"] = _plan_hash("margin_dw", S, U, labels, metric, None)
     return out
+
+
+def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
+    rng = Rng(47, STREAM_LOSS)
+    plan = build_plan(loss, S, U, labels, metric=metric, proxies=proxies, rng=rng)
+    h = hashlib.sha256()
+    for f in dataclasses.fields(plan):
+        v = getattr(plan, f.name)
+        h.update(f.name.encode())
+        if isinstance(v, np.ndarray):
+            h.update(f"{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        else:
+            h.update(repr(v).encode())
+    h.update(repr(rng.random()).encode())
+    return h.hexdigest()
 
 
 def main() -> int:

@@ -585,6 +585,30 @@ def test_evaluate_runs_in_bounded_memory():
     assert 0.0 <= float(proc.stdout.strip()) <= 1.0
 
 
+# numpy imports numpy.ma (about 13 ms) on the first plain np.unique of a
+# process, which would land inside the first evaluation's time.
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from idml.core import Rng
+from idml.evaluation import evaluate
+r = np.random.default_rng(0)
+ids = np.arange(60) % 6
+evaluate(r.normal(size=(60, 4)), r.normal(size=(60, 3)), [{int(i)} for i in ids], Rng(0))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_evaluate_does_not_import_masked_arrays():
+    src = os.path.dirname(os.path.dirname(idml.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def test_evaluate_rejects_unknown_metric():
     S, U, labels = eval_inputs(4)
     with pytest.raises(ParameterError):

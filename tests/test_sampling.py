@@ -32,10 +32,10 @@ def draw_negatives(anchor, d, labels, n_dim, rng, draws=1):
     return rows[:, 1]
 
 
-def mixed_labels(r, n):
-    """One or two of three classes per sample, as after mixing."""
+def mixed_labels(r, n, classes=3):
+    """One or two of `classes` classes per sample, as after mixing."""
     return tuple(
-        frozenset(int(c) for c in r.integers(0, 3, size=int(r.integers(1, 3))))
+        frozenset(int(c) for c in r.integers(0, classes, size=int(r.integers(1, 3))))
         for _ in range(n)
     )
 
@@ -294,27 +294,32 @@ def all_positive_pairs(labels):
     return [(a, p) for a in range(n) for p in range(n) if a != p and labels[a] & labels[p]]
 
 
-# (n_dim, phi, two labels per sample?, rounding decimals or None)
+# (n_dim, phi, two labels per sample?, rounding decimals or None,
+#  rows drawn from [lo, hi), classes, point dimension)
 PER_PAIR_CASES = [
-    (2, 10.0, False, None),
-    (16, 10.0, True, None),
-    (16, 10.0, True, 1),  # one decimal: many tied distances
-    (512, 10.0, True, None),
-    (512, 0.5, False, 1),  # the phi cap binds on every candidate
+    (2, 10.0, False, None, (6, 40), 3, 4),
+    (16, 10.0, True, None, (6, 40), 3, 4),
+    (16, 10.0, True, 1, (6, 40), 3, 4),  # one decimal: many tied distances
+    (512, 10.0, True, None, (6, 40), 3, 4),
+    (512, 0.5, False, 1, (6, 40), 3, 4),  # the phi cap binds on every candidate
+    # paper shape: rows with more negatives than numpy's 128-wide pairwise-sum
+    # block, and many distinct negative counts
+    (512, 10.0, True, None, (160, 200), 16, 512),
 ]
 
 
 def test_sample_negatives_for_pairs_matches_single_draws():
-    for (n_dim, phi, two_labels, decimals), seed in itertools.product(PER_PAIR_CASES, range(3)):
+    for case, seed in itertools.product(PER_PAIR_CASES, range(3)):
+        n_dim, phi, two_labels, decimals, (lo, hi), classes, point_dim = case
         r = np.random.default_rng(seed)
-        n = int(r.integers(6, 40))
+        n = int(r.integers(lo, hi))
         if two_labels:
-            labels = mixed_labels(r, n)
+            labels = mixed_labels(r, n, classes)
         else:
-            labels = tuple(frozenset({int(c)}) for c in r.integers(0, 3, size=n))
+            labels = tuple(frozenset({int(c)}) for c in r.integers(0, classes, size=n))
         # the last sample carries every class, so it has no negative to draw
-        labels += (frozenset({0, 1, 2}),)
-        pts = r.normal(size=(n + 1, 4))
+        labels += (frozenset(range(classes)),)
+        pts = r.normal(size=(n + 1, point_dim))
         d = dist_matrix(pts / np.linalg.norm(pts, axis=1, keepdims=True))
         if decimals is not None:
             d = np.round(d, decimals)
@@ -328,6 +333,46 @@ def test_sample_negatives_for_pairs_matches_single_draws():
             rows = assert_matches_per_pair_choice(pos_pairs, d, labels, n_dim, phi, seed=seed)
             assert n not in rows[:, 0]
             assert len(rows) == sum(a != n for a, _ in pos_pairs)
+
+
+class PresetUniforms:
+    """Stands in for `Rng`: random(M) returns the given M uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+def test_sample_negatives_for_pairs_cdf_steps_are_choices_bits():
+    """Uniforms exactly on, and one ulp below, every step of the CDF that
+    `Generator.choice` builds (p.cumsum() over its last value, searched on
+    the right) pick what its search picks, so every step's bits must match.
+    On the paper-shape case, a ten-anchor table at a time."""
+    n_dim, phi, _, _, (lo, hi), classes, point_dim = PER_PAIR_CASES[-1]
+    r = np.random.default_rng(0)
+    n = int(r.integers(lo, hi))
+    labels = mixed_labels(r, n, classes)
+    pts = r.normal(size=(n, point_dim))
+    d = dist_matrix(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    match = match_matrix(multi_hot(labels)[0])
+    counts = (~match).sum(axis=1)
+    assert counts.max() > 128 and len(set(counts.tolist())) >= 20
+    for first in range(0, n, 10):
+        pairs, u, want = [], [], []
+        for a in range(first, min(first + 10, n)):
+            neg, p = oracles.dw_probabilities_ref(a, d, labels, n_dim, phi)
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            steps = cdf[cdf < 1.0]
+            for x in np.concatenate([steps, np.nextafter(steps, 0.0)]):
+                pairs.append((a, a))
+                u.append(x)
+                want.append([a, int(neg[np.searchsorted(cdf, x, side="right")])])
+        rows = sample_negatives_for_pairs(pairs, d, match, n_dim, phi, PresetUniforms(u))
+        assert rows.tolist() == want
 
 
 def test_sample_negatives_for_pairs_empty_draws_nothing():
@@ -350,6 +395,16 @@ def test_sample_negatives_for_pairs_nan_distance_raises_like_choice():
         oracles.dw_negatives_ref(pairs, d, labels, 16, 10.0, per_pair_generator(0, 5))
     with pytest.raises(ValueError):
         sample_negatives_for_pairs(pairs, d, match, 16, 10.0, Rng(seed=0, stream=5))
+
+
+def test_sample_negatives_for_pairs_nan_distance_to_a_positive_is_not_read():
+    # only distances to negatives enter a CDF, however the table packs them
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}), frozenset({0, 2}))
+    d = dist_matrix([(0.0,), (0.3,), (0.8,), (1.4,), (0.5,)])
+    d[0, 1] = d[1, 0] = d[0, 4] = d[4, 0] = d[2, 3] = np.nan
+    pairs = all_positive_pairs(labels) * 20
+    rows = assert_matches_per_pair_choice(pairs, d, labels, 16, 10.0)
+    assert len(rows) == len(pairs)
 
 
 def test_sample_negatives_for_pairs_inf_distance_is_clamped_and_drawn():
