@@ -1,8 +1,8 @@
 """Virtual-sample synthesis and uncertainty-inducing feature augmentations.
 
 Mixup blends two feature vectors and gives the result the *union* of both
-label sets, so a mixed sample is a positive partner for either source
-class. The image corruptions that raise a model's uncertainty get
+multi-hot label rows, so a mixed sample is a positive partner for either
+source class. The image corruptions that raise a model's uncertainty get
 feature-space analogues here: blur becomes additive Gaussian noise,
 occlusion zeroes a fraction of coordinates, and low resolution becomes
 block averaging. Both steps work on the whole (N, D) batch array; only the
@@ -55,20 +55,24 @@ class AugmentConfig:
 
 
 def mix_rows(batch: Batch, cfg: AugmentConfig, rng: Rng):
-    """The (features, labels) of round(len(batch) * mix_fraction) mixed rows.
+    """The (features, multi-hot label rows) of round(len(batch) * mix_fraction)
+    mixed rows.
 
     Each row blends a random in-batch pair, lam * x_i + (1 - lam) * x_j with
     lam ~ Beta(a, a) for a = mix_lambda_dist, and carries the union of both
-    label sets, which `Batch` has already validated. Pairs with non-matching
-    labels are preferred, so the union genuinely has two members.
+    label rows, Y[i] | Y[j]. Pairs with different label rows are preferred,
+    so the union genuinely has two members.
     """
     n = len(batch)
+    # one hashable key per row: equal keys iff equal label rows
+    packed = np.packbits(batch.Y, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
     rows_i, rows_j, lams = [], [], []
     for _ in range(round(n * cfg.mix_fraction)):
         i = int(rng.integers(0, n))
         j = int(rng.integers(0, n))
         for _ in range(8):  # prefer a cross-class partner when one exists
-            if j != i and batch.labels[i] != batch.labels[j]:
+            if j != i and keys[i] != keys[j]:
                 break
             j = int(rng.integers(0, n))
         if j == i:
@@ -77,9 +81,8 @@ def mix_rows(batch: Batch, cfg: AugmentConfig, rng: Rng):
         rows_j.append(j)
         lams.append(rng.beta(cfg.mix_lambda_dist, cfg.mix_lambda_dist))
     lam = np.array(lams, dtype=np.float64)[:, None]
-    X, L = batch.features, batch.labels
-    labels = tuple(L[i] | L[j] for i, j in zip(rows_i, rows_j))
-    return lam * X[rows_i] + (1.0 - lam) * X[rows_j], labels
+    X, Y = batch.features, batch.Y
+    return lam * X[rows_i] + (1.0 - lam) * X[rows_j], Y[rows_i] | Y[rows_j]
 
 
 def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
@@ -94,7 +97,7 @@ def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
     ceil(occl_fraction * D) uniformly chosen coordinates with probability
     occl_prob.
     """
-    mixed, mixed_labels = mix_rows(batch, cfg, rng)
+    mixed, mixed_Y = mix_rows(batch, cfg, rng)
     X = np.concatenate([batch.features, mixed])
     n, d = X.shape
     f = cfg.lowres_factor
@@ -111,6 +114,7 @@ def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
             X[r, rng.choice(d, size=k, replace=False)] = 0.0
     return Batch(
         features=X,
-        labels=batch.labels + mixed_labels,
-        is_mixed=np.concatenate([batch.is_mixed, np.ones(len(mixed_labels), dtype=bool)]),
+        Y=np.concatenate([batch.Y, mixed_Y]),
+        classes=batch.classes,
+        is_mixed=np.concatenate([batch.is_mixed, np.ones(len(mixed_Y), dtype=bool)]),
     )

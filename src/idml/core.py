@@ -1,11 +1,13 @@
 """Shared value types: vectors, label sets, metric parameters, batches, RNG.
 
 Embeddings are plain 1-D float64 numpy arrays validated at the boundaries
-(finite, nonempty). Labels are frozensets of nonnegative ints so that a
-mixed sample can carry both of its source classes; inside a batch they
-become rows of a boolean multi-hot matrix (:func:`multi_hot`), and every
-"do these samples match?" question is answered by :func:`match_matrix`
-over those rows.
+(finite, nonempty). A sample's labels are a set of nonnegative class ids,
+so that a mixed sample can carry both of its source classes. Label sets
+are validated and converted once, by :func:`multi_hot`, into rows of a
+boolean multi-hot matrix Y over the sorted class ids; from the dataset to
+the loss, those rows are the only label form (:func:`label_ids` turns them
+back into ids for output files), and every "do these samples match?"
+question is answered by :func:`match_matrix` over them.
 All randomness flows through :class:`Rng`, a counter-based generator with
 named substreams, so every run is replayable from a single 64-bit seed.
 """
@@ -28,6 +30,8 @@ __all__ = [
     "label_set",
     "labels_match",
     "multi_hot",
+    "label_rows",
+    "label_ids",
     "match_matrix",
     "check_fields",
     "MetricParams",
@@ -94,6 +98,23 @@ def multi_hot(labels):
     return Y, classes
 
 
+def label_rows(Y, n: int) -> np.ndarray:
+    """`Y` as a boolean (n, K) multi-hot table (rows of `multi_hot`'s Y), with
+    a label in every row; no label set is rebuilt."""
+    Y = np.asarray(Y, dtype=bool)
+    if Y.ndim != 2 or Y.shape[0] != n:
+        raise ShapeError(f"expected ({n}, K) multi-hot label rows, got shape {Y.shape}")
+    if not Y.any(axis=1).all():
+        raise ParameterError("every sample needs at least one label")
+    return Y
+
+
+def label_ids(Y, classes) -> list:
+    """Each multi-hot row's class ids, ascending: the inverse of `multi_hot`."""
+    classes = np.asarray(classes)
+    return [classes[row].tolist() for row in np.asarray(Y, dtype=bool)]
+
+
 def match_matrix(Y) -> np.ndarray:
     """(N, N) boolean table of `labels_match` over every pair of multi-hot rows
     `Y` (from `multi_hot`), diagonal true."""
@@ -155,10 +176,16 @@ class MetricParams:
 
 @dataclass
 class Batch:
-    """A stack of input features with per-sample label sets and mixed flags."""
+    """A stack of input features with their multi-hot label rows and mixed flags.
+
+    Y[i, k] is true iff sample i carries class classes[k] (see `multi_hot`;
+    a `Dataset`'s rows have this form). Only the proxy losses read
+    `classes`, to place Y's columns at their proxies.
+    """
 
     features: np.ndarray
-    labels: tuple
+    Y: np.ndarray
+    classes: tuple = None
     is_mixed: np.ndarray = field(default=None)
 
     def __post_init__(self):
@@ -167,16 +194,17 @@ class Batch:
             raise ShapeError(f"features must be a nonempty (N, D) array, got {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise NumericalFailure("batch features contain non-finite entries")
-        self.labels = tuple(label_set(l) for l in self.labels)
-        if len(self.labels) != self.features.shape[0]:
-            raise ShapeError(
-                f"{len(self.labels)} label sets for {self.features.shape[0]} features"
-            )
+        n = self.features.shape[0]
+        self.Y = label_rows(self.Y, n)
+        if self.classes is not None:
+            self.classes = tuple(self.classes)
+            if len(self.classes) != self.Y.shape[1]:
+                raise ShapeError(f"{len(self.classes)} class ids for {self.Y.shape[1]} label columns")
         if self.is_mixed is None:
-            self.is_mixed = np.zeros(len(self.labels), dtype=bool)
+            self.is_mixed = np.zeros(n, dtype=bool)
         else:
             self.is_mixed = np.asarray(self.is_mixed, dtype=bool)
-            if self.is_mixed.shape != (len(self.labels),):
+            if self.is_mixed.shape != (n,):
                 raise ShapeError("is_mixed must have one flag per sample")
 
     def __len__(self) -> int:

@@ -30,7 +30,8 @@ from idml.core import (
     Rng,
     ShapeError,
     check_fields,
-    label_set,
+    label_ids,
+    multi_hot,
 )
 
 __all__ = [
@@ -90,56 +91,48 @@ def train_class_ids(all_class_ids) -> frozenset:
     return frozenset(ids[:n_train])
 
 
-@dataclass
 class Dataset:
-    """Feature rows, per-row label sets, and the class-disjoint split mask."""
+    """Feature rows, their multi-hot label rows, and the class-disjoint split mask.
 
-    features: np.ndarray
-    labels: tuple
-    is_train: np.ndarray = None
+    The label sets given at construction are validated and converted once,
+    by `multi_hot`: Y[i, k] is true iff row i carries class classes[k], with
+    `classes` the sorted distinct ids. `label_ids(ds.Y, ds.classes)` gives
+    the sets back as id lists, for the file formats.
+    """
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+    def __init__(self, features, labels, is_train=None):
+        self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be (N, D), got {self.features.shape}")
-        if len(self.labels) != self.features.shape[0]:
-            raise ShapeError(
-                f"{self.features.shape[0]} feature rows vs {len(self.labels)} label sets"
-            )
-        self.labels = tuple(label_set(ls) for ls in self.labels)
-        if self.is_train is None:
-            train_ids = train_class_ids(self.all_class_ids())
-            self.is_train = np.array([min(ls) in train_ids for ls in self.labels], dtype=bool)
+        if len(labels) != self.features.shape[0]:
+            raise ShapeError(f"{self.features.shape[0]} feature rows vs {len(labels)} label sets")
+        self.Y, classes = multi_hot(labels)
+        self.classes = tuple(classes)
+        if is_train is None:
+            # a row's smallest class id is its first true column
+            self.is_train = self.Y.argmax(axis=1) < len(train_class_ids(self.classes))
         else:
-            self.is_train = np.asarray(self.is_train, dtype=bool)
+            self.is_train = np.asarray(is_train, dtype=bool)
             if self.is_train.shape != (self.features.shape[0],):
                 raise ShapeError("is_train mask must have one entry per row")
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def all_class_ids(self) -> frozenset:
-        out = set()
-        for ls in self.labels:
-            out |= ls
-        return frozenset(out)
-
     def _side(self, mask):
         idx = np.nonzero(mask)[0]
-        return self.features[idx], tuple(self.labels[i] for i in idx), idx
+        return self.features[idx], self.Y[idx], idx
 
     def train_split(self):
-        """(features, labels, original row indices) of the train side."""
+        """(features, multi-hot label rows, original row indices) of the train side."""
         return self._side(self.is_train)
 
     def test_split(self):
         return self._side(~self.is_train)
 
     def train_classes(self) -> frozenset:
-        out = set()
-        for i in np.nonzero(self.is_train)[0]:
-            out |= self.labels[i]
-        return frozenset(out)
+        held = self.Y[self.is_train].any(axis=0)
+        return frozenset(c for c, h in zip(self.classes, held) if h)
 
 
 def generate(cfg: SynthConfig) -> Dataset:
@@ -176,22 +169,20 @@ def generate(cfg: SynthConfig) -> Dataset:
             partner = same_side[c][int(rng.integers(0, len(same_side[c])))]
             centers[a] = 0.5 * (means[c] + means[partner])
         feats.append(centers + noise)
-        labels.extend(frozenset({c}) for _ in range(cfg.per_class))
+        labels.extend([c] * cfg.per_class)
     features = np.vstack(feats)
-    labels = list(labels)
 
-    train_rows = [i for i, ls in enumerate(labels) if min(ls) in train_ids]
+    train_rows = [i for i, c in enumerate(labels) if c in train_ids]
     n_swap = round(cfg.mislabel_frac * len(train_rows))
     if n_swap:
         swap_rows = rng.choice(len(train_rows), size=n_swap, replace=False)
         train_id_list = sorted(train_ids)
         for r_i in np.sort(swap_rows):
             row = train_rows[int(r_i)]
-            current = min(labels[row])
-            others = [c for c in train_id_list if c != current]
-            labels[row] = frozenset({others[int(rng.integers(0, len(others)))]})
+            others = [c for c in train_id_list if c != labels[row]]
+            labels[row] = others[int(rng.integers(0, len(others)))]
 
-    return Dataset(features=features, labels=tuple(labels))
+    return Dataset(features=features, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +190,14 @@ def generate(cfg: SynthConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _format_label(ls: frozenset) -> str:
-    return "|".join(str(c) for c in sorted(ls))
-
-
 def save_csv(ds: Dataset, path):
-    n, d = ds.features.shape
+    d = ds.features.shape[1]
     with open(path, "w") as f:
         cols = ",".join(f"f{i}" for i in range(d))
         f.write(f"id,label,{cols}\n")
-        for i in range(n):
+        for i, ids in enumerate(label_ids(ds.Y, ds.classes)):
             row = ",".join(repr(float(x)) for x in ds.features[i])
-            f.write(f"{i},{_format_label(ds.labels[i])},{row}\n")
+            f.write(f"{i},{'|'.join(map(str, ids))},{row}\n")
 
 
 def _parse_label_cell(cell: str, lineno: int) -> frozenset:
@@ -267,8 +254,7 @@ def save_binary(ds: Dataset, path):
     with open(path, "wb") as f:
         f.write(BINARY_MAGIC)
         f.write(struct.pack("<III", BINARY_VERSION, n, d))
-        for ls in ds.labels:
-            ids = sorted(ls)
+        for ids in label_ids(ds.Y, ds.classes):
             f.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
         f.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
 

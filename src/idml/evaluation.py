@@ -24,9 +24,9 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    label_rows,
     label_set,  # noqa: F401  (stays importable: perfbench counts calls at this name)
     match_matrix,
-    multi_hot,
 )
 from idml.metric import (
     METRIC_NAMES,
@@ -380,7 +380,7 @@ class EvalReport:
 def evaluate(
     semantic,
     uncertainty,
-    labels,
+    Y,
     rng: Rng,
     ks=DEFAULT_RECALL_KS,
     knn_k: int = DEFAULT_KNN_K,
@@ -391,19 +391,17 @@ def evaluate(
 ) -> EvalReport:
     """Full report over one (typically test) split.
 
-    Ranking metrics run on `test_metric` distances (default: Euclidean over
-    the semantic rows alone); k-means/NMI always clusters the semantic rows.
+    `Y` holds the samples' multi-hot label rows (a `Dataset` split's). Ranking
+    metrics run on `test_metric` distances (default: Euclidean over the
+    semantic rows alone); k-means/NMI always clusters the semantic rows.
     `mixed_uncertainty` holds uncertainty rows of synthetically mixed
     samples; without them the mixed mean is reported as 0.
     """
     S = np.asarray(semantic, dtype=np.float64)
     U = np.asarray(uncertainty, dtype=np.float64)
-    Y = multi_hot(labels)[0]
-    if S.shape[0] != U.shape[0] or S.shape[0] != len(Y):
-        raise ShapeError(
-            f"sample count mismatch: {S.shape[0]} semantic, {U.shape[0]} "
-            f"uncertainty, {len(Y)} labels"
-        )
+    if S.shape[0] != U.shape[0]:
+        raise ShapeError(f"sample count mismatch: {S.shape[0]} semantic, {U.shape[0]} uncertainty")
+    Y = label_rows(Y, S.shape[0])
     if test_metric not in METRIC_NAMES:
         raise ParameterError(f"unknown test metric {test_metric!r}")
     mp = mp if mp is not None else MetricParams()
@@ -425,7 +423,7 @@ def evaluate(
     rp, map_r = r_precision_and_map_at_r(rel, counts)
 
     # NMI scores one class per sample: a multi-label row's first true column,
-    # its smallest class id
+    # its smallest class id (only the partition matters, not the id values)
     ids = Y.argmax(axis=1)
     clusters = kmeans(S, int(np.count_nonzero(np.bincount(ids))), rng)
     nmi_val = nmi(ids, clusters)

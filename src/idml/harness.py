@@ -43,6 +43,8 @@ from idml.core import (
     Rng,
     ShapeError,
     check_fields,
+    label_ids,
+    multi_hot,
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
 from idml.evaluation import EvalReport, evaluate, uncertainty_levels
@@ -306,7 +308,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     if output_dir is not None:  # an unusable output path fails before any work
         Path(output_dir).mkdir(parents=True, exist_ok=True)
     ds = load_dataset_for(cfg)
-    x_train, l_train, _ = ds.train_split()
+    x_train, y_train, _ = ds.train_split()
     if x_train.shape[0] < cfg.batch_size:
         raise ParameterError(
             f"training split has {x_train.shape[0]} samples, fewer than batch_size={cfg.batch_size}"
@@ -319,7 +321,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         rng=Rng(cfg.seed, STREAM_INIT),
         proxy_classes=sorted(ds.train_classes()) if cfg.loss in PROXY_LOSSES else (),
     )
-    stats = _fit(cfg, model, x_train, l_train)
+    stats = _fit(cfg, model, x_train, y_train, ds.classes)
     report, u_rows = _evaluate_test_split(
         model, ds, cfg.seed, cfg.augment, cfg.test_metric, cfg.metric_params
     )
@@ -331,9 +333,10 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     return record
 
 
-def _fit(cfg: RunConfig, model, x_train, l_train) -> list:
+def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
     """Train `model.theta` in place for cfg.epochs; returns the EpochStats.
 
+    `y_train` holds the multi-hot label rows of `x_train`, over `classes`.
     Each epoch consumes fresh Rng streams for shuffling, mixing, and
     sampling. Partial trailing batches are dropped so every step sees the
     configured batch size. The optimizer state and the last gradient are
@@ -363,7 +366,7 @@ def _fit(cfg: RunConfig, model, x_train, l_train) -> list:
         clean_norms, mixed_norms = [], []
         for b in range(n_train // cfg.batch_size):
             rows = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = Batch(features=x_train[rows], labels=tuple(l_train[r] for r in rows))
+            batch = Batch(features=x_train[rows], Y=y_train[rows], classes=classes)
             batch = augment_batch(batch, cfg.augment, aug_rng)
             res, grad = loss_and_grad(
                 model, batch, cfg.loss, metric=cfg.metric, mp=mp, lp=lp, rng=loss_rng
@@ -396,11 +399,11 @@ def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test
     looked up in this module's globals, so wrapping them here wraps the
     evaluation of both `train` and `diagnose`.
     """
-    x_test, l_test, idx_test = ds.test_split()
-    test = Batch(features=x_test, labels=l_test)  # rejects non-finite features
+    x_test, y_test, idx_test = ds.test_split()
+    test = Batch(features=x_test, Y=y_test, classes=ds.classes)  # rejects non-finite features
     s_test, u_test = forward(model, test.features)
     eval_rng = Rng(seed, STREAM_EVAL)
-    mixed_feats, mixed_labels = mix_rows(test, aug, eval_rng)
+    mixed_feats, mixed_Y = mix_rows(test, aug, eval_rng)
     if mixed_feats.shape[0]:
         _, u_mixed = forward(model, mixed_feats)
     else:
@@ -408,26 +411,24 @@ def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test
     report = evaluate(
         s_test,
         u_test,
-        l_test,
+        y_test,
         eval_rng,
         mixed_uncertainty=u_mixed,
         test_metric=test_metric,
         mp=mp,
     )
-    return report, _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed)
+    return report, _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed)
 
 
-def _uncertainty_rows(ds, idx_test, u_test, mixed_labels, u_mixed):
+def _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed):
     rows = []
     norms = uncertainty_levels(u_test)
-    for i, row in enumerate(idx_test):
-        label = "|".join(str(c) for c in sorted(ds.labels[row]))
-        rows.append(f"{int(row)},{label},0,{norms[i]!r}")
+    for i, (row, ids) in enumerate(zip(idx_test, label_ids(ds.Y[idx_test], ds.classes))):
+        rows.append(f"{int(row)},{'|'.join(map(str, ids))},0,{norms[i]!r}")
     if u_mixed is not None:
         mixed_norms = uncertainty_levels(u_mixed)
-        for j, ls in enumerate(mixed_labels):
-            label = "|".join(str(c) for c in sorted(ls))
-            rows.append(f"{len(ds) + j},{label},1,{mixed_norms[j]!r}")
+        for j, ids in enumerate(label_ids(mixed_Y, ds.classes)):
+            rows.append(f"{len(ds) + j},{'|'.join(map(str, ids))},1,{mixed_norms[j]!r}")
     return rows
 
 
@@ -527,7 +528,7 @@ class GradcheckOutcome:
         )
 
 
-_GRADCHECK_LABELS = tuple(frozenset({c}) for c in (0, 0, 1, 1, 2, 2, 3, 3))
+_GRADCHECK_Y, _GRADCHECK_CLASSES = multi_hot((0, 0, 1, 1, 2, 2, 3, 3))
 
 
 def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
@@ -540,8 +541,8 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
     )
 
     def batch_fn(r):
-        n = len(_GRADCHECK_LABELS)
-        return Batch(features=r.normal(size=(n, 6)), labels=_GRADCHECK_LABELS)
+        n = len(_GRADCHECK_Y)
+        return Batch(features=r.normal(size=(n, 6)), Y=_GRADCHECK_Y, classes=_GRADCHECK_CLASSES)
 
     fd = finite_difference_check(
         model,

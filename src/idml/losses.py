@@ -1,11 +1,11 @@
 """Seven metric-learning losses, each pluggable over the metric family.
 
 Every loss works on a batch of embedding pairs (semantic rows S, uncertainty
-rows U) with per-sample label sets, and reports its value together with
-analytic gradients with respect to S, U, and (for proxy losses) the proxy
-vectors. Swapping the metric selector between "euclidean" and the
-introspective variants changes values and gradients but nothing structural,
-so baseline and uncertainty-aware runs share one code path.
+rows U) with per-sample multi-hot label rows Y, and reports its value
+together with analytic gradients with respect to S, U, and (for proxy
+losses) the proxy vectors. Swapping the metric selector between "euclidean"
+and the introspective variants changes values and gradients but nothing
+structural, so baseline and uncertainty-aware runs share one code path.
 
 Discrete choices — mined triplets, distance-weighted negative draws, the
 multi-similarity mask — are made once per batch by ``build_plan`` and then
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import MetricParams, ParameterError, Rng, ShapeError, check_fields, label_set, match_matrix, multi_hot  # noqa: F401
+from idml.core import MetricParams, ParameterError, Rng, ShapeError, check_fields, label_rows, label_set, match_matrix  # noqa: F401
 from idml.metric import (
     METRIC_NAMES,
     distance_table,
@@ -292,13 +292,18 @@ def _min_or_inf(values) -> float:
 
 
 def _proxy_masks(Y, classes, proxies: ProxySet):
-    """(N, K) sample-proxy label matches: the batch's multi-hot columns placed at their proxies."""
-    missing = set(classes) - set(proxies.classes)
+    """(N, K) sample-proxy label matches: the batch's multi-hot columns placed
+    at their proxies. Only the columns some row holds need a proxy."""
+    if classes is None:
+        raise ParameterError("proxy losses need the class id of each label column")
+    used = Y.any(axis=0)
+    held = [c for c, u in zip(classes, used.tolist()) if u]
+    missing = set(held) - set(proxies.classes)
     if missing:
         raise ParameterError(f"proxy set lacks classes {sorted(missing)}")
     col = {c: k for k, c in enumerate(proxies.classes)}
     pos = np.zeros((len(Y), len(proxies)), dtype=bool)
-    pos[:, [col[c] for c in classes]] = Y
+    pos[:, [col[c] for c in held]] = Y[:, used]
     return pos, ~pos
 
 
@@ -311,7 +316,9 @@ def build_plan(
     loss: str,
     S,
     U,
-    labels,
+    Y,
+    classes=None,
+    *,
     metric: str = "ism",
     mp: MetricParams = None,
     lp: LossParams = None,
@@ -320,12 +327,14 @@ def build_plan(
 ) -> Plan:
     """Make the batch's discrete choices for `loss` and freeze them.
 
-    margin_dw and triplet_sh consult the selected metric's distance table
-    for their sampling; multi_similarity computes its mining mask from the
-    selected similarity table. The labels are converted once, to multi-hot
-    rows: the pair losses build from them the match table that every one of
-    these choices reads, and the proxy losses place them at their proxies.
-    `rng` is only required for margin_dw.
+    `Y` and `classes` are the batch's multi-hot label rows and the class id
+    of each column (a `Batch`'s, or `multi_hot(label_sets)`). margin_dw and
+    triplet_sh consult the selected metric's distance table for their
+    sampling; multi_similarity computes its mining mask from the selected
+    similarity table. The pair losses build from Y the match table that
+    every one of these choices reads, and the proxy losses place Y's columns
+    at their proxies. `rng` is only required for margin_dw, `classes` only
+    for the proxy losses.
     """
     if loss not in LOSS_NAMES:
         raise ParameterError(f"unknown loss {loss!r}")
@@ -333,12 +342,12 @@ def build_plan(
         raise ParameterError(f"unknown metric {metric!r}")
     S = np.asarray(S, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
-    if len(labels) != S.shape[0] or len(labels) == 0:
-        raise ParameterError("need one label set per embedding row, batch nonempty")
+    if S.shape[0] == 0:
+        raise ParameterError("build_plan needs a nonempty batch")
+    Y = label_rows(Y, S.shape[0])
     mp = mp or MetricParams()
     lp = lp or default_loss_params(loss)
     plan = Plan(loss=loss)
-    Y, classes = multi_hot(labels)
     match = None if loss in PROXY_LOSSES else match_matrix(Y)
 
     if loss in ("contrastive", "margin_dw", "triplet_sh"):
@@ -429,7 +438,9 @@ def compute_loss(
     loss: str,
     S,
     U,
-    labels,
+    Y,
+    classes=None,
+    *,
     metric: str = "ism",
     mp: MetricParams = None,
     lp: LossParams = None,
@@ -437,7 +448,7 @@ def compute_loss(
     rng: Rng = None,
 ) -> LossResult:
     """build_plan + evaluate_loss in one call (the training-step path)."""
-    plan = build_plan(loss, S, U, labels, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng)
+    plan = build_plan(loss, S, U, Y, classes, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng)
     return evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,9 @@ U_INIT_SCALE = 0.1
 ADAMW_BETA1 = 0.9
 ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
+# Entries AdamW updates per pass of its elementwise chain: two float64
+# buffers of this length stay in cache, where a span-sized temporary did not.
+ADAMW_BLOCK = 16384
 
 
 def _layout(dims, n_proxies: int) -> list:
@@ -219,7 +222,8 @@ def _backward(model: EncoderModel, hs, dS, dU, g: dict):
         dz = dh * (1.0 - hs[i + 1] ** 2)  # tanh'
         np.matmul(hs[i].T, dz, out=g[f"trunk.{i}.W"])
         dz.sum(axis=0, out=g[f"trunk.{i}.b"])
-        dh = dz @ model.trunk_w[i].T
+        if i:  # nothing reads the input layer's dh
+            dh = dz @ model.trunk_w[i].T
 
 
 def loss_and_grad(
@@ -242,7 +246,7 @@ def loss_and_grad(
     proxies = model.proxies
     if plan is None:
         plan = build_plan(
-            loss, S, U, batch.labels, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
+            loss, S, U, batch.Y, batch.classes, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
         )
     res = evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
     res.uncertainty = U
@@ -278,23 +282,51 @@ class AdamW:
     m: np.ndarray = None
     v: np.ndarray = None
     t: int = 0
+    _buf: np.ndarray = field(default=None, repr=False)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, spans):
         if self.m is None:
             self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+            self._buf = np.empty((2, ADAMW_BLOCK))
         self.t += 1
-        # span by span, so that temporaries stay the size of one span
-        for sl, scale in spans:
-            g, m, v = grad[sl], self.m[sl], self.v[sl]
+        # Adjacent spans with one lr scale share every scalar below, so they
+        # run as one range. Each range goes block by block, every operation
+        # written into the two buffers: the same float operations, in the
+        # same order, as one numpy expression per span.
+        for start, stop, scale in _scale_runs(spans, theta.size):
             lr = self.lr * scale
-            if self.weight_decay:
-                theta[sl] *= 1.0 - lr * self.weight_decay
-            m *= ADAMW_BETA1
-            m += (1.0 - ADAMW_BETA1) * g
-            v *= ADAMW_BETA2
-            v += (1.0 - ADAMW_BETA2) * g * g
+            decay = 1.0 - lr * self.weight_decay
             step_size = lr * np.sqrt(1.0 - ADAMW_BETA2**self.t) / (1.0 - ADAMW_BETA1**self.t)
-            theta[sl] -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
+            for lo in range(start, stop, ADAMW_BLOCK):
+                hi = min(lo + ADAMW_BLOCK, stop)
+                p, g, m, v = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+                a, b = self._buf[0, : hi - lo], self._buf[1, : hi - lo]
+                if self.weight_decay:
+                    p *= decay
+                m *= ADAMW_BETA1
+                np.multiply(1.0 - ADAMW_BETA1, g, out=a)
+                m += a
+                v *= ADAMW_BETA2
+                np.multiply(1.0 - ADAMW_BETA2, g, out=a)
+                a *= g
+                v += a
+                np.sqrt(v, out=a)
+                a += ADAMW_EPS
+                np.multiply(step_size, m, out=b)
+                b /= a
+                p -= b
+
+
+def _scale_runs(spans, n: int) -> list:
+    """[start, stop, scale] of each run of adjacent spans with one lr scale."""
+    runs = []
+    for sl, scale in spans:
+        start, stop, _ = sl.indices(n)
+        if runs and runs[-1][1] == start and runs[-1][2] == scale:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, scale])
+    return runs
 
 
 @dataclass
@@ -512,7 +544,7 @@ def h_factor_check(rng: Rng, n_pairs: int = 1000, mp: MetricParams = None) -> HF
     if rng is None:
         raise ParameterError("h_factor_check needs an rng")
     mp = mp if mp is not None else MetricParams()
-    labels = (frozenset({0}), frozenset({0}))
+    Y = np.ones((2, 1), dtype=bool)  # one positive pair
     shape = (2, H_CHECK_DIM)
 
     max_err, max_h = 0.0, -np.inf
@@ -523,8 +555,8 @@ def h_factor_check(rng: Rng, n_pairs: int = 1000, mp: MetricParams = None) -> HF
         alpha = float(np.linalg.norm(S[0] - S[1]))
         if alpha < 1e-6:
             continue
-        base = compute_loss("contrastive", S, U, labels, metric="euclidean", mp=mp)
-        intro = compute_loss("contrastive", S, U, labels, metric="ism", mp=mp)
+        base = compute_loss("contrastive", S, U, Y, metric="euclidean", mp=mp)
+        intro = compute_loss("contrastive", S, U, Y, metric="ism", mp=mp)
         gb = np.linalg.norm(base.d_semantic[0])
         gi = np.linalg.norm(intro.d_semantic[0])
         beta = float(np.linalg.norm(U[0] + U[1]))

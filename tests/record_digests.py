@@ -9,11 +9,17 @@ refactor prints identical text. It covers:
 - record_sha256: the sha256 of record.json for every loss under
   baseline_run_config and introspective_run_config at seeds 5 and 6;
 - model_bin_sha256: the sha256 of model.bin from the same runs;
+- uncertainty_csv_sha256: the sha256 of uncertainty.csv from the same runs,
+  whose label column turns the test split's and the mixed rows' label rows
+  back into class ids;
 - the same two digests (keys `extra/...`) for five short runs on the paths
   those runs never take: the frozen uncertainty head
   (`uncertainty_mode="frozen_zero"`) and the momentum optimizer
   (`optimizer="sgd"`);
 - gradcheck: the `idml gradcheck --loss L` summary for every loss;
+- io_sha256: the sha256 of a CSV and of a binary dataset file written from
+  a dataset with two-label rows (`write`), and of the same format written
+  again after reading the first file back (`rewrite`);
 - compute_loss: value, pair terms, all four gradients and kink margin for
   every loss x metric on one fixed batch that includes a mixed (two-label)
   row. Floats print in shortest round-trip form, so equal text means equal
@@ -37,6 +43,9 @@ refactor prints identical text. It covers:
   30 classes plus 60 two-label rows, 512-d, so rows have more than 128
   negatives and many distinct negative counts.
 
+Batches, plans and reports take multi-hot label rows; the fixed inputs
+hold label sets and convert them once with `core.multi_hot`.
+
 The name keeps pytest from collecting it. It trains its 33 small runs
 through one `harness.run_grid` call and takes about 20 s on two cores, or
 about 35 s with IDML_THREADS=1.
@@ -56,7 +65,8 @@ import numpy as np
 
 from idml import harness
 from idml.augment import AugmentConfig, augment_batch
-from idml.core import STREAM_AUGMENT, STREAM_LOSS, Batch, Rng
+from idml.core import STREAM_AUGMENT, STREAM_LOSS, Batch, Rng, label_ids, multi_hot
+from idml.data import Dataset, load_binary, load_csv, save_binary, save_csv
 from idml.evaluation import evaluate
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, build_plan, compute_loss
 from idml.metric import METRIC_NAMES
@@ -115,14 +125,15 @@ def record_digests() -> tuple:
         configs.append(
             harness.introspective_run_config(loss, seed=5, epochs=EXTRA_EPOCHS, **overrides)
         )
-    records, models = {}, {}
+    records, models, uncertainty = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         run_dirs = [Path(tmp) / key.replace("/", "-") for key in keys]
         harness.run_grid(configs, run_dirs)
         for key, run_dir in zip(keys, run_dirs):
             records[key] = _sha256(run_dir / "record.json")
             models[key] = _sha256(run_dir / "model.bin")
-    return records, models
+            uncertainty[key] = _sha256(run_dir / "uncertainty.csv")
+    return records, models, uncertainty
 
 
 def gradcheck_summaries() -> dict:
@@ -136,13 +147,13 @@ def fixed_batch():
     r = np.random.default_rng(20)
     S = r.normal(size=(7, 4))
     U = 0.3 * r.normal(size=(7, 3))
-    labels = tuple(frozenset(c) for c in ({0}, {0}, {1}, {1}, {2}, {2}, {0, 1}))
+    Y, classes = multi_hot(({0}, {0}, {1}, {1}, {2}, {2}, {0, 1}))
     proxies = ProxySet(
         semantic=r.normal(size=(3, 4)),
         uncertainty=0.3 * r.normal(size=(3, 3)),
         classes=(0, 1, 2),
     )
-    return S, U, labels, proxies
+    return S, U, Y, classes, proxies
 
 
 def _floats(a):
@@ -150,7 +161,7 @@ def _floats(a):
 
 
 def loss_outputs() -> dict:
-    S, U, labels, proxies = fixed_batch()
+    S, U, Y, classes, proxies = fixed_batch()
     out = {}
     for loss in LOSS_NAMES:
         for metric in METRIC_NAMES:
@@ -158,7 +169,8 @@ def loss_outputs() -> dict:
                 loss,
                 S,
                 U,
-                labels,
+                Y,
+                classes,
                 metric=metric,
                 proxies=proxies if loss in PROXY_LOSSES else None,
                 rng=Rng(31),
@@ -177,14 +189,16 @@ def loss_outputs() -> dict:
 
 def augment_digests() -> dict:
     r = np.random.default_rng(21)
-    labels = [{0}, {0}, {1}, {1}, {2}, {2}, {3}, {0, 1}, {3}]
-    batch = Batch(features=r.normal(size=(9, 18)), labels=labels, is_mixed=[False] * 7 + [True, False])
+    Y, classes = multi_hot([{0}, {0}, {1}, {1}, {2}, {2}, {3}, {0, 1}, {3}])
+    batch = Batch(
+        features=r.normal(size=(9, 18)), Y=Y, classes=classes, is_mixed=[False] * 7 + [True, False]
+    )
     out = {}
     for name, cfg in AUGMENT_CHANNELS.items():
         rng = Rng(41, STREAM_AUGMENT)
         res = augment_batch(batch, cfg, rng)
         h = hashlib.sha256(res.features.tobytes())
-        h.update(repr([sorted(ls) for ls in res.labels]).encode())
+        h.update(repr(label_ids(res.Y, res.classes)).encode())
         h.update(res.is_mixed.tobytes())
         h.update(repr(rng.random()).encode())
         out[name] = h.hexdigest()
@@ -214,7 +228,7 @@ def _evaluate_hashes(S, U, labels, prefix: str) -> dict:
     for metric in METRIC_NAMES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = evaluate(S, U, labels, Rng(43), test_metric=metric)
+            rep = evaluate(S, U, multi_hot(labels)[0], Rng(43), test_metric=metric)
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         out[prefix + metric] = hashlib.sha256(text.encode()).hexdigest()
     return out
@@ -250,7 +264,7 @@ def plan_digests() -> dict:
 
 def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
     rng = Rng(47, STREAM_LOSS)
-    plan = build_plan(loss, S, U, labels, metric=metric, proxies=proxies, rng=rng)
+    plan = build_plan(loss, S, U, *multi_hot(labels), metric=metric, proxies=proxies, rng=rng)
     h = hashlib.sha256()
     for f in dataclasses.fields(plan):
         v = getattr(plan, f.name)
@@ -264,11 +278,30 @@ def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
     return h.hexdigest()
 
 
+def io_digests() -> dict:
+    r = np.random.default_rng(27)
+    ids = r.integers(0, 9, size=40)
+    other = (ids + r.integers(1, 9, size=40)) % 9
+    labels = [{int(a), int(b)} if i % 4 == 0 else {int(a)} for i, (a, b) in enumerate(zip(ids, other))]
+    ds = Dataset(features=r.normal(size=(40, 5)), labels=labels)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, save, load in (("csv", save_csv, load_csv), ("binary", save_binary, load_binary)):
+            first, second = Path(tmp) / f"first.{name}", Path(tmp) / f"second.{name}"
+            save(ds, first)
+            save(load(first), second)
+            out[f"{name}/write"] = _sha256(first)
+            out[f"{name}/rewrite"] = _sha256(second)
+    return out
+
+
 def main() -> int:
-    records, models = record_digests()
+    records, models, uncertainty = record_digests()
     report = {
         "record_sha256": records,
         "model_bin_sha256": models,
+        "uncertainty_csv_sha256": uncertainty,
+        "io_sha256": io_digests(),
         "augment_sha256": augment_digests(),
         "evaluate_sha256": evaluate_digests(),
         "plan_sha256": plan_digests(),

@@ -85,10 +85,7 @@ def test_1_degenerate_limit_matches_baseline():
         for b in range(100):
             n = 10
             classes = [0, 1] + [int(c) for c in feats_rng.integers(0, 4, size=n - 2)]
-            batch = Batch(
-                features=feats_rng.normal(size=(n, 6)),
-                labels=tuple(frozenset({c}) for c in classes),
-            )
+            batch = Batch(feats_rng.normal(size=(n, 6)), *multi_hot(classes))
             res_i, g_i = loss_and_grad(
                 model, batch, loss, metric="ism", mp=mp, lp=lp, rng=Rng(1000 + b)
             )
@@ -143,10 +140,10 @@ def test_2_gradient_attenuation_identity():
 
 
 def test_3_finite_difference_grid():
-    labels = tuple(frozenset({c}) for c in (0, 0, 1, 1, 2, 2, 3, 3))
+    Y, batch_classes = multi_hot((0, 0, 1, 1, 2, 2, 3, 3))
 
     def batch_fn(r):
-        return Batch(features=r.normal(size=(8, 6)), labels=labels)
+        return Batch(r.normal(size=(8, 6)), Y, batch_classes)
 
     worst = 0.0
     failures = []

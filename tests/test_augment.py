@@ -10,23 +10,31 @@ from hypothesis import strategies as st
 
 import oracles
 from idml.augment import AugmentConfig, augment_batch
-from idml.core import STREAM_AUGMENT, Batch, ParameterError, Rng
+from idml.core import STREAM_AUGMENT, Batch, ParameterError, Rng, label_ids, multi_hot
 
 finite = st.floats(-100, 100, allow_nan=False)
+
+
+def batch_of(features, labels, is_mixed=None):
+    return Batch(features, *multi_hot(labels), is_mixed=is_mixed)
+
+
+def label_sets(batch):
+    return tuple(frozenset(ids) for ids in label_ids(batch.Y, batch.classes))
 
 
 def corrupt(x, seed=0, **channels):
     """One row through augment_batch with mixing off and the given channels."""
     cfg = AugmentConfig(mix_fraction=0.0, **channels)
-    return augment_batch(Batch(features=[x], labels=[0]), cfg, Rng(seed)).features[0]
+    return augment_batch(batch_of([x], [0]), cfg, Rng(seed)).features[0]
 
 
 def mixed_row(x1, l1, x2, l2, seed=0, **cfg):
     """The one mixed row (features, labels) of a two-row batch."""
-    b = Batch(features=[x1, x2], labels=[l1, l2])
+    b = batch_of([x1, x2], [l1, l2])
     out = augment_batch(b, AugmentConfig(mix_fraction=0.5, **cfg), Rng(seed))
     assert out.is_mixed.tolist() == [False, False, True]
-    return out.features[2], out.labels[2]
+    return out.features[2], label_sets(out)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +75,9 @@ def test_mix_weights():
 
 
 def test_mix_same_class_label_stays_singleton():
-    b = Batch(features=[np.ones(2), np.zeros(2)], labels=[{3}, {3}])
+    b = batch_of([np.ones(2), np.zeros(2)], [{3}, {3}])
     out = augment_batch(b, AugmentConfig(mix_fraction=1.0), Rng(0))
-    assert out.labels[2:] == (frozenset({3}),) * 2
+    assert label_sets(out)[2:] == (frozenset({3}),) * 2
 
 
 @given(
@@ -79,7 +87,7 @@ def test_mix_same_class_label_stays_singleton():
     seed=st.integers(0, 2**32),
 )
 def test_mix_is_convex(a, b, shape, seed):
-    batch = Batch(features=[a, b], labels=[0, 1])
+    batch = batch_of([a, b], [0, 1])
     out = augment_batch(batch, AugmentConfig(mix_fraction=1.0, mix_lambda_dist=shape), Rng(seed))
     lo = np.minimum(a, b) - 1e-9
     hi = np.maximum(a, b) + 1e-9
@@ -119,7 +127,7 @@ def test_blur_zero_sigma_identity():
     x = np.array([1.0, -2.0, 3.5])
     rng = Rng(0)
     cfg = AugmentConfig(mix_fraction=0.0, blur_prob=1.0, noise_sigma=0.0)
-    out = augment_batch(Batch(features=[x], labels=[0]), cfg, rng)
+    out = augment_batch(batch_of([x], [0]), cfg, rng)
     np.testing.assert_array_equal(out.features[0], x)
     twin = Rng(0)
     twin.random()
@@ -130,7 +138,7 @@ def test_blur_noise_is_centered():
     # mean displacement over many rows stays inside the CLT envelope
     sigma = 0.5
     n = 10_000
-    b = Batch(features=np.zeros((n, 8)), labels=[0] * n)
+    b = batch_of(np.zeros((n, 8)), [0] * n)
     cfg = AugmentConfig(mix_fraction=0.0, blur_prob=1.0, noise_sigma=sigma)
     out = augment_batch(b, cfg, Rng(3)).features
     bound = 3 * sigma / np.sqrt(n)
@@ -169,10 +177,7 @@ def test_lowres_rejects_bad_factor():
 
 
 def batch4():
-    return Batch(
-        features=np.arange(12.0).reshape(4, 3),
-        labels=(frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1})),
-    )
+    return batch_of(np.arange(12.0).reshape(4, 3), (0, 0, 1, 1))
 
 
 def test_augment_batch_appends_mixed_samples():
@@ -181,12 +186,12 @@ def test_augment_batch_appends_mixed_samples():
     assert out.is_mixed.tolist() == [False] * 4 + [True] * 2
     # originals pass through untouched
     np.testing.assert_array_equal(out.features[:4], batch4().features)
-    assert out.labels[:4] == batch4().labels
+    assert label_sets(out)[:4] == label_sets(batch4())
 
 
 def test_augment_batch_mixed_labels_are_unions():
     out = augment_batch(batch4(), AugmentConfig(mix_fraction=1.0, mix_lambda_dist=2.0), Rng(2))
-    for ls, mixed in zip(out.labels, out.is_mixed):
+    for ls, mixed in zip(label_sets(out), out.is_mixed):
         if mixed:
             assert len(ls) == 2  # cross-class pairs preferred
             assert ls <= frozenset({0, 1})
@@ -196,7 +201,7 @@ def test_augment_batch_zero_fraction_is_identity():
     b = batch4()
     out = augment_batch(b, AugmentConfig(mix_fraction=0.0), Rng(0))
     np.testing.assert_array_equal(out.features, b.features)
-    assert out.labels == b.labels
+    assert label_sets(out) == label_sets(b)
     assert not out.is_mixed.any()
 
 
@@ -214,7 +219,7 @@ def test_augment_batch_deterministic():
     a = augment_batch(batch4(), cfg, Rng(7))
     b = augment_batch(batch4(), cfg, Rng(7))
     np.testing.assert_array_equal(a.features, b.features)
-    assert a.labels == b.labels
+    np.testing.assert_array_equal(a.Y, b.Y)
 
 
 def test_augment_config_validation():
@@ -247,7 +252,7 @@ def test_augment_batch_matches_per_row_reference(mix_lambda_dist, lowres_factor)
         r = np.random.default_rng(case)
         n = int(r.integers(2, 9))
         labels = [frozenset(r.choice(4, size=int(r.integers(1, 3))).tolist()) for _ in range(n)]
-        batch = Batch(features=r.normal(size=(n, d)), labels=labels, is_mixed=r.random(n) < 0.2)
+        batch = batch_of(r.normal(size=(n, d)), labels, is_mixed=r.random(n) < 0.2)
         cfg = AugmentConfig(
             mix_lambda_dist=mix_lambda_dist,
             mix_fraction=mix_fraction,
@@ -261,8 +266,8 @@ def test_augment_batch_matches_per_row_reference(mix_lambda_dist, lowres_factor)
         gen = np.random.Generator(np.random.Philox(key=np.array([case, STREAM_AUGMENT], dtype=np.uint64)))
         out = augment_batch(batch, cfg, rng)
         X, L, M = oracles.augment_batch_ref(
-            batch.features, batch.labels, batch.is_mixed, gen, **dataclasses.asdict(cfg)
+            batch.features, labels, batch.is_mixed, gen, **dataclasses.asdict(cfg)
         )
         assert out.features.tobytes() == X.tobytes(), cfg
-        assert out.labels == L and out.is_mixed.tolist() == M.tolist(), cfg
+        assert label_sets(out) == tuple(L) and out.is_mixed.tolist() == M.tolist(), cfg
         assert rng.random() == gen.random(), cfg

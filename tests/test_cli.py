@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, main
-from idml.core import Rng
+from idml.core import Rng, label_ids
 from idml.data import SynthConfig, generate, load_csv
 from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
 from idml.model import init_model, save_checkpoint
@@ -62,7 +62,8 @@ def test_synth_writes_dataset_csv(tmp_path):
     ds = load_csv(tmp_path / "dataset.csv")
     ref = generate(SynthConfig(seed=3))
     assert np.array_equal(ds.features, ref.features)
-    assert ds.labels == ref.labels
+    assert ds.classes == ref.classes
+    assert np.array_equal(ds.Y, ref.Y)
 
 
 def test_console_script_matches_module(tmp_path):
@@ -279,8 +280,8 @@ def test_zero_count_label_set_in_binary_dataset_exits_config(tmp_path):
     ds_path = tmp_path / "empty_label.bin"
     with open(ds_path, "wb") as f:
         f.write(b"IDMD" + struct.pack("<III", 1, *ds.features.shape))
-        for i, ls in enumerate(ds.labels):
-            ids = sorted(ls) if i else []  # the first row names no class
+        for i, ids in enumerate(label_ids(ds.Y, ds.classes)):
+            ids = ids if i else []  # the first row names no class
             f.write(struct.pack(f"<I{len(ids)}I", len(ids), *ids))
         f.write(ds.features.astype("<f8").tobytes())
     cfg_path = tmp_path / "config.json"

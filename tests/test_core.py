@@ -16,6 +16,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    label_ids,
     label_set,
     labels_match,
     match_matrix,
@@ -27,24 +28,36 @@ from idml.losses import LossParams
 
 
 def test_batch_accepts_lists_and_casts():
-    b = Batch(features=[[1, 2, 3]], labels=[0])
+    b = Batch(features=[[1, 2, 3]], Y=[[1]], classes=[0])
     assert b.features.dtype == np.float64
     assert b.features.shape == (1, 3)
-    assert b.labels == (frozenset({0}),)
+    assert b.Y.dtype == bool and b.Y.tolist() == [[True]]
+    assert b.classes == (0,)
 
 
 def test_batch_rejects_non_matrix_features():
     with pytest.raises(ShapeError):
-        Batch(features=np.ones(3), labels=(0, 0, 0))
+        Batch(features=np.ones(3), Y=np.ones((3, 1), dtype=bool))
     with pytest.raises(ShapeError):
-        Batch(features=np.ones((0, 2)), labels=())
+        Batch(features=np.ones((0, 2)), Y=np.ones((0, 1), dtype=bool))
 
 
 def test_batch_rejects_non_finite_features():
     with pytest.raises(NumericalFailure):
-        Batch(features=[[1.0, np.nan]], labels=[0])
+        Batch(features=[[1.0, np.nan]], Y=[[True]])
     with pytest.raises(NumericalFailure):
-        Batch(features=[[np.inf, 0.0]], labels=[0])
+        Batch(features=[[np.inf, 0.0]], Y=[[True]])
+
+
+def test_batch_rejects_label_rows_that_are_not_multi_hot():
+    # label sets in place of rows, a row with no label, a class id per column
+    # that does not match the column count
+    with pytest.raises(ShapeError):
+        Batch(features=np.ones((2, 2)), Y=(frozenset({0}), frozenset({1})))
+    with pytest.raises(ParameterError):
+        Batch(features=np.ones((2, 2)), Y=[[True, False], [False, False]])
+    with pytest.raises(ShapeError):
+        Batch(features=np.ones((2, 2)), Y=np.eye(2, dtype=bool), classes=(0, 1, 2))
 
 
 def test_label_set_normalizes_scalars_and_iterables():
@@ -67,6 +80,7 @@ def test_match_matrix_equals_pairwise_labels_match():
     assert classes == [0, 3, 7, 10**6]
     assert Y.shape == (7, 4)
     assert match_matrix(Y).tolist() == [[labels_match(a, b) for b in labels] for a in labels]
+    assert label_ids(Y, classes) == [sorted(label_set(ls)) for ls in labels]
     for bad in (({0}, set()), ({0}, {-1})):
         with pytest.raises(ParameterError):
             match_matrix(multi_hot(bad)[0])
@@ -98,14 +112,14 @@ def test_config_fields_of_the_wrong_type_are_rejected_by_name(cls):
 
 
 def test_batch_default_mixed_flags_are_false():
-    b = Batch(features=np.ones((3, 2)), labels=(frozenset({0}),) * 3)
+    b = Batch(features=np.ones((3, 2)), Y=np.ones((3, 1), dtype=bool))
     assert b.is_mixed.dtype == bool
     assert not b.is_mixed.any()
 
 
 def test_batch_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
-        Batch(features=np.ones((3, 2)), labels=(frozenset({0}),) * 2)
+        Batch(features=np.ones((3, 2)), Y=np.ones((2, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from idml.core import FormatError, ParameterError
+from idml.core import FormatError, ParameterError, label_ids
 from idml.data import (
     Dataset,
     SynthConfig,
@@ -16,6 +16,11 @@ from idml.data import (
     save_csv,
     train_class_ids,
 )
+
+
+def label_sets(ds):
+    """A dataset's labels as a tuple of class-id sets, one per row."""
+    return tuple(frozenset(ids) for ids in label_ids(ds.Y, ds.classes))
 
 
 def tiny_cfg(**kw):
@@ -54,8 +59,8 @@ def test_train_class_ids_takes_first_half_rounded_up():
 
 def test_split_is_class_disjoint():
     ds = generate(tiny_cfg())
-    train_classes = {min(ls) for ls, t in zip(ds.labels, ds.is_train) if t}
-    test_classes = {min(ls) for ls, t in zip(ds.labels, ds.is_train) if not t}
+    train_classes = {min(ls) for ls, t in zip(label_sets(ds), ds.is_train) if t}
+    test_classes = {min(ls) for ls, t in zip(label_sets(ds), ds.is_train) if not t}
     assert not (train_classes & test_classes)
     assert train_classes | test_classes == set(range(6))
 
@@ -63,7 +68,7 @@ def test_split_is_class_disjoint():
 def test_split_reconstructed_without_stored_mask():
     # the rule is canonical, so a Dataset rebuilt from raw rows recovers it
     ds = generate(tiny_cfg())
-    rebuilt = Dataset(features=ds.features.copy(), labels=ds.labels)
+    rebuilt = Dataset(features=ds.features.copy(), labels=label_sets(ds))
     np.testing.assert_array_equal(ds.is_train, rebuilt.is_train)
 
 
@@ -75,16 +80,16 @@ def test_split_reconstructed_without_stored_mask():
 def test_generate_counts_and_shapes():
     ds = generate(tiny_cfg())
     assert ds.features.shape == (48, 5)
-    assert len(ds.labels) == 48
+    assert len(label_sets(ds)) == 48
     for c in range(6):
-        assert sum(1 for ls in ds.labels if min(ls) == c) == 8
+        assert sum(1 for ls in label_sets(ds) if min(ls) == c) == 8
 
 
 def test_generate_deterministic_in_seed():
     a = generate(tiny_cfg())
     b = generate(tiny_cfg())
     np.testing.assert_array_equal(a.features, b.features)
-    assert a.labels == b.labels
+    assert label_sets(a) == label_sets(b)
     c = generate(tiny_cfg(seed=4))
     assert not np.array_equal(a.features, c.features)
 
@@ -95,7 +100,7 @@ def test_class_means_sit_on_an_orthogonal_frame():
     cfg = tiny_cfg(n_classes=6, input_dim=8, within_sigma=1e-3, class_sep=4.0, per_class=20)
     ds = generate(cfg)
     means = np.stack(
-        [ds.features[[min(ls) == c for ls in ds.labels]].mean(axis=0) for c in range(6)]
+        [ds.features[[min(ls) == c for ls in label_sets(ds)]].mean(axis=0) for c in range(6)]
     )
     np.testing.assert_allclose(np.linalg.norm(means, axis=1), 4.0, atol=1e-2)
     for i in range(6):
@@ -107,7 +112,7 @@ def test_generate_more_classes_than_dims_still_separates():
     cfg = tiny_cfg(n_classes=10, input_dim=3, within_sigma=1e-3, per_class=10)
     ds = generate(cfg)
     means = np.stack(
-        [ds.features[[min(ls) == c for ls in ds.labels]].mean(axis=0) for c in range(10)]
+        [ds.features[[min(ls) == c for ls in label_sets(ds)]].mean(axis=0) for c in range(10)]
     )
     np.testing.assert_allclose(np.linalg.norm(means, axis=1), 4.0, atol=1e-2)
     # no two classes share a direction
@@ -134,12 +139,12 @@ def test_ambiguous_samples_sit_at_pair_midpoints():
     # a midpoint sample carries one label from its generating pair, and the
     # partner class lives on the same side of the split
     frame = np.stack(
-        [ds.features[clean & np.array([min(ls) == c for ls in ds.labels])].mean(axis=0) for c in range(6)]
+        [ds.features[clean & np.array([min(ls) == c for ls in label_sets(ds)])].mean(axis=0) for c in range(6)]
     )
     frame /= np.linalg.norm(frame, axis=1, keepdims=True)
     train_ids = train_class_ids(range(6))
     for x, ls, t in zip(
-        ds.features[mid], np.array(ds.labels, dtype=object)[mid], ds.is_train[mid]
+        ds.features[mid], np.array(label_sets(ds), dtype=object)[mid], ds.is_train[mid]
     ):
         proj = frame @ x / (sep / 2)
         close = set(np.flatnonzero(np.abs(proj - 1.0) < 0.1).tolist())
@@ -154,10 +159,10 @@ def test_mislabels_are_train_only():
     # nearest-frame class of each row vs its recorded label
     frame = {}
     for c in range(6):
-        rows = ds.features[[min(ls) == c for ls in ds.labels]]
+        rows = ds.features[[min(ls) == c for ls in label_sets(ds)]]
         frame[c] = np.median(rows, axis=0)  # robust to the mislabeled minority
     wrong = []
-    for i, (x, ls) in enumerate(zip(ds.features, ds.labels)):
+    for i, (x, ls) in enumerate(zip(ds.features, label_sets(ds))):
         best = min(frame, key=lambda c: np.linalg.norm(x - frame[c]))
         wrong.append(best != min(ls))
     wrong = np.array(wrong)
@@ -168,8 +173,8 @@ def test_mislabels_are_train_only():
 
 def test_mislabel_keeps_per_class_multiplicity_valid():
     ds = generate(tiny_cfg(mislabel_frac=0.3))
-    assert all(len(ls) == 1 for ls in ds.labels)
-    assert {min(ls) for ls in ds.labels} <= set(range(6))
+    assert all(len(ls) == 1 for ls in label_sets(ds))
+    assert {min(ls) for ls in label_sets(ds)} <= set(range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     save_csv(ds, p)
     back = load_csv(p)
     np.testing.assert_array_equal(ds.features, back.features)
-    assert ds.labels == back.labels
+    assert label_sets(ds) == label_sets(back)
     np.testing.assert_array_equal(ds.is_train, back.is_train)
 
 
@@ -198,7 +203,7 @@ def test_csv_header_and_multilabel_format(tmp_path):
     assert lines[0] == "id,label,f0,f1"
     assert lines[1].startswith("0,0|2,")
     back = load_csv(p)
-    assert back.labels == (frozenset({0, 2}), frozenset({1}))
+    assert label_sets(back) == (frozenset({0, 2}), frozenset({1}))
 
 
 def test_csv_empty_file_rejected(tmp_path):
@@ -249,7 +254,7 @@ def test_binary_round_trip_is_exact(tmp_path):
     save_binary(ds, p)
     back = load_binary(p)
     np.testing.assert_array_equal(ds.features, back.features)
-    assert ds.labels == back.labels
+    assert label_sets(ds) == label_sets(back)
     np.testing.assert_array_equal(ds.is_train, back.is_train)
 
 
@@ -309,17 +314,21 @@ def test_dataset_validates_label_sets():
         Dataset(features=np.zeros((1, 2)), labels=(frozenset(),))
     with pytest.raises(ParameterError, match="nonnegative"):
         Dataset(features=np.zeros((1, 2)), labels=(frozenset({-1}),))
-    assert Dataset(features=np.zeros((2, 2)), labels=(3, [1, 1])).labels == (
-        frozenset({3}),
-        frozenset({1}),
-    )
+    ds = Dataset(features=np.zeros((2, 2)), labels=(3, [1, 1]))
+    assert ds.classes == (1, 3)
+    assert ds.Y.tolist() == [[False, True], [True, False]]
+    assert label_sets(ds) == (frozenset({3}), frozenset({1}))
 
 
 def test_dataset_split_views_are_consistent():
     ds = generate(tiny_cfg(ambiguous_frac=0.1))
-    Xtr, ltr, idx_tr = ds.train_split()
-    Xte, lte, idx_te = ds.test_split()
+    Xtr, ytr, idx_tr = ds.train_split()
+    Xte, yte, idx_te = ds.test_split()
     assert len(Xtr) + len(Xte) == len(ds)
     assert not (set(idx_tr.tolist()) & set(idx_te.tolist()))
     np.testing.assert_array_equal(ds.features[idx_tr], Xtr)
-    assert tuple(ds.labels[i] for i in idx_te) == lte
+    np.testing.assert_array_equal(ds.Y[idx_tr], ytr)
+    np.testing.assert_array_equal(ds.Y[idx_te], yte)
+    # the train side holds exactly the train classes, over the dataset's columns
+    assert ds.train_classes() == frozenset(np.asarray(ds.classes)[ytr.any(axis=0)].tolist())
+    assert not (ytr.any(axis=0) & yte.any(axis=0)).any()

@@ -213,7 +213,7 @@ def test_evaluate_rejects_overflowing_embeddings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericalFailure):
-            evaluate(S, U, labels, Rng(0), ks=(1, 2), knn_k=2, n_anchors=3)
+            evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2), knn_k=2, n_anchors=3)
 
 
 def test_ranking_metrics_reject_a_shallow_order():
@@ -504,7 +504,7 @@ def eval_inputs(seed=0, n=40, s_dim=4, u_dim=3, n_classes=4):
 
 def test_evaluate_report_is_complete():
     S, U, labels = eval_inputs()
-    rep = evaluate(S, U, labels, Rng(0), ks=(1, 2, 4), knn_k=5, n_anchors=10)
+    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2, 4), knn_k=5, n_anchors=10)
     assert set(rep.recall_at_k.keys()) == {1, 2, 4}
     assert all(0.0 <= v <= 1.0 for v in rep.recall_at_k.values())
     assert 0.0 <= rep.nmi <= 1.0
@@ -517,22 +517,22 @@ def test_evaluate_report_is_complete():
 
 def test_evaluate_deterministic():
     S, U, labels = eval_inputs(1)
-    a = evaluate(S, U, labels, Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
-    b = evaluate(S, U, labels, Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
+    a = evaluate(S, U, multi_hot(labels)[0], Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
+    b = evaluate(S, U, multi_hot(labels)[0], Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
     assert a == b
 
 
 def test_evaluate_reports_mixed_uncertainty_gap():
     S, U, labels = eval_inputs(2)
     mixed_U = 2.0 * np.abs(np.random.default_rng(9).normal(size=(15, 3))) + 1.0
-    rep = evaluate(S, U, labels, Rng(0), ks=(1,), knn_k=5, n_anchors=10, mixed_uncertainty=mixed_U)
+    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1,), knn_k=5, n_anchors=10, mixed_uncertainty=mixed_U)
     assert rep.mean_uncert_mixed > rep.mean_uncert_clean
 
 
 def test_evaluate_test_metric_changes_ranking_only():
     S, U, labels = eval_inputs(3)
-    plain = evaluate(S, U, labels, Rng(1), ks=(1, 2), knn_k=5, n_anchors=10)
-    soft = evaluate(S, U, labels, Rng(1), ks=(1, 2), knn_k=5, n_anchors=10, test_metric="ism")
+    plain = evaluate(S, U, multi_hot(labels)[0], Rng(1), ks=(1, 2), knn_k=5, n_anchors=10)
+    soft = evaluate(S, U, multi_hot(labels)[0], Rng(1), ks=(1, 2), knn_k=5, n_anchors=10, test_metric="ism")
     # clustering runs on the semantic embedding either way
     assert soft.nmi == plain.nmi
     # uncertainty statistics don't depend on the retrieval metric
@@ -548,7 +548,7 @@ def test_evaluate_nmi_reads_a_multi_label_row_as_its_smallest_class():
 
     def nmi_with_row_0(first):
         labels = (frozenset(first),) + singleton_labels(ids[1:])
-        return evaluate(S, U, labels, Rng(0), ks=(1,), knn_k=5, n_anchors=10).nmi
+        return evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1,), knn_k=5, n_anchors=10).nmi
 
     two = nmi_with_row_0({3, 0})
     assert two == nmi_with_row_0({0}) == pytest.approx(1.0)
@@ -564,13 +564,13 @@ _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 limit = 1 << 30
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 import numpy as np
-from idml.core import Rng
+from idml.core import Rng, multi_hot
 from idml.evaluation import evaluate
 r = np.random.default_rng(0)
 ids = np.arange(1500) % 30
 S = r.normal(size=(30, 512))[ids] + 0.5 * r.normal(size=(1500, 512))
 U = 0.1 * r.normal(size=(1500, 512))
-rep = evaluate(S, U, [{int(i)} for i in ids], Rng(0), test_metric="ism")
+rep = evaluate(S, U, multi_hot(ids)[0], Rng(0), test_metric="ism")
 print(rep.recall_at_k[1])
 """
 
@@ -590,11 +590,11 @@ def test_evaluate_runs_in_bounded_memory():
 _NO_MASKED_ARRAYS = """
 import sys
 import numpy as np
-from idml.core import Rng
+from idml.core import Rng, multi_hot
 from idml.evaluation import evaluate
 r = np.random.default_rng(0)
 ids = np.arange(60) % 6
-evaluate(r.normal(size=(60, 4)), r.normal(size=(60, 3)), [{int(i)} for i in ids], Rng(0))
+evaluate(r.normal(size=(60, 4)), r.normal(size=(60, 3)), multi_hot(ids)[0], Rng(0))
 print("numpy.ma" in sys.modules)
 """
 
@@ -612,12 +612,12 @@ def test_evaluate_does_not_import_masked_arrays():
 def test_evaluate_rejects_unknown_metric():
     S, U, labels = eval_inputs(4)
     with pytest.raises(ParameterError):
-        evaluate(S, U, labels, Rng(0), test_metric="cityblock")
+        evaluate(S, U, multi_hot(labels)[0], Rng(0), test_metric="cityblock")
 
 
 def test_eval_report_round_trips_through_json():
     S, U, labels = eval_inputs(5)
-    rep = evaluate(S, U, labels, Rng(0), ks=(1, 2), knn_k=5, n_anchors=10)
+    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2), knn_k=5, n_anchors=10)
     d = rep.to_json_dict()
     back = EvalReport.from_json_dict(d)
     assert back == rep

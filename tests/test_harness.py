@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idml.augment import AugmentConfig
-from idml.core import MetricParams, ParameterError, Rng, ShapeError
+from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError
 from idml.data import SynthConfig, generate, save_binary, save_csv
 from idml.evaluation import EvalReport
 from idml.harness import (
@@ -223,6 +223,41 @@ def test_frozen_zero_ism_matches_euclidean():
     assert rec_ism.final.recall_at_k == rec_euc.final.recall_at_k
 
 
+def test_train_calls_the_benchmark_probe_sites_in_order(monkeypatch):
+    """perfbench times the training loop from two calls, patched at these
+    names: `harness.loss_and_grad(model, batch, ...)` once per step, with the
+    step's clean plus mixed rows in `batch`, and `Dataset.test_split` once,
+    after the last step and before the evaluation."""
+    import idml.data
+    import idml.harness
+
+    events = []
+    loss_and_grad, test_split = idml.harness.loss_and_grad, idml.data.Dataset.test_split
+    evaluate = idml.harness.evaluate
+
+    def probe_step(*args, **kwargs):
+        assert isinstance(args[1], Batch)
+        events.append(("step", len(args[1])))
+        return loss_and_grad(*args, **kwargs)
+
+    def probe_split(self):
+        events.append(("test_split",))
+        return test_split(self)
+
+    def probe_evaluate(*args, **kwargs):
+        events.append(("evaluate",))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(idml.harness, "loss_and_grad", probe_step)
+    monkeypatch.setattr(idml.data.Dataset, "test_split", probe_split)
+    monkeypatch.setattr(idml.harness, "evaluate", probe_evaluate)
+    cfg = introspective_run_config("contrastive", epochs=2)  # 250 train rows, batch 32 + 16
+    rec = train(cfg)
+    steps_per_epoch = 250 // cfg.batch_size
+    assert events == [("step", 48)] * (2 * steps_per_epoch) + [("test_split",), ("evaluate",)]
+    assert len(rec.epochs) == 2
+
+
 def test_train_rejects_batch_larger_than_split():
     cfg = tiny_config(batch_size=32)  # train split has only 16 samples
     with pytest.raises(ParameterError, match="fewer than batch_size"):
@@ -305,7 +340,8 @@ def test_load_dataset_dispatches_on_format(tmp_path):
     for path in (bin_path, csv_path):
         back = load_dataset(path)
         assert np.array_equal(back.features, ds.features)
-        assert back.labels == ds.labels
+        assert back.classes == ds.classes
+        assert np.array_equal(back.Y, ds.Y)
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "missing.bin")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from idml.core import Batch, MetricParams, ParameterError, Rng
+from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError, multi_hot
 from idml.losses import (
     LOSS_NAMES,
     NORMALIZED_LOSSES,
@@ -62,14 +62,14 @@ def test_contrastive_worked_values():
     same = single_class_labels(2)
     diff = (frozenset({0}), frozenset({1}))
     # positive pair pays its distance
-    r = compute_loss("contrastive", np.array([[0.0], [0.8]]), U, same, metric="euclidean")
+    r = compute_loss("contrastive", np.array([[0.0], [0.8]]), U, *multi_hot(same), metric="euclidean")
     assert r.value == pytest.approx(0.8, rel=1e-15)
     # negative beyond the margin is free, inside it pays the deficit
     assert compute_loss(
-        "contrastive", np.array([[0.0], [1.5]]), U, diff, metric="euclidean"
+        "contrastive", np.array([[0.0], [1.5]]), U, *multi_hot(diff), metric="euclidean"
     ).value == pytest.approx(0.0, abs=0.0)
     assert compute_loss(
-        "contrastive", np.array([[0.0], [0.4]]), U, diff, metric="euclidean"
+        "contrastive", np.array([[0.0], [0.4]]), U, *multi_hot(diff), metric="euclidean"
     ).value == pytest.approx(0.6, rel=1e-15)
 
 
@@ -80,7 +80,7 @@ def test_contrastive_uncertainty_discounts_positive_distance():
     vals = []
     for b in (0.0, 0.5, 2.0):
         U = np.array([[b / 2, 0.0], [b / 2, 0.0]])
-        vals.append(compute_loss("contrastive", S, U, same, metric="ism").value)
+        vals.append(compute_loss("contrastive", S, U, *multi_hot(same), metric="ism").value)
     assert vals[0] == pytest.approx(2.0, rel=1e-15)
     assert vals[0] > vals[1] > vals[2]
 
@@ -94,8 +94,8 @@ def test_contrastive_gradient_ratio_is_gradient_weight():
     U = np.array([[0.4, 0.3], [0.1, 0.2]])
     same = single_class_labels(2)
     mp_ = MetricParams(tau=5.0)
-    g_ism = compute_loss("contrastive", S, U, same, metric="ism", mp=mp_).d_semantic
-    g_euc = compute_loss("contrastive", S, U, same, metric="euclidean", mp=mp_).d_semantic
+    g_ism = compute_loss("contrastive", S, U, *multi_hot(same), metric="ism", mp=mp_).d_semantic
+    g_euc = compute_loss("contrastive", S, U, *multi_hot(same), metric="euclidean", mp=mp_).d_semantic
     alpha, beta, _ = oracles.pair_geometry_ref(S[0], S[1], U[0], U[1])
     h = gradient_weight(alpha, beta, mp_)
     assert h < 1.0
@@ -122,17 +122,17 @@ def test_margin_dw_positive_hinge_values():
     U = np.zeros((2, 2))
     # chord exactly at the inner margin: no pull
     S = unit_points_at_chords([0.5])
-    assert compute_loss("margin_dw", S, U, same, metric="euclidean", rng=Rng(0)).value == pytest.approx(0.0, abs=1e-15)
+    assert compute_loss("margin_dw", S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value == pytest.approx(0.0, abs=1e-15)
     # 0.3 beyond it: pays 0.3
     S = unit_points_at_chords([0.8])
-    assert compute_loss("margin_dw", S, U, same, metric="euclidean", rng=Rng(0)).value == pytest.approx(0.3, rel=1e-12)
+    assert compute_loss("margin_dw", S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value == pytest.approx(0.3, rel=1e-12)
 
 
 def test_margin_dw_far_negative_is_free():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
     S = unit_points_at_chords([0.8, 1.5])
     U = np.zeros((3, 2))
-    r = compute_loss("margin_dw", S, U, labels, metric="euclidean", rng=Rng(0))
+    r = compute_loss("margin_dw", S, U, *multi_hot(labels), metric="euclidean", rng=Rng(0))
     # the only negative sits past the outer margin, so just the positive pays
     assert r.value == pytest.approx(0.3, rel=1e-12)
     assert r.plan.dw_negatives.tolist() == [[0, 2]]
@@ -143,15 +143,15 @@ def test_margin_dw_scale_invariant():
     same = single_class_labels(2)
     U = np.zeros((2, 2))
     S = unit_points_at_chords([0.8])
-    a = compute_loss("margin_dw", S, U, same, metric="euclidean", rng=Rng(0)).value
-    b = compute_loss("margin_dw", 10 * S, U, same, metric="euclidean", rng=Rng(0)).value
+    a = compute_loss("margin_dw", S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value
+    b = compute_loss("margin_dw", 10 * S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_margin_dw_requires_rng():
     S, U, labels = random_labeled(0)
     with pytest.raises(ParameterError):
-        build_plan("margin_dw", S, U, labels, metric="euclidean")
+        build_plan("margin_dw", S, U, *multi_hot(labels), metric="euclidean")
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_triplet_mined_negative_already_satisfied():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
     S = np.array([[0.0], [0.5], [1.0]])
     U = np.zeros((3, 1))
-    r = compute_loss("triplet_sh", S, U, labels, metric="euclidean", lp=LossParams(margin_delta=0.2))
+    r = compute_loss("triplet_sh", S, U, *multi_hot(labels), metric="euclidean", lp=LossParams(margin_delta=0.2))
     assert r.value == pytest.approx(0.0, abs=0.0)
     assert r.plan.triplets.tolist() == [[0, 1, 2]]
     assert r.plan.n_skipped == 1  # anchor 1's negative is nearer than its positive
@@ -192,11 +192,11 @@ def test_triplet_exhausted_mining_is_a_zero_loss(metric):
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
     S = np.array([[0.0], [1.0], [0.1]])
     U = np.zeros((3, 1))
-    direct = compute_loss("triplet_sh", S, U, labels, metric=metric)
+    direct = compute_loss("triplet_sh", S, U, *multi_hot(labels), metric=metric)
     model = init_model(1, hidden=(), semantic_dim=1, uncertainty_dim=1, rng=Rng(0))
     model.head_s_w[:] = 1.0
     model.head_u_w[:] = 0.0
-    via_model, grad = loss_and_grad(model, Batch(features=S, labels=labels), "triplet_sh", metric=metric)
+    via_model, grad = loss_and_grad(model, Batch(S, *multi_hot(labels)), "triplet_sh", metric=metric)
     np.testing.assert_array_equal(via_model.uncertainty, U)
     for r in (direct, via_model):
         assert r.value == 0.0
@@ -222,7 +222,7 @@ def test_multi_similarity_single_positive_at_lambda():
     # negative side must not erase it
     lp = default_loss_params("multi_similarity")
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
-    r = compute_loss("multi_similarity", S, np.zeros((2, 2)), single_class_labels(2), metric="euclidean")
+    r = compute_loss("multi_similarity", S, np.zeros((2, 2)), *multi_hot(single_class_labels(2)), metric="euclidean")
     assert r.value == pytest.approx(LOG2 / lp.ms_alpha, rel=1e-12)
 
 
@@ -232,7 +232,7 @@ def test_multi_similarity_pos_and_neg_at_lambda():
     lp = LossParams(ms_alpha=1.0, ms_beta=1.0, ms_lambda=1.0, ms_eps=0.1)
     S = np.array([[1.0, 0.0]] * 3)
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
-    r = compute_loss("multi_similarity", S, np.zeros((3, 2)), labels, metric="euclidean", lp=lp)
+    r = compute_loss("multi_similarity", S, np.zeros((3, 2)), *multi_hot(labels), metric="euclidean", lp=lp)
     want = (2 * (2 * LOG2) + np.log(3.0)) / 3
     assert r.value == pytest.approx(want, rel=1e-12)
     assert r.pair_terms.sum() == pytest.approx(r.value, rel=1e-12)
@@ -253,7 +253,7 @@ def test_multi_similarity_masks_match_loop_oracle():
     batches.append((r.normal(size=(5, 3)), (frozenset({2}),) * 5))
     for S, labels in batches:
         n = len(labels)
-        plan = build_plan("multi_similarity", S, np.zeros((n, 2)), labels, metric="euclidean")
+        plan = build_plan("multi_similarity", S, np.zeros((n, 2)), *multi_hot(labels), metric="euclidean")
         Sn = S / np.linalg.norm(S, axis=1, keepdims=True)
         C = Sn @ Sn.T
         posm, negm = oracles.ms_masks_ref(C.tolist(), labels, 0.1)
@@ -268,7 +268,7 @@ def test_multi_similarity_mining_drops_easy_pairs():
     S = S / np.linalg.norm(S, axis=1, keepdims=True)
     labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
     plan = build_plan(
-        "multi_similarity", S, np.zeros((4, 2)), labels, metric="euclidean",
+        "multi_similarity", S, np.zeros((4, 2)), *multi_hot(labels), metric="euclidean",
         lp=LossParams(ms_eps=0.01),
     )
     # positives hug each other, negatives sit on the far side of the sphere
@@ -278,7 +278,7 @@ def test_multi_similarity_mining_drops_easy_pairs():
 
 def test_multi_similarity_large_eps_keeps_everything():
     S, U, labels = random_labeled(9, n=8)
-    plan = build_plan("multi_similarity", S, U, labels, metric="euclidean", lp=LossParams(ms_eps=10.0))
+    plan = build_plan("multi_similarity", S, U, *multi_hot(labels), metric="euclidean", lp=LossParams(ms_eps=10.0))
     n = len(labels)
     for i in range(n):
         for j in range(n):
@@ -300,14 +300,14 @@ def test_proxy_anchor_at_margin_pays_log2():
     prox = ProxySet(semantic=np.array([[1.0, 0.0]]), uncertainty=np.zeros((1, 2)), classes=(0,))
     d = lp.pa_delta
     S = np.array([[d, np.sqrt(1 - d * d)]])  # cosine with the proxy = delta
-    r = compute_loss("proxy_anchor", S, np.zeros((1, 2)), (frozenset({0}),), metric="euclidean", proxies=prox)
+    r = compute_loss("proxy_anchor", S, np.zeros((1, 2)), *multi_hot([0]), metric="euclidean", proxies=prox)
     assert r.value == pytest.approx(LOG2, rel=1e-12)
 
 
 def test_proxy_anchor_saturates_when_aligned():
     prox = ProxySet(semantic=np.array([[1.0, 0.0]]), uncertainty=np.zeros((1, 2)), classes=(0,))
     S = np.array([[1.0, 0.0]])
-    r = compute_loss("proxy_anchor", S, np.zeros((1, 2)), (frozenset({0}),), metric="euclidean", proxies=prox)
+    r = compute_loss("proxy_anchor", S, np.zeros((1, 2)), *multi_hot([0]), metric="euclidean", proxies=prox)
     assert r.value == pytest.approx(0.0, abs=1e-10)
 
 
@@ -317,13 +317,13 @@ def test_softmax_proxy_worked_values():
     S = np.array([[1.0, 0.0]])
     # pos at +1, neg at -1: minus the similarity gap
     prox = ProxySet(semantic=np.array([[1.0, 0.0], [-1.0, 0.0]]), uncertainty=np.zeros((2, 2)), classes=(0, 1))
-    assert compute_loss("softmax_proxy", S, U, labels, metric="euclidean", proxies=prox).value == pytest.approx(-2.0, rel=1e-12)
+    assert compute_loss("softmax_proxy", S, U, *multi_hot(labels), metric="euclidean", proxies=prox).value == pytest.approx(-2.0, rel=1e-12)
     # pos and neg tied: zero
     prox_tied = ProxySet(semantic=np.array([[1.0, 0.0], [1.0, 0.0]]), uncertainty=np.zeros((2, 2)), classes=(0, 1))
-    assert compute_loss("softmax_proxy", S, U, labels, metric="euclidean", proxies=prox_tied).value == pytest.approx(0.0, abs=1e-12)
+    assert compute_loss("softmax_proxy", S, U, *multi_hot(labels), metric="euclidean", proxies=prox_tied).value == pytest.approx(0.0, abs=1e-12)
     # two tied negatives: the extra option costs log 2
     prox_two = ProxySet(semantic=np.array([[1.0, 0.0]] * 3), uncertainty=np.zeros((3, 2)), classes=(0, 1, 2))
-    assert compute_loss("softmax_proxy", S, U, labels, metric="euclidean", proxies=prox_two).value == pytest.approx(LOG2, rel=1e-12)
+    assert compute_loss("softmax_proxy", S, U, *multi_hot(labels), metric="euclidean", proxies=prox_two).value == pytest.approx(LOG2, rel=1e-12)
 
 
 def test_proxy_nca_worked_values():
@@ -332,21 +332,39 @@ def test_proxy_nca_worked_values():
     # pos proxy on top of the sample, neg one unit away
     prox = ProxySet(semantic=np.array([[0.0, 0.0], [1.0, 0.0]]), uncertainty=np.zeros((2, 2)), classes=(0, 1))
     S = np.array([[0.0, 0.0]])
-    assert compute_loss("proxy_nca", S, U, labels, metric="euclidean", proxies=prox).value == pytest.approx(-1.0, rel=1e-12)
+    assert compute_loss("proxy_nca", S, U, *multi_hot(labels), metric="euclidean", proxies=prox).value == pytest.approx(-1.0, rel=1e-12)
     # pos and both negs equidistant: log of the option count
     prox_eq = ProxySet(
         semantic=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
         uncertainty=np.zeros((3, 2)),
         classes=(0, 1, 2),
     )
-    assert compute_loss("proxy_nca", S, U, labels, metric="euclidean", proxies=prox_eq).value == pytest.approx(LOG2, rel=1e-12)
+    assert compute_loss("proxy_nca", S, U, *multi_hot(labels), metric="euclidean", proxies=prox_eq).value == pytest.approx(LOG2, rel=1e-12)
 
 
 def test_proxy_losses_require_proxies():
     S, U, labels = random_labeled(1)
     for loss in PROXY_LOSSES:
         with pytest.raises(ParameterError):
-            compute_loss(loss, S, U, labels, metric="euclidean")
+            compute_loss(loss, S, U, *multi_hot(labels), metric="euclidean")
+
+
+@pytest.mark.parametrize("loss", sorted(PROXY_LOSSES))
+def test_proxy_masks_need_a_proxy_only_for_classes_the_batch_holds(loss):
+    # label rows over more classes than the proxies cover, as a dataset's
+    # rows are (its test classes have no proxy)
+    prox = ProxySet(semantic=np.eye(3)[:, :2], uncertainty=np.zeros((3, 2)), classes=(0, 1, 2))
+    S = np.array([[1.0, 0.0], [0.0, 1.0]])
+    U = np.zeros((2, 2))
+    Y = np.array([[True, False, False, False], [False, True, False, False]])
+    plan = build_plan(loss, S, U, Y, (0, 1, 2, 5), metric="euclidean", proxies=prox)
+    assert plan.proxy_pos.tolist() == [[True, False, False], [False, True, False]]
+    assert plan.proxy_neg.tolist() == [[False, True, True], [True, False, True]]
+    Y[1, 3] = True  # now a row holds class 5, which has no proxy
+    with pytest.raises(ParameterError, match=r"lacks classes \[5\]"):
+        build_plan(loss, S, U, Y, (0, 1, 2, 5), metric="euclidean", proxies=prox)
+    with pytest.raises(ParameterError, match="class id of each label column"):
+        build_plan(loss, S, U, Y, metric="euclidean", proxies=prox)
 
 
 def test_mixed_label_sample_is_positive_for_both_parents():
@@ -354,7 +372,7 @@ def test_mixed_label_sample_is_positive_for_both_parents():
     prox = make_proxies(r, 3, 4)
     S = r.normal(size=(1, 4))
     U = np.zeros((1, 4))
-    plan = build_plan("proxy_anchor", S, U, (frozenset({0, 2}),), metric="euclidean", proxies=prox)
+    plan = build_plan("proxy_anchor", S, U, *multi_hot([{0, 2}]), metric="euclidean", proxies=prox)
     assert plan.proxy_pos[0, 0] and plan.proxy_pos[0, 2]
     assert not plan.proxy_pos[0, 1]
     assert plan.proxy_neg[0, 1]
@@ -372,8 +390,8 @@ def test_certain_inputs_reduce_to_plain_loss(loss):
     for seed in range(5):
         S, U, labels = random_labeled(seed, u_scale=0.0)
         kw = loss_kwargs(loss, seed=seed)
-        a = compute_loss(loss, S, U, labels, metric="ism", mp=MetricParams(gamma=0.0), rng=Rng(seed), **kw)
-        b = compute_loss(loss, S, U, labels, metric="euclidean", mp=MetricParams(gamma=0.0), rng=Rng(seed), **kw)
+        a = compute_loss(loss, S, U, *multi_hot(labels), metric="ism", mp=MetricParams(gamma=0.0), rng=Rng(seed), **kw)
+        b = compute_loss(loss, S, U, *multi_hot(labels), metric="euclidean", mp=MetricParams(gamma=0.0), rng=Rng(seed), **kw)
         assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(a.d_semantic, b.d_semantic, rtol=1e-12, atol=1e-12)
         assert np.all(a.d_uncertainty == 0.0)
@@ -385,7 +403,7 @@ def test_loss_finite_and_hinges_nonnegative(loss):
     for seed in range(8):
         S, U, labels = random_labeled(seed, n=12, u_scale=0.3)
         kw = loss_kwargs(loss, seed=seed, u_scale=0.3)
-        r = compute_loss(loss, S, U, labels, metric="ism", rng=Rng(seed), **kw)
+        r = compute_loss(loss, S, U, *multi_hot(labels), metric="ism", rng=Rng(seed), **kw)
         assert np.isfinite(r.value)
         assert np.all(np.isfinite(r.d_semantic))
         assert np.all(np.isfinite(r.d_uncertainty))
@@ -398,7 +416,7 @@ def test_loss_finite_and_hinges_nonnegative(loss):
 def test_losses_accept_every_metric(loss, metric):
     S, U, labels = random_labeled(2, u_scale=0.2)
     kw = loss_kwargs(loss, seed=2, u_scale=0.2)
-    r = compute_loss(loss, S, U, labels, metric=metric, rng=Rng(2), **kw)
+    r = compute_loss(loss, S, U, *multi_hot(labels), metric=metric, rng=Rng(2), **kw)
     assert np.isfinite(r.value)
     assert r.d_semantic.shape == S.shape
     assert r.d_uncertainty.shape == U.shape
@@ -407,7 +425,7 @@ def test_losses_accept_every_metric(loss, metric):
 def test_plan_freeze_makes_evaluation_deterministic():
     # the same frozen plan must give bit-identical values on re-evaluation
     S, U, labels = random_labeled(7, u_scale=0.2)
-    plan = build_plan("margin_dw", S, U, labels, metric="ism", rng=Rng(3))
+    plan = build_plan("margin_dw", S, U, *multi_hot(labels), metric="ism", rng=Rng(3))
     a = evaluate_loss("margin_dw", S, U, plan, metric="ism")
     b = evaluate_loss("margin_dw", S, U, plan, metric="ism")
     assert a.value == b.value
@@ -416,8 +434,8 @@ def test_plan_freeze_makes_evaluation_deterministic():
 
 def test_compute_loss_deterministic_under_seed():
     S, U, labels = random_labeled(8, u_scale=0.2)
-    a = compute_loss("margin_dw", S, U, labels, metric="ism", rng=Rng(5))
-    b = compute_loss("margin_dw", S, U, labels, metric="ism", rng=Rng(5))
+    a = compute_loss("margin_dw", S, U, *multi_hot(labels), metric="ism", rng=Rng(5))
+    b = compute_loss("margin_dw", S, U, *multi_hot(labels), metric="ism", rng=Rng(5))
     assert a.value == b.value
     assert a.plan.dw_negatives.tolist() == b.plan.dw_negatives.tolist()
 
@@ -425,15 +443,23 @@ def test_compute_loss_deterministic_under_seed():
 def test_unknown_loss_rejected():
     S, U, labels = random_labeled(0)
     with pytest.raises(ParameterError):
-        compute_loss("npair", S, U, labels)
+        compute_loss("npair", S, U, *multi_hot(labels))
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 def test_invalid_labels_rejected_by_build_plan(loss):
     S, U, labels = random_labeled(0)
+    Y, classes = multi_hot(labels)
+    # a row with no label, and rows that do not cover the batch
+    Y[-1] = False
+    with pytest.raises(ParameterError, match="at least one label"):
+        build_plan(loss, S, U, Y, classes, rng=Rng(0), **loss_kwargs(loss))
+    with pytest.raises(ShapeError):
+        build_plan(loss, S, U, Y[:-1], classes, rng=Rng(0), **loss_kwargs(loss))
+    # an empty or negative label set never becomes a row
     for bad in (frozenset(), frozenset({-1})):
         with pytest.raises(ParameterError):
-            build_plan(loss, S, U, labels[:-1] + (bad,), rng=Rng(0), **loss_kwargs(loss))
+            multi_hot(labels[:-1] + (bad,))
 
 
 def test_kink_margin_reports_distance_to_nearest_kink():
@@ -441,8 +467,8 @@ def test_kink_margin_reports_distance_to_nearest_kink():
     S = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     U = np.zeros((3, 2))
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
-    r = compute_loss("contrastive", S, U, labels, metric="euclidean")
+    r = compute_loss("contrastive", S, U, *multi_hot(labels), metric="euclidean")
     assert r.kink_margin == pytest.approx(1.0, rel=1e-12)
     # the uncertainty route adds the beta = 0 kink, which u = 0 sits on
-    r2 = compute_loss("contrastive", S, U, labels, metric="ism")
+    r2 = compute_loss("contrastive", S, U, *multi_hot(labels), metric="ism")
     assert r2.kink_margin == 0.0

@@ -5,10 +5,14 @@ import struct
 import numpy as np
 import pytest
 
-from idml.core import Batch, FormatError, NumericalFailure, Rng, ShapeError
+from idml.core import Batch, FormatError, NumericalFailure, Rng, ShapeError, multi_hot
 from idml.losses import LOSS_NAMES, PROXY_LOSSES
 from idml.metric import METRIC_NAMES
 from idml.model import (
+    ADAMW_BETA1,
+    ADAMW_BETA2,
+    ADAMW_BLOCK,
+    ADAMW_EPS,
     AdamW,
     EncoderModel,
     SgdMomentum,
@@ -33,17 +37,13 @@ def small_model(seed=0, input_dim=3, hidden=(6,), s=2, u=2, proxy_classes=()):
 
 def small_batch(seed=0, n=8, dim=3, n_classes=2):
     r = np.random.default_rng(seed)
-    return Batch(
-        features=r.normal(size=(n, dim)),
-        labels=tuple(frozenset({int(c)}) for c in r.integers(0, n_classes, size=n)),
-    )
+    return Batch(r.normal(size=(n, dim)), *multi_hot(r.integers(0, n_classes, size=n)))
 
 
 def batch_fn(n=8, dim=3, n_classes=2):
     def make(rng):
         feats = rng.normal(size=(n, dim))
-        labels = tuple(frozenset({int(c)}) for c in rng.integers(0, n_classes, size=n))
-        return Batch(features=feats, labels=labels)
+        return Batch(feats, *multi_hot(rng.integers(0, n_classes, size=n)))
 
     return make
 
@@ -181,14 +181,14 @@ def test_loss_and_grad_includes_proxy_gradients():
 def test_loss_and_grad_flags_overflow():
     m = init_model(3, hidden=(), semantic_dim=2, uncertainty_dim=2, rng=Rng(1))
     feats = 1e200 * np.arange(1.0, 13.0).reshape(4, 3)
-    b = Batch(features=feats, labels=tuple(frozenset({i % 2}) for i in range(4)))
+    b = Batch(feats, *multi_hot([i % 2 for i in range(4)]))
     with pytest.raises(NumericalFailure):
         loss_and_grad(m, b, "contrastive", metric="euclidean")
 
 
 def test_batch_rejects_nan_features():
     with pytest.raises(NumericalFailure):
-        Batch(features=np.array([[np.nan, 0.0]]), labels=(frozenset({0}),))
+        Batch(features=np.array([[np.nan, 0.0]]), Y=[[True]])
 
 
 def test_training_steps_decrease_loss():
@@ -263,6 +263,51 @@ def test_adamw_multi_step_matches_reference_loop():
             ref[sl] -= step_size * m[sl] / (np.sqrt(v[sl]) + 1e-8)
     np.testing.assert_allclose(p, ref, rtol=1e-14)
     assert p[4:].tobytes() == START[4:].tobytes()  # scale 0: bit for bit unchanged
+
+
+def adamw_step_per_span(state, theta, grad, spans, lr, weight_decay):
+    """AdamW as one numpy expression per span: the blocked step must equal it
+    bit for bit."""
+    if state["m"] is None:
+        state["m"], state["v"] = np.zeros_like(theta), np.zeros_like(theta)
+    state["t"] += 1
+    for sl, scale in spans:
+        g, m, v = grad[sl], state["m"][sl], state["v"][sl]
+        lr_s = lr * scale
+        if weight_decay:
+            theta[sl] *= 1.0 - lr_s * weight_decay
+        m *= ADAMW_BETA1
+        m += (1.0 - ADAMW_BETA1) * g
+        v *= ADAMW_BETA2
+        v += (1.0 - ADAMW_BETA2) * g * g
+        step_size = lr_s * np.sqrt(1.0 - ADAMW_BETA2 ** state["t"]) / (1.0 - ADAMW_BETA1 ** state["t"])
+        theta[sl] -= step_size * m / (np.sqrt(v) + ADAMW_EPS)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adamw_blocked_step_is_bit_identical_to_one_expression_per_span(weight_decay):
+    B = ADAMW_BLOCK
+    # spans shorter than a block, exactly one block, several blocks and a
+    # remainder, a frozen (scale 0) span, spans starting mid-block, and
+    # neighbours with equal scales, which the step runs as one range
+    sizes = [5, B, 3 * B + 7, 11, 40, B, 2 * B - 3, 9]
+    scales = [1.0, 0.3, 1.0, 1.0, 0.0, 10.0, 10.0, 1.0]
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    spans = [(slice(a, b), s) for a, b, s in zip(bounds, bounds[1:], scales)]
+    r = np.random.default_rng(5)
+    start = r.normal(size=bounds[-1])
+    theta, ref = start.copy(), start.copy()
+    opt = AdamW(lr=1e-3, weight_decay=weight_decay)
+    state = {"m": None, "v": None, "t": 0}
+    for _ in range(30):
+        g = r.normal(size=theta.size) * r.choice([1e-6, 1.0, 1e3], size=theta.size)
+        opt.step(theta, g, spans)
+        adamw_step_per_span(state, ref, g, spans, 1e-3, weight_decay)
+    assert theta.tobytes() == ref.tobytes()
+    assert opt.m.tobytes() == state["m"].tobytes()
+    assert opt.v.tobytes() == state["v"].tobytes()
+    frozen = slice(bounds[4], bounds[5])
+    assert theta[frozen].tobytes() == start[frozen].tobytes()
 
 
 def test_sgd_momentum_matches_reference_loop():
@@ -418,7 +463,7 @@ def test_checkpoint_trailing_garbage_rejected(tmp_path):
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 def test_finite_difference_check_passes(loss, metric):
     # acceptance 3's batch, model and seeds, over every metric
-    labels = tuple(frozenset({c}) for c in (0, 0, 1, 1, 2, 2, 3, 3))
+    Y, batch_classes = multi_hot((0, 0, 1, 1, 2, 2, 3, 3))
     classes = (0, 1, 2, 3) if loss in PROXY_LOSSES else ()
     m = init_model(6, hidden=(8,), semantic_dim=5, uncertainty_dim=4, rng=Rng(21), proxy_classes=classes)
     if classes:
@@ -427,7 +472,7 @@ def test_finite_difference_check_passes(loss, metric):
         m.proxies.uncertainty[:] = drawn.uncertainty
     rep = finite_difference_check(
         m,
-        lambda r: Batch(features=r.normal(size=(8, 6)), labels=labels),
+        lambda r: Batch(r.normal(size=(8, 6)), Y, batch_classes),
         loss,
         metric=metric,
         rng=Rng(23),
