@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import Batch, ParameterError, Rng, check_fields, label_set  # noqa: F401
+from idml.core import NONNEGATIVE, POSITIVE, UNIT_INTERVAL, Batch, Rng, at_least, check_fields, label_set  # noqa: F401
 
 __all__ = ["AugmentConfig", "mix_rows", "augment_batch"]
 
@@ -32,26 +33,15 @@ class AugmentConfig:
     disables block averaging.
     """
 
-    mix_lambda_dist: float = 1.0
-    mix_fraction: float = 0.5
-    blur_prob: float = 0.0
-    occl_prob: float = 0.0
-    occl_fraction: float = 0.25
-    lowres_factor: int = 1
-    noise_sigma: float = 0.1
+    mix_lambda_dist: Annotated[float, POSITIVE] = 1.0
+    mix_fraction: Annotated[float, UNIT_INTERVAL] = 0.5
+    blur_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    occl_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    occl_fraction: Annotated[float, UNIT_INTERVAL] = 0.25
+    lowres_factor: Annotated[int, at_least(1)] = 1
+    noise_sigma: Annotated[float, NONNEGATIVE] = 0.1
 
-    def __post_init__(self):
-        check_fields(self)
-        for name in ("mix_fraction", "blur_prob", "occl_prob", "occl_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.mix_lambda_dist <= 0:
-            raise ParameterError(f"mix_lambda_dist must be positive, got {self.mix_lambda_dist}")
-        if self.lowres_factor < 1:
-            raise ParameterError(f"lowres_factor must be >= 1, got {self.lowres_factor}")
-        if self.noise_sigma < 0:
-            raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+    __post_init__ = check_fields
 
 
 def mix_rows(batch: Batch, cfg: AugmentConfig, rng: Rng):

@@ -10,7 +10,6 @@ module imports the ``idml`` package first, which caps BLAS at one thread
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -74,37 +73,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Override flags and the config field path each one sets.
+_OVERRIDES = (
+    ("loss", "loss"),
+    ("metric", "metric"),
+    ("test_metric", "test_metric"),
+    ("tau", "metric_params.tau"),
+    ("gamma", "metric_params.gamma"),
+    ("seed", "seed"),
+    ("seed", "data.seed"),
+)
+
+
 def _load_config(args):
+    """The --config object (empty without one) with each given override flag
+    set at its field path, then built as one RunConfig: a field the object
+    leaves out, loss_params included, takes its default from the final values."""
+    raw = {}
     if args.config:
         try:
             with open(args.config) as f:
                 raw = json.load(f)
         except json.JSONDecodeError as e:
             raise FormatError(f"{args.config}: {e}") from None
-        cfg = harness.config_from_json_dict(raw)
-    else:
-        cfg = harness.desk_config()
-    updates = {}
-    if args.loss:
-        updates["loss"] = args.loss
-    if args.metric:
-        updates["metric"] = args.metric
-    if getattr(args, "test_metric", None):
-        updates["test_metric"] = args.test_metric
-    if args.tau is not None or args.gamma is not None:
-        mp = cfg.metric_params
-        mp_updates = {}
-        if args.tau is not None:
-            mp_updates["tau"] = args.tau
-        if args.gamma is not None:
-            mp_updates["gamma"] = args.gamma
-        updates["metric_params"] = dataclasses.replace(mp, **mp_updates)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-        updates["data"] = dataclasses.replace(cfg.data, seed=args.seed)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+    for flag, path in _OVERRIDES:
+        if getattr(args, flag) is not None:
+            harness.set_config_path(raw, path, getattr(args, flag))
+    return harness.config_from_json_dict(raw)
 
 
 def _cmd_synth(args) -> int:
@@ -136,15 +131,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     """eval and diagnose: the report on stdout; diagnose adds a row count on stderr."""
     cfg = _load_config(args)
-    report, rows = harness.diagnose(
-        args.checkpoint,
-        args.data,
-        seed=cfg.seed,
-        test_metric=cfg.test_metric,
-        mp=cfg.metric_params,
-        augment=cfg.augment,
-        output_dir=args.output,
-    )
+    report, rows = harness.diagnose(args.checkpoint, args.data, cfg, output_dir=args.output)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     if args.command == "diagnose":
         print(f"{len(rows)} per-sample uncertainty rows", file=sys.stderr)

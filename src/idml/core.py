@@ -15,9 +15,11 @@ named substreams, so every run is replayable from a single 64-bit seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
     "label_rows",
     "label_ids",
     "match_matrix",
+    "Bound",
+    "field_rules",
     "check_fields",
     "MetricParams",
     "Batch",
@@ -131,23 +135,62 @@ _ACCEPTED = {
 }
 
 
+class Bound(typing.NamedTuple):
+    """A rule on a config field's value, attached to its annotation:
+    `tau: Annotated[float, POSITIVE]`. `text` completes "must be ..."."""
+
+    ok: typing.Callable
+    text: str
+
+
+def at_least(lo) -> Bound:
+    return Bound(lambda v: v >= lo, f">= {lo}")
+
+
+def one_of(names) -> Bound:
+    return Bound(lambda v: v in names, "one of " + ", ".join(names))
+
+
+POSITIVE = Bound(lambda v: v > 0, "> 0")
+NONNEGATIVE = at_least(0)
+UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "in [0, 1]")
+SIZES = Bound(lambda v: len(v) > 0 and min(v) >= 1, "a nonempty list of positive ints")
+
+
 def _holds(v, accepted) -> bool:
     return isinstance(v, accepted) and not isinstance(v, bool)
 
 
+@functools.cache
+def field_rules(cls) -> dict:
+    """name -> (type, bounds, None allowed) for each field of a config
+    dataclass, read once per class from its annotations."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    rules = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        want, *bounds = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint,)
+        rules[f.name] = (want, bounds, f.default is None)
+    return rules
+
+
 def check_fields(cfg):
-    """Reject a config dataclass field whose value lacks its annotated type.
-    An int stands in for a float, a bool for neither, a tuple field takes a
-    list of ints, a section must be an instance of its class, and None
-    passes only where the default is None."""
-    types = typing.get_type_hints(type(cfg))
-    for f in dataclasses.fields(cfg):
-        v, want = getattr(cfg, f.name), types[f.name]
-        if v is None and f.default is None:
+    """Reject a config dataclass field whose value lacks its annotated type
+    or breaks one of its annotated bounds, naming the field. An int stands
+    in for a float, a bool for neither, a tuple field takes a list of ints,
+    a section must be an instance of its class, and None passes only where
+    the default is None."""
+    for name, (want, bounds, none_ok) in field_rules(type(cfg)).items():
+        v = getattr(cfg, name)
+        if v is None and none_ok:
             continue
         accepted, label = _ACCEPTED.get(want, (want, f"a {want.__name__}"))
         if not _holds(v, accepted) or want is tuple and not all(_holds(h, numbers.Integral) for h in v):
-            raise ParameterError(f"{f.name} must be {label}, got {v!r}")
+            raise ParameterError(f"{name} must be {label}, got {v!r}")
+        for b in bounds:
+            if not b.ok(v):  # a string here is a name off its list
+                unknown = f"unknown {name}: " if isinstance(v, str) else ""
+                raise ParameterError(f"{unknown}{name} must be {b.text}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -160,18 +203,11 @@ class MetricParams:
     alpha_min: clamp applied to the semantic distance before dividing by it.
     """
 
-    gamma: float = 0.0
-    tau: float = 5.0
-    alpha_min: float = 1e-12
+    gamma: Annotated[float, NONNEGATIVE] = 0.0
+    tau: Annotated[float, POSITIVE] = 5.0
+    alpha_min: Annotated[float, POSITIVE] = 1e-12
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
-        if self.alpha_min <= 0:
-            raise ParameterError(f"alpha_min must be > 0, got {self.alpha_min}")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -20,15 +20,21 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from idml.core import (
+    NONNEGATIVE,
+    POSITIVE,
     STREAM_DATA,
+    UNIT_INTERVAL,
     FormatError,
+    NumericalFailure,
     ParameterError,
     Rng,
     ShapeError,
+    at_least,
     check_fields,
     label_ids,
     multi_hot,
@@ -53,33 +59,17 @@ BINARY_VERSION = 1
 class SynthConfig:
     """Knobs for the synthetic ambiguous-class generator."""
 
-    n_classes: int = 10
-    per_class: int = 50
-    input_dim: int = 16
-    class_sep: float = 4.0
-    within_sigma: float = 1.0
-    ambiguous_frac: float = 0.0
-    mislabel_frac: float = 0.0
-    seed: int = 0
+    # at least two classes on each side of the class-disjoint split
+    n_classes: Annotated[int, at_least(4)] = 10
+    per_class: Annotated[int, at_least(1)] = 50
+    input_dim: Annotated[int, at_least(1)] = 16
+    class_sep: Annotated[float, POSITIVE] = 4.0
+    within_sigma: Annotated[float, POSITIVE] = 1.0
+    ambiguous_frac: Annotated[float, UNIT_INTERVAL] = 0.0
+    mislabel_frac: Annotated[float, UNIT_INTERVAL] = 0.0
+    seed: Annotated[int, NONNEGATIVE] = 0
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.n_classes < 4:
-            raise ParameterError(
-                f"need n_classes >= 4 for a two-sided class-disjoint split, got {self.n_classes}"
-            )
-        if self.per_class < 1:
-            raise ParameterError(f"per_class must be positive, got {self.per_class}")
-        if self.input_dim < 1:
-            raise ParameterError(f"input_dim must be positive, got {self.input_dim}")
-        if self.class_sep <= 0 or self.within_sigma <= 0:
-            raise ParameterError("class_sep and within_sigma must be positive")
-        for name in ("ambiguous_frac", "mislabel_frac"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {v}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+    __post_init__ = check_fields
 
 
 def train_class_ids(all_class_ids) -> frozenset:
@@ -97,24 +87,24 @@ class Dataset:
     The label sets given at construction are validated and converted once,
     by `multi_hot`: Y[i, k] is true iff row i carries class classes[k], with
     `classes` the sorted distinct ids. `label_ids(ds.Y, ds.classes)` gives
-    the sets back as id lists, for the file formats.
+    the sets back as id lists, for the file formats. A dataset has at least
+    one row, and every feature is finite.
     """
 
-    def __init__(self, features, labels, is_train=None):
+    def __init__(self, features, labels):
         self.features = np.asarray(features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ShapeError(f"features must be (N, D), got {self.features.shape}")
         if len(labels) != self.features.shape[0]:
             raise ShapeError(f"{self.features.shape[0]} feature rows vs {len(labels)} label sets")
+        if not len(labels):
+            raise ParameterError("a dataset needs at least one row")
+        if not np.isfinite(self.features).all():
+            raise NumericalFailure("dataset features contain non-finite entries")
         self.Y, classes = multi_hot(labels)
         self.classes = tuple(classes)
-        if is_train is None:
-            # a row's smallest class id is its first true column
-            self.is_train = self.Y.argmax(axis=1) < len(train_class_ids(self.classes))
-        else:
-            self.is_train = np.asarray(is_train, dtype=bool)
-            if self.is_train.shape != (self.features.shape[0],):
-                raise ShapeError("is_train mask must have one entry per row")
+        # a row's smallest class id is its first true column
+        self.is_train = self.Y.argmax(axis=1) < len(train_class_ids(self.classes))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -268,6 +258,8 @@ def load_binary(path) -> Dataset:
         version, n, d = struct.unpack_from("<III", raw, 4)
         if version != BINARY_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if n == 0:
+            raise FormatError(f"{path}: no data rows")
         off = 16
         labels = []
         for _ in range(n):

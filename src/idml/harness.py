@@ -22,16 +22,19 @@ import dataclasses
 import json
 import os
 import time
-import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from idml.augment import AugmentConfig, augment_batch, mix_rows
 from idml.core import (
+    NONNEGATIVE,
+    POSITIVE,
+    SIZES,
     STREAM_AUGMENT,
     STREAM_BATCH,
     STREAM_EVAL,
@@ -42,9 +45,12 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    at_least,
     check_fields,
+    field_rules,
     label_ids,
     multi_hot,
+    one_of,
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
 from idml.evaluation import EvalReport, evaluate, uncertainty_levels
@@ -78,6 +84,7 @@ __all__ = [
     "introspective_run_config",
     "config_to_json_dict",
     "config_from_json_dict",
+    "set_config_path",
     "load_dataset",
     "load_dataset_for",
     "train",
@@ -100,51 +107,29 @@ class RunConfig:
 
     data: SynthConfig = SynthConfig()
     dataset_path: str = None
-    loss: str = "contrastive"
-    metric: str = "ism"
-    test_metric: str = "euclidean"
+    loss: Annotated[str, one_of(LOSS_NAMES)] = "contrastive"
+    metric: Annotated[str, one_of(METRIC_NAMES)] = "ism"
+    test_metric: Annotated[str, one_of(METRIC_NAMES)] = "euclidean"
     metric_params: MetricParams = MetricParams()
     loss_params: LossParams = None
     augment: AugmentConfig = AugmentConfig()
-    hidden: tuple = (64,)
-    semantic_dim: int = 32
-    uncertainty_dim: int = 32
-    uncertainty_mode: str = "train"
-    optimizer: str = "adamw"
-    lr: float = 1e-2
-    weight_decay: float = 1e-4
+    hidden: Annotated[tuple, SIZES] = (64,)
+    semantic_dim: Annotated[int, at_least(1)] = 32
+    uncertainty_dim: Annotated[int, at_least(1)] = 32
+    uncertainty_mode: Annotated[str, one_of(UNCERTAINTY_MODES)] = "train"
+    optimizer: Annotated[str, one_of(OPTIMIZER_NAMES)] = "adamw"
+    lr: Annotated[float, POSITIVE] = 1e-2
+    weight_decay: Annotated[float, NONNEGATIVE] = 1e-4
     momentum: float = 0.9
-    proxy_lr_scale: float = 10.0
-    uncert_lr_scale: float = 1.0
-    batch_size: int = 32
-    epochs: int = 50
-    seed: int = 0
+    proxy_lr_scale: Annotated[float, POSITIVE] = 10.0
+    uncert_lr_scale: Annotated[float, POSITIVE] = 1.0
+    batch_size: Annotated[int, at_least(4)] = 32
+    epochs: Annotated[int, at_least(1)] = 50
+    seed: Annotated[int, NONNEGATIVE] = 0
 
     def __post_init__(self):
         check_fields(self)
-        if self.loss not in LOSS_NAMES:
-            raise ParameterError(f"unknown loss {self.loss!r}")
-        if self.metric not in METRIC_NAMES or self.test_metric not in METRIC_NAMES:
-            raise ParameterError(f"unknown metric {self.metric!r}/{self.test_metric!r}")
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ParameterError(f"unknown optimizer {self.optimizer!r}")
-        if self.uncertainty_mode not in UNCERTAINTY_MODES:
-            raise ParameterError(f"unknown uncertainty mode {self.uncertainty_mode!r}")
-        if self.batch_size < 4:
-            raise ParameterError(f"batch_size must be >= 4, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.semantic_dim < 1 or self.uncertainty_dim < 1:
-            raise ParameterError("embedding dims must be positive")
-        if self.lr <= 0 or self.proxy_lr_scale <= 0 or self.uncert_lr_scale <= 0:
-            raise ParameterError("lr and the lr scale factors must be positive")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be nonnegative")
-        if self.seed < 0:
-            raise ParameterError("seed must be nonnegative")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if any(h < 1 for h in self.hidden) or not self.hidden:
-            raise ParameterError(f"hidden layer sizes must be positive, got {self.hidden}")
         if self.loss_params is None:
             object.__setattr__(self, "loss_params", default_loss_params(self.loss))
 
@@ -225,18 +210,31 @@ def _from_json(cls, d):
     """The config dataclass `cls` from a JSON object, and each section from its own."""
     if not isinstance(d, dict):
         raise ParameterError(f"a config must be a JSON object, got {d!r}")
-    types = typing.get_type_hints(cls)
+    rules = field_rules(cls)
     kwargs = {}
     for key, v in d.items():
-        if key not in types:
+        if key not in rules:
             raise ParameterError(f"unknown config key {key!r}")
-        if dataclasses.is_dataclass(types[key]) and v is not None:
+        if dataclasses.is_dataclass(rules[key][0]) and v is not None:
             try:
-                v = _from_json(types[key], v)
+                v = _from_json(rules[key][0], v)
             except ParameterError as e:
                 raise ParameterError(f"bad {key} section: {e}") from None
         kwargs[key] = v
     return cls(**kwargs)
+
+
+def set_config_path(d: dict, path: str, value):
+    """Set the field at a dotted path (`"metric_params.tau"`) of a JSON
+    config object, adding the sections it lacks. Values are checked when
+    `config_from_json_dict(d)` builds the RunConfig; a field left out there,
+    `loss_params` included, takes its default from the final values."""
+    *sections, name = path.split(".")
+    for key in sections:
+        d = d.setdefault(key, {}) if isinstance(d, dict) else None
+    if not isinstance(d, dict):
+        raise ParameterError(f"cannot set {path}: a config and its sections must be JSON objects")
+    d[name] = value
 
 
 def _json_text(obj) -> str:
@@ -322,9 +320,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         proxy_classes=sorted(ds.train_classes()) if cfg.loss in PROXY_LOSSES else (),
     )
     stats = _fit(cfg, model, x_train, y_train, ds.classes)
-    report, u_rows = _evaluate_test_split(
-        model, ds, cfg.seed, cfg.augment, cfg.test_metric, cfg.metric_params
-    )
+    report, u_rows = _evaluate_test_split(model, ds, cfg)
     record = RunRecord(
         config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
     )
@@ -389,8 +385,9 @@ def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
     return stats
 
 
-def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test_metric: str, mp):
-    """Embed the test split and its mixed samples, then evaluate.
+def _evaluate_test_split(model, ds: Dataset, cfg: RunConfig):
+    """Embed the test split and its mixed samples, then evaluate under the
+    run's seed, test metric and metric parameters.
 
     The mixed samples are `mix_rows` of the test split under the run's
     AugmentConfig, on the eval stream; no corruption applies at eval time.
@@ -402,8 +399,8 @@ def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test
     x_test, y_test, idx_test = ds.test_split()
     test = Batch(features=x_test, Y=y_test, classes=ds.classes)  # rejects non-finite features
     s_test, u_test = forward(model, test.features)
-    eval_rng = Rng(seed, STREAM_EVAL)
-    mixed_feats, mixed_Y = mix_rows(test, aug, eval_rng)
+    eval_rng = Rng(cfg.seed, STREAM_EVAL)
+    mixed_feats, mixed_Y = mix_rows(test, cfg.augment, eval_rng)
     if mixed_feats.shape[0]:
         _, u_mixed = forward(model, mixed_feats)
     else:
@@ -414,8 +411,8 @@ def _evaluate_test_split(model, ds: Dataset, seed: int, aug: AugmentConfig, test
         y_test,
         eval_rng,
         mixed_uncertainty=u_mixed,
-        test_metric=test_metric,
-        mp=mp,
+        test_metric=cfg.test_metric,
+        mp=cfg.metric_params,
     )
     return report, _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed)
 
@@ -458,15 +455,6 @@ def _write_run_outputs(out: Path, record: RunRecord, model, u_rows):
 # ---------------------------------------------------------------------------
 
 
-def _with_sweep_value(cfg: RunConfig, param: str, value) -> RunConfig:
-    # float() is exact for a swept int and keeps the tau/gamma echo a float
-    if param in ("tau", "gamma"):
-        return dataclasses.replace(
-            cfg, metric_params=dataclasses.replace(cfg.metric_params, **{param: float(value)})
-        )
-    return dataclasses.replace(cfg, **{param: value})
-
-
 def worker_count() -> int:
     env = os.environ.get("IDML_THREADS", "").strip()
     if env:
@@ -499,7 +487,14 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
     values = list(values)
     if not values:
         raise ParameterError("sweep needs at least one value")
-    configs = [_with_sweep_value(cfg, param, v) for v in values]
+    configs = []
+    for v in values:
+        d = config_to_json_dict(cfg)
+        if param in ("tau", "gamma"):  # float() is exact for an int and keeps the echo a float
+            set_config_path(d, f"metric_params.{param}", float(v))
+        else:
+            set_config_path(d, param, v)
+        configs.append(config_from_json_dict(d))
     dirs = None if output_dir is None else [Path(output_dir) / f"{param}={v}" for v in values]
     records = run_grid(configs, dirs)
     if output_dir is not None:  # the runs have created it
@@ -557,21 +552,13 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
     return GradcheckOutcome(passed=fd.passed and hf.passed, fd_report=fd, h_report=hf)
 
 
-def diagnose(
-    checkpoint_path,
-    dataset_path,
-    seed: int = 0,
-    test_metric: str = "euclidean",
-    mp: MetricParams = None,
-    augment: AugmentConfig = AugmentConfig(),
-    output_dir=None,
-):
+def diagnose(checkpoint_path, dataset_path, cfg: RunConfig = RunConfig(), output_dir=None):
     """Evaluate a saved model on a dataset's test split.
 
-    Pass the training run's seed, test_metric, mp and augment to reproduce
-    its eval.json and uncertainty.csv. Returns (EvalReport, uncertainty
-    rows); writes eval.json and uncertainty.csv when an output directory is
-    given.
+    Pass the training run's config to reproduce its eval.json and
+    uncertainty.csv: its seed, test_metric, metric_params and augment are
+    the ones read. Returns (EvalReport, uncertainty rows); writes eval.json
+    and uncertainty.csv when an output directory is given.
     """
     model = load_checkpoint(checkpoint_path)
     ds = load_dataset(dataset_path)
@@ -579,14 +566,7 @@ def diagnose(
         raise ShapeError(
             f"dataset feature dim {ds.features.shape[1]} != model input dim {model.input_dim}"
         )
-    report, rows = _evaluate_test_split(
-        model,
-        ds,
-        seed,
-        augment,
-        test_metric,
-        mp if mp is not None else MetricParams(),
-    )
+    report, rows = _evaluate_test_split(model, ds, cfg)
     if output_dir is not None:
         _write_eval_outputs(Path(output_dir), report, rows)
     return report, rows

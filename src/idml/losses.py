@@ -31,12 +31,12 @@ embeddings are never normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import MetricParams, ParameterError, Rng, ShapeError, check_fields, label_rows, label_set, match_matrix  # noqa: F401
+from idml.core import NONNEGATIVE, POSITIVE, MetricParams, ParameterError, Rng, ShapeError, check_fields, label_rows, label_set, match_matrix  # noqa: F401
 from idml.metric import (
     METRIC_NAMES,
     distance_table,
@@ -87,25 +87,18 @@ class LossParams:
     margin (conventional defaults differ; see default_loss_params).
     """
 
-    margin_delta: float = 1.0
-    margin_xi: float = 0.5
-    margin_omega: float = 1.4
-    phi: float = 10.0
-    ms_eps: float = 0.1
-    ms_alpha: float = 2.0
-    ms_beta: float = 50.0
+    margin_delta: Annotated[float, NONNEGATIVE] = 1.0
+    margin_xi: Annotated[float, NONNEGATIVE] = 0.5
+    margin_omega: Annotated[float, NONNEGATIVE] = 1.4
+    phi: Annotated[float, POSITIVE] = 10.0
+    ms_eps: Annotated[float, NONNEGATIVE] = 0.1
+    ms_alpha: Annotated[float, POSITIVE] = 2.0
+    ms_beta: Annotated[float, POSITIVE] = 50.0
     ms_lambda: float = 1.0
-    pa_alpha: float = 32.0
-    pa_delta: float = 0.1
+    pa_alpha: Annotated[float, POSITIVE] = 32.0
+    pa_delta: Annotated[float, NONNEGATIVE] = 0.1
 
-    def __post_init__(self):
-        check_fields(self)
-        for name in ("phi", "ms_alpha", "ms_beta", "pa_alpha"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("margin_delta", "margin_xi", "margin_omega", "ms_eps", "pa_delta"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}")
+    __post_init__ = check_fields
 
 
 def default_loss_params(loss: str, **overrides) -> LossParams:

@@ -16,7 +16,10 @@ refactor prints identical text. It covers:
   those runs never take: the frozen uncertainty head
   (`uncertainty_mode="frozen_zero"`) and the momentum optimizer
   (`optimizer="sgd"`);
-- gradcheck: the `idml gradcheck --loss L` summary for every loss;
+- gradcheck: the summary of `harness.gradcheck(dataclasses.replace(
+  desk_config(), loss=L))` for every loss. That config keeps the resolved
+  contrastive margin (1.0) for triplet_sh, so its entry is not the output
+  of `idml gradcheck --loss triplet_sh`, which checks the triplet margin 0.2;
 - io_sha256: the sha256 of a CSV and of a binary dataset file written from
   a dataset with two-label rows (`write`), and of the same format written
   again after reading the first file back (`rewrite`);

@@ -15,10 +15,11 @@ import sys
 import numpy as np
 import pytest
 
-from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, main
-from idml.core import Rng, label_ids
+from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, _load_config, build_parser, main
+from idml.core import ParameterError, Rng, label_ids
 from idml.data import SynthConfig, generate, load_csv
 from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
+from idml.losses import LossParams
 from idml.model import init_model, save_checkpoint
 
 
@@ -295,6 +296,58 @@ def test_bad_flag_value_exits_config():
     proc = run_cli("train", "--loss", "wat")
     assert proc.returncode == EXIT_CONFIG
     assert "unknown loss" in proc.stderr
+
+
+def test_dataset_with_no_rows_exits_config(tmp_path):
+    ds_path = tmp_path / "empty.bin"
+    ds_path.write_bytes(b"IDMD" + struct.pack("<III", 1, 0, 6))
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, dataset_path=str(ds_path))
+    proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "no data rows" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_loss_flag_trains_the_config_the_file_would(tmp_path):
+    # --loss is set in the config object before defaults resolve, so
+    # triplet_sh gets its own margin (0.2), not contrastive's resolved one.
+    base = config_to_json_dict(write_config(tmp_path / "base.json", epochs=1))
+    del base["loss_params"]
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    (tmp_path / "triplet.json").write_text(json.dumps({**base, "loss": "triplet_sh"}))
+    flag, file = tmp_path / "flag", tmp_path / "file"
+    assert main(["train", "--config", str(tmp_path / "base.json"), "--loss", "triplet_sh",
+                 "--output", str(flag)]) == EXIT_OK
+    assert main(["train", "--config", str(tmp_path / "triplet.json"), "--output", str(file)]) == EXIT_OK
+    echo = (flag / "config.json").read_bytes()
+    assert echo == (file / "config.json").read_bytes()
+    assert json.loads(echo)["loss_params"]["margin_delta"] == 0.2
+
+
+def test_explicit_loss_params_survive_the_loss_flag(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, epochs=1, loss_params=LossParams(margin_delta=0.7))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--loss", "triplet_sh", "--output", str(out)]) == EXIT_OK
+    echo = json.loads((out / "config.json").read_text())
+    assert (echo["loss"], echo["loss_params"]["margin_delta"]) == ("triplet_sh", 0.7)
+
+
+def test_flags_set_their_field_paths(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    args = build_parser().parse_args(
+        ["train", "--config", str(cfg_path), "--tau", "2", "--gamma", "0.5", "--seed", "9",
+         "--metric", "ism_dis", "--test-metric", "ism"]
+    )
+    cfg = _load_config(args)
+    assert (cfg.metric_params.tau, cfg.metric_params.gamma) == (2.0, 0.5)
+    assert (cfg.seed, cfg.data.seed, cfg.metric, cfg.test_metric) == (9, 9, "ism_dis", "ism")
+    assert cfg.data.n_classes == 4  # the file's other data fields stay
+    for bad in (["--tau", "0"], ["--seed", "-1"], ["--metric", "wat"]):
+        args = build_parser().parse_args(["train", "--config", str(cfg_path), *bad])
+        with pytest.raises(ParameterError, match=bad[0].strip("-")):
+            _load_config(args)
 
 
 def test_non_finite_dataset_exits_numerical(tmp_path):

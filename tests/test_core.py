@@ -1,6 +1,7 @@
 """Shared primitives: vectors, label sets, parameter bundles, seeded streams."""
 
 import dataclasses
+import math
 import re
 import subprocess
 import sys
@@ -24,7 +25,8 @@ from idml.core import (
 )
 from idml.data import SynthConfig
 from idml.harness import RunConfig
-from idml.losses import LossParams
+from idml.losses import LOSS_NAMES, LossParams
+from idml.metric import METRIC_NAMES
 
 
 def test_batch_accepts_lists_and_casts():
@@ -109,6 +111,66 @@ def test_config_fields_of_the_wrong_type_are_rejected_by_name(cls):
         for bad in bads:
             with pytest.raises(ParameterError, match=rf"^{f.name} must be .*, got {re.escape(repr(bad))}$"):
                 cls(**{f.name: bad})
+
+
+TINY = math.nextafter(0.0, 1.0)  # the smallest positive float
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+# Every bound on a config field: (class, field, accepted edge values, the
+# first values past them). Floats step by one ulp, ints by one.
+BOUNDS = [
+    (MetricParams, "gamma", [0.0], [-TINY]),
+    (MetricParams, "tau", [TINY], [0.0]),
+    (MetricParams, "alpha_min", [TINY], [0.0]),
+    *[(LossParams, name, [TINY], [0.0]) for name in ("phi", "ms_alpha", "ms_beta", "pa_alpha")],
+    *[
+        (LossParams, name, [0.0], [-TINY])
+        for name in ("margin_delta", "margin_xi", "margin_omega", "ms_eps", "pa_delta")
+    ],
+    *[
+        (AugmentConfig, name, [0.0, 1.0], [-TINY, ABOVE_ONE])
+        for name in ("mix_fraction", "blur_prob", "occl_prob", "occl_fraction")
+    ],
+    (AugmentConfig, "mix_lambda_dist", [TINY], [0.0]),
+    (AugmentConfig, "lowres_factor", [1], [0]),
+    (AugmentConfig, "noise_sigma", [0.0], [-TINY]),
+    (SynthConfig, "n_classes", [4], [3]),
+    (SynthConfig, "per_class", [1], [0]),
+    (SynthConfig, "input_dim", [1], [0]),
+    (SynthConfig, "class_sep", [TINY], [0.0]),
+    (SynthConfig, "within_sigma", [TINY], [0.0]),
+    (SynthConfig, "ambiguous_frac", [0.0, 1.0], [-TINY, ABOVE_ONE]),
+    (SynthConfig, "mislabel_frac", [0.0, 1.0], [-TINY, ABOVE_ONE]),
+    (SynthConfig, "seed", [0], [-1]),
+    (RunConfig, "loss", list(LOSS_NAMES), ["wat", ""]),
+    (RunConfig, "metric", list(METRIC_NAMES), ["wat"]),
+    (RunConfig, "test_metric", list(METRIC_NAMES), ["wat"]),
+    (RunConfig, "optimizer", ["adamw", "sgd"], ["adam"]),
+    (RunConfig, "uncertainty_mode", ["train", "frozen_zero"], ["frozen"]),
+    (RunConfig, "hidden", [[1], (1, 1)], [[0], [], (4, -1)]),
+    (RunConfig, "semantic_dim", [1], [0]),
+    (RunConfig, "uncertainty_dim", [1], [0]),
+    (RunConfig, "lr", [TINY], [0.0]),
+    (RunConfig, "weight_decay", [0.0], [-TINY]),
+    (RunConfig, "proxy_lr_scale", [TINY], [0.0]),
+    (RunConfig, "uncert_lr_scale", [TINY], [0.0]),
+    (RunConfig, "batch_size", [4], [3]),
+    (RunConfig, "epochs", [1], [0]),
+    (RunConfig, "seed", [0], [-1]),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, edges, pasts", BOUNDS, ids=[f"{c.__name__}.{n}" for c, n, _, _ in BOUNDS]
+)
+def test_every_config_bound_accepts_its_edge_and_names_the_field_past_it(cls, name, edges, pasts):
+    for v in edges:
+        cls(**{name: v})
+    for v in pasts:
+        # the one form, led by "unknown <field>: " for a name off its list
+        lead = f"unknown {name}: " if isinstance(v, str) else ""
+        with pytest.raises(ParameterError, match=rf"^{lead}{name} must be .+, got {re.escape(repr(v))}$"):
+            cls(**{name: v})
 
 
 def test_batch_default_mixed_flags_are_false():

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from idml.core import FormatError, ParameterError, label_ids
+from idml.core import FormatError, NumericalFailure, ParameterError, label_ids
 from idml.data import (
     Dataset,
     SynthConfig,
@@ -318,6 +318,29 @@ def test_dataset_validates_label_sets():
     assert ds.classes == (1, 3)
     assert ds.Y.tolist() == [[False, True], [True, False]]
     assert label_sets(ds) == (frozenset({3}), frozenset({1}))
+
+
+def test_dataset_rejects_zero_rows(tmp_path):
+    with pytest.raises(ParameterError, match="at least one row"):
+        Dataset(np.zeros((0, 4)), [])
+    p = tmp_path / "empty.bin"
+    write_binary_rows(p, [], np.zeros((0, 4)))
+    with pytest.raises(FormatError, match="no data rows"):
+        load_binary(p)
+
+
+@pytest.mark.parametrize("save", [save_csv, save_binary], ids=["csv", "binary"])
+def test_non_finite_features_rejected_at_load(tmp_path, save):
+    from idml.harness import load_dataset
+
+    ds = generate(tiny_cfg())
+    ds.features[np.flatnonzero(~ds.is_train)[0], 1] = np.nan  # a test-split row
+    p = tmp_path / "bad.data"
+    save(ds, p)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        load_dataset(p)
+    with pytest.raises(NumericalFailure):
+        Dataset(np.array([[0.0, np.inf]]), [0])
 
 
 def test_dataset_split_views_are_consistent():

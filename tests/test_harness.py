@@ -365,6 +365,19 @@ def test_sweep_tau_writes_per_value_runs(tmp_path):
     assert lines[1].split(",")[0] == "1.0"
 
 
+def test_sweep_int_tau_values_keep_the_float_echo_and_the_csv(tmp_path):
+    cfg = tiny_config(epochs=1)
+    records = sweep(cfg, "tau", [1, 9], output_dir=tmp_path / "int")
+    assert [type(r.config.metric_params.tau) for r in records] == [float, float]
+    assert '"tau": 1.0' in (tmp_path / "int" / "tau=1" / "config.json").read_text()
+    sweep(cfg, "tau", [1.0, 9.0], output_dir=tmp_path / "float")
+    int_rows = (tmp_path / "int" / "sweep.csv").read_text().splitlines()
+    float_rows = (tmp_path / "float" / "sweep.csv").read_text().splitlines()
+    # the value column echoes the values as given; every other byte is the same
+    assert [r.split(",", 1)[0] for r in int_rows[1:]] == ["1", "9"]
+    assert [r.split(",", 1)[1] for r in int_rows] == [r.split(",", 1)[1] for r in float_rows]
+
+
 def test_sweep_rejects_bad_requests():
     cfg = tiny_config()
     with pytest.raises(ParameterError, match="sweep param"):
@@ -442,15 +455,7 @@ def test_diagnose_reproduces_training_eval(tmp_path):
 
     ds_path = tmp_path / "data.bin"
     save_binary(generate(cfg.data), ds_path)
-    report, rows = diagnose(
-        run_dir / "model.bin",
-        ds_path,
-        seed=cfg.seed,
-        test_metric=cfg.test_metric,
-        mp=cfg.metric_params,
-        augment=cfg.augment,
-        output_dir=tmp_path / "diag",
-    )
+    report, rows = diagnose(run_dir / "model.bin", ds_path, cfg, output_dir=tmp_path / "diag")
     assert report.to_json_dict() == rec.final.to_json_dict()
     # Same uncertainty table as the training run wrote.
     trained = (run_dir / "uncertainty.csv").read_text().strip().split("\n")[1:]
