@@ -132,7 +132,7 @@ def _cmd_eval(args) -> int:
     """eval and diagnose: the report on stdout; diagnose adds a row count on stderr."""
     cfg = _load_config(args)
     report, rows = harness.diagnose(args.checkpoint, args.data, cfg, output_dir=args.output)
-    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+    print(harness._json_text(report.to_json_dict()), end="")
     if args.command == "diagnose":
         print(f"{len(rows)} per-sample uncertainty rows", file=sys.stderr)
     return EXIT_OK

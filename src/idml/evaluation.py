@@ -13,7 +13,7 @@ retrieval changes when uncertainty is kept in the loop at test time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from idml.metric import (
 
 __all__ = [
     "EvalReport",
+    "check_scorable",
     "recall_at_k",
     "kmeans",
     "nmi",
@@ -101,6 +102,17 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
 # Both read the relevance table that `evaluate` gathers from its ranking:
 # rel[i, j] is true iff query i shares a label with its (j + 1)-th nearest
 # other sample.
+
+
+def check_scorable(Y, ks=DEFAULT_RECALL_KS):
+    """Raise ParameterError unless `evaluate` can score the multi-hot label
+    rows `Y` at recall depths `ks`: it needs more rows than the largest k,
+    and a class with two rows, so that some query has a counterpart."""
+    n, k = len(Y), max(map(int, ks))
+    if n <= k:
+        raise ParameterError(f"a split of {n} rows cannot be scored: recall@{k} needs more than {k}")
+    if not (np.asarray(Y).sum(axis=0) >= 2).any():
+        raise ParameterError("no class has two rows in the split: no query has a same-label counterpart")
 
 
 def recall_at_k(rel: np.ndarray, k: int) -> float:
@@ -322,59 +334,36 @@ def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:
 
 @dataclass
 class EvalReport:
-    """Retrieval, clustering, uncertainty, and correlation summary."""
+    """Retrieval, clustering, uncertainty, and correlation summary.
 
-    recall_at_k: dict
+    eval.json's keys are these fields. sweep.csv's columns are too, in this
+    order, under the `column` name a field's metadata gives; a dict field is
+    one column per key, in the dict's own order, named by formatting the key.
+    """
+
+    recall_at_k: dict = field(metadata={"column": "recall@{}"})
     nmi: float
     r_precision: float
     map_at_r: float
-    mean_uncert_clean: float
-    mean_uncert_mixed: float
-    corr: dict
+    mean_uncert_clean: float = field(metadata={"column": "uncert_clean"})
+    mean_uncert_mixed: float = field(metadata={"column": "uncert_mixed"})
+    corr: dict = field(metadata={"column": "corr_{}"})
 
     def to_json_dict(self) -> dict:
-        return {
-            "recall_at_k": {str(k): v for k, v in sorted(self.recall_at_k.items())},
-            "nmi": self.nmi,
-            "r_precision": self.r_precision,
-            "map_at_r": self.map_at_r,
-            "mean_uncert_clean": self.mean_uncert_clean,
-            "mean_uncert_mixed": self.mean_uncert_mixed,
-            "corr": {k: self.corr[k] for k in ("jaccard", "mrr", "cosine")},
-        }
+        d = asdict(self)
+        d["recall_at_k"] = {str(k): v for k, v in self.recall_at_k.items()}
+        return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            recall_at_k={int(k): float(v) for k, v in d["recall_at_k"].items()},
-            nmi=float(d["nmi"]),
-            r_precision=float(d["r_precision"]),
-            map_at_r=float(d["map_at_r"]),
-            mean_uncert_clean=float(d["mean_uncert_clean"]),
-            mean_uncert_mixed=float(d["mean_uncert_mixed"]),
-            corr={k: float(v) for k, v in d["corr"].items()},
-        )
-
-    def csv_header(self) -> str:
-        ks = ",".join(f"recall@{k}" for k in sorted(self.recall_at_k))
-        return (
-            f"{ks},nmi,r_precision,map_at_r,uncert_clean,uncert_mixed,"
-            "corr_jaccard,corr_mrr,corr_cosine"
-        )
-
-    def csv_row(self) -> str:
-        vals = [self.recall_at_k[k] for k in sorted(self.recall_at_k)]
-        vals += [
-            self.nmi,
-            self.r_precision,
-            self.map_at_r,
-            self.mean_uncert_clean,
-            self.mean_uncert_mixed,
-            self.corr["jaccard"],
-            self.corr["mrr"],
-            self.corr["cosine"],
-        ]
-        return ",".join(repr(float(v)) for v in vals)
+    def columns(self) -> list:
+        """sweep.csv's (column, value) pairs for this report."""
+        out = []
+        for f in fields(self):
+            name, v = f.metadata.get("column", f.name), getattr(self, f.name)
+            if isinstance(v, dict):
+                out += [(name.format(k), x) for k, x in v.items()]
+            else:
+                out.append((name, v))
+        return out
 
 
 def evaluate(
@@ -402,6 +391,7 @@ def evaluate(
     if S.shape[0] != U.shape[0]:
         raise ShapeError(f"sample count mismatch: {S.shape[0]} semantic, {U.shape[0]} uncertainty")
     Y = label_rows(Y, S.shape[0])
+    check_scorable(Y, ks)
     if test_metric not in METRIC_NAMES:
         raise ParameterError(f"unknown test metric {test_metric!r}")
     mp = mp if mp is not None else MetricParams()

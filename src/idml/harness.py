@@ -9,7 +9,7 @@ is the one nondeterministic output and lives in its own timing.json.
 Output layout per run:
     output_dir/config.json       resolved config echo
     output_dir/record.json       per-epoch stats + final report (deterministic)
-    output_dir/epochs.csv        epoch,loss,uncert_clean,uncert_mixed,grad_norm
+    output_dir/epochs.csv        one row of EpochStats fields per epoch
     output_dir/uncertainty.csv   id,label,is_mixed,u_norm over the test split
     output_dir/eval.json         final EvalReport
     output_dir/model.bin         checkpoint
@@ -53,7 +53,7 @@ from idml.core import (
     one_of,
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
-from idml.evaluation import EvalReport, evaluate, uncertainty_levels
+from idml.evaluation import EvalReport, check_scorable, evaluate, uncertainty_levels
 from idml.losses import (
     LOSS_NAMES,
     PROXY_LOSSES,
@@ -248,6 +248,9 @@ def _json_text(obj) -> str:
 
 @dataclass
 class EpochStats:
+    """One epoch's means; record.json's "epochs" entries and epochs.csv's
+    columns are these fields."""
+
     epoch: int
     loss: float
     uncert_clean: float
@@ -311,6 +314,7 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         raise ParameterError(
             f"training split has {x_train.shape[0]} samples, fewer than batch_size={cfg.batch_size}"
         )
+    check_scorable(ds.Y[~ds.is_train])  # an unscorable test split fails before training
     model = init_model(
         input_dim=ds.features.shape[1],
         hidden=cfg.hidden,
@@ -441,11 +445,8 @@ def _write_run_outputs(out: Path, record: RunRecord, model, u_rows):
     (out / "config.json").write_text(_json_text(config_to_json_dict(record.config)))
     (out / "record.json").write_text(_json_text(record.record_json_dict()))
     (out / "timing.json").write_text(_json_text({"wall_time_s": record.wall_time_s}))
-    lines = ["epoch,loss,uncert_clean,uncert_mixed,grad_norm"]
-    for e in record.epochs:
-        lines.append(
-            f"{e.epoch},{e.loss!r},{e.uncert_clean!r},{e.uncert_mixed!r},{e.grad_norm!r}"
-        )
+    lines = [",".join(f.name for f in dataclasses.fields(EpochStats))]
+    lines += [",".join(map(repr, dataclasses.astuple(e))) for e in record.epochs]
     (out / "epochs.csv").write_text("\n".join(lines) + "\n")
     save_checkpoint(out / "model.bin", model)
 
@@ -498,9 +499,10 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
     dirs = None if output_dir is None else [Path(output_dir) / f"{param}={v}" for v in values]
     records = run_grid(configs, dirs)
     if output_dir is not None:  # the runs have created it
-        lines = [f"{param},final_loss,{records[0].final.csv_header()}"]
+        lines = [",".join([param, "final_loss"] + [c for c, _ in records[0].final.columns()])]
         for v, rec in zip(values, records):
-            lines.append(f"{v},{rec.epochs[-1].loss!r},{rec.final.csv_row()}")
+            vals = [rec.epochs[-1].loss] + [x for _, x in rec.final.columns()]
+            lines.append(",".join([str(v)] + [repr(float(x)) for x in vals]))
         (Path(output_dir) / "sweep.csv").write_text("\n".join(lines) + "\n")
     return records
 

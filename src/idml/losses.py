@@ -31,6 +31,7 @@ embeddings are never normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Annotated, NamedTuple
 
 import numpy as np
@@ -515,26 +516,19 @@ def _multi_similarity(t, plan, lp):
     return terms, Wa + Wa.T, Wb + Wb.T, posm | negm, []
 
 
-def _softmax_proxy(t, plan, lp):
+def _proxy_softmax(t, plan, lp, sign: float, mean: bool):
+    """softmax_proxy's head (sign +1, averaged over the batch) and proxy_nca's
+    (sign -1, summed): per sample, log Σ_neg e^(sign·M) - log Σ_pos e^(sign·M)
+    over its proxies."""
     posm, negm = plan.proxy_pos, plan.proxy_neg
-    ep = np.where(posm, np.exp(t.M), 0.0)
-    en = np.where(negm, np.exp(t.M), 0.0)
+    e = np.exp(sign * t.M)
+    ep = np.where(posm, e, 0.0)
+    en = np.where(negm, e, 0.0)
     sp = ep.sum(axis=1)
     sn = en.sum(axis=1)
-    n = t.M.shape[0]
-    Wc = (-ep / sp[:, None] + en / sn[:, None]) / n
-    return (np.log(sn) - np.log(sp)) / n, Wc * t.dM, Wc * t.dMb, posm | negm, []
-
-
-def _proxy_nca(t, plan, lp):
-    posm, negm = plan.proxy_pos, plan.proxy_neg
-    ep = np.where(posm, np.exp(-t.M), 0.0)
-    en = np.where(negm, np.exp(-t.M), 0.0)
-    sp = ep.sum(axis=1)
-    sn = en.sum(axis=1)
-    # d(-D) path: dterm/dD = +softmax within positives, -softmax within negatives.
-    W = ep / sp[:, None] - en / sn[:, None]
-    return np.log(sn) - np.log(sp), W * t.dM, W * t.dMb, posm | negm, []
+    scale = t.M.shape[0] if mean else 1.0
+    Wc = (sign * en / sn[:, None] - sign * ep / sp[:, None]) / scale
+    return (np.log(sn) - np.log(sp)) / scale, Wc * t.dM, Wc * t.dMb, posm | negm, []
 
 
 def _proxy_anchor(t, plan, lp):
@@ -558,7 +552,7 @@ _HEADS = {
     "margin_dw": _margin_dw,
     "triplet_sh": _triplet_sh,
     "multi_similarity": _multi_similarity,
-    "softmax_proxy": _softmax_proxy,
-    "proxy_nca": _proxy_nca,
+    "softmax_proxy": partial(_proxy_softmax, sign=1.0, mean=True),
+    "proxy_nca": partial(_proxy_softmax, sign=-1.0, mean=False),
     "proxy_anchor": _proxy_anchor,
 }

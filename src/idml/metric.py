@@ -174,8 +174,8 @@ def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, m
         return C.copy(), np.ones_like(C), np.zeros_like(C)
     denom, bt, E = _beta_rel_parts(A, B, mp)
     live = A > mp.alpha_min
-    # dE/dC through alpha: dalpha/dC = -1/alpha, so dbt/dC = (B+gamma)/(denom^2 * alpha).
-    dbt_dC = np.where(live, (B + mp.gamma) / (denom * denom * np.maximum(A, mp.alpha_min)), 0.0)
+    # dE/dC through alpha: dalpha/dC = -1/alpha, so dbt/dC = (B+gamma)/alpha^3 where live.
+    dbt_dC = np.where(live, (B + mp.gamma) / (denom * denom * denom), 0.0)
     dE_dC = -E / mp.tau * dbt_dC
     dE_dB = -E / (mp.tau * denom)
     if metric in ("ism", "uncert_sumnorm"):

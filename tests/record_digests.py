@@ -12,14 +12,16 @@ refactor prints identical text. It covers:
 - uncertainty_csv_sha256: the sha256 of uncertainty.csv from the same runs,
   whose label column turns the test split's and the mixed rows' label rows
   back into class ids;
-- the same two digests (keys `extra/...`) for five short runs on the paths
+- eval_json_sha256 and epochs_csv_sha256: the sha256 of eval.json and of
+  epochs.csv from the same runs;
+- the same digests (keys `extra/...`) for five short runs on the paths
   those runs never take: the frozen uncertainty head
   (`uncertainty_mode="frozen_zero"`) and the momentum optimizer
   (`optimizer="sgd"`);
-- gradcheck: the summary of `harness.gradcheck(dataclasses.replace(
-  desk_config(), loss=L))` for every loss. That config keeps the resolved
-  contrastive margin (1.0) for triplet_sh, so its entry is not the output
-  of `idml gradcheck --loss triplet_sh`, which checks the triplet margin 0.2;
+- sweep_csv_sha256: the sha256 of the sweep.csv of a two-point tau sweep
+  of one short run;
+- gradcheck: the summary of `harness.gradcheck(RunConfig(loss=L))` for
+  every loss, which is what `idml gradcheck --loss L` prints;
 - io_sha256: the sha256 of a CSV and of a binary dataset file written from
   a dataset with two-label rows (`write`), and of the same format written
   again after reading the first file back (`rewrite`);
@@ -50,8 +52,8 @@ Batches, plans and reports take multi-hot label rows; the fixed inputs
 hold label sets and convert them once with `core.multi_hot`.
 
 The name keeps pytest from collecting it. It trains its 33 small runs
-through one `harness.run_grid` call and takes about 20 s on two cores, or
-about 35 s with IDML_THREADS=1.
+through one `harness.run_grid` call, then the two sweep runs, and takes
+about 14 s on two cores, or about 21 s with IDML_THREADS=1.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ EXTRA_RUNS = {
     ),
 }
 EXTRA_EPOCHS = 5
+RUN_FILES = ("record.json", "model.bin", "uncertainty.csv", "eval.json", "epochs.csv")
+SWEEP_TAUS = (1.0, 9.0)
 
 
 AUGMENT_CHANNELS = {
@@ -116,7 +120,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def record_digests() -> tuple:
+def record_digests() -> dict:
+    """{file name: {run key: sha256}} for every file of RUN_FILES."""
     keys, configs = [], []
     for name, make in CONFIGS.items():
         for loss in LOSS_NAMES:
@@ -128,22 +133,24 @@ def record_digests() -> tuple:
         configs.append(
             harness.introspective_run_config(loss, seed=5, epochs=EXTRA_EPOCHS, **overrides)
         )
-    records, models, uncertainty = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         run_dirs = [Path(tmp) / key.replace("/", "-") for key in keys]
         harness.run_grid(configs, run_dirs)
-        for key, run_dir in zip(keys, run_dirs):
-            records[key] = _sha256(run_dir / "record.json")
-            models[key] = _sha256(run_dir / "model.bin")
-            uncertainty[key] = _sha256(run_dir / "uncertainty.csv")
-    return records, models, uncertainty
+        return {
+            name: {key: _sha256(run_dir / name) for key, run_dir in zip(keys, run_dirs)}
+            for name in RUN_FILES
+        }
+
+
+def sweep_digest() -> str:
+    cfg = harness.introspective_run_config("contrastive", seed=5, epochs=EXTRA_EPOCHS)
+    with tempfile.TemporaryDirectory() as tmp:
+        harness.sweep(cfg, "tau", SWEEP_TAUS, output_dir=tmp)
+        return _sha256(Path(tmp) / "sweep.csv")
 
 
 def gradcheck_summaries() -> dict:
-    return {
-        loss: harness.gradcheck(dataclasses.replace(harness.desk_config(), loss=loss)).summary()
-        for loss in LOSS_NAMES
-    }
+    return {loss: harness.gradcheck(harness.RunConfig(loss=loss)).summary() for loss in LOSS_NAMES}
 
 
 def fixed_batch():
@@ -299,11 +306,14 @@ def io_digests() -> dict:
 
 
 def main() -> int:
-    records, models, uncertainty = record_digests()
+    runs = record_digests()
     report = {
-        "record_sha256": records,
-        "model_bin_sha256": models,
-        "uncertainty_csv_sha256": uncertainty,
+        "record_sha256": runs["record.json"],
+        "model_bin_sha256": runs["model.bin"],
+        "uncertainty_csv_sha256": runs["uncertainty.csv"],
+        "eval_json_sha256": runs["eval.json"],
+        "epochs_csv_sha256": runs["epochs.csv"],
+        "sweep_csv_sha256": sweep_digest(),
         "io_sha256": io_digests(),
         "augment_sha256": augment_digests(),
         "evaluate_sha256": evaluate_digests(),

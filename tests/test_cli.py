@@ -121,7 +121,8 @@ def test_train_eval_diagnose_pipeline(tmp_path):
 
 def test_eval_reproduces_training_outputs(tmp_path):
     # eval takes the mixing settings of --config, so on the run's own config
-    # and data it rewrites the run's eval.json and uncertainty.csv exactly
+    # and data it rewrites the run's eval.json and uncertainty.csv exactly,
+    # and prints eval.json's bytes
     cfg = introspective_run_config("contrastive", seed=3, epochs=2)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_json_dict(cfg)))
@@ -134,12 +135,13 @@ def test_eval_reproduces_training_outputs(tmp_path):
     ds_path = tmp_path / "data.csv"
     save_csv(generate(cfg.data), ds_path)
     proc = run_cli(
-        "eval", "--config", str(cfg_path),
+        "eval", "--config", str(run_dir / "config.json"),
         "--checkpoint", str(run_dir / "model.bin"),
         "--data", str(ds_path),
         "--output", str(eval_dir),
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == (run_dir / "eval.json").read_text()
     for name in ("eval.json", "uncertainty.csv"):
         assert (eval_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
@@ -306,6 +308,15 @@ def test_dataset_with_no_rows_exits_config(tmp_path):
     proc = run_cli("train", "--config", str(cfg_path))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "no data rows" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_unscorable_test_split_exits_config(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, data=SynthConfig(n_classes=20, per_class=1, input_dim=6), batch_size=4)
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(tmp_path / "run"))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "no class has two rows in the split" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_loss_flag_trains_the_config_the_file_would(tmp_path):

@@ -24,6 +24,7 @@ from idml.core import (
 from idml.evaluation import (
     EvalReport,
     _kmeanspp_init,
+    check_scorable,
     correlation_stats,
     evaluate,
     kmeans,
@@ -615,9 +616,47 @@ def test_evaluate_rejects_unknown_metric():
         evaluate(S, U, multi_hot(labels)[0], Rng(0), test_metric="cityblock")
 
 
-def test_eval_report_round_trips_through_json():
-    S, U, labels = eval_inputs(5)
-    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2), knn_k=5, n_anchors=10)
-    d = rep.to_json_dict()
-    back = EvalReport.from_json_dict(d)
-    assert back == rep
+def test_check_scorable_states_what_evaluate_needs():
+    Y = multi_hot([{0}, {0}, {1}])[0]
+    check_scorable(Y, ks=(1, 2))
+    with pytest.raises(ParameterError, match="recall@3 needs more than 3"):
+        check_scorable(Y, ks=(1, 3))
+    singles = multi_hot([{0}, {1}, {2}])[0]
+    with pytest.raises(ParameterError, match="no query has a same-label counterpart"):
+        check_scorable(singles, ks=(1,))
+    S, U, _ = eval_inputs(n=3)
+    with pytest.raises(ParameterError, match="no query has a same-label counterpart"):
+        evaluate(S, U, singles, Rng(0), ks=(1,), knn_k=1, n_anchors=3)
+
+
+def test_eval_report_names_its_outputs_from_its_fields():
+    rep = EvalReport(
+        recall_at_k={1: 0.5, 4: 0.75},
+        nmi=0.1,
+        r_precision=0.2,
+        map_at_r=0.3,
+        mean_uncert_clean=1.0,
+        mean_uncert_mixed=2.0,
+        corr={"jaccard": 0.4, "mrr": 0.5, "cosine": 0.6},
+    )
+    assert rep.to_json_dict() == {
+        "recall_at_k": {"1": 0.5, "4": 0.75},
+        "nmi": 0.1,
+        "r_precision": 0.2,
+        "map_at_r": 0.3,
+        "mean_uncert_clean": 1.0,
+        "mean_uncert_mixed": 2.0,
+        "corr": {"jaccard": 0.4, "mrr": 0.5, "cosine": 0.6},
+    }
+    assert rep.columns() == [
+        ("recall@1", 0.5),
+        ("recall@4", 0.75),
+        ("nmi", 0.1),
+        ("r_precision", 0.2),
+        ("map_at_r", 0.3),
+        ("uncert_clean", 1.0),
+        ("uncert_mixed", 2.0),
+        ("corr_jaccard", 0.4),
+        ("corr_mrr", 0.5),
+        ("corr_cosine", 0.6),
+    ]

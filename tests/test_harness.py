@@ -11,6 +11,7 @@ from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError
 from idml.data import SynthConfig, generate, save_binary, save_csv
 from idml.evaluation import EvalReport
 from idml.harness import (
+    EpochStats,
     GradcheckOutcome,
     RunConfig,
     baseline_run_config,
@@ -288,10 +289,13 @@ def test_train_writes_run_outputs(tmp_path):
     timing = json.loads((tmp_path / "timing.json").read_text())
     assert timing["wall_time_s"] > 0.0
 
-    assert json.loads((tmp_path / "eval.json").read_text()) == rec.final.to_json_dict()
+    eval_json = json.loads((tmp_path / "eval.json").read_text())
+    assert eval_json == rec.final.to_json_dict()
+    assert list(eval_json) == sorted(f.name for f in dataclasses.fields(EvalReport))
 
     epoch_lines = (tmp_path / "epochs.csv").read_text().strip().split("\n")
     assert epoch_lines[0] == "epoch,loss,uncert_clean,uncert_mixed,grad_norm"
+    assert epoch_lines[0].split(",") == [f.name for f in dataclasses.fields(EpochStats)]
     assert len(epoch_lines) == cfg.epochs + 1
     assert float(epoch_lines[1].split(",")[1]) == rec.epochs[0].loss
 
@@ -315,6 +319,23 @@ def test_unusable_output_dir_fails_before_training(tmp_path, monkeypatch):
     monkeypatch.setattr("idml.harness.loss_and_grad", no_training)
     with pytest.raises(FileExistsError):
         train(tiny_config(), output_dir=a_file)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (SynthConfig(n_classes=4, per_class=2), "recall@8 needs more than 8"),
+        (SynthConfig(n_classes=20, per_class=1), "no query has a same-label counterpart"),
+    ],
+    ids=["fewer_rows_than_recall_k", "single_sample_classes"],
+)
+def test_unscorable_test_split_fails_before_training(data, message, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise RuntimeError("a training step ran")
+
+    monkeypatch.setattr("idml.harness.loss_and_grad", no_training)
+    with pytest.raises(ParameterError, match=message):
+        train(RunConfig(data=data, batch_size=4))
 
 
 def test_record_json_text_is_reproducible(tmp_path):
@@ -361,7 +382,10 @@ def test_sweep_tau_writes_per_value_runs(tmp_path):
         assert (tmp_path / f"tau={v}" / "record.json").exists()
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 3
-    assert lines[0].startswith("tau,final_loss,")
+    assert lines[0] == (
+        "tau,final_loss,recall@1,recall@2,recall@4,recall@8,nmi,r_precision,map_at_r,"
+        "uncert_clean,uncert_mixed,corr_jaccard,corr_mrr,corr_cosine"
+    )
     assert lines[1].split(",")[0] == "1.0"
 
 
