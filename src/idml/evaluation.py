@@ -30,7 +30,7 @@ from idml.core import (
 )
 from idml.metric import (
     METRIC_NAMES,
-    _squared_distances,
+    _gram_distances,
     distance_table,
     pairwise_pair_uncertainty,
     pairwise_semantic_distance,
@@ -136,21 +136,21 @@ def r_precision_and_map_at_r(rel: np.ndarray, counts: np.ndarray):
     depth = int(counts.max(initial=0))
     if rel.shape[1] < depth:
         raise ShapeError(f"R = {depth} needs {depth} ranked neighbors, rel has {rel.shape[1]}")
-    rps, maps = [], []
-    n_skipped = 0
-    for row, r in zip(rel, counts.tolist()):
-        if r == 0:
-            n_skipped += 1
-            continue
-        hit = row[:r]
-        rps.append(hit.sum() / r)
-        prec_at = np.cumsum(hit) / np.arange(1, r + 1)
-        maps.append(float((prec_at * hit).sum() / r))
-    if not rps:
+    scored = counts > 0
+    if not scored.any():
         raise ParameterError("no query has a same-label counterpart")
-    if n_skipped:
-        warnings.warn(f"skipped {n_skipped} queries whose class has a single sample")
-    return float(np.mean(rps)), float(np.mean(maps))
+    # one block of queries per distinct R: each row sums exactly its R
+    # entries, as a loop over queries would, and lands at its query's index
+    rps, maps = np.empty(len(counts)), np.empty(len(counts))
+    for r in np.flatnonzero(np.bincount(counts[scored])).tolist():
+        sel = np.nonzero(counts == r)[0]
+        hit = rel[sel, :r]
+        rps[sel] = hit.sum(axis=1) / r
+        prec_at = np.cumsum(hit, axis=1) / np.arange(1, r + 1)
+        maps[sel] = (prec_at * hit).sum(axis=1) / r
+    if not scored.all():
+        warnings.warn(f"skipped {np.count_nonzero(~scored)} queries whose class has a single sample")
+    return float(np.mean(rps[scored])), float(np.mean(maps[scored]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,27 @@ def r_precision_and_map_at_r(rel: np.ndarray, counts: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: Rng) -> np.ndarray:
+def _distances_to(X: np.ndarray):
+    """A function from (m, D) centers to their (N, m) squared distances from
+    X's rows. X is centered at its mean and its norms are taken once; the
+    centers are shifted by that mean for the shared Gram core, so a center on
+    a point is exactly 0 from it."""
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    nx = np.einsum("ij,ij->i", Xc, Xc)
+
+    def to(C: np.ndarray) -> np.ndarray:
+        Cc = C - mean
+        return _gram_distances(X, C, Xc, nx, Cc, np.einsum("ij,ij->i", Cc, Cc))
+
+    return to
+
+
+def _kmeanspp_init(X: np.ndarray, k: int, rng: Rng, dist_to) -> np.ndarray:
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[int(rng.integers(0, n))]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = dist_to(centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -170,7 +186,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         else:
             idx = int(rng.integers(0, n))
         centers[c] = X[idx]
-        d2 = np.minimum(d2, ((X - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, dist_to(centers[c : c + 1])[:, 0])
     return centers
 
 
@@ -182,12 +198,13 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"kmeans needs 1 <= k <= n_samples, got k={k}, n={n}")
+    dist_to = _distances_to(X)
     best_assign, best_inertia = None, np.inf
     for _ in range(n_restarts):
-        centers = _kmeanspp_init(X, k, rng)
+        centers = _kmeanspp_init(X, k, rng, dist_to)
         assign = None
         for _ in range(max_iter):
-            d2 = _squared_distances(X, centers)
+            d2 = dist_to(centers)
             new_assign = np.argmin(d2, axis=1)
             if assign is None:
                 stale = np.ones(k, dtype=bool)
@@ -209,7 +226,7 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
                     # re-seed an empty cluster at the worst-served point
                     centers[c] = X[int(np.argmax(d2.min(axis=1)))]
         else:
-            d2 = _squared_distances(X, centers)
+            d2 = dist_to(centers)
         inertia = float(d2.min(axis=1).sum())
         if inertia < best_inertia:
             best_inertia, best_assign = inertia, assign

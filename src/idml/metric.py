@@ -74,12 +74,10 @@ _RECOMPUTE_SLICE = 2048
 def _squared_distances(X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
     """(N, M) squared Euclidean distances between rows of X and rows of Y.
 
-    Y = None means Y = X, and the result is then exactly symmetric. The bulk
-    comes from the Gram form ||x||^2 + ||y||^2 - 2 x.y on rows centered at
-    the mean of both sets, so a common offset cancels before the product.
-    Entries small enough for that form to have cancelled are recomputed from
-    differences of the original rows; coincident rows give exactly 0.
-    Temporaries stay O(N * M) whatever the row width.
+    Y = None means Y = X, and the result is then exactly symmetric. The rows
+    are centered at the mean of both sets, so a common offset cancels before
+    the product, and `_gram_distances` does the rest. Temporaries stay
+    O(N * M) whatever the row width.
     """
     same = Y is None
     Y = X if same else Y
@@ -88,15 +86,28 @@ def _squared_distances(X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
     Yc = Xc if same else Y - center  # Xc @ Xc.T runs as one symmetric product
     nx = np.einsum("ij,ij->i", Xc, Xc)
     ny = nx if same else np.einsum("ij,ij->i", Yc, Yc)
+    return _gram_distances(X, Y, Xc, nx, Yc, ny)
+
+
+def _gram_distances(X, Y, Xc, nx, Yc, ny) -> np.ndarray:
+    """Squared distances between rows of X and Y from their shifted copies.
+
+    Xc and Yc are X and Y shifted by one common vector, nx and ny their rows'
+    squared norms. The bulk is the Gram form nx + ny - 2 Xc.Yc; entries small
+    enough for that form to have cancelled are recomputed from differences of
+    the original rows, so coincident rows give exactly 0.
+    """
     scale = nx[:, None] + ny[None, :]
     d2 = Xc @ Yc.T
     d2 *= -2.0
     d2 += scale
-    rows, cols = np.nonzero(d2 <= _RECOMPUTE_RATIO * scale)
-    for lo in range(0, rows.size, _RECOMPUTE_SLICE):
-        r, c = rows[lo : lo + _RECOMPUTE_SLICE], cols[lo : lo + _RECOMPUTE_SLICE]
-        diff = X[r] - Y[c]
-        d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+    small = d2 <= _RECOMPUTE_RATIO * scale
+    if small.any():
+        rows, cols = np.nonzero(small)
+        for lo in range(0, rows.size, _RECOMPUTE_SLICE):
+            r, c = rows[lo : lo + _RECOMPUTE_SLICE], cols[lo : lo + _RECOMPUTE_SLICE]
+            diff = X[r] - Y[c]
+            d2[r, c] = np.einsum("ij,ij->i", diff, diff)
     return np.maximum(d2, 0.0, out=d2)
 
 

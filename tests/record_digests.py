@@ -48,6 +48,15 @@ refactor prints identical text. It covers:
   30 classes plus 60 two-label rows, 512-d, so rows have more than 128
   negatives and many distinct negative counts.
 
+With `--values` it prints, instead of all of the above, the two sections
+whose digests a float-changing change most often moves, value by value:
+the `EvalReport` dict behind each `evaluate_sha256` digest and each
+`compute_loss` entry, every one next to the sha256 of its JSON text (for
+`evaluate` that is the digest itself), so two trees can be diffed field by
+field:
+
+    PYTHONPATH=src python tests/record_digests.py --values > values.json
+
 Batches, plans and reports take multi-hot label rows; the fixed inputs
 hold label sets and convert them once with `core.multi_hot`.
 
@@ -215,13 +224,14 @@ def augment_digests() -> dict:
     return out
 
 
-def evaluate_digests() -> dict:
+def evaluate_reports() -> dict:
+    """{key: EvalReport.to_json_dict()} on the two fixed integer-grid inputs."""
     r = np.random.default_rng(23)
     S = r.integers(-2, 3, size=(600, 4)).astype(np.float64)
     U = 0.5 * r.integers(-2, 3, size=(600, 3))
     ids = r.integers(0, 12, size=600)
     ids[-1] = 12  # a single-sample class: its query is skipped by R-precision
-    out = _evaluate_hashes(S, U, [{int(i)} for i in ids], "")
+    out = _evaluate_reports(S, U, [{int(i)} for i in ids], "")
     # every third row carries a second, different class, listed first
     r = np.random.default_rng(25)
     S = r.integers(-2, 3, size=(300, 4)).astype(np.float64)
@@ -229,19 +239,22 @@ def evaluate_digests() -> dict:
     ids = r.integers(0, 8, size=300)
     other = (ids + r.integers(1, 8, size=300)) % 8
     labels = [[int(b), int(a)] if i % 3 == 0 else [int(a)] for i, (a, b) in enumerate(zip(ids, other))]
-    out.update(_evaluate_hashes(S, U, labels, "two_label/"))
+    out.update(_evaluate_reports(S, U, labels, "two_label/"))
     return out
 
 
-def _evaluate_hashes(S, U, labels, prefix: str) -> dict:
+def _evaluate_reports(S, U, labels, prefix: str) -> dict:
     out = {}
     for metric in METRIC_NAMES:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rep = evaluate(S, U, multi_hot(labels)[0], Rng(43), test_metric=metric)
-        text = json.dumps(rep.to_json_dict(), sort_keys=True)
-        out[prefix + metric] = hashlib.sha256(text.encode()).hexdigest()
+        out[prefix + metric] = rep.to_json_dict()
     return out
+
+
+def _json_sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
 def plan_digests() -> dict:
@@ -305,9 +318,9 @@ def io_digests() -> dict:
     return out
 
 
-def main() -> int:
+def digests_report() -> dict:
     runs = record_digests()
-    report = {
+    return {
         "record_sha256": runs["record.json"],
         "model_bin_sha256": runs["model.bin"],
         "uncertainty_csv_sha256": runs["uncertainty.csv"],
@@ -316,11 +329,31 @@ def main() -> int:
         "sweep_csv_sha256": sweep_digest(),
         "io_sha256": io_digests(),
         "augment_sha256": augment_digests(),
-        "evaluate_sha256": evaluate_digests(),
+        "evaluate_sha256": {key: _json_sha256(v) for key, v in evaluate_reports().items()},
         "plan_sha256": plan_digests(),
         "gradcheck": gradcheck_summaries(),
         "compute_loss": loss_outputs(),
     }
+
+
+def values_report() -> dict:
+    """The evaluate reports and compute_loss outputs, each next to its sha256.
+
+    An `evaluate_sha256` digest of the full report is the `sha256` of its
+    `evaluate` entry here, so a changed digest can be traced to its fields.
+    """
+    return {
+        section: {key: {"sha256": _json_sha256(v), "values": v} for key, v in values.items()}
+        for section, values in (("evaluate", evaluate_reports()), ("compute_loss", loss_outputs()))
+    }
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if args not in ([], ["--values"]):
+        sys.stderr.write("usage: record_digests.py [--values]\n")
+        return 2
+    report = values_report() if args else digests_report()
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

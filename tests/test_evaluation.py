@@ -23,6 +23,7 @@ from idml.core import (
 )
 from idml.evaluation import (
     EvalReport,
+    _distances_to,
     _kmeanspp_init,
     check_scorable,
     correlation_stats,
@@ -36,7 +37,7 @@ from idml.evaluation import (
     relative_embeddings,
     uncertainty_levels,
 )
-from idml.metric import _squared_distances, pairwise_semantic_distance
+from idml.metric import pairwise_semantic_distance
 
 
 def singleton_labels(ids):
@@ -297,9 +298,36 @@ def test_kmeans_matches_reference_loop():
         max_iter = int(r.choice([1, 2, 5, 100]))
         a, b = Rng(case), Rng(case)
         got = kmeans(X, k, a, n_restarts=3, max_iter=max_iter)
-        want = oracles.kmeans_ref(X, k, b, _kmeanspp_init, _squared_distances, n_restarts=3, max_iter=max_iter)
+        dist_to = _distances_to(X)
+        want = oracles.kmeans_ref(
+            X,
+            k,
+            b,
+            lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
+            lambda X, centers: dist_to(centers),
+            n_restarts=3,
+            max_iter=max_iter,
+        )
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_kmeans_distances_match_explicit_differences(offset):
+    # centers on data rows, between them, and far out; with the offset the
+    # Gram form alone would cancel, and coincident rows must give exactly 0
+    r = np.random.default_rng(22)
+    base = r.normal(size=(12, 5))
+    X = offset + np.vstack([base, base[:3], base[:2] + 1e-9 * r.normal(size=(2, 5))])
+    C = np.vstack([X[[0, 4, 13]], offset + r.normal(size=(2, 5)), offset + 50.0 + base[:1]])
+    got = _distances_to(X)(C)
+    want = np.array([[float(np.sum((x - c) ** 2)) for c in C] for x in X])
+    assert got.shape == (len(X), len(C))
+    assert np.sqrt(got) == pytest.approx(np.sqrt(want), rel=1e-12, abs=1e-12)
+    same = np.all(X[:, None, :] == C[None, :, :], axis=2)
+    assert same.sum() >= 5
+    assert np.all(got[same] == 0.0)
+    assert np.all(got[~same] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +390,21 @@ def test_rp_map_matches_brute_force():
         got = rp_map(X, labels)
         want = oracles.rp_map_ref(X, labels)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_rp_map_mixed_r_matches_brute_force():
+    # one block of queries per distinct R: R = 139 (past numpy's 128-entry
+    # pairwise-sum block), R = 59 and small R side by side, two-label rows
+    # whose R spans two classes, and one single-sample class (R = 0)
+    r = np.random.default_rng(31)
+    ids = np.concatenate([np.zeros(140, int), np.ones(60, int), np.repeat(np.arange(2, 12), 3), [12]])
+    X = 0.5 * ids[:, None] + r.normal(size=(len(ids), 3))
+    labels = [frozenset({int(a), int(a) + 1}) if i % 25 == 7 else frozenset({int(a)}) for i, a in enumerate(ids)]
+    rel, counts = relevance(X, labels)
+    assert counts.max() > 128 and (counts == 0).sum() == 1 and len(set(counts.tolist())) > 5
+    with pytest.warns(UserWarning, match="skipped 1 queries"):
+        got = r_precision_and_map_at_r(rel, counts)
+    assert got == pytest.approx(oracles.rp_map_ref(X, labels), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
