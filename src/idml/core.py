@@ -65,14 +65,14 @@ class NumericalFailure(RuntimeError):
 
 
 def label_set(labels) -> frozenset[int]:
-    """Validate a label collection: nonempty, nonnegative ints."""
+    """Validate a label collection: nonempty ints in [0, 2**32), stored as u32."""
     if isinstance(labels, (int, np.integer)):
         labels = (labels,)
     out = frozenset(int(l) for l in labels)
     if not out:
         raise ParameterError("label set must be nonempty")
-    if any(l < 0 for l in out):
-        raise ParameterError(f"label ids must be nonnegative, got {sorted(out)}")
+    if any(not 0 <= l < 1 << 32 for l in out):
+        raise ParameterError(f"label ids must be nonnegative and below 2**32, got {sorted(out)}")
     return out
 
 

@@ -51,9 +51,10 @@ __all__ = [
     "evaluate",
 ]
 
-DEFAULT_RECALL_KS = (1, 2, 4, 8)
-DEFAULT_KNN_K = 10
-DEFAULT_N_ANCHORS = 100
+# The fixed protocol: recall depths, correlation top-k, shared anchor count
+RECALL_KS = (1, 2, 4, 8)
+KNN_K = 10
+N_ANCHORS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +63,17 @@ DEFAULT_N_ANCHORS = 100
 
 
 def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
-    """(N, k) neighbor indices per row, nearest first, self excluded by index.
+    """(N, k) neighbor indices per row, nearest first, self excluded.
 
     Equal distances rank by sample index, so row i is the first k entries of
     a stable sort of row i without its diagonal; k = None ranks all N - 1.
-    The k nearest are picked by partition and ordered by (distance, index).
+    A copy with +inf on its diagonal ranks self last, where k < N leaves it;
+    its k nearest are picked by partition and ordered by (distance, index).
     A row with more entries at or below its k-th value than k (a tie across
     the boundary) or a non-finite k-th value is stably sorted whole instead.
     An off-diagonal NaN or +inf raises NumericalFailure: it has no rank.
     """
-    d = np.asarray(dists, dtype=np.float64)
+    d = np.array(dists, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"expected a square distance matrix, got {d.shape}")
     n = d.shape[0]
@@ -79,20 +81,19 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     k = m if k is None else int(k)
     if not 0 <= k <= m:
         raise ParameterError(f"neighbor_order needs 0 <= k < n, got k={k}, n={n}")
-    # row i without column i: column j of `off` is sample j + (j >= i)
-    off = d[~np.eye(n, dtype=bool)].reshape(n, m)
-    if not (off < np.inf).all():
+    np.fill_diagonal(d, np.inf)
+    if np.count_nonzero(d < np.inf) != n * (n - 1):
         raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
     if k == 0:
         return np.empty((n, 0), dtype=np.intp)
-    top = np.argpartition(off, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(off, top, axis=1)
+    top = np.argpartition(d, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(d, top, axis=1)
     kth = vals[:, k - 1]
     top = np.take_along_axis(top, np.lexsort((top, vals), axis=1), axis=1)
-    ragged = ((off <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
+    ragged = ((d <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
     for i in np.nonzero(ragged)[0]:
-        top[i] = np.argsort(off[i], kind="stable")[:k]
-    return top + (top >= np.arange(n)[:, None])
+        top[i] = np.argsort(d[i], kind="stable")[:k]
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +105,11 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
 # other sample.
 
 
-def check_scorable(Y, ks=DEFAULT_RECALL_KS):
+def check_scorable(Y):
     """Raise ParameterError unless `evaluate` can score the multi-hot label
-    rows `Y` at recall depths `ks`: it needs more rows than the largest k,
-    and a class with two rows, so that some query has a counterpart."""
-    n, k = len(Y), max(map(int, ks))
+    rows `Y`: it needs more rows than the largest of RECALL_KS, and a class
+    with two rows, so that some query has a counterpart."""
+    n, k = len(Y), max(RECALL_KS)
     if n <= k:
         raise ParameterError(f"a split of {n} rows cannot be scored: recall@{k} needs more than {k}")
     if not (np.asarray(Y).sum(axis=0) >= 2).any():
@@ -271,12 +272,11 @@ def uncertainty_levels(U) -> np.ndarray:
     return np.linalg.norm(U, axis=1)
 
 
-def pick_anchor_indices(n: int, rng: Rng, k: int = DEFAULT_N_ANCHORS) -> np.ndarray:
-    """k distinct sample indices drawn uniformly (clamped to the population)."""
+def pick_anchor_indices(n: int, rng: Rng) -> np.ndarray:
+    """N_ANCHORS distinct sample indices drawn uniformly (all n if fewer)."""
     if n < 1:
         raise ParameterError("need at least one sample to pick anchors from")
-    k = min(int(k), n)
-    return np.sort(rng.choice(n, size=k, replace=False))
+    return np.sort(rng.choice(n, size=min(N_ANCHORS, n), replace=False))
 
 
 def relative_embeddings(E, anchors) -> np.ndarray:
@@ -302,7 +302,7 @@ def relative_embeddings(E, anchors) -> np.ndarray:
     return np.clip(rel, -1.0, 1.0)
 
 
-def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:
+def correlation_stats(rel_s, rel_u, knn_k: int = KNN_K) -> dict:
     """How much the semantic and uncertainty neighborhoods agree.
 
     jaccard: mean top-k neighbor-set overlap between the two relative
@@ -321,9 +321,7 @@ def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:
     du = pairwise_semantic_distance(rel_u)
     order_u = neighbor_order(du, knn_k)
     # both top-k lists hold distinct indices: the overlap c gives |union| = 2k - c
-    in_s = np.zeros((n, n), dtype=bool)
-    np.put_along_axis(in_s, order_s, True, axis=1)
-    common = np.take_along_axis(in_s, order_u, axis=1).sum(axis=1)
+    common = (order_u[:, :, None] == order_s[:, None, :]).sum(axis=(1, 2))
     jac = common / (2 * knn_k - common)
     # rank of the semantic nearest neighbor in the uncertainty ranking: the
     # entries before it in the stable order, self at +inf, plus one
@@ -332,11 +330,12 @@ def correlation_stats(rel_s, rel_u, knn_k: int = DEFAULT_KNN_K) -> dict:
     t = du[np.arange(n), nn_s][:, None]
     earlier_tie = (du == t) & (np.arange(n)[None, :] < nn_s[:, None])
     rr = 1.0 / ((du < t).sum(axis=1) + earlier_tie.sum(axis=1) + 1)
-    cos = []
-    for i in range(n):  # row by row: a batched norm or dot rounds differently
-        ns = np.linalg.norm(rel_s[i])
-        nu = np.linalg.norm(rel_u[i])
-        cos.append(float(rel_s[i] @ rel_u[i] / (ns * nu)) if ns > 0 and nu > 0 else 0.0)
+    # stacked 1 x 1 products run the dot kernel of np.linalg.norm and @ on one
+    # row, so each row's norms and cosine keep a per-row loop's bits
+    ns = np.sqrt(np.matmul(rel_s[:, None, :], rel_s[:, :, None])[:, 0, 0])
+    nu = np.sqrt(np.matmul(rel_u[:, None, :], rel_u[:, :, None])[:, 0, 0])
+    su = np.matmul(rel_s[:, None, :], rel_u[:, :, None])[:, 0, 0]
+    cos = np.divide(su, ns * nu, out=np.zeros(n), where=(ns > 0) & (nu > 0))
     return {
         "jaccard": float(np.mean(jac)),
         "mrr": float(np.mean(rr)),
@@ -388,9 +387,6 @@ def evaluate(
     uncertainty,
     Y,
     rng: Rng,
-    ks=DEFAULT_RECALL_KS,
-    knn_k: int = DEFAULT_KNN_K,
-    n_anchors: int = DEFAULT_N_ANCHORS,
     mixed_uncertainty=None,
     test_metric: str = "euclidean",
     mp: MetricParams = None,
@@ -408,7 +404,7 @@ def evaluate(
     if S.shape[0] != U.shape[0]:
         raise ShapeError(f"sample count mismatch: {S.shape[0]} semantic, {U.shape[0]} uncertainty")
     Y = label_rows(Y, S.shape[0])
-    check_scorable(Y, ks)
+    check_scorable(Y)
     if test_metric not in METRIC_NAMES:
         raise ParameterError(f"unknown test metric {test_metric!r}")
     mp = mp if mp is not None else MetricParams()
@@ -418,15 +414,16 @@ def evaluate(
         D = A
     else:
         B = pairwise_pair_uncertainty(U, sumnorm=test_metric == "uncert_sumnorm")
-        D, _, _ = distance_table(test_metric, A, B, mp)
+        D = distance_table(test_metric, A, B, mp)[0]
+        del B
     match = match_matrix(Y)
     counts = match.sum(axis=1) - 1  # R per query: a query is not its own counterpart
-    # rank only as deep as recall@max(ks) and the largest R read
-    depth = max([int(k) for k in ks] + [int(counts.max(initial=0))])
+    # rank only as deep as recall@max(RECALL_KS) and the largest R read
+    depth = max(max(RECALL_KS), int(counts.max(initial=0)))
     rel = np.take_along_axis(match, neighbor_order(D, min(depth, len(Y) - 1)), axis=1)
-    del match  # N² bytes that k-means and the correlation diagnostic do not need
+    del A, D, match  # N x N tables that k-means and the correlation diagnostic do not read
 
-    recalls = {int(k): recall_at_k(rel, int(k)) for k in ks}
+    recalls = {k: recall_at_k(rel, k) for k in RECALL_KS}
     rp, map_r = r_precision_and_map_at_r(rel, counts)
 
     # NMI scores one class per sample: a multi-label row's first true column,
@@ -445,14 +442,13 @@ def evaluate(
     # Correlation between the two relative spaces, sharing one anchor index
     # set; rows that are zero in either space cannot anchor a cosine.
     valid = np.nonzero((np.linalg.norm(S, axis=1) > 0) & (u_norms > 0))[0]
-    if valid.size == 0 or S.shape[0] <= knn_k:
+    if valid.size == 0 or S.shape[0] <= KNN_K:
         corr = {"jaccard": 0.0, "mrr": 0.0, "cosine": 0.0}
     else:
-        picked = pick_anchor_indices(valid.size, rng, n_anchors)
-        anchor_idx = valid[picked]
+        anchor_idx = valid[pick_anchor_indices(valid.size, rng)]
         rel_s = relative_embeddings(S, S[anchor_idx])
         rel_u = relative_embeddings(U, U[anchor_idx])
-        corr = correlation_stats(rel_s, rel_u, knn_k=knn_k)
+        corr = correlation_stats(rel_s, rel_u)
 
     return EvalReport(
         recall_at_k=recalls,

@@ -101,7 +101,8 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny) -> np.ndarray:
     d2 = Xc @ Yc.T
     d2 *= -2.0
     d2 += scale
-    small = d2 <= _RECOMPUTE_RATIO * scale
+    scale *= _RECOMPUTE_RATIO
+    small = d2 <= scale
     if small.any():
         rows, cols = np.nonzero(small)
         for lo in range(0, rows.size, _RECOMPUTE_SLICE):
@@ -120,7 +121,8 @@ def pairwise_semantic_distance(S: np.ndarray, T: np.ndarray = None) -> np.ndarra
     """
     S = np.asarray(S, dtype=np.float64)
     T = None if T is None else np.asarray(T, dtype=np.float64)
-    return np.sqrt(_squared_distances(S, T))
+    d2 = _squared_distances(S, T)
+    return np.sqrt(d2, out=d2)
 
 
 def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool = False) -> np.ndarray:
@@ -136,7 +138,8 @@ def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool
         nu = np.linalg.norm(U, axis=1)
         nv = np.linalg.norm(V, axis=1)
         return nu[:, None] + nv[None, :]
-    return np.sqrt(_squared_distances(U, -V))
+    d2 = _squared_distances(U, -V)
+    return np.sqrt(d2, out=d2)
 
 
 def _beta_rel_parts(A: np.ndarray, B: np.ndarray, mp: MetricParams):

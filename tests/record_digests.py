@@ -57,6 +57,17 @@ field:
 
     PYTHONPATH=src python tests/record_digests.py --values > values.json
 
+With `--against REV` it does the diff itself, in one command:
+
+    PYTHONPATH=src python tests/record_digests.py --against HEAD~1
+
+It checks REV out as a detached `git worktree` under a temporary
+directory, runs that checkout's own copy of this script with that
+checkout's src/ first on PYTHONPATH, then runs this checkout's script with
+this checkout's src/, and prints a unified diff of the two JSON texts. It
+exits 0 when they are identical and 1 when they differ, and removes the
+worktree either way.
+
 Batches, plans and reports take multi-hot label rows; the fixed inputs
 hold label sets and convert them once with `core.multi_hot`.
 
@@ -68,8 +79,11 @@ about 14 s on two cores, or about 21 s with IDML_THREADS=1.
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -348,10 +362,48 @@ def values_report() -> dict:
     }
 
 
+def _script_output(root: Path) -> str:
+    """stdout of `root`'s copy of this script, run with `root`'s src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "tests" / "record_digests.py")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"record_digests.py in {root} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
+
+
+def diff_against(rev: str) -> int:
+    """Print the unified diff of REV's output and this checkout's; 1 if any."""
+    here = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        git = ["git", "-C", str(here), "worktree"]
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            before = _script_output(tree)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    after = _script_output(here)
+    diff = list(difflib.unified_diff(
+        before.splitlines(keepends=True), after.splitlines(keepends=True), rev, "working tree"
+    ))
+    sys.stdout.writelines(diff)
+    return 1 if diff else 0
+
+
 def main() -> int:
     args = sys.argv[1:]
+    if args[:1] == ["--against"] and len(args) == 2:
+        try:
+            return diff_against(args[1])
+        except (subprocess.CalledProcessError, RuntimeError) as e:
+            sys.stderr.write(f"{e}\n")
+            return 2
     if args not in ([], ["--values"]):
-        sys.stderr.write("usage: record_digests.py [--values]\n")
+        sys.stderr.write("usage: record_digests.py [--values | --against REV]\n")
         return 2
     report = values_report() if args else digests_report()
     json.dump(report, sys.stdout, indent=1, sort_keys=True)

@@ -17,7 +17,7 @@ import pytest
 
 from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, _load_config, build_parser, main
 from idml.core import ParameterError, Rng, label_ids
-from idml.data import SynthConfig, generate, load_csv
+from idml.data import SynthConfig, generate, load_csv, save_csv
 from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
 from idml.losses import LossParams
 from idml.model import init_model, save_checkpoint
@@ -292,6 +292,26 @@ def test_zero_count_label_set_in_binary_dataset_exits_config(tmp_path):
     proc = run_cli("train", "--config", str(cfg_path))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "label set must be nonempty" in proc.stderr
+
+
+def test_class_id_past_u32_in_csv_dataset_exits_config_before_training(tmp_path):
+    # a proxy loss stores its class ids in the checkpoint as u32: such an id
+    # is rejected when the dataset loads, not after training
+    ds = generate(SynthConfig(n_classes=4, per_class=8, input_dim=6, seed=1))
+    ds_path = tmp_path / "big_id.csv"
+    save_csv(ds, ds_path)
+    head, *rows = ds_path.read_text().splitlines()
+    cells = [row.split(",", 2) for row in rows]  # class c becomes class c + 2**32
+    rows = [f"{i},{'|'.join(str(int(c) + 2**32) for c in label.split('|'))},{x}" for i, label, x in cells]
+    ds_path.write_text("\n".join([head, *rows]) + "\n")
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, dataset_path=str(ds_path), loss="proxy_anchor", epochs=1)
+    run_dir = tmp_path / "run"
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "below 2**32" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (run_dir / "model.bin").exists()
 
 
 def test_bad_flag_value_exits_config():

@@ -314,6 +314,10 @@ def test_dataset_validates_label_sets():
         Dataset(features=np.zeros((1, 2)), labels=(frozenset(),))
     with pytest.raises(ParameterError, match="nonnegative"):
         Dataset(features=np.zeros((1, 2)), labels=(frozenset({-1}),))
+    # the dataset files and the checkpoint store class ids as u32
+    with pytest.raises(ParameterError, match="below 2\\*\\*32"):
+        Dataset(features=np.zeros((1, 2)), labels=(frozenset({2**32}),))
+    assert Dataset(features=np.zeros((1, 2)), labels=(2**32 - 1,)).classes == (2**32 - 1,)
     ds = Dataset(features=np.zeros((2, 2)), labels=(3, [1, 1]))
     assert ds.classes == (1, 3)
     assert ds.Y.tolist() == [[False, True], [True, False]]

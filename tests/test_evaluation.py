@@ -22,6 +22,8 @@ from idml.core import (
     multi_hot,
 )
 from idml.evaluation import (
+    N_ANCHORS,
+    RECALL_KS,
     EvalReport,
     _distances_to,
     _kmeanspp_init,
@@ -208,14 +210,16 @@ def test_neighbor_order_k_bounds():
 
 
 def test_evaluate_rejects_overflowing_embeddings():
-    # finite rows whose distances overflow: NaN on the diagonal, +inf off it
-    S = np.array([[1e200, 0.0], [-1e200, 0.0], [1e200, 1e200], [-1e200, 1e200], [0.0, 1e200], [0.0, -1e200]])
-    U = 0.1 * np.random.default_rng(0).normal(size=(6, 2))
-    labels = singleton_labels([0, 0, 1, 1, 2, 2])
+    # finite rows whose distances overflow: NaN on the diagonal, +inf off it;
+    # ten rows, so that the split is deep enough for recall@max(RECALL_KS)
+    S = 1e200 * np.array([[1, 0], [-1, 0], [1, 1], [-1, 1], [0, 1], [0, -1], [1, -1], [-1, -1], [1, 2], [-1, 2]])
+    U = 0.1 * np.random.default_rng(0).normal(size=(10, 2))
+    labels = singleton_labels([0, 0, 1, 1, 2, 2, 3, 3, 4, 4])
+    assert len(labels) > max(RECALL_KS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(NumericalFailure):
-            evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2), knn_k=2, n_anchors=3)
+            evaluate(S, U, multi_hot(labels)[0], Rng(0))
 
 
 def test_ranking_metrics_reject_a_shallow_order():
@@ -450,13 +454,14 @@ def test_relative_embeddings_match_single_rows():
 
 
 def test_pick_anchor_indices_subset_and_deterministic():
-    a = pick_anchor_indices(50, Rng(2), k=10)
-    b = pick_anchor_indices(50, Rng(2), k=10)
+    n = 5 * N_ANCHORS
+    a = pick_anchor_indices(n, Rng(2))
+    b = pick_anchor_indices(n, Rng(2))
     np.testing.assert_array_equal(a, b)
-    assert len(a) == 10 and len(set(a.tolist())) == 10
-    assert a.min() >= 0 and a.max() < 50
-    # k above n falls back to all rows
-    assert len(pick_anchor_indices(5, Rng(0), k=100)) == 5
+    assert len(a) == N_ANCHORS and len(set(a.tolist())) == N_ANCHORS
+    assert a.min() >= 0 and a.max() < n
+    # fewer rows than N_ANCHORS: every row anchors
+    assert pick_anchor_indices(5, Rng(0)).tolist() == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +538,30 @@ def test_correlation_zero_uncertainty_rows_are_guarded():
     assert stats["cosine"] == pytest.approx(0.0, abs=1e-12)
 
 
+def cosine_per_row(rel_s, rel_u):
+    """The mean cosine as a loop over rows, one np.linalg.norm per row and
+    space and one @: correlation_stats must equal it bit for bit."""
+    cos = []
+    for i in range(rel_s.shape[0]):
+        ns = np.linalg.norm(rel_s[i])
+        nu = np.linalg.norm(rel_u[i])
+        cos.append(float(rel_s[i] @ rel_u[i] / (ns * nu)) if ns > 0 and nu > 0 else 0.0)
+    return float(np.mean(cos))
+
+
+@pytest.mark.parametrize("width", [1, 7, 100])
+def test_correlation_cosine_is_bit_identical_to_a_per_row_loop(width):
+    r = np.random.default_rng(width)
+    for n in (3, 11, 64, 257):
+        rel_s = r.normal(size=(n, width)) * r.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        rel_u = r.uniform(-1, 1, size=(n, width))
+        rel_s[n // 2] = 0.0  # zero in the semantic space only
+        rel_u[0] = 0.0  # zero in the uncertainty space only
+        rel_s[-1] = rel_u[-1] = 0.0  # zero in both
+        got = correlation_stats(rel_s, rel_u, knn_k=1)["cosine"]
+        assert got.hex() == cosine_per_row(rel_s, rel_u).hex()
+
+
 # ---------------------------------------------------------------------------
 # Full evaluation report
 # ---------------------------------------------------------------------------
@@ -548,8 +577,8 @@ def eval_inputs(seed=0, n=40, s_dim=4, u_dim=3, n_classes=4):
 
 def test_evaluate_report_is_complete():
     S, U, labels = eval_inputs()
-    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1, 2, 4), knn_k=5, n_anchors=10)
-    assert set(rep.recall_at_k.keys()) == {1, 2, 4}
+    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0))
+    assert tuple(rep.recall_at_k.keys()) == RECALL_KS
     assert all(0.0 <= v <= 1.0 for v in rep.recall_at_k.values())
     assert 0.0 <= rep.nmi <= 1.0
     assert 0.0 <= rep.r_precision <= 1.0
@@ -561,22 +590,22 @@ def test_evaluate_report_is_complete():
 
 def test_evaluate_deterministic():
     S, U, labels = eval_inputs(1)
-    a = evaluate(S, U, multi_hot(labels)[0], Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
-    b = evaluate(S, U, multi_hot(labels)[0], Rng(3), ks=(1, 2), knn_k=5, n_anchors=10)
+    a = evaluate(S, U, multi_hot(labels)[0], Rng(3))
+    b = evaluate(S, U, multi_hot(labels)[0], Rng(3))
     assert a == b
 
 
 def test_evaluate_reports_mixed_uncertainty_gap():
     S, U, labels = eval_inputs(2)
     mixed_U = 2.0 * np.abs(np.random.default_rng(9).normal(size=(15, 3))) + 1.0
-    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1,), knn_k=5, n_anchors=10, mixed_uncertainty=mixed_U)
+    rep = evaluate(S, U, multi_hot(labels)[0], Rng(0), mixed_uncertainty=mixed_U)
     assert rep.mean_uncert_mixed > rep.mean_uncert_clean
 
 
 def test_evaluate_test_metric_changes_ranking_only():
     S, U, labels = eval_inputs(3)
-    plain = evaluate(S, U, multi_hot(labels)[0], Rng(1), ks=(1, 2), knn_k=5, n_anchors=10)
-    soft = evaluate(S, U, multi_hot(labels)[0], Rng(1), ks=(1, 2), knn_k=5, n_anchors=10, test_metric="ism")
+    plain = evaluate(S, U, multi_hot(labels)[0], Rng(1))
+    soft = evaluate(S, U, multi_hot(labels)[0], Rng(1), test_metric="ism")
     # clustering runs on the semantic embedding either way
     assert soft.nmi == plain.nmi
     # uncertainty statistics don't depend on the retrieval metric
@@ -592,7 +621,7 @@ def test_evaluate_nmi_reads_a_multi_label_row_as_its_smallest_class():
 
     def nmi_with_row_0(first):
         labels = (frozenset(first),) + singleton_labels(ids[1:])
-        return evaluate(S, U, multi_hot(labels)[0], Rng(0), ks=(1,), knn_k=5, n_anchors=10).nmi
+        return evaluate(S, U, multi_hot(labels)[0], Rng(0)).nmi
 
     two = nmi_with_row_0({3, 0})
     assert two == nmi_with_row_0({0}) == pytest.approx(1.0)
@@ -660,16 +689,17 @@ def test_evaluate_rejects_unknown_metric():
 
 
 def test_check_scorable_states_what_evaluate_needs():
-    Y = multi_hot([{0}, {0}, {1}])[0]
-    check_scorable(Y, ks=(1, 2))
-    with pytest.raises(ParameterError, match="recall@3 needs more than 3"):
-        check_scorable(Y, ks=(1, 3))
-    singles = multi_hot([{0}, {1}, {2}])[0]
+    k = max(RECALL_KS)
+    Y = multi_hot([{0}, {0}] + [{c} for c in range(1, k)])[0]
+    check_scorable(Y)  # k + 1 rows
+    with pytest.raises(ParameterError, match=f"recall@{k} needs more than {k}"):
+        check_scorable(Y[:k])
+    singles = multi_hot([{c} for c in range(k + 1)])[0]
     with pytest.raises(ParameterError, match="no query has a same-label counterpart"):
-        check_scorable(singles, ks=(1,))
-    S, U, _ = eval_inputs(n=3)
+        check_scorable(singles)
+    S, U, _ = eval_inputs(n=k + 1)
     with pytest.raises(ParameterError, match="no query has a same-label counterpart"):
-        evaluate(S, U, singles, Rng(0), ks=(1,), knn_k=1, n_anchors=3)
+        evaluate(S, U, singles, Rng(0))
 
 
 def test_eval_report_names_its_outputs_from_its_fields():
