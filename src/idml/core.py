@@ -29,6 +29,7 @@ __all__ = [
     "FormatError",
     "DegenerateInputError",
     "NumericalFailure",
+    "LABEL_ID_LIMIT",
     "label_set",
     "labels_match",
     "multi_hot",
@@ -64,6 +65,11 @@ class NumericalFailure(RuntimeError):
     """A computation produced a non-finite value."""
 
 
+# Class ids are stored as u32 (checkpoints, binary datasets): every id is
+# in [0, LABEL_ID_LIMIT).
+LABEL_ID_LIMIT = 1 << 32
+
+
 def label_set(labels) -> frozenset[int]:
     """Validate a label collection: nonempty ints in [0, 2**32), stored as u32."""
     if isinstance(labels, (int, np.integer)):
@@ -71,7 +77,7 @@ def label_set(labels) -> frozenset[int]:
     out = frozenset(int(l) for l in labels)
     if not out:
         raise ParameterError("label set must be nonempty")
-    if any(not 0 <= l < 1 << 32 for l in out):
+    if any(not 0 <= l < LABEL_ID_LIMIT for l in out):
         raise ParameterError(f"label ids must be nonnegative and below 2**32, got {sorted(out)}")
     return out
 

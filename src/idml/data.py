@@ -25,6 +25,7 @@ from typing import Annotated
 import numpy as np
 
 from idml.core import (
+    LABEL_ID_LIMIT,
     NONNEGATIVE,
     POSITIVE,
     STREAM_DATA,
@@ -196,8 +197,8 @@ def _parse_label_cell(cell: str, lineno: int) -> frozenset:
         ids = frozenset(int(p) for p in parts)
     except ValueError:
         raise FormatError(f"line {lineno}: bad label cell {cell!r}") from None
-    if not ids or any(c < 0 for c in ids):
-        raise FormatError(f"line {lineno}: labels must be nonnegative ids, got {cell!r}")
+    if not ids or any(not 0 <= c < LABEL_ID_LIMIT for c in ids):
+        raise FormatError(f"line {lineno}: labels must be nonnegative ids below 2**32, got {cell!r}")
     return ids
 
 

@@ -41,6 +41,7 @@ from idml.core import (
     STREAM_INIT,
     STREAM_LOSS,
     Batch,
+    Bound,
     MetricParams,
     ParameterError,
     Rng,
@@ -120,7 +121,7 @@ class RunConfig:
     optimizer: Annotated[str, one_of(OPTIMIZER_NAMES)] = "adamw"
     lr: Annotated[float, POSITIVE] = 1e-2
     weight_decay: Annotated[float, NONNEGATIVE] = 1e-4
-    momentum: float = 0.9
+    momentum: Annotated[float, Bound(lambda v: 0 <= v < 1, "in [0, 1)")] = 0.9
     proxy_lr_scale: Annotated[float, POSITIVE] = 10.0
     uncert_lr_scale: Annotated[float, POSITIVE] = 1.0
     batch_size: Annotated[int, at_least(4)] = 32

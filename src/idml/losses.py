@@ -13,12 +13,17 @@ held fixed, which makes the planned loss a (piecewise-)smooth function of
 the embeddings; hinge and norm kinks are reported as ``kink_margin`` so the
 gradient checker can resample batches that sit on a corner.
 
-Every loss runs in three pieces. One table step (``_tables``), shared by
-planning and evaluation, builds the semantic distance A, the pair
-uncertainty B and the selected metric's table with its partials. A small
-head per loss maps the tables and the plan to its terms and to weights on
-dL/dA (or dL/dC) and dL/dB. One pull-back (``_pull_back``) turns those
-weights into gradients on the rows and proxies.
+Every loss runs in three pieces. One table step (``_tables``) builds the
+semantic distance A, the pair uncertainty B and the selected metric's table
+with its partials. A training step (``compute_loss``, or
+``model.loss_and_grad`` without a plan) builds them once and shares them:
+the losses that mine on the metric (margin_dw, triplet_sh,
+multi_similarity) plan on them and the loss head reads the same arrays.
+They are never kept past the call, so a frozen plan re-evaluated on new
+embeddings builds fresh tables. A small head per loss maps the tables and
+the plan to its terms and to weights on dL/dA (or dL/dC) and dL/dB. One
+pull-back (``_pull_back``) turns those weights into gradients on the rows
+and proxies.
 
 Distance-form losses (contrastive, margin_dw, triplet_sh, proxy_nca) use
 the raw semantic Euclidean distance; cosine-form losses (multi_similarity,
@@ -76,6 +81,8 @@ PROXY_LOSSES = frozenset({"softmax_proxy", "proxy_nca", "proxy_anchor"})
 NORMALIZED_LOSSES = frozenset({"margin_dw", "multi_similarity", "softmax_proxy", "proxy_anchor"})
 # Losses whose head reads a similarity table C' of the cosine C.
 _COSINE_LOSSES = NORMALIZED_LOSSES - {"margin_dw"}
+# Losses whose plan reads the metric table, so planning builds the tables.
+_MINED_LOSSES = frozenset({"margin_dw", "triplet_sh", "multi_similarity"})
 
 _TINY = 1e-300  # safe-divide floor; gradients at exact norm kinks are defined as 0
 
@@ -210,7 +217,10 @@ class _Tables(NamedTuple):
 
 
 def _tables(loss, S, U, metric, mp, proxies) -> _Tables:
-    """The one table step of planning and evaluation; nothing is cached between calls.
+    """The one table step of planning and evaluation.
+
+    A training step builds it once and hands the result to both; nothing
+    keeps it past that call.
 
     Cosine-form losses take C = X Y^T and the chord distance A = sqrt(2 - 2C);
     the others take A = ||x_i - y_j||.
@@ -318,6 +328,7 @@ def build_plan(
     lp: LossParams = None,
     proxies: ProxySet = None,
     rng: Rng = None,
+    _share: list = None,
 ) -> Plan:
     """Make the batch's discrete choices for `loss` and freeze them.
 
@@ -329,6 +340,9 @@ def build_plan(
     every one of these choices reads, and the proxy losses place Y's columns
     at their proxies. `rng` is only required for margin_dw, `classes` only
     for the proxy losses.
+
+    `_share` is one training step's list: the tables these losses mine on
+    are appended to it, for `evaluate_loss` on the same S, U to reuse.
     """
     if loss not in LOSS_NAMES:
         raise ParameterError(f"unknown loss {loss!r}")
@@ -352,16 +366,19 @@ def build_plan(
             raise ParameterError("margin_dw needs at least one positive pair")
         if rng is None:
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
-        D = _tables(loss, S, U, metric, mp, proxies).M
+    if loss in _MINED_LOSSES:
+        t = _tables(loss, S, U, metric, mp, proxies)
+        if _share is not None:
+            _share.append(t)
+
+    if loss == "margin_dw":
         plan.dw_negatives = sample_negatives_for_pairs(
-            plan.pos_pairs, D, match, n_dim=S.shape[1], phi=lp.phi, rng=rng
+            plan.pos_pairs, t.M, match, n_dim=S.shape[1], phi=lp.phi, rng=rng
         )
     elif loss == "triplet_sh":
-        D = _tables(loss, S, U, metric, mp, proxies).M
-        plan.triplets, plan.n_skipped = mine_triplets(D, match)
+        plan.triplets, plan.n_skipped = mine_triplets(t.M, match)
     elif loss == "multi_similarity":
-        Cs = _tables(loss, S, U, metric, mp, proxies).M
-        plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(Cs, match, lp.ms_eps)
+        plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(t.M, match, lp.ms_eps)
     elif loss in PROXY_LOSSES:
         if proxies is None or len(proxies) == 0:
             raise ParameterError(f"{loss} needs a nonempty proxy set")
@@ -401,15 +418,20 @@ def evaluate_loss(
     mp: MetricParams = None,
     lp: LossParams = None,
     proxies: ProxySet = None,
+    _share: list = None,
 ) -> LossResult:
-    """Value and analytic gradients of `loss` under the frozen `plan`."""
+    """Value and analytic gradients of `loss` under the frozen `plan`.
+
+    Reads the tables in `_share` when `build_plan` left them there for the
+    same S, U; otherwise builds them.
+    """
     S = np.asarray(S, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
     mp = mp or MetricParams()
     lp = lp or default_loss_params(loss)
     if plan is None or plan.loss != loss:
         raise ParameterError("evaluate_loss needs a plan built for the same loss")
-    t = _tables(loss, S, U, metric, mp, proxies)
+    t = _share[0] if _share else _tables(loss, S, U, metric, mp, proxies)
     terms, Wa, Wb, used, gaps = _HEADS[loss](t, plan, lp)
     dS, dU, dPS, dPU = _pull_back(t, Wa, Wb, loss in _COSINE_LOSSES, metric == "uncert_sumnorm")
     if t.Y is None:
@@ -441,9 +463,11 @@ def compute_loss(
     proxies: ProxySet = None,
     rng: Rng = None,
 ) -> LossResult:
-    """build_plan + evaluate_loss in one call (the training-step path)."""
-    plan = build_plan(loss, S, U, Y, classes, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng)
-    return evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
+    """build_plan + evaluate_loss in one call (the training-step path),
+    sharing one build of the tables."""
+    kw = dict(metric=metric, mp=mp, lp=lp, proxies=proxies, _share=[])
+    plan = build_plan(loss, S, U, Y, classes, rng=rng, **kw)
+    return evaluate_loss(loss, S, U, plan, **kw)
 
 
 def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:

@@ -240,15 +240,15 @@ def loss_and_grad(
 
     Returns (LossResult, grad), with grad laid out like `model.theta`; the
     proxies are `model.proxies`. A fresh plan is built unless one is passed
-    in (the gradient checker passes the same plan repeatedly).
+    in (the gradient checker passes the same plan repeatedly). A fresh plan
+    and the loss share one build of the loss tables; a passed plan is
+    evaluated on tables built from this call's embeddings.
     """
     S, U, hs = _forward_cached(model, batch.features)
-    proxies = model.proxies
+    kw = dict(metric=metric, mp=mp, lp=lp, proxies=model.proxies, _share=[])
     if plan is None:
-        plan = build_plan(
-            loss, S, U, batch.Y, batch.classes, metric=metric, mp=mp, lp=lp, proxies=proxies, rng=rng
-        )
-    res = evaluate_loss(loss, S, U, plan, metric=metric, mp=mp, lp=lp, proxies=proxies)
+        plan = build_plan(loss, S, U, batch.Y, batch.classes, rng=rng, **kw)
+    res = evaluate_loss(loss, S, U, plan, **kw)
     res.uncertainty = U
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))

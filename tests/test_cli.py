@@ -314,6 +314,21 @@ def test_class_id_past_u32_in_csv_dataset_exits_config_before_training(tmp_path)
     assert not (run_dir / "model.bin").exists()
 
 
+@pytest.mark.parametrize("momentum", ["-5", "NaN", "1.0", "3"])
+def test_momentum_outside_unit_interval_exits_config(tmp_path, momentum):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, optimizer="sgd")
+    # Python's json reads NaN, so the bound is what rejects it
+    text = cfg_path.read_text().replace('"momentum": 0.9', f'"momentum": {momentum}')
+    assert f'"momentum": {momentum}' in text
+    cfg_path.write_text(text)
+    run_dir = tmp_path / "run"
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "momentum must be in [0, 1)" in proc.stderr and "Traceback" not in proc.stderr
+    assert not run_dir.exists()
+
+
 def test_bad_flag_value_exits_config():
     proc = run_cli("train", "--loss", "wat")
     assert proc.returncode == EXIT_CONFIG

@@ -234,6 +234,10 @@ def test_csv_error_reports_line_number(tmp_path):
     p.write_text("id,label,f0,f1\n0,x|1,0.5,0.5\n")
     with pytest.raises(FormatError, match="line 2"):
         load_csv(p)
+    # a class id past u32 is named with its line, like any other bad cell
+    p.write_text(f"id,label,f0\n0,{2**32 - 1},0.5\n1,1|{2**32},0.5\n")
+    with pytest.raises(FormatError, match=r"line 3: .*below 2\*\*32"):
+        load_csv(p)
 
 
 def test_csv_blank_lines_ignored(tmp_path):

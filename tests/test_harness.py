@@ -88,11 +88,20 @@ def test_runconfig_defaults():
         dict(hidden=(8.0,)),
         dict(data=None),
         dict(loss=None),
+        dict(optimizer="sgd", momentum=-5.0),
+        dict(optimizer="sgd", momentum=float("nan")),
+        dict(optimizer="sgd", momentum=1.0),
+        dict(optimizer="sgd", momentum=3),
     ],
 )
 def test_runconfig_rejects_bad_values(kwargs):
     with pytest.raises(ParameterError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("momentum", [0, 0.9])
+def test_runconfig_accepts_momentum_in_unit_interval(momentum):
+    assert RunConfig(optimizer="sgd", momentum=momentum).momentum == momentum
 
 
 def test_runconfig_fills_loss_params_per_loss():

@@ -1,6 +1,8 @@
 """Loss zoo: worked values, mining plans, gradients, and the certain-input
 degeneration that every uncertainty-aware form must satisfy."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from idml.losses import (
     evaluate_loss,
 )
 from idml.metric import METRIC_NAMES
-from idml.model import init_model, loss_and_grad
+from idml.model import forward, init_model, loss_and_grad
 
 LOG2 = float(np.log(2.0))
 
@@ -438,6 +440,63 @@ def test_compute_loss_deterministic_under_seed():
     b = compute_loss("margin_dw", S, U, *multi_hot(labels), metric="ism", rng=Rng(5))
     assert a.value == b.value
     assert a.plan.dw_negatives.tolist() == b.plan.dw_negatives.tolist()
+
+
+def assert_same_result(a, b):
+    """Two LossResults agree bit for bit: value, terms, every gradient, kink margin."""
+    assert a.value.hex() == b.value.hex()
+    assert float(a.kink_margin).hex() == float(b.kink_margin).hex()
+    for name in ("pair_terms", "d_semantic", "d_uncertainty", "d_proxy_semantic", "d_proxy_uncertainty"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+@pytest.mark.parametrize("metric", ["euclidean", "ism", "ism_dis", "uncert_sumnorm"])
+def test_compute_loss_matches_separate_plan_and_evaluation(loss, metric):
+    # compute_loss builds the tables once for both steps; two separate calls
+    # build them twice, and must give the same bits
+    S, U, labels = random_labeled(4, n=12, u_scale=0.3)
+    Y, classes = multi_hot(labels)
+    kw = loss_kwargs(loss, seed=4, u_scale=0.3)
+    shared = compute_loss(loss, S, U, Y, classes, metric=metric, rng=Rng(6), **kw)
+    plan = build_plan(loss, S, U, Y, classes, metric=metric, rng=Rng(6), **kw)
+    separate = evaluate_loss(loss, S, U, plan, metric=metric, **kw)
+    assert_same_result(shared, separate)
+    for name, x in vars(plan).items():
+        assert np.array_equal(getattr(shared.plan, name), x), name
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+@pytest.mark.parametrize("metric", ["euclidean", "ism", "ism_dis", "uncert_sumnorm"])
+def test_loss_and_grad_matches_separate_plan_and_evaluation(loss, metric):
+    X, _, labels = random_labeled(5, n=12)
+    batch = Batch(X, *multi_hot(labels))
+    proxy_classes = batch.classes if loss in PROXY_LOSSES else ()
+    model = init_model(4, hidden=(5,), semantic_dim=4, uncertainty_dim=3, rng=Rng(1), proxy_classes=proxy_classes)
+    res, grad = loss_and_grad(model, batch, loss, metric=metric, rng=Rng(6))
+    S, U = forward(model, X)
+    plan = build_plan(loss, S, U, batch.Y, batch.classes, metric=metric, proxies=model.proxies, rng=Rng(6))
+    assert_same_result(res, evaluate_loss(loss, S, U, plan, metric=metric, proxies=model.proxies))
+    _, grad_frozen = loss_and_grad(model, batch, loss, metric=metric, plan=plan)
+    assert np.array_equal(grad, grad_frozen)
+
+
+def test_loss_entry_points_keep_their_errors():
+    S, U, labels = random_labeled(0)
+    Y, classes = multi_hot(labels)
+    cases = [
+        ("npair", S, Y, dict(rng=Rng(0)), "unknown loss 'npair'"),
+        ("triplet_sh", S, Y, dict(metric="wat"), "unknown metric 'wat'"),
+        ("triplet_sh", S[:0], Y[:0], {}, "build_plan needs a nonempty batch"),
+        ("margin_dw", S, Y, {}, "margin_dw planning needs an rng for its negative sampling"),
+        ("margin_dw", S[:3], np.eye(3, dtype=bool), dict(rng=Rng(0)), "margin_dw needs at least one positive pair"),
+    ]
+    for loss, S_, Y_, kw, message in cases:
+        for fn in (build_plan, compute_loss):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                fn(loss, S_, U[: len(S_)], Y_, classes[: Y_.shape[1]], **kw)
 
 
 def test_unknown_loss_rejected():

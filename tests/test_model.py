@@ -1,12 +1,13 @@
 """Encoder, optimizers, checkpoints, and the gradient checker itself."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from idml.core import Batch, FormatError, NumericalFailure, Rng, ShapeError, multi_hot
-from idml.losses import LOSS_NAMES, PROXY_LOSSES
+from idml.core import Batch, FormatError, NumericalFailure, ParameterError, Rng, ShapeError, multi_hot
+from idml.losses import LOSS_NAMES, PROXY_LOSSES, evaluate_loss
 from idml.metric import METRIC_NAMES
 from idml.model import (
     ADAMW_BETA1,
@@ -216,6 +217,40 @@ def test_two_runs_share_a_bitwise_trajectory():
         return vals
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("loss", ["margin_dw", "triplet_sh", "multi_similarity"])
+def test_frozen_plan_is_evaluated_on_perturbed_embeddings(loss):
+    # finite_difference_check's path: a plan built on S, then re-evaluated
+    # after the parameters (so S) move, must give the moved loss
+    m = small_model(2, hidden=(5,))
+    batch = small_batch(seed=3, n=10, n_classes=3)
+    res, _ = loss_and_grad(m, batch, loss, metric="ism", rng=Rng(4))
+    m.theta[m.slices["head_s.W"]] += 0.05
+    moved, _ = loss_and_grad(m, batch, loss, metric="ism", plan=res.plan)
+    S, U = forward(m, batch.features)
+    direct = evaluate_loss(loss, S, U, res.plan, metric="ism")
+    assert moved.plan is res.plan
+    assert moved.value.hex() == direct.value.hex()
+    assert moved.value != res.value
+
+
+def test_loss_and_grad_keeps_the_planning_errors():
+    m = small_model()
+    batch = small_batch(n=4)  # two classes over four rows: some pair matches
+    distinct = Batch(batch.features, *multi_hot(range(4)))
+    cases = [
+        (batch, "npair", dict(rng=Rng(0)), "unknown loss 'npair'"),
+        (batch, "triplet_sh", dict(metric="wat"), "unknown metric 'wat'"),
+        (batch, "margin_dw", {}, "margin_dw planning needs an rng for its negative sampling"),
+        (distinct, "margin_dw", dict(rng=Rng(0)), "margin_dw needs at least one positive pair"),
+    ]
+    for b, loss, kw, message in cases:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            loss_and_grad(m, b, loss, **kw)
+    # an empty batch never reaches the loss: Batch rejects it
+    with pytest.raises(ShapeError, match="nonempty"):
+        Batch(np.zeros((0, 3)), np.zeros((0, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
