@@ -192,46 +192,68 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: Rng, dist_to) -> np.ndarray:
 
 
 def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np.ndarray:
-    """Seeded Lloyd k-means with ++-style init; best of `n_restarts` by inertia."""
+    """Seeded Lloyd k-means with ++-style init; best of `n_restarts` by inertia.
+
+    Every restart's seeds are drawn first, in restart order, which is the Rng
+    stream of seeding each restart just before its own Lloyd loop. Lloyd
+    draws nothing, so the restarts then iterate in lockstep: one distance
+    table per iteration against the stacked centers of every live restart,
+    N x live·k floats, and a restart leaves once its assignment stops moving.
+    The first restart of least inertia wins.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"expected (N, D) points, got {X.shape}")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"kmeans needs 1 <= k <= n_samples, got k={k}, n={n}")
+    if n_restarts < 1 or max_iter < 1:
+        raise ParameterError(
+            f"kmeans needs n_restarts >= 1 and max_iter >= 1, got {n_restarts} and {max_iter}"
+        )
+    if not np.isfinite(X).all():
+        raise NumericalFailure("kmeans points have a NaN or an infinity")
     dist_to = _distances_to(X)
-    best_assign, best_inertia = None, np.inf
-    for _ in range(n_restarts):
-        centers = _kmeanspp_init(X, k, rng, dist_to)
-        assign = None
-        for _ in range(max_iter):
-            d2 = dist_to(centers)
-            new_assign = np.argmin(d2, axis=1)
-            if assign is None:
+    centers = np.stack([_kmeanspp_init(X, k, rng, dist_to) for _ in range(n_restarts)])
+    assign = np.empty((n_restarts, n), dtype=np.intp)
+    inertia = np.empty(n_restarts)
+    live = list(range(n_restarts))
+    for it in range(max_iter + 1):
+        d2_all = dist_to(centers[live].reshape(-1, X.shape[1])).reshape(n, len(live), k)
+        new_all = np.ascontiguousarray(np.argmin(d2_all, axis=2).T)
+        moving = []
+        for j, r in enumerate(live):
+            d2, new_assign = d2_all[:, j], new_all[j]
+            if it == 0:
                 stale = np.ones(k, dtype=bool)
             else:
-                moved = new_assign != assign
-                if not moved.any():
-                    break  # centers unchanged since d2: it scores this restart
+                moved = new_assign != assign[r]
+                if it == max_iter or not moved.any():
+                    # centers unchanged since d2: it scores this restart, summed
+                    # as its own length-N vector (a sum down the live axis
+                    # rounds differently and can flip a tie between restarts)
+                    inertia[r] = d2.min(axis=1).sum()
+                    continue
                 # a cluster no sample left or joined keeps its mean, bit for bit
                 stale = np.zeros(k, dtype=bool)
-                stale[assign[moved]] = True
+                stale[assign[r][moved]] = True
                 stale[new_assign[moved]] = True
-            assign = new_assign
-            stale |= np.bincount(assign, minlength=k) == 0
+            assign[r] = new_assign
+            stale |= np.bincount(new_assign, minlength=k) == 0
             for c in np.nonzero(stale)[0]:
-                mask = assign == c
+                mask = new_assign == c
                 if mask.any():
-                    centers[c] = X[mask].mean(axis=0)
+                    centers[r, c] = X[mask].mean(axis=0)
                 else:
                     # re-seed an empty cluster at the worst-served point
-                    centers[c] = X[int(np.argmax(d2.min(axis=1)))]
-        else:
-            d2 = dist_to(centers)
-        inertia = float(d2.min(axis=1).sum())
-        if inertia < best_inertia:
-            best_inertia, best_assign = inertia, assign
-    return best_assign
+                    centers[r, c] = X[int(np.argmax(d2.min(axis=1)))]
+            moving.append(r)
+        if not moving:
+            break
+        live = moving
+    if not np.isfinite(inertia).all():
+        raise NumericalFailure("kmeans distances overflowed: a restart has no finite inertia")
+    return assign[int(np.argmin(inertia))]
 
 
 def nmi(labels, clusters) -> float:

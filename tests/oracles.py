@@ -167,14 +167,17 @@ def correlation_ref(rel_s, rel_u, knn_k):
     }
 
 
-def kmeans_ref(X, k, rng, kmeanspp_init, squared_distances, n_restarts=10, max_iter=100):
+def kmeans_ref(
+    X, k, rng, kmeanspp_init, squared_distances, n_restarts=10, max_iter=100, restarts=None
+):
     """The Lloyd loop that recomputes every center mean on every iteration.
 
     `kmeanspp_init(X, k, rng)` and `squared_distances(X, centers)` are the
     library's seeding and distance helpers, passed in: only the loop is the
     reference. Every empty cluster is re-seeded at the worst-served point on
     every iteration, and the inertia of each restart comes from a fresh
-    distance table.
+    distance table. A list passed as `restarts` receives each restart's
+    (inertia, assignment).
     """
     X = np.asarray(X, dtype=np.float64)
     best_assign, best_inertia = None, np.inf
@@ -196,6 +199,8 @@ def kmeans_ref(X, k, rng, kmeanspp_init, squared_distances, n_restarts=10, max_i
                     centers[c] = X[int(np.argmax(d2.min(axis=1)))]
         d2 = squared_distances(X, centers)
         inertia = float(d2.min(axis=1).sum())
+        if restarts is not None:
+            restarts.append((inertia, assign))
         if inertia < best_inertia:
             best_inertia, best_assign = inertia, assign
     return best_assign

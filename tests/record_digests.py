@@ -47,6 +47,11 @@ refactor prints identical text. It covers:
   margin_dw's plan under every metric at paper shape: 120 clean rows over
   30 classes plus 60 two-label rows, 512-d, so rows have more than 128
   negatives and many distinct negative counts.
+- kmeans_sha256: the sha256 of `evaluation.kmeans`' assignment (dtype,
+  shape and bytes) and of the Rng's next draw after it, on one fixed input
+  of clustered Gaussian rows at each of four shapes: the three workloads'
+  evaluation shapes of perfbench (240 x 512 with k = 10, 1,000 x 32 with
+  k = 20, 250 x 32 with k = 5) and paper shape (3,000 x 512 with k = 50).
 
 With `--values` it prints, instead of all of the above, the two sections
 whose digests a float-changing change most often moves, value by value:
@@ -95,7 +100,7 @@ from idml import harness
 from idml.augment import AugmentConfig, augment_batch
 from idml.core import STREAM_AUGMENT, STREAM_LOSS, Batch, Rng, label_ids, multi_hot
 from idml.data import Dataset, load_binary, load_csv, save_binary, save_csv
-from idml.evaluation import evaluate
+from idml.evaluation import evaluate, kmeans
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, build_plan, compute_loss
 from idml.metric import METRIC_NAMES
 
@@ -119,6 +124,8 @@ EXTRA_RUNS = {
 EXTRA_EPOCHS = 5
 RUN_FILES = ("record.json", "model.bin", "uncertainty.csv", "eval.json", "epochs.csv")
 SWEEP_TAUS = (1.0, 9.0)
+# (rows, columns, clusters) of the fixed k-means inputs
+KMEANS_SHAPES = ((240, 512, 10), (1000, 32, 20), (250, 32, 5), (3000, 512, 50))
 
 
 AUGMENT_CHANNELS = {
@@ -315,6 +322,20 @@ def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
     return h.hexdigest()
 
 
+def kmeans_digests() -> dict:
+    out = {}
+    for seed, (n, d, k) in enumerate(KMEANS_SHAPES):
+        r = np.random.default_rng(60 + seed)
+        X = 0.7 * r.normal(size=(k, d))[r.integers(0, k, size=n)] + r.normal(size=(n, d))
+        rng = Rng(61)
+        assign = kmeans(X, k, rng)
+        h = hashlib.sha256(f"{assign.dtype.str}{assign.shape}".encode())
+        h.update(assign.tobytes())
+        h.update(repr(rng.random()).encode())
+        out[f"{n}x{d}/k={k}"] = h.hexdigest()
+    return out
+
+
 def io_digests() -> dict:
     r = np.random.default_rng(27)
     ids = r.integers(0, 9, size=40)
@@ -345,6 +366,7 @@ def digests_report() -> dict:
         "augment_sha256": augment_digests(),
         "evaluate_sha256": {key: _json_sha256(v) for key, v in evaluate_reports().items()},
         "plan_sha256": plan_digests(),
+        "kmeans_sha256": kmeans_digests(),
         "gradcheck": gradcheck_summaries(),
         "compute_loss": loss_outputs(),
     }

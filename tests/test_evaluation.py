@@ -289,7 +289,24 @@ def test_kmeans_deterministic_under_seed():
     np.testing.assert_array_equal(a, b)
 
 
-def test_kmeans_matches_reference_loop():
+def _assert_kmeans_matches_reference(X, k, seed, n_restarts, max_iter):
+    a, b = Rng(seed), Rng(seed)
+    got = kmeans(X, k, a, n_restarts=n_restarts, max_iter=max_iter)
+    dist_to = _distances_to(X)
+    want = oracles.kmeans_ref(
+        X,
+        k,
+        b,
+        lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
+        lambda X, centers: dist_to(centers),
+        n_restarts=n_restarts,
+        max_iter=max_iter,
+    )
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert a.random() == b.random()
+
+
+def _kmeans_reference_cases():
     # duplicate rows and k near n: identical rows share one nearest center,
     # so with k above the distinct-row count some cluster is empty on every
     # iteration and is re-seeded again and again
@@ -299,21 +316,68 @@ def test_kmeans_matches_reference_loop():
         distinct = int(r.integers(1, n + 1))
         X = r.normal(size=(distinct, int(r.integers(1, 4))))[r.integers(0, distinct, size=n)]
         k = int(r.integers(max(1, n - 4), n + 1)) if case % 2 else int(r.integers(1, n + 1))
-        max_iter = int(r.choice([1, 2, 5, 100]))
-        a, b = Rng(case), Rng(case)
-        got = kmeans(X, k, a, n_restarts=3, max_iter=max_iter)
-        dist_to = _distances_to(X)
-        want = oracles.kmeans_ref(
-            X,
-            k,
-            b,
-            lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
-            lambda X, centers: dist_to(centers),
-            n_restarts=3,
-            max_iter=max_iter,
-        )
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert a.random() == b.random()
+        yield X, k, case, int(r.choice([1, 2, 5, 100]))
+
+
+def test_kmeans_matches_reference_loop():
+    for n_restarts in (3, 10):
+        for X, k, case, max_iter in _kmeans_reference_cases():
+            _assert_kmeans_matches_reference(X, k, case, n_restarts, max_iter)
+
+
+def test_kmeans_inertia_tie_goes_to_the_first_restart():
+    # case 12 of the reference loop (38 rows of 6 distinct, k = 28, 5
+    # iterations): all three restarts end at the same inertia, about 3e-31,
+    # with three different assignments, so the first restart must win
+    X, k, case, max_iter = list(_kmeans_reference_cases())[12]
+    assert (len(X), len(np.unique(X, axis=0)), k, max_iter) == (38, 6, 28, 5)
+    dist_to = _distances_to(X)
+    restarts = []
+    oracles.kmeans_ref(
+        X,
+        k,
+        Rng(case),
+        lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
+        lambda X, centers: dist_to(centers),
+        n_restarts=3,
+        max_iter=max_iter,
+        restarts=restarts,
+    )
+    inertias = [inertia for inertia, _ in restarts]
+    assert inertias[0] == inertias[1] == inertias[2] == pytest.approx(3.14e-31, rel=1e-2)
+    assert len({assign.tobytes() for _, assign in restarts}) == 3
+    got = kmeans(X, k, Rng(case), n_restarts=3, max_iter=max_iter)
+    assert np.array_equal(got, restarts[0][1])
+
+
+@pytest.mark.parametrize("n, d, k", [(240, 512, 10), (1000, 32, 20), (250, 32, 5)])
+def test_kmeans_matches_reference_loop_at_benchmark_shapes(n, d, k):
+    # the evaluation shapes of perfbench's wide, eval and mining workloads
+    r = np.random.default_rng(n + d + k)
+    X = 0.7 * r.normal(size=(k, d))[r.integers(0, k, size=n)] + r.normal(size=(n, d))
+    _assert_kmeans_matches_reference(X, k, 7, 10, 100)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    X = np.random.default_rng(3).normal(size=(12, 3))
+    X[5, 1] = bad
+    with pytest.raises(NumericalFailure):
+        kmeans(X, 3, Rng(0))
+
+
+def test_kmeans_rejects_points_whose_distances_overflow():
+    # finite points whose squared distances are not: the Gram form overflows
+    X = 1e160 * np.random.default_rng(3).normal(size=(12, 3))
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        kmeans(X, 3, Rng(0))
+
+
+@pytest.mark.parametrize("n_restarts, max_iter", [(0, 100), (-1, 100), (10, 0), (10, -1)])
+def test_kmeans_rejects_no_restarts_or_no_iterations(n_restarts, max_iter):
+    X = np.random.default_rng(3).normal(size=(12, 3))
+    with pytest.raises(ParameterError):
+        kmeans(X, 3, Rng(0), n_restarts=n_restarts, max_iter=max_iter)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6])
