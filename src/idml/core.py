@@ -288,7 +288,8 @@ class Rng:
         return self._gen.standard_normal(size=size)
 
     def integers(self, lo: int, hi: int, size=None):
-        """Integer draw(s) in [lo, hi)."""
+        """Integer draw(s) in [lo, hi); integers(lo, hi, size=m) equals m
+        successive integers(lo, hi) draws and leaves the same next draw."""
         if not lo < hi:
             raise ParameterError(f"integers requires lo < hi, got [{lo}, {hi})")
         return self._gen.integers(lo, hi, size=size)

@@ -175,20 +175,54 @@ def _distances_to(X: np.ndarray):
     return to
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: Rng, dist_to) -> np.ndarray:
+def _seed_count(X: np.ndarray, k: int) -> int:
+    """min(k, the number of rows of X that differ in value): how many ++
+    seeds of a restart are drawn from the squared distances. One column's
+    distinct values bound the distinct rows from below, so whole rows are
+    compared only when that column has fewer than k, as C-ordered bytes; adding
+    0.0 makes -0.0 equal to 0.0 in bytes, as it is in the Gram distance."""
+    col = np.sort(X[:, 0])
+    if 1 + np.count_nonzero(col[1:] != col[:-1]) >= k:
+        return k
+    rows = np.ascontiguousarray(X) + 0.0
+    rows = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return min(k, 1 + int(np.count_nonzero(rows[1:] != rows[:-1])))
+
+
+def _kmeanspp_seeds(X: np.ndarray, k: int, rng: Rng, n_restarts: int, dist_to) -> np.ndarray:
+    """The (n_restarts, k, D) ++ seeds, drawn in restart order and chosen in
+    lockstep across restarts.
+
+    Restart by restart, each seed after the first is `rng.choice(n, p=d2/total)`
+    while some row is not yet a center, and `rng.integers(0, n)` after, when
+    the total is 0. Distinct rows are never 0 apart, so the first `m` =
+    `_seed_count` seeds are the choices, and each choice consumes one uniform:
+    a restart's whole stream is one `integers`, `random(m - 1)` and
+    `integers(size=k - m)`. Each ++ step then takes one distance product for
+    all restarts' new centers and picks through `choice`'s own CDF.
+    """
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[int(rng.integers(0, n))]
-    d2 = dist_to(centers[:1])[:, 0]
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(0, n))
-        centers[c] = X[idx]
-        d2 = np.minimum(d2, dist_to(centers[c : c + 1])[:, 0])
-    return centers
+    m = _seed_count(X, k)
+    picks = np.empty((n_restarts, k), dtype=np.intp)
+    u = np.empty((n_restarts, m - 1))
+    for r in range(n_restarts):
+        picks[r, 0] = rng.integers(0, n)
+        u[r] = rng.random(m - 1)
+        picks[r, m:] = rng.integers(0, n, size=k - m)
+    d2 = np.ascontiguousarray(dist_to(X[picks[:, 0]]).T)
+    for c in range(1, m):
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise NumericalFailure("kmeans distances overflowed: a ++ seeding total is not finite")
+        if not (total > 0.0).all():
+            raise NumericalFailure("kmeans distances underflowed: points that differ are 0 apart")
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        # searchsorted(u, side="right") on each nondecreasing row, as `choice` does
+        picks[:, c] = (cdf <= u[:, c - 1, None]).sum(axis=1)
+        if c + 1 < m:
+            np.minimum(d2, dist_to(X[picks[:, c]]).T, out=d2)
+    return X[picks]
 
 
 def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np.ndarray:
@@ -199,11 +233,12 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
     draws nothing, so the restarts then iterate in lockstep: one distance
     table per iteration against the stacked centers of every live restart,
     N x live·k floats, and a restart leaves once its assignment stops moving.
+    A restart's clusters are read from one stable sort of its assignment.
     The first restart of least inertia wins.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"expected (N, D) points, got {X.shape}")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ShapeError(f"expected (N, D) points with D >= 1, got {X.shape}")
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"kmeans needs 1 <= k <= n_samples, got k={k}, n={n}")
@@ -214,7 +249,7 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
     if not np.isfinite(X).all():
         raise NumericalFailure("kmeans points have a NaN or an infinity")
     dist_to = _distances_to(X)
-    centers = np.stack([_kmeanspp_init(X, k, rng, dist_to) for _ in range(n_restarts)])
+    centers = _kmeanspp_seeds(X, k, rng, n_restarts, dist_to)
     assign = np.empty((n_restarts, n), dtype=np.intp)
     inertia = np.empty(n_restarts)
     live = list(range(n_restarts))
@@ -239,14 +274,19 @@ def kmeans(X, k: int, rng: Rng, n_restarts: int = 10, max_iter: int = 100) -> np
                 stale[assign[r][moved]] = True
                 stale[new_assign[moved]] = True
             assign[r] = new_assign
-            stale |= np.bincount(new_assign, minlength=k) == 0
-            for c in np.nonzero(stale)[0]:
-                mask = new_assign == c
-                if mask.any():
-                    centers[r, c] = X[mask].mean(axis=0)
-                else:
-                    # re-seed an empty cluster at the worst-served point
-                    centers[r, c] = X[int(np.argmax(d2.min(axis=1)))]
+            counts = np.bincount(new_assign, minlength=k)
+            stale &= counts > 0
+            if stale.any():
+                # each cluster's members in index order: the rows and the
+                # order of X[mask], so its sum and mean are X[mask].mean's bits
+                members = np.argsort(new_assign.astype(np.min_scalar_type(k)), kind="stable")
+                ends = np.cumsum(counts)
+                for c in np.flatnonzero(stale):
+                    np.add.reduce(X[members[ends[c] - counts[c] : ends[c]]], axis=0, out=centers[r, c])
+                centers[r, stale] /= counts[stale, None]
+            if not counts.all():
+                # re-seed every empty cluster at the worst-served point
+                centers[r, counts == 0] = X[int(np.argmax(d2.min(axis=1)))]
             moving.append(r)
         if not moving:
             break

@@ -167,22 +167,43 @@ def correlation_ref(rel_s, rel_u, knn_k):
     }
 
 
-def kmeans_ref(
-    X, k, rng, kmeanspp_init, squared_distances, n_restarts=10, max_iter=100, restarts=None
-):
-    """The Lloyd loop that recomputes every center mean on every iteration.
+def kmeanspp_ref(X, k, rng, squared_distances):
+    """k-means++ seeding of one restart, one center at a time.
 
-    `kmeanspp_init(X, k, rng)` and `squared_distances(X, centers)` are the
-    library's seeding and distance helpers, passed in: only the loop is the
-    reference. Every empty cluster is re-seeded at the worst-served point on
-    every iteration, and the inertia of each restart comes from a fresh
-    distance table. A list passed as `restarts` receives each restart's
-    (inertia, assignment).
+    Each center after a uniformly drawn first one is `rng.choice(n, p=d2/total)`
+    over the squared distances to the nearest center so far, or a uniform
+    `rng.integers(0, n)` once that total is 0 (every row is already a center).
+    """
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(0, n))]
+    d2 = squared_distances(X, centers[:1])[:, 0]
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(0, n))
+        centers[c] = X[idx]
+        d2 = np.minimum(d2, squared_distances(X, centers[c : c + 1])[:, 0])
+    return centers
+
+
+def kmeans_ref(X, k, rng, squared_distances, n_restarts=10, max_iter=100, restarts=None):
+    """Restart-by-restart k-means: ++ seeding, then the Lloyd loop that
+    recomputes every center mean on every iteration.
+
+    `squared_distances(X, centers)` is the library's distance helper, passed
+    in: the seeding and the loop are the reference. Each restart is seeded
+    just before its own loop. Every empty cluster is re-seeded at the
+    worst-served point on every iteration, and the inertia of each restart
+    comes from a fresh distance table. A list passed as `restarts` receives
+    each restart's (inertia, assignment).
     """
     X = np.asarray(X, dtype=np.float64)
     best_assign, best_inertia = None, np.inf
     for _ in range(n_restarts):
-        centers = kmeanspp_init(X, k, rng)
+        centers = kmeanspp_ref(X, k, rng, squared_distances)
         assign = None
         for _ in range(max_iter):
             d2 = squared_distances(X, centers)

@@ -52,6 +52,8 @@ refactor prints identical text. It covers:
   of clustered Gaussian rows at each of four shapes: the three workloads'
   evaluation shapes of perfbench (240 x 512 with k = 10, 1,000 x 32 with
   k = 20, 250 x 32 with k = 5) and paper shape (3,000 x 512 with k = 50).
+  One more input, 300 rows of 12 distinct rows with k = 20, pins the seeds
+  drawn as uniform integers once every distinct row is a center.
 
 With `--values` it prints, instead of all of the above, the two sections
 whose digests a float-changing change most often moves, value by value:
@@ -323,16 +325,21 @@ def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
 
 
 def kmeans_digests() -> dict:
-    out = {}
+    inputs = {}
     for seed, (n, d, k) in enumerate(KMEANS_SHAPES):
         r = np.random.default_rng(60 + seed)
         X = 0.7 * r.normal(size=(k, d))[r.integers(0, k, size=n)] + r.normal(size=(n, d))
+        inputs[f"{n}x{d}/k={k}"] = X, k
+    r = np.random.default_rng(64)
+    inputs["300x32/12 distinct rows/k=20"] = r.normal(size=(12, 32))[r.integers(0, 12, size=300)], 20
+    out = {}
+    for key, (X, k) in inputs.items():
         rng = Rng(61)
         assign = kmeans(X, k, rng)
         h = hashlib.sha256(f"{assign.dtype.str}{assign.shape}".encode())
         h.update(assign.tobytes())
         h.update(repr(rng.random()).encode())
-        out[f"{n}x{d}/k={k}"] = h.hexdigest()
+        out[key] = h.hexdigest()
     return out
 
 

@@ -245,6 +245,55 @@ def test_rng_random_batch_equals_successive_draws():
         assert one.random() == fresh.random()
 
 
+def test_rng_integers_batch_equals_successive_draws():
+    # k-means++ seeding draws a restart's uniform-integer seeds in one call;
+    # ranges below 2**32 take 32-bit halves of Philox's words, so odd counts
+    # leave a half buffered for the next draw, which must match too
+    for hi in (1, 2, 7, 3000, 2**40):
+        for m in (0, 1, 7, 1000):
+            one = Rng(seed=17, stream=2)
+            batch = one.integers(3, 3 + hi, size=m)
+            fresh = Rng(seed=17, stream=2)
+            assert np.array_equal(batch, [fresh.integers(3, 3 + hi) for _ in range(m)])
+            assert one.integers(0, hi + 1) == fresh.integers(0, hi + 1)
+            assert one.random() == fresh.random()
+
+
+def test_rng_integers_and_random_batches_interleave_as_single_draws():
+    # k-means++ seeding draws each restart as integers, random(m), then
+    # integers(size=t): a 64-bit double never consumes the buffered 32-bit
+    # half an integer draw left, in batches exactly as in single draws
+    for m, t in ((0, 0), (1, 0), (4, 3), (5, 1), (0, 2)):
+        one, fresh = Rng(seed=23, stream=6), Rng(seed=23, stream=6)
+        for _ in range(5):
+            assert one.integers(0, 250) == fresh.integers(0, 250)
+            assert np.array_equal(one.random(m), [fresh.random() for _ in range(m)])
+            assert np.array_equal(one.integers(0, 250, size=t), [fresh.integers(0, 250) for _ in range(t)])
+        assert one.integers(0, 250) == fresh.integers(0, 250)
+        assert one.random() == fresh.random()
+
+
+def test_choice_pick_is_the_count_of_cdf_entries_at_or_below_the_uniform():
+    # the replica of Generator.choice(n, p=p) that k-means++ seeding and
+    # distance-weighted sampling use: one uniform, and the CDF built as
+    # choice builds it, with zero weights never picked
+    r = np.random.default_rng(4)
+    one, fresh = Rng(seed=29, stream=1), Rng(seed=29, stream=1)
+    for trial in range(300):
+        n = int(r.integers(1, 60))
+        w = r.exponential(size=n)
+        if trial % 2:
+            w[r.random(n) < 0.4] = 0.0
+        w[r.integers(0, n)] += 1e-3
+        p = w / w.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        pick = int((cdf <= one.random()).sum())
+        assert pick == fresh.choice(n, p=p)
+        assert p[pick] > 0.0
+    assert one.random() == fresh.random()
+
+
 def test_rng_random_is_the_unit_uniform():
     # Generator.uniform(0, 1) returns 0 + 1 * random(), one draw each, so
     # random() replaces a unit uniform without moving the stream

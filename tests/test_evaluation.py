@@ -26,7 +26,6 @@ from idml.evaluation import (
     RECALL_KS,
     EvalReport,
     _distances_to,
-    _kmeanspp_init,
     check_scorable,
     correlation_stats,
     evaluate,
@@ -294,13 +293,7 @@ def _assert_kmeans_matches_reference(X, k, seed, n_restarts, max_iter):
     got = kmeans(X, k, a, n_restarts=n_restarts, max_iter=max_iter)
     dist_to = _distances_to(X)
     want = oracles.kmeans_ref(
-        X,
-        k,
-        b,
-        lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
-        lambda X, centers: dist_to(centers),
-        n_restarts=n_restarts,
-        max_iter=max_iter,
+        X, k, b, lambda X, centers: dist_to(centers), n_restarts=n_restarts, max_iter=max_iter
     )
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert a.random() == b.random()
@@ -334,14 +327,7 @@ def test_kmeans_inertia_tie_goes_to_the_first_restart():
     dist_to = _distances_to(X)
     restarts = []
     oracles.kmeans_ref(
-        X,
-        k,
-        Rng(case),
-        lambda X, k, rng: _kmeanspp_init(X, k, rng, dist_to),
-        lambda X, centers: dist_to(centers),
-        n_restarts=3,
-        max_iter=max_iter,
-        restarts=restarts,
+        X, k, Rng(case), lambda X, centers: dist_to(centers), n_restarts=3, max_iter=max_iter, restarts=restarts
     )
     inertias = [inertia for inertia, _ in restarts]
     assert inertias[0] == inertias[1] == inertias[2] == pytest.approx(3.14e-31, rel=1e-2)
@@ -358,6 +344,32 @@ def test_kmeans_matches_reference_loop_at_benchmark_shapes(n, d, k):
     _assert_kmeans_matches_reference(X, k, 7, 10, 100)
 
 
+@pytest.mark.parametrize("distinct, k", [(12, 20), (3, 7), (1, 4), (40, 40)])
+def test_kmeans_matches_reference_loop_with_fewer_distinct_rows_than_k(distinct, k):
+    # 300 rows of a few distinct ones: once every distinct row is a center,
+    # each restart's remaining seeds are uniform integer draws
+    r = np.random.default_rng(distinct + k)
+    X = r.normal(size=(distinct, 6))[r.integers(0, distinct, size=300)]
+    _assert_kmeans_matches_reference(X, k, 9, 10, 100)
+    assert np.array_equal(kmeans(np.asfortranarray(X), k, Rng(9)), kmeans(X, k, Rng(9)))
+
+
+def test_kmeans_counts_negative_zero_as_zero():
+    # rows equal but for the sign of a zero are the same point, 0 apart in
+    # the Gram distance: two distinct rows, so k = 4 ends in integer draws
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [2.0, 0.0], [-0.0, 1.0], [2.0, 0.0]])
+    _assert_kmeans_matches_reference(X, 4, 3, 10, 100)
+    _assert_kmeans_matches_reference(X[:, ::-1], 4, 3, 10, 100)
+    got = kmeans(X, 2, Rng(0))
+    assert got[0] == got[1] == got[4] != got[2] == got[3] == got[5]
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 0), (5, 2, 1)])
+def test_kmeans_rejects_points_that_are_not_rows_of_columns(shape):
+    with pytest.raises(ShapeError):
+        kmeans(np.zeros(shape), 2, Rng(0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_kmeans_rejects_non_finite_points(bad):
     X = np.random.default_rng(3).normal(size=(12, 3))
@@ -370,6 +382,15 @@ def test_kmeans_rejects_points_whose_distances_overflow():
     # finite points whose squared distances are not: the Gram form overflows
     X = 1e160 * np.random.default_rng(3).normal(size=(12, 3))
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        kmeans(X, 3, Rng(0))
+
+
+def test_kmeans_rejects_points_whose_distances_underflow():
+    # distinct rows whose squared distances round to 0: ++ seeding would see
+    # a zero total before every distinct row is a center
+    X = 1e-170 * np.random.default_rng(3).normal(size=(12, 3))
+    assert np.all(_distances_to(X)(X) == 0.0)
+    with pytest.raises(NumericalFailure, match="underflowed"):
         kmeans(X, 3, Rng(0))
 
 
