@@ -36,6 +36,8 @@ __all__ = [
     "label_rows",
     "label_ids",
     "match_matrix",
+    "TABLE_BLOCK",
+    "block_rows",
     "Bound",
     "field_rules",
     "check_fields",
@@ -125,11 +127,28 @@ def label_ids(Y, classes) -> list:
     return [classes[row].tolist() for row in np.asarray(Y, dtype=bool)]
 
 
+# Entries per row block of the passes over an N x M table: the Gram epilogue
+# of `metric`, the ranking and the MRR count of `evaluation`, and the match
+# table here. A block and its temporaries stay in cache, where whole-table
+# passes did not, and no N x M temporary is made.
+TABLE_BLOCK = 65536
+
+
+def block_rows(m: int) -> int:
+    """Rows of an (N, m) table per block of about TABLE_BLOCK entries (>= 1)."""
+    return max(1, TABLE_BLOCK // max(m, 1))
+
+
 def match_matrix(Y) -> np.ndarray:
     """(N, N) boolean table of `labels_match` over every pair of multi-hot rows
-    `Y` (from `multi_hot`), diagonal true."""
+    `Y` (from `multi_hot`), diagonal true. Each row block's shared-label counts
+    are small integers, exact in any summation order."""
     Y = np.asarray(Y, dtype=np.float64)
-    return Y @ Y.T > 0
+    match = np.empty((len(Y), len(Y)), dtype=bool)
+    rows = block_rows(len(Y))
+    for lo in range(0, len(Y), rows):
+        np.greater(Y[lo : lo + rows] @ Y.T, 0.0, out=match[lo : lo + rows])
+    return match
 
 
 # What a config field of each annotated type may hold, and its name in errors.

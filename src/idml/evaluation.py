@@ -24,6 +24,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    block_rows,
     label_rows,
     label_set,  # noqa: F401  (stays importable: perfbench counts calls at this name)
     match_matrix,
@@ -67,13 +68,16 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
 
     Equal distances rank by sample index, so row i is the first k entries of
     a stable sort of row i without its diagonal; k = None ranks all N - 1.
-    A copy with +inf on its diagonal ranks self last, where k < N leaves it;
-    its k nearest are picked by partition and ordered by (distance, index).
-    A row with more entries at or below its k-th value than k (a tie across
-    the boundary) or a non-finite k-th value is stably sorted whole instead.
-    An off-diagonal NaN or +inf raises NumericalFailure: it has no rank.
+    The table is ranked one row block of `core.TABLE_BLOCK` entries at a
+    time: each block is copied into one reused buffer with +inf on its
+    diagonal entries, which ranks self last, where k < N leaves it, so the
+    caller's table is never written. A row's k nearest are picked by
+    partition and ordered by (distance, index). A row with more entries at or
+    below its k-th value than k (a tie across the boundary) or a non-finite
+    k-th value is stably sorted whole instead. An off-diagonal NaN or +inf
+    raises NumericalFailure: it has no rank.
     """
-    d = np.array(dists, dtype=np.float64)
+    d = np.asarray(dists, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"expected a square distance matrix, got {d.shape}")
     n = d.shape[0]
@@ -81,18 +85,25 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     k = m if k is None else int(k)
     if not 0 <= k <= m:
         raise ParameterError(f"neighbor_order needs 0 <= k < n, got k={k}, n={n}")
-    np.fill_diagonal(d, np.inf)
-    if np.count_nonzero(d < np.inf) != n * (n - 1):
-        raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
-    if k == 0:
-        return np.empty((n, 0), dtype=np.intp)
-    top = np.argpartition(d, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(d, top, axis=1)
-    kth = vals[:, k - 1]
-    top = np.take_along_axis(top, np.lexsort((top, vals), axis=1), axis=1)
-    ragged = ((d <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
-    for i in np.nonzero(ragged)[0]:
-        top[i] = np.argsort(d[i], kind="stable")[:k]
+    top = np.empty((n, k), dtype=np.intp)
+    rows = block_rows(n)
+    buf = np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        b = buf[: min(rows, n - lo)]
+        b[...] = d[lo : lo + rows]
+        b[np.arange(len(b)), np.arange(lo, lo + len(b))] = np.inf
+        if np.count_nonzero(b < np.inf) != len(b) * m:
+            raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
+        if k == 0:
+            continue
+        t = np.argpartition(b, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(b, t, axis=1)
+        kth = vals[:, k - 1]
+        t = np.take_along_axis(t, np.lexsort((t, vals), axis=1), axis=1)
+        ragged = ((b <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
+        for i in np.nonzero(ragged)[0]:
+            t[i] = np.argsort(b[i], kind="stable")[:k]
+        top[lo : lo + len(b)] = t
     return top
 
 
@@ -386,12 +397,19 @@ def correlation_stats(rel_s, rel_u, knn_k: int = KNN_K) -> dict:
     common = (order_u[:, :, None] == order_s[:, None, :]).sum(axis=(1, 2))
     jac = common / (2 * knn_k - common)
     # rank of the semantic nearest neighbor in the uncertainty ranking: the
-    # entries before it in the stable order, self at +inf, plus one
+    # entries before it in the stable order, self at +inf, plus one; counted
+    # one row block at a time
     nn_s = order_s[:, 0]
     np.fill_diagonal(du, np.inf)
-    t = du[np.arange(n), nn_s][:, None]
-    earlier_tie = (du == t) & (np.arange(n)[None, :] < nn_s[:, None])
-    rr = 1.0 / ((du < t).sum(axis=1) + earlier_tie.sum(axis=1) + 1)
+    j = np.arange(n)
+    t = du[j, nn_s][:, None]
+    before = np.empty(n, dtype=np.intp)
+    rows = block_rows(n)
+    for lo in range(0, n, rows):
+        du_b, t_b = du[lo : lo + rows], t[lo : lo + rows]
+        ahead = (du_b < t_b) | ((du_b == t_b) & (j < nn_s[lo : lo + rows, None]))
+        before[lo : lo + rows] = np.count_nonzero(ahead, axis=1)
+    rr = 1.0 / (before + 1)
     # stacked 1 x 1 products run the dot kernel of np.linalg.norm and @ on one
     # row, so each row's norms and cosine keep a per-row loop's bits
     ns = np.sqrt(np.matmul(rel_s[:, None, :], rel_s[:, :, None])[:, 0, 0])

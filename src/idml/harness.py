@@ -22,9 +22,7 @@ import dataclasses
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Annotated
 
@@ -478,6 +476,10 @@ def run_grid(configs, output_dirs=None) -> list:
     n_workers = min(worker_count(), len(configs))
     if n_workers <= 1:
         return [train(cfg, d) for cfg, d in zip(configs, dirs)]
+    # imported here: every other idml command would pay for them at import
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     with ProcessPoolExecutor(n_workers, mp_context=get_context("spawn")) as pool:
         return list(pool.map(train, configs, dirs))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from idml.core import MetricParams, ParameterError
+from idml.core import MetricParams, ParameterError, block_rows
 
 __all__ = [
     "METRIC_NAMES",
@@ -95,21 +95,33 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny) -> np.ndarray:
     Xc and Yc are X and Y shifted by one common vector, nx and ny their rows'
     squared norms. The bulk is the Gram form nx + ny - 2 Xc.Yc; entries small
     enough for that form to have cancelled are recomputed from differences of
-    the original rows, so coincident rows give exactly 0.
+    the original rows, so coincident rows give exactly 0. The threshold is
+    never negative, so every negative Gram entry is recomputed, and no entry
+    needs a clamp at 0. The product is one whole GEMM (a row-blocked one can
+    round differently); the rest runs one row block of `core.TABLE_BLOCK`
+    entries at a time, with the block's nx + ny and its small-entry mask in
+    two reused block-sized buffers, each entry through the same operations
+    as over the whole table.
     """
-    scale = nx[:, None] + ny[None, :]
     d2 = Xc @ Yc.T
-    d2 *= -2.0
-    d2 += scale
-    scale *= _RECOMPUTE_RATIO
-    small = d2 <= scale
-    if small.any():
-        rows, cols = np.nonzero(small)
-        for lo in range(0, rows.size, _RECOMPUTE_SLICE):
-            r, c = rows[lo : lo + _RECOMPUTE_SLICE], cols[lo : lo + _RECOMPUTE_SLICE]
-            diff = X[r] - Y[c]
-            d2[r, c] = np.einsum("ij,ij->i", diff, diff)
-    return np.maximum(d2, 0.0, out=d2)
+    rows = block_rows(d2.shape[1])
+    scale = np.empty((min(rows, d2.shape[0]), d2.shape[1]))
+    small = np.empty(scale.shape, dtype=bool)
+    for lo in range(0, d2.shape[0], rows):
+        blk = d2[lo : lo + rows]
+        s, sm = scale[: len(blk)], small[: len(blk)]
+        np.add(nx[lo : lo + rows, None], ny[None, :], out=s)
+        blk *= -2.0
+        blk += s
+        s *= _RECOMPUTE_RATIO
+        if np.less_equal(blk, s, out=sm).any():
+            # flat indices: a 2-D nonzero costs ten times as much per block
+            flat = np.flatnonzero(sm)
+            for at in range(0, flat.size, _RECOMPUTE_SLICE):
+                r, c = np.divmod(flat[at : at + _RECOMPUTE_SLICE], d2.shape[1])
+                diff = X[r + lo] - Y[c]
+                blk[r, c] = np.einsum("ij,ij->i", diff, diff)
+    return d2
 
 
 def pairwise_semantic_distance(S: np.ndarray, T: np.ndarray = None) -> np.ndarray:

@@ -61,6 +61,35 @@ def dw_log_weight_ref(d, n_dim, phi):
 
 
 # ---------------------------------------------------------------------------
+# Gram-form squared distances (whole-table route)
+# ---------------------------------------------------------------------------
+
+
+def gram_distances_ref(X, Y, Xc, nx, Yc, ny, ratio=1e-2, recompute_slice=2048):
+    """The Gram core's squared distances, each pass over the whole table.
+
+    Same arguments and same float operations per entry as the library's
+    row-blocked core: nx + ny - 2 Xc.Yc from one product, entries at or
+    below `ratio` * (nx + ny) recomputed from explicit differences of X and
+    Y in slices of `recompute_slice` pairs, then a clamp at 0. The blocked
+    core must equal it bit for bit.
+    """
+    scale = nx[:, None] + ny[None, :]
+    d2 = Xc @ Yc.T
+    d2 *= -2.0
+    d2 += scale
+    scale *= ratio
+    small = d2 <= scale
+    if small.any():
+        rows, cols = np.nonzero(small)
+        for lo in range(0, rows.size, recompute_slice):
+            r, c = rows[lo : lo + recompute_slice], cols[lo : lo + recompute_slice]
+            diff = X[r] - Y[c]
+            d2[r, c] = np.einsum("ij,ij->i", diff, diff)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+# ---------------------------------------------------------------------------
 # Ranking / clustering scores (plain-Python route)
 # ---------------------------------------------------------------------------
 

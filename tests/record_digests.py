@@ -37,7 +37,10 @@ refactor prints identical text. It covers:
   rows and distance ties at the ranking depth are common: 600 rows with one
   single-sample class, and (keys `two_label/<metric>`) 300 rows of which
   every third carries two classes, which exercises multi-label matching in
-  the ranking metrics and the smallest-class rule of the NMI ids;
+  the ranking metrics and the smallest-class rule of the NMI ids. At
+  `core.TABLE_BLOCK` = 65,536 entries both inputs span several row blocks
+  (6 blocks of 109 rows and 2 of 218), so the blocked Gram epilogue,
+  ranking and MRR count cross block boundaries on them;
 - plan_sha256: the sha256 of every `Plan` field (name, dtype, shape and
   bytes of each array) that `build_plan` returns for every loss x metric on
   one fixed 16-row batch on an integer grid, so that distance ties decide

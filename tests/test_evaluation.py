@@ -12,12 +12,14 @@ import pytest
 
 import idml
 import oracles
+from idml import core
 from idml.core import (
     DegenerateInputError,
     NumericalFailure,
     ParameterError,
     Rng,
     ShapeError,
+    block_rows,
     match_matrix,
     multi_hot,
 )
@@ -190,6 +192,42 @@ def test_neighbor_order_rejects_non_finite_off_diagonal(bad):
     for k in (None, 1, 2):
         with pytest.raises(NumericalFailure):
             neighbor_order(d, k)
+
+
+def test_neighbor_order_leaves_its_input_unchanged():
+    d = pairwise_semantic_distance(np.random.default_rng(31).integers(0, 4, size=(300, 2)).astype(float))
+    assert block_rows(len(d)) < len(d)  # more than one block
+    before = d.copy()
+    for k in (None, 0, 10):
+        neighbor_order(d, k)
+    assert np.array_equal(d.view(np.uint64), before.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_neighbor_order_rejects_non_finite_in_the_last_block_only(bad):
+    n = 300
+    assert block_rows(n) < n - 1  # row n - 1 is ranked after the first block
+    d = np.abs(np.arange(n, dtype=float)[:, None] - np.arange(n, dtype=float)[None, :])
+    d[n - 1, n - 1] = bad  # the diagonal is never read
+    assert neighbor_order(d, 3)[n - 1].tolist() == [n - 2, n - 3, n - 4]
+    d[n - 1, 5] = bad
+    for k in (None, 0, 1, 10):
+        with pytest.raises(NumericalFailure):
+            neighbor_order(d, k)
+
+
+def test_neighbor_order_matches_brute_force_across_blocks(monkeypatch):
+    # a few rows per block, the last block partial: ties cross blocks and the
+    # k-th place alike
+    monkeypatch.setattr(core, "TABLE_BLOCK", 100)
+    r = np.random.default_rng(21)
+    for n in (23, 29, 41):
+        assert n % block_rows(n) != 0
+        X = r.integers(0, 4, size=(n, 2)).astype(np.float64)
+        d = exact_table(X)
+        want = [oracles._neighbor_order(X, i) for i in range(n)]
+        for k in (1, 5, n // 2, n - 1):
+            assert neighbor_order(d, k).tolist() == [w[:k] for w in want]
 
 
 def test_neighbor_order_excludes_self_by_index():
@@ -608,6 +646,22 @@ def test_correlation_matches_brute_force_on_ties():
             assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
 
 
+def test_correlation_mrr_matches_brute_force_across_blocks(monkeypatch):
+    # 3 or 6 rows per block, the last one partial: the MRR count and both
+    # rankings run over many blocks on tie-heavy rows, exact as in the test
+    # above (grid rows, n a power of two)
+    monkeypatch.setattr(core, "TABLE_BLOCK", 200)
+    r = np.random.default_rng(27)
+    for n in (64, 32):
+        assert n % block_rows(n) != 0
+        rel_s = np.round(r.uniform(-1, 1, size=(n, 3)) / 0.5) * 0.5
+        rel_u = np.round(r.uniform(-1, 1, size=(n, 3)) / 0.5) * 0.5
+        got = correlation_stats(rel_s, rel_u, knn_k=4)
+        want = oracles.correlation_ref(rel_s, rel_u, 4)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
 def test_correlation_knn_k_bound():
     R = np.random.default_rng(0).normal(size=(5, 3))
     with pytest.raises(ParameterError):
@@ -741,6 +795,38 @@ def test_evaluate_runs_in_bounded_memory():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert 0.0 <= float(proc.stdout.strip()) <= 1.0
+
+
+# Traces evaluate's peak at 3,000 x 512 (50 classes). One N x N float table
+# is 8·N² bytes (72 MB here); the boolean match table adds N², and k-means'
+# N x 500 tables and the row-block buffers are smaller still. Whole-table
+# passes held about 3.2 tables (219 MiB).
+_TRACED_EVAL = """
+import tracemalloc
+import numpy as np
+from idml.core import Rng, multi_hot
+from idml.evaluation import evaluate
+n = 3000
+r = np.random.default_rng(0)
+ids = np.arange(n) % 50
+S = r.normal(size=(50, 512))[ids] + 0.7 * r.normal(size=(n, 512))
+U = 0.1 * r.normal(size=(n, 512))
+Y = multi_hot(ids)[0]
+tracemalloc.start()
+evaluate(S, U, Y, Rng(0))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_evaluate_peak_stays_near_one_table():
+    src = os.path.dirname(os.path.dirname(idml.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_EVAL], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    n = 3000
+    assert int(proc.stdout) < 1.5 * 8 * n * n
 
 
 # numpy imports numpy.ma (about 13 ms) on the first plain np.unique of a

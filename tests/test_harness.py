@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import idml
 from idml.augment import AugmentConfig
 from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError
 from idml.data import SynthConfig, generate, save_binary, save_csv
@@ -444,6 +448,25 @@ def test_run_grid_child_error_keeps_its_type(tmp_path, monkeypatch):
         run_grid(configs)
     with pytest.raises(ParameterError, match="output dirs"):
         run_grid(configs, [tmp_path])
+
+
+# Only run_grid's process pool needs these two packages; an idml command that
+# trains one run should not import them.
+_NO_POOL_IMPORTS = """
+import sys
+import idml.cli
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    src = os.path.dirname(os.path.dirname(idml.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POOL_IMPORTS], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_worker_count_env_override(monkeypatch):

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from idml.core import DegenerateInputError, MetricParams, ParameterError
+from idml import core, metric
+from idml.core import TABLE_BLOCK, DegenerateInputError, MetricParams, ParameterError, block_rows
 from idml.evaluation import relative_embeddings
 from idml.metric import (
     METRIC_NAMES,
     _beta_rel_parts,
+    _gram_distances,
     distance_table,
     gradient_weight,
     pairwise_pair_uncertainty,
@@ -411,6 +413,80 @@ def test_pairwise_pair_uncertainty_matches_explicit_sums(X, Y):
     opposed = np.all(X[:, None, :] == -V[None, :, :], axis=2)
     assert opposed.sum() >= 4
     assert np.all(B[opposed] == 0.0)
+
+
+def gram_args(X, Y=None):
+    """The Gram core's arguments for rows X and Y (Y = None: the self case,
+    whose product runs as one symmetric product)."""
+    same = Y is None
+    Y = X if same else Y
+    center = (X if same else np.concatenate([X, Y])).mean(axis=0)
+    Xc = X - center
+    Yc = Xc if same else Y - center
+    nx = np.einsum("ij,ij->i", Xc, Xc)
+    ny = nx if same else np.einsum("ij,ij->i", Yc, Yc)
+    return X, Y, Xc, nx, Yc, ny
+
+
+def assert_gram_core_matches_whole_table(args, recompute_slice=metric._RECOMPUTE_SLICE):
+    got = _gram_distances(*args)
+    # the same objects: the self case passes Xc as Yc, as the library does
+    want = oracles.gram_distances_ref(*args, ratio=metric._RECOMPUTE_RATIO, recompute_slice=recompute_slice)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    return got
+
+
+def late_duplicates(r, n, d, offset):
+    """n rows at a large common offset whose last 60 rows repeat, or nearly
+    repeat, rows 0-59: their recomputed entries sit in the last blocks."""
+    X = offset + r.normal(size=(n, d))
+    X[n - 40 :] = X[:40]
+    X[n - 60 : n - 40] = X[40:60] + 1e-9 * r.normal(size=(20, d))
+    return X
+
+
+def test_gram_core_matches_whole_table_self_case():
+    r = np.random.default_rng(41)
+    X = late_duplicates(r, 700, 7, 1e3)
+    assert 700 % block_rows(700) != 0  # the last block is partial
+    D2 = assert_gram_core_matches_whole_table(gram_args(X))
+    assert np.all(D2[np.arange(660, 700), np.arange(40)] == 0.0)
+    assert np.array_equal(D2, D2.T)
+
+
+def test_gram_core_matches_whole_table_two_sets():
+    r = np.random.default_rng(42)
+    X = late_duplicates(r, 500, 5, 1e6)
+    Y = np.vstack([1e6 + r.normal(size=(200, 5)), X[::-3]])
+    assert_gram_core_matches_whole_table(gram_args(X, Y))
+
+
+def test_gram_core_matches_whole_table_one_row_per_block():
+    # M wider than one block: every block is a single row, and the rows that
+    # coincide with Y's last rows are recomputed in the last blocks
+    r = np.random.default_rng(43)
+    X = 1e3 + r.normal(size=(6, 3))
+    Y = np.vstack([1e3 + r.normal(size=(TABLE_BLOCK + 37, 3)), X[3:], X[3:] + 1e-9])
+    assert block_rows(Y.shape[0]) == 1
+    D2 = assert_gram_core_matches_whole_table(gram_args(X, Y))
+    assert np.all(np.diagonal(D2[3:, -6:-3]) == 0.0)
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two_sets"])
+def test_gram_core_matches_whole_table_across_small_blocks(monkeypatch, same):
+    # integer-grid rows repeat everywhere: recompute entries fill many small
+    # blocks and their slices straddle block boundaries
+    monkeypatch.setattr(core, "TABLE_BLOCK", 500)
+    monkeypatch.setattr(metric, "_RECOMPUTE_SLICE", 7)
+    r = np.random.default_rng(44)
+    X = 1e4 + r.integers(0, 3, size=(97, 3)).astype(np.float64)
+    Y = None if same else 1e4 + r.integers(0, 3, size=(61, 3)).astype(np.float64)
+    args = gram_args(X, Y)
+    D2 = assert_gram_core_matches_whole_table(args, recompute_slice=7)
+    rows = block_rows(D2.shape[1])
+    zeros = [np.count_nonzero(D2[lo : lo + rows] == 0.0) for lo in range(0, len(D2), rows)]
+    assert len(zeros) > 1 and max(zeros) > 7  # many blocks, some with several slices
 
 
 @pytest.mark.parametrize("metric", [m for m in METRIC_NAMES])
