@@ -151,12 +151,13 @@ def match_matrix(Y) -> np.ndarray:
     return match
 
 
-# What a config field of each annotated type may hold, and its name in errors.
+# What a config field of each annotated type may hold, its name in errors,
+# and how the value is stored.
 _ACCEPTED = {
-    int: (numbers.Integral, "an int"),
-    float: (numbers.Real, "a number"),
-    str: (str, "a string"),
-    tuple: ((tuple, list), "a list of ints"),
+    int: (numbers.Integral, "an int", int),
+    float: (numbers.Real, "a number", float),
+    str: (str, "a string", str),
+    tuple: ((tuple, list), "a list of ints", lambda v: tuple(int(h) for h in v)),
 }
 
 
@@ -201,21 +202,27 @@ def field_rules(cls) -> dict:
 
 def check_fields(cfg):
     """Reject a config dataclass field whose value lacks its annotated type
-    or breaks one of its annotated bounds, naming the field. An int stands
-    in for a float, a bool for neither, a tuple field takes a list of ints,
-    a section must be an instance of its class, and None passes only where
-    the default is None."""
+    or breaks one of its annotated bounds, naming the field, and store each
+    value in its annotated type. An int stands in for a float and is stored
+    as a float, a bool for neither, a tuple field takes a list of ints and
+    stores a tuple of ints, a section must be an instance of its class, and
+    None passes only where the default is None."""
     for name, (want, bounds, none_ok) in field_rules(type(cfg)).items():
         v = getattr(cfg, name)
         if v is None and none_ok:
             continue
-        accepted, label = _ACCEPTED.get(want, (want, f"a {want.__name__}"))
+        accepted, label, store = _ACCEPTED.get(want, (want, f"a {want.__name__}", None))
         if not _holds(v, accepted) or want is tuple and not all(_holds(h, numbers.Integral) for h in v):
             raise ParameterError(f"{name} must be {label}, got {v!r}")
         for b in bounds:
             if not b.ok(v):  # a string here is a name off its list
                 unknown = f"unknown {name}: " if isinstance(v, str) else ""
                 raise ParameterError(f"{unknown}{name} must be {b.text}, got {v!r}")
+        if store is not None:
+            try:
+                object.__setattr__(cfg, name, store(v))
+            except OverflowError:  # an int past the float range
+                raise ParameterError(f"{name} must be {label} in float range, got {v!r}") from None
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.loss_params is None:
             object.__setattr__(self, "loss_params", default_loss_params(self.loss))
 
@@ -422,11 +421,11 @@ def _evaluate_test_split(model, ds: Dataset, cfg: RunConfig):
 
 def _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed):
     rows = []
-    norms = uncertainty_levels(u_test)
+    norms = uncertainty_levels(u_test).tolist()  # Python floats print as plain numbers
     for i, (row, ids) in enumerate(zip(idx_test, label_ids(ds.Y[idx_test], ds.classes))):
         rows.append(f"{int(row)},{'|'.join(map(str, ids))},0,{norms[i]!r}")
     if u_mixed is not None:
-        mixed_norms = uncertainty_levels(u_mixed)
+        mixed_norms = uncertainty_levels(u_mixed).tolist()
         for j, ids in enumerate(label_ids(mixed_Y, ds.classes)):
             rows.append(f"{len(ds) + j},{'|'.join(map(str, ids))},1,{mixed_norms[j]!r}")
     return rows
@@ -494,10 +493,7 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
     configs = []
     for v in values:
         d = config_to_json_dict(cfg)
-        if param in ("tau", "gamma"):  # float() is exact for an int and keeps the echo a float
-            set_config_path(d, f"metric_params.{param}", float(v))
-        else:
-            set_config_path(d, param, v)
+        set_config_path(d, f"metric_params.{param}" if param in ("tau", "gamma") else param, v)
         configs.append(config_from_json_dict(d))
     dirs = None if output_dir is None else [Path(output_dir) / f"{param}={v}" for v in values]
     records = run_grid(configs, dirs)

@@ -13,17 +13,17 @@ held fixed, which makes the planned loss a (piecewise-)smooth function of
 the embeddings; hinge and norm kinks are reported as ``kink_margin`` so the
 gradient checker can resample batches that sit on a corner.
 
-Every loss runs in three pieces. One table step (``_tables``) builds the
-semantic distance A, the pair uncertainty B and the selected metric's table
-with its partials. A training step (``compute_loss``, or
-``model.loss_and_grad`` without a plan) builds them once and shares them:
-the losses that mine on the metric (margin_dw, triplet_sh,
-multi_similarity) plan on them and the loss head reads the same arrays.
-They are never kept past the call, so a frozen plan re-evaluated on new
-embeddings builds fresh tables. A small head per loss maps the tables and
-the plan to its terms and to weights on dL/dA (or dL/dC) and dL/dB. One
-pull-back (``_pull_back``) turns those weights into gradients on the rows
-and proxies.
+Every loss runs in three pieces. One table step (``loss_tables``) builds
+the semantic distance A, the pair uncertainty B and the selected metric's
+table with its partials, and returns them as a ``LossTables``. A training
+step (``compute_loss`` or ``model.loss_and_grad``) builds it once from its
+embeddings and hands it to both ``build_plan``, whose mining losses
+(margin_dw, triplet_sh, multi_similarity) plan on the metric table, and
+``evaluate_loss``. Nothing keeps the tables past the call, so a frozen plan
+re-evaluated on new embeddings reads fresh tables. A small head per loss
+maps the tables and the plan to its terms and to weights on dL/dA (or
+dL/dC) and dL/dB. One pull-back (``_pull_back``) turns those weights into
+gradients on the rows and proxies.
 
 Distance-form losses (contrastive, margin_dw, triplet_sh, proxy_nca) use
 the raw semantic Euclidean distance; cosine-form losses (multi_similarity,
@@ -61,6 +61,8 @@ __all__ = [
     "ProxySet",
     "Plan",
     "LossResult",
+    "LossTables",
+    "loss_tables",
     "build_plan",
     "evaluate_loss",
     "compute_loss",
@@ -81,8 +83,6 @@ PROXY_LOSSES = frozenset({"softmax_proxy", "proxy_nca", "proxy_anchor"})
 NORMALIZED_LOSSES = frozenset({"margin_dw", "multi_similarity", "softmax_proxy", "proxy_anchor"})
 # Losses whose head reads a similarity table C' of the cosine C.
 _COSINE_LOSSES = NORMALIZED_LOSSES - {"margin_dw"}
-# Losses whose plan reads the metric table, so planning builds the tables.
-_MINED_LOSSES = frozenset({"margin_dw", "triplet_sh", "multi_similarity"})
 
 _TINY = 1e-300  # safe-divide floor; gradients at exact norm kinks are defined as 0
 
@@ -197,12 +197,17 @@ def _denormalize_grad(dXhat: np.ndarray, Xhat: np.ndarray, norms: np.ndarray) ->
     return (dXhat - proj * Xhat) / np.maximum(norms, _TINY)[:, None]
 
 
-class _Tables(NamedTuple):
+class LossTables(NamedTuple):
     """One loss's rows and tables: batch rows X, U against proxy rows Y, V.
 
-    Y and V are None when the batch is paired with itself.
+    Y and V are None when the batch is paired with itself. Built by
+    `loss_tables`; `build_plan` and `evaluate_loss` read it.
     """
 
+    loss: str
+    metric: str
+    mp: MetricParams
+    proxies: ProxySet
     X: np.ndarray  # semantic rows, unit rows for NORMALIZED_LOSSES
     U: np.ndarray
     Y: np.ndarray
@@ -216,17 +221,37 @@ class _Tables(NamedTuple):
     dMb: np.ndarray  # dM/dB
 
 
-def _tables(loss, S, U, metric, mp, proxies) -> _Tables:
-    """The one table step of planning and evaluation.
+def loss_tables(
+    loss: str,
+    S,
+    U,
+    *,
+    metric: str = "ism",
+    mp: MetricParams = None,
+    proxies: ProxySet = None,
+) -> LossTables:
+    """The one table step of `loss` on semantic rows S and uncertainty rows U.
 
-    A training step builds it once and hands the result to both; nothing
-    keeps it past that call.
+    A training step builds it once and hands the result to `build_plan` and
+    `evaluate_loss`; nothing keeps it past that call. Proxy losses pair the
+    batch with `proxies`, the others pair it with itself.
 
     Cosine-form losses take C = X Y^T and the chord distance A = sqrt(2 - 2C);
     the others take A = ||x_i - y_j||.
     """
+    if loss not in LOSS_NAMES:
+        raise ParameterError(f"unknown loss {loss!r}")
+    if metric not in METRIC_NAMES:
+        raise ParameterError(f"unknown metric {metric!r}")
+    S = np.asarray(S, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    if S.shape[0] == 0:
+        raise ParameterError("loss_tables needs a nonempty batch")
+    mp = mp or MetricParams()
     Y = V = norms = pnorms = None
     if loss in PROXY_LOSSES:
+        if proxies is None or len(proxies) == 0:
+            raise ParameterError(f"{loss} needs a nonempty proxy set")
         Y, V = proxies.semantic, proxies.uncertainty
     if loss in NORMALIZED_LOSSES:
         S, norms = _normalize_rows(S)
@@ -240,7 +265,7 @@ def _tables(loss, S, U, metric, mp, proxies) -> _Tables:
         A = pairwise_semantic_distance(S, Y)
     B = pairwise_pair_uncertainty(U, V, sumnorm=metric == "uncert_sumnorm")
     M = similarity_table(metric, C, A, B, mp) if cosine else distance_table(metric, A, B, mp)
-    return _Tables(S, U, Y, V, norms, pnorms, A, B, *M)
+    return LossTables(loss, metric, mp, proxies, S, U, Y, V, norms, pnorms, A, B, *M)
 
 
 def _row_side(Wa, Wb, A, B, X, Y, U, V, cosine: bool, sumnorm: bool):
@@ -265,13 +290,14 @@ def _row_side(Wa, Wb, A, B, X, Y, U, V, cosine: bool, sumnorm: bool):
     return dX, Gb.sum(axis=1, keepdims=True) * U + Gb @ V
 
 
-def _pull_back(t: _Tables, Wa, Wb, cosine: bool, sumnorm: bool):
+def _pull_back(t: LossTables, Wa, Wb):
     """(dS, dU, dPS, dPU) from the head's weights on the tables.
 
     A self table takes the row side only: its heads mirror or symmetrize
     their weights, so row i carries every pair that i is in. A proxy table
     also takes its column side, onto the proxy rows.
     """
+    cosine, sumnorm = t.loss in _COSINE_LOSSES, t.metric == "uncert_sumnorm"
     Y, V = (t.X, t.U) if t.Y is None else (t.Y, t.V)
     dX, dU = _row_side(Wa, Wb, t.A, t.B, t.X, Y, t.U, V, cosine, sumnorm)
     dY = dV = None
@@ -316,44 +342,20 @@ def _proxy_masks(Y, classes, proxies: ProxySet):
 # ---------------------------------------------------------------------------
 
 
-def build_plan(
-    loss: str,
-    S,
-    U,
-    Y,
-    classes=None,
-    *,
-    metric: str = "ism",
-    mp: MetricParams = None,
-    lp: LossParams = None,
-    proxies: ProxySet = None,
-    rng: Rng = None,
-    _share: list = None,
-) -> Plan:
-    """Make the batch's discrete choices for `loss` and freeze them.
+def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rng = None) -> Plan:
+    """Make the batch's discrete choices for `t.loss` and freeze them.
 
-    `Y` and `classes` are the batch's multi-hot label rows and the class id
-    of each column (a `Batch`'s, or `multi_hot(label_sets)`). margin_dw and
-    triplet_sh consult the selected metric's distance table for their
-    sampling; multi_similarity computes its mining mask from the selected
-    similarity table. The pair losses build from Y the match table that
-    every one of these choices reads, and the proxy losses place Y's columns
-    at their proxies. `rng` is only required for margin_dw, `classes` only
-    for the proxy losses.
-
-    `_share` is one training step's list: the tables these losses mine on
-    are appended to it, for `evaluate_loss` on the same S, U to reuse.
+    `t` is the batch's `loss_tables`. `Y` and `classes` are the batch's
+    multi-hot label rows and the class id of each column (a `Batch`'s, or
+    `multi_hot(label_sets)`). margin_dw and triplet_sh consult the selected
+    metric's distance table for their sampling; multi_similarity computes
+    its mining mask from the selected similarity table. The pair losses
+    build from Y the match table that every one of these choices reads, and
+    the proxy losses place Y's columns at their proxies. `rng` is only
+    required for margin_dw, `classes` only for the proxy losses.
     """
-    if loss not in LOSS_NAMES:
-        raise ParameterError(f"unknown loss {loss!r}")
-    if metric not in METRIC_NAMES:
-        raise ParameterError(f"unknown metric {metric!r}")
-    S = np.asarray(S, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    if S.shape[0] == 0:
-        raise ParameterError("build_plan needs a nonempty batch")
-    Y = label_rows(Y, S.shape[0])
-    mp = mp or MetricParams()
+    loss = t.loss
+    Y = label_rows(Y, len(t.X))
     lp = lp or default_loss_params(loss)
     plan = Plan(loss=loss)
     match = None if loss in PROXY_LOSSES else match_matrix(Y)
@@ -366,23 +368,15 @@ def build_plan(
             raise ParameterError("margin_dw needs at least one positive pair")
         if rng is None:
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
-    if loss in _MINED_LOSSES:
-        t = _tables(loss, S, U, metric, mp, proxies)
-        if _share is not None:
-            _share.append(t)
-
-    if loss == "margin_dw":
         plan.dw_negatives = sample_negatives_for_pairs(
-            plan.pos_pairs, t.M, match, n_dim=S.shape[1], phi=lp.phi, rng=rng
+            plan.pos_pairs, t.M, match, n_dim=t.X.shape[1], phi=lp.phi, rng=rng
         )
     elif loss == "triplet_sh":
         plan.triplets, plan.n_skipped = mine_triplets(t.M, match)
     elif loss == "multi_similarity":
         plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(t.M, match, lp.ms_eps)
     elif loss in PROXY_LOSSES:
-        if proxies is None or len(proxies) == 0:
-            raise ParameterError(f"{loss} needs a nonempty proxy set")
-        plan.proxy_pos, plan.proxy_neg = _proxy_masks(Y, classes, proxies)
+        plan.proxy_pos, plan.proxy_neg = _proxy_masks(Y, classes, t.proxies)
         if loss in ("softmax_proxy", "proxy_nca") and not plan.proxy_neg.any(axis=1).all():
             raise ParameterError(f"{loss} needs at least one negative proxy per sample")
     return plan
@@ -409,35 +403,18 @@ def _ms_mining_masks(Cs: np.ndarray, match: np.ndarray, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_loss(
-    loss: str,
-    S,
-    U,
-    plan: Plan,
-    metric: str = "ism",
-    mp: MetricParams = None,
-    lp: LossParams = None,
-    proxies: ProxySet = None,
-    _share: list = None,
-) -> LossResult:
-    """Value and analytic gradients of `loss` under the frozen `plan`.
-
-    Reads the tables in `_share` when `build_plan` left them there for the
-    same S, U; otherwise builds them.
-    """
-    S = np.asarray(S, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    mp = mp or MetricParams()
-    lp = lp or default_loss_params(loss)
-    if plan is None or plan.loss != loss:
+def evaluate_loss(t: LossTables, plan: Plan, lp: LossParams = None) -> LossResult:
+    """Value and analytic gradients of `t.loss` under the frozen `plan`,
+    read from the tables `t`."""
+    if plan is None or plan.loss != t.loss:
         raise ParameterError("evaluate_loss needs a plan built for the same loss")
-    t = _share[0] if _share else _tables(loss, S, U, metric, mp, proxies)
-    terms, Wa, Wb, used, gaps = _HEADS[loss](t, plan, lp)
-    dS, dU, dPS, dPU = _pull_back(t, Wa, Wb, loss in _COSINE_LOSSES, metric == "uncert_sumnorm")
+    lp = lp or default_loss_params(t.loss)
+    terms, Wa, Wb, used, gaps = _HEADS[t.loss](t, plan, lp)
+    dS, dU, dPS, dPU = _pull_back(t, Wa, Wb)
     if t.Y is None:
         used = used | used.T
     kinks = [np.abs(g) for g in gaps] + [n for n in (t.norms, t.pnorms) if n is not None]
-    margin = min([_min_or_inf(k) for k in kinks] + [_kink_margin_tables(t.A, t.B, used, metric, mp)])
+    margin = min([_min_or_inf(k) for k in kinks] + [_kink_margin_tables(t, used)])
     return LossResult(
         value=float(np.sum(terms)),
         pair_terms=terms,
@@ -463,14 +440,13 @@ def compute_loss(
     proxies: ProxySet = None,
     rng: Rng = None,
 ) -> LossResult:
-    """build_plan + evaluate_loss in one call (the training-step path),
-    sharing one build of the tables."""
-    kw = dict(metric=metric, mp=mp, lp=lp, proxies=proxies, _share=[])
-    plan = build_plan(loss, S, U, Y, classes, rng=rng, **kw)
-    return evaluate_loss(loss, S, U, plan, **kw)
+    """loss_tables, build_plan and evaluate_loss in one call (the
+    training-step path): one table set serves the plan and the loss."""
+    t = loss_tables(loss, S, U, metric=metric, mp=mp, proxies=proxies)
+    return evaluate_loss(t, build_plan(t, Y, classes, lp=lp, rng=rng), lp)
 
 
-def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:
+def _kink_margin_tables(t: LossTables, used) -> float:
     """Distance-to-nearest-kink of the metric tables over the pairs in play.
 
     Norm kinks sit at alpha = 0 and (for metrics reading B) beta = 0; the
@@ -478,11 +454,11 @@ def _kink_margin_tables(A, B, used, metric: str, mp: MetricParams) -> float:
     """
     if not used.any():
         return np.inf
-    m = _min_or_inf(A[used])
-    if metric != "euclidean":
-        m = min(m, _min_or_inf(B[used]))
-    if metric == "ism_strict":
-        m = min(m, _min_or_inf(np.abs(A[used] - B[used] - mp.gamma)))
+    m = _min_or_inf(t.A[used])
+    if t.metric != "euclidean":
+        m = min(m, _min_or_inf(t.B[used]))
+    if t.metric == "ism_strict":
+        m = min(m, _min_or_inf(np.abs(t.A[used] - t.B[used] - t.mp.gamma)))
     return m
 
 

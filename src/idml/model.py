@@ -43,6 +43,7 @@ from idml.losses import (
     build_plan,
     compute_loss,
     evaluate_loss,
+    loss_tables,
 )
 from idml.metric import gradient_weight
 
@@ -239,16 +240,17 @@ def loss_and_grad(
     """Loss value plus exact gradients for every parameter in `model.theta`.
 
     Returns (LossResult, grad), with grad laid out like `model.theta`; the
-    proxies are `model.proxies`. A fresh plan is built unless one is passed
-    in (the gradient checker passes the same plan repeatedly). A fresh plan
-    and the loss share one build of the loss tables; a passed plan is
-    evaluated on tables built from this call's embeddings.
+    proxies are `model.proxies`. The loss tables are built once per call,
+    from this call's embeddings, and read by both the plan and the loss. A
+    fresh plan is built unless one is passed in (the gradient checker
+    passes the same plan repeatedly); a passed plan is evaluated on this
+    call's tables.
     """
     S, U, hs = _forward_cached(model, batch.features)
-    kw = dict(metric=metric, mp=mp, lp=lp, proxies=model.proxies, _share=[])
+    t = loss_tables(loss, S, U, metric=metric, mp=mp, proxies=model.proxies)
     if plan is None:
-        plan = build_plan(loss, S, U, batch.Y, batch.classes, rng=rng, **kw)
-    res = evaluate_loss(loss, S, U, plan, **kw)
+        plan = build_plan(t, batch.Y, batch.classes, lp=lp, rng=rng)
+    res = evaluate_loss(t, plan, lp)
     res.uncertainty = U
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))

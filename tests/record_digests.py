@@ -106,7 +106,7 @@ from idml.augment import AugmentConfig, augment_batch
 from idml.core import STREAM_AUGMENT, STREAM_LOSS, Batch, Rng, label_ids, multi_hot
 from idml.data import Dataset, load_binary, load_csv, save_binary, save_csv
 from idml.evaluation import evaluate, kmeans
-from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, build_plan, compute_loss
+from idml.losses import LOSS_NAMES, PROXY_LOSSES, ProxySet, build_plan, compute_loss, loss_tables
 from idml.metric import METRIC_NAMES
 
 SEEDS = (5, 6)
@@ -313,7 +313,7 @@ def plan_digests() -> dict:
 
 def _plan_hash(loss, S, U, labels, metric, proxies) -> str:
     rng = Rng(47, STREAM_LOSS)
-    plan = build_plan(loss, S, U, *multi_hot(labels), metric=metric, proxies=proxies, rng=rng)
+    plan = build_plan(loss_tables(loss, S, U, metric=metric, proxies=proxies), *multi_hot(labels), rng=rng)
     h = hashlib.sha256()
     for f in dataclasses.fields(plan):
         v = getattr(plan, f.name)

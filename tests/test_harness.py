@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import idml
-from idml.augment import AugmentConfig
-from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError
+from idml.augment import AugmentConfig, mix_rows
+from idml.core import STREAM_EVAL, Batch, MetricParams, ParameterError, Rng, ShapeError
 from idml.data import SynthConfig, generate, save_binary, save_csv
 from idml.evaluation import EvalReport
 from idml.harness import (
@@ -27,6 +27,7 @@ from idml.harness import (
     gradcheck,
     introspective_run_config,
     load_dataset,
+    load_dataset_for,
     paper_config,
     run_grid,
     sweep,
@@ -34,7 +35,7 @@ from idml.harness import (
     worker_count,
 )
 from idml.losses import LossParams, default_loss_params
-from idml.model import load_checkpoint
+from idml.model import forward, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -96,6 +97,7 @@ def test_runconfig_defaults():
         dict(optimizer="sgd", momentum=float("nan")),
         dict(optimizer="sgd", momentum=1.0),
         dict(optimizer="sgd", momentum=3),
+        dict(lr=10**400),  # an int past the float range
     ],
 )
 def test_runconfig_rejects_bad_values(kwargs):
@@ -178,8 +180,25 @@ def test_config_from_json_null_loss_params_means_defaults():
 
 
 def test_runconfig_accepts_an_int_for_a_float_and_numpy_ints():
-    cfg = RunConfig(lr=1, seed=np.int64(3), hidden=[np.int32(8)])
+    cfg = RunConfig(lr=1, seed=np.int64(3), hidden=[np.int32(8)], metric_params=MetricParams(tau=np.float64(5)))
     assert cfg.lr == 1 and cfg.seed == 3 and cfg.hidden == (8,)
+    # each value is stored in its annotated type
+    assert [type(v) for v in (cfg.lr, cfg.seed, cfg.metric_params.tau, cfg.hidden, *cfg.hidden)] == [
+        float, int, float, tuple, int
+    ]
+
+
+def test_train_writes_the_config_of_numpy_valued_fields(tmp_path):
+    cfg = tiny_config(epochs=1, batch_size=np.int64(8))
+    train(cfg, output_dir=tmp_path)  # config.json is written after training
+    assert config_from_json_dict(json.loads((tmp_path / "config.json").read_text())) == cfg
+
+
+def test_an_int_and_a_float_echo_the_same_config():
+    as_int = config_from_json_dict({"metric_params": {"tau": 5}, "lr": 1})
+    as_float = config_from_json_dict({"metric_params": {"tau": 5.0}, "lr": 1.0})
+    assert as_int == as_float
+    assert json.dumps(config_to_json_dict(as_int)) == json.dumps(config_to_json_dict(as_float))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +336,14 @@ def test_train_writes_run_outputs(tmp_path):
     flags = {line.split(",")[2] for line in u_lines[1:]}
     assert flags == {"0", "1"}  # clean test rows plus mixed eval rows
 
+    # u_norm holds each row's norm as a plain number: the test split's rows,
+    # then their mixes on the eval stream
     model = load_checkpoint(tmp_path / "model.bin")
+    x_test, y_test, _ = load_dataset_for(cfg).test_split()
+    mixed, _ = mix_rows(Batch(x_test, y_test), cfg.augment, Rng(cfg.seed, STREAM_EVAL))
+    norms = [np.linalg.norm(forward(model, x)[1], axis=1) for x in (x_test, mixed)]
+    assert [float(line.split(",")[3]) for line in u_lines[1:]] == np.concatenate(norms).tolist()
+
     assert model.input_dim == cfg.data.input_dim
     assert model.proxies is None  # contrastive is not a proxy loss
 

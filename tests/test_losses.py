@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import idml.losses
 import oracles
 from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError, multi_hot
 from idml.losses import (
@@ -19,6 +20,7 @@ from idml.losses import (
     compute_loss,
     default_loss_params,
     evaluate_loss,
+    loss_tables,
 )
 from idml.metric import METRIC_NAMES
 from idml.model import forward, init_model, loss_and_grad
@@ -153,7 +155,7 @@ def test_margin_dw_scale_invariant():
 def test_margin_dw_requires_rng():
     S, U, labels = random_labeled(0)
     with pytest.raises(ParameterError):
-        build_plan("margin_dw", S, U, *multi_hot(labels), metric="euclidean")
+        build_plan(loss_tables("margin_dw", S, U, metric="euclidean"), *multi_hot(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +170,11 @@ def test_triplet_hinge_arithmetic_on_fixed_plan():
     plan = Plan(loss="triplet_sh", triplets=np.array([[0, 1, 2]]), n_skipped=0)
     lp = LossParams(margin_delta=0.2)
     S = np.array([[0.0], [1.0], [0.9]])
-    r = evaluate_loss("triplet_sh", S, U, plan, metric="euclidean", lp=lp)
+    r = evaluate_loss(loss_tables("triplet_sh", S, U, metric="euclidean"), plan, lp)
     assert r.value == pytest.approx(0.3, rel=1e-12)
     # fully coincident degenerate triplet pays exactly the margin
     S0 = np.zeros((3, 1))
-    r0 = evaluate_loss("triplet_sh", S0, U, plan, metric="euclidean", lp=lp)
+    r0 = evaluate_loss(loss_tables("triplet_sh", S0, U, metric="euclidean"), plan, lp)
     assert r0.value == pytest.approx(0.2, rel=1e-15)
 
 
@@ -255,7 +257,8 @@ def test_multi_similarity_masks_match_loop_oracle():
     batches.append((r.normal(size=(5, 3)), (frozenset({2}),) * 5))
     for S, labels in batches:
         n = len(labels)
-        plan = build_plan("multi_similarity", S, np.zeros((n, 2)), *multi_hot(labels), metric="euclidean")
+        t = loss_tables("multi_similarity", S, np.zeros((n, 2)), metric="euclidean")
+        plan = build_plan(t, *multi_hot(labels))
         Sn = S / np.linalg.norm(S, axis=1, keepdims=True)
         C = Sn @ Sn.T
         posm, negm = oracles.ms_masks_ref(C.tolist(), labels, 0.1)
@@ -269,10 +272,8 @@ def test_multi_similarity_mining_drops_easy_pairs():
     S = np.array([[1.0, 0.0], [0.9994, 0.0346], [-1.0, 0.0], [-0.9994, -0.0346]])
     S = S / np.linalg.norm(S, axis=1, keepdims=True)
     labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
-    plan = build_plan(
-        "multi_similarity", S, np.zeros((4, 2)), *multi_hot(labels), metric="euclidean",
-        lp=LossParams(ms_eps=0.01),
-    )
+    t = loss_tables("multi_similarity", S, np.zeros((4, 2)), metric="euclidean")
+    plan = build_plan(t, *multi_hot(labels), lp=LossParams(ms_eps=0.01))
     # positives hug each other, negatives sit on the far side of the sphere
     assert not plan.ms_neg_mask[0].any()
     assert not plan.ms_pos_mask[0].any()
@@ -280,7 +281,8 @@ def test_multi_similarity_mining_drops_easy_pairs():
 
 def test_multi_similarity_large_eps_keeps_everything():
     S, U, labels = random_labeled(9, n=8)
-    plan = build_plan("multi_similarity", S, U, *multi_hot(labels), metric="euclidean", lp=LossParams(ms_eps=10.0))
+    t = loss_tables("multi_similarity", S, U, metric="euclidean")
+    plan = build_plan(t, *multi_hot(labels), lp=LossParams(ms_eps=10.0))
     n = len(labels)
     for i in range(n):
         for j in range(n):
@@ -359,14 +361,15 @@ def test_proxy_masks_need_a_proxy_only_for_classes_the_batch_holds(loss):
     S = np.array([[1.0, 0.0], [0.0, 1.0]])
     U = np.zeros((2, 2))
     Y = np.array([[True, False, False, False], [False, True, False, False]])
-    plan = build_plan(loss, S, U, Y, (0, 1, 2, 5), metric="euclidean", proxies=prox)
+    t = loss_tables(loss, S, U, metric="euclidean", proxies=prox)
+    plan = build_plan(t, Y, (0, 1, 2, 5))
     assert plan.proxy_pos.tolist() == [[True, False, False], [False, True, False]]
     assert plan.proxy_neg.tolist() == [[False, True, True], [True, False, True]]
     Y[1, 3] = True  # now a row holds class 5, which has no proxy
     with pytest.raises(ParameterError, match=r"lacks classes \[5\]"):
-        build_plan(loss, S, U, Y, (0, 1, 2, 5), metric="euclidean", proxies=prox)
+        build_plan(t, Y, (0, 1, 2, 5))
     with pytest.raises(ParameterError, match="class id of each label column"):
-        build_plan(loss, S, U, Y, metric="euclidean", proxies=prox)
+        build_plan(t, Y)
 
 
 def test_mixed_label_sample_is_positive_for_both_parents():
@@ -374,7 +377,7 @@ def test_mixed_label_sample_is_positive_for_both_parents():
     prox = make_proxies(r, 3, 4)
     S = r.normal(size=(1, 4))
     U = np.zeros((1, 4))
-    plan = build_plan("proxy_anchor", S, U, *multi_hot([{0, 2}]), metric="euclidean", proxies=prox)
+    plan = build_plan(loss_tables("proxy_anchor", S, U, metric="euclidean", proxies=prox), *multi_hot([{0, 2}]))
     assert plan.proxy_pos[0, 0] and plan.proxy_pos[0, 2]
     assert not plan.proxy_pos[0, 1]
     assert plan.proxy_neg[0, 1]
@@ -427,9 +430,9 @@ def test_losses_accept_every_metric(loss, metric):
 def test_plan_freeze_makes_evaluation_deterministic():
     # the same frozen plan must give bit-identical values on re-evaluation
     S, U, labels = random_labeled(7, u_scale=0.2)
-    plan = build_plan("margin_dw", S, U, *multi_hot(labels), metric="ism", rng=Rng(3))
-    a = evaluate_loss("margin_dw", S, U, plan, metric="ism")
-    b = evaluate_loss("margin_dw", S, U, plan, metric="ism")
+    plan = build_plan(loss_tables("margin_dw", S, U, metric="ism"), *multi_hot(labels), rng=Rng(3))
+    a = evaluate_loss(loss_tables("margin_dw", S, U, metric="ism"), plan)
+    b = evaluate_loss(loss_tables("margin_dw", S, U, metric="ism"), plan)
     assert a.value == b.value
     assert np.array_equal(a.d_semantic, b.d_semantic)
 
@@ -455,14 +458,14 @@ def assert_same_result(a, b):
 @pytest.mark.parametrize("loss", LOSS_NAMES)
 @pytest.mark.parametrize("metric", ["euclidean", "ism", "ism_dis", "uncert_sumnorm"])
 def test_compute_loss_matches_separate_plan_and_evaluation(loss, metric):
-    # compute_loss builds the tables once for both steps; two separate calls
-    # build them twice, and must give the same bits
+    # compute_loss builds the tables once for both steps; a plan and an
+    # evaluation on tables built separately must give the same bits
     S, U, labels = random_labeled(4, n=12, u_scale=0.3)
     Y, classes = multi_hot(labels)
     kw = loss_kwargs(loss, seed=4, u_scale=0.3)
     shared = compute_loss(loss, S, U, Y, classes, metric=metric, rng=Rng(6), **kw)
-    plan = build_plan(loss, S, U, Y, classes, metric=metric, rng=Rng(6), **kw)
-    separate = evaluate_loss(loss, S, U, plan, metric=metric, **kw)
+    plan = build_plan(loss_tables(loss, S, U, metric=metric, **kw), Y, classes, rng=Rng(6))
+    separate = evaluate_loss(loss_tables(loss, S, U, metric=metric, **kw), plan)
     assert_same_result(shared, separate)
     for name, x in vars(plan).items():
         assert np.array_equal(getattr(shared.plan, name), x), name
@@ -477,26 +480,80 @@ def test_loss_and_grad_matches_separate_plan_and_evaluation(loss, metric):
     model = init_model(4, hidden=(5,), semantic_dim=4, uncertainty_dim=3, rng=Rng(1), proxy_classes=proxy_classes)
     res, grad = loss_and_grad(model, batch, loss, metric=metric, rng=Rng(6))
     S, U = forward(model, X)
-    plan = build_plan(loss, S, U, batch.Y, batch.classes, metric=metric, proxies=model.proxies, rng=Rng(6))
-    assert_same_result(res, evaluate_loss(loss, S, U, plan, metric=metric, proxies=model.proxies))
+    t = loss_tables(loss, S, U, metric=metric, proxies=model.proxies)
+    plan = build_plan(t, batch.Y, batch.classes, rng=Rng(6))
+    assert_same_result(res, evaluate_loss(t, plan))
     _, grad_frozen = loss_and_grad(model, batch, loss, metric=metric, plan=plan)
     assert np.array_equal(grad, grad_frozen)
 
 
 def test_loss_entry_points_keep_their_errors():
+    # loss_tables checks the loss, the metric, the batch and the proxy set;
+    # build_plan the labels and the plan's own needs; compute_loss runs both
     S, U, labels = random_labeled(0)
     Y, classes = multi_hot(labels)
-    cases = [
-        ("npair", S, Y, dict(rng=Rng(0)), "unknown loss 'npair'"),
-        ("triplet_sh", S, Y, dict(metric="wat"), "unknown metric 'wat'"),
-        ("triplet_sh", S[:0], Y[:0], {}, "build_plan needs a nonempty batch"),
-        ("margin_dw", S, Y, {}, "margin_dw planning needs an rng for its negative sampling"),
-        ("margin_dw", S[:3], np.eye(3, dtype=bool), dict(rng=Rng(0)), "margin_dw needs at least one positive pair"),
+    no_proxies = ProxySet(np.zeros((0, 4)), np.zeros((0, 4)), ())
+    one_proxy = ProxySet(np.ones((1, 4)), np.zeros((1, 4)), (0,))
+    table_cases = [
+        ("npair", S, {}, "unknown loss 'npair'"),
+        ("triplet_sh", S, dict(metric="wat"), "unknown metric 'wat'"),
+        ("triplet_sh", S[:0], {}, "loss_tables needs a nonempty batch"),
+        ("proxy_anchor", S, {}, "proxy_anchor needs a nonempty proxy set"),
+        ("proxy_nca", S, dict(proxies=no_proxies), "proxy_nca needs a nonempty proxy set"),
     ]
-    for loss, S_, Y_, kw, message in cases:
-        for fn in (build_plan, compute_loss):
-            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-                fn(loss, S_, U[: len(S_)], Y_, classes[: Y_.shape[1]], **kw)
+    for loss, S_, kw, message in table_cases:
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            loss_tables(loss, S_, U[: len(S_)], **kw)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            compute_loss(loss, S_, U[: len(S_)], Y[: len(S_)], classes, rng=Rng(0), **kw)
+    plan_cases = [
+        ("margin_dw", S, Y, classes, {}, {}, "margin_dw planning needs an rng for its negative sampling"),
+        (
+            "margin_dw", S[:3], np.eye(3, dtype=bool), classes[:3], {}, dict(rng=Rng(0)),
+            "margin_dw needs at least one positive pair",
+        ),
+        (
+            "softmax_proxy", S[:2], np.ones((2, 1), dtype=bool), (0,), dict(proxies=one_proxy), {},
+            "softmax_proxy needs at least one negative proxy per sample",
+        ),
+    ]
+    for loss, S_, Y_, classes_, table_kw, kw, message in plan_cases:
+        t = loss_tables(loss, S_, U[: len(S_)], **table_kw)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build_plan(t, Y_, classes_, **kw)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            compute_loss(loss, S_, U[: len(S_)], Y_, classes_, **table_kw, **kw)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_evaluate_loss_rejects_a_plan_for_another_loss(loss):
+    S, U, labels = random_labeled(0)
+    Y, classes = multi_hot(labels)
+    other = "triplet_sh" if loss == "contrastive" else "contrastive"
+    plan = build_plan(loss_tables(loss, S, U, **loss_kwargs(loss)), Y, classes, rng=Rng(0))
+    with pytest.raises(ParameterError, match="^evaluate_loss needs a plan built for the same loss$"):
+        evaluate_loss(loss_tables(other, S, U), plan)
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_each_step_builds_one_table_set(loss, monkeypatch):
+    # counted at the metric tables, the one call of the table step that
+    # every loss makes exactly once
+    builds = []
+    for name in ("distance_table", "similarity_table"):
+        fn = getattr(idml.losses, name)
+        monkeypatch.setattr(idml.losses, name, lambda *a, fn=fn, **k: builds.append(1) or fn(*a, **k))
+    X, _, labels = random_labeled(5, n=12)
+    batch = Batch(X, *multi_hot(labels))
+    proxy_classes = batch.classes if loss in PROXY_LOSSES else ()
+    model = init_model(4, hidden=(5,), semantic_dim=4, uncertainty_dim=3, rng=Rng(1), proxy_classes=proxy_classes)
+    res, _ = loss_and_grad(model, batch, loss, rng=Rng(6))
+    assert len(builds) == 1
+    loss_and_grad(model, batch, loss, plan=res.plan)
+    assert len(builds) == 2
+    S, U = forward(model, X)
+    compute_loss(loss, S, U, batch.Y, batch.classes, proxies=model.proxies, rng=Rng(6))
+    assert len(builds) == 3
 
 
 def test_unknown_loss_rejected():
@@ -511,10 +568,11 @@ def test_invalid_labels_rejected_by_build_plan(loss):
     Y, classes = multi_hot(labels)
     # a row with no label, and rows that do not cover the batch
     Y[-1] = False
+    t = loss_tables(loss, S, U, **loss_kwargs(loss))
     with pytest.raises(ParameterError, match="at least one label"):
-        build_plan(loss, S, U, Y, classes, rng=Rng(0), **loss_kwargs(loss))
+        build_plan(t, Y, classes, rng=Rng(0))
     with pytest.raises(ShapeError):
-        build_plan(loss, S, U, Y[:-1], classes, rng=Rng(0), **loss_kwargs(loss))
+        build_plan(t, Y[:-1], classes, rng=Rng(0))
     # an empty or negative label set never becomes a row
     for bad in (frozenset(), frozenset({-1})):
         with pytest.raises(ParameterError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from idml.core import Batch, FormatError, NumericalFailure, ParameterError, Rng, ShapeError, multi_hot
-from idml.losses import LOSS_NAMES, PROXY_LOSSES, evaluate_loss
+from idml.losses import LOSS_NAMES, PROXY_LOSSES, evaluate_loss, loss_tables
 from idml.metric import METRIC_NAMES
 from idml.model import (
     ADAMW_BETA1,
@@ -229,7 +229,7 @@ def test_frozen_plan_is_evaluated_on_perturbed_embeddings(loss):
     m.theta[m.slices["head_s.W"]] += 0.05
     moved, _ = loss_and_grad(m, batch, loss, metric="ism", plan=res.plan)
     S, U = forward(m, batch.features)
-    direct = evaluate_loss(loss, S, U, res.plan, metric="ism")
+    direct = evaluate_loss(loss_tables(loss, S, U, metric="ism"), res.plan)
     assert moved.plan is res.plan
     assert moved.value.hex() == direct.value.hex()
     assert moved.value != res.value
