@@ -36,6 +36,7 @@ __all__ = [
     "label_rows",
     "label_ids",
     "match_matrix",
+    "match_rows",
     "TABLE_BLOCK",
     "block_rows",
     "Bound",
@@ -141,14 +142,19 @@ def block_rows(m: int) -> int:
 
 def match_matrix(Y) -> np.ndarray:
     """(N, N) boolean table of `labels_match` over every pair of multi-hot rows
-    `Y` (from `multi_hot`), diagonal true. Each row block's shared-label counts
-    are small integers, exact in any summation order."""
+    `Y` (from `multi_hot`), diagonal true, filled one row block at a time."""
     Y = np.asarray(Y, dtype=np.float64)
     match = np.empty((len(Y), len(Y)), dtype=bool)
     rows = block_rows(len(Y))
     for lo in range(0, len(Y), rows):
-        np.greater(Y[lo : lo + rows] @ Y.T, 0.0, out=match[lo : lo + rows])
+        match_rows(Y, lo, lo + rows, out=match[lo : lo + rows])
     return match
+
+
+def match_rows(Y: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+    """Rows lo:hi of `match_matrix` for float64 multi-hot rows `Y`. The
+    shared-label counts are small integers, exact in any summation order."""
+    return np.greater(Y[lo:hi] @ Y.T, 0.0, out=out)
 
 
 # What a config field of each annotated type may hold, its name in errors,

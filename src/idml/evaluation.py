@@ -27,11 +27,10 @@ from idml.core import (
     block_rows,
     label_rows,
     label_set,  # noqa: F401  (stays importable: perfbench counts calls at this name)
-    match_matrix,
+    match_rows,
 )
-from idml.metric import (
-    METRIC_NAMES,
-    _gram_distances,
+from idml.metric import METRIC_NAMES, _gram_distances, distance_panels, gram_panels
+from idml.metric import (  # noqa: F401  (stay importable: perfbench wraps calls at these names)
     distance_table,
     pairwise_pair_uncertainty,
     pairwise_semantic_distance,
@@ -69,13 +68,10 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     Equal distances rank by sample index, so row i is the first k entries of
     a stable sort of row i without its diagonal; k = None ranks all N - 1.
     The table is ranked one row block of `core.TABLE_BLOCK` entries at a
-    time: each block is copied into one reused buffer with +inf on its
-    diagonal entries, which ranks self last, where k < N leaves it, so the
-    caller's table is never written. A row's k nearest are picked by
-    partition and ordered by (distance, index). A row with more entries at or
-    below its k-th value than k (a tie across the boundary) or a non-finite
-    k-th value is stably sorted whole instead. An off-diagonal NaN or +inf
-    raises NumericalFailure: it has no rank.
+    time by `_rank_block`, each block copied into one reused buffer first, so
+    the caller's table is never written. An off-diagonal NaN or +inf raises
+    NumericalFailure: it has no rank. `evaluate` ranks the same way, block by
+    block of each panel of distances it builds, and never calls this.
     """
     d = np.asarray(dists, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -91,20 +87,46 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     for lo in range(0, n, rows):
         b = buf[: min(rows, n - lo)]
         b[...] = d[lo : lo + rows]
-        b[np.arange(len(b)), np.arange(lo, lo + len(b))] = np.inf
-        if np.count_nonzero(b < np.inf) != len(b) * m:
-            raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
-        if k == 0:
-            continue
-        t = np.argpartition(b, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(b, t, axis=1)
-        kth = vals[:, k - 1]
-        t = np.take_along_axis(t, np.lexsort((t, vals), axis=1), axis=1)
-        ragged = ((b <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
-        for i in np.nonzero(ragged)[0]:
-            t[i] = np.argsort(b[i], kind="stable")[:k]
-        top[lo : lo + len(b)] = t
+        top[lo : lo + len(b)] = _rank_block(b, lo, k)
     return top
+
+
+def _rank_block(b: np.ndarray, lo: int, k: int) -> np.ndarray:
+    """`neighbor_order`'s rows lo:lo + len(b) of an (N, N) distance table
+    whose rows `b` holds. It writes +inf on their diagonal entries, which
+    ranks self last, where k < N leaves it. A row's k nearest are picked by
+    partition, put in index order, then stably sorted by distance: (distance,
+    index) order. A row with more entries at or below its k-th value than k
+    (a tie across the boundary) or a non-finite k-th value is stably sorted
+    whole instead. An off-diagonal NaN or +inf raises NumericalFailure.
+    """
+    n = b.shape[1]
+    b[np.arange(len(b)), np.arange(lo, lo + len(b))] = np.inf
+    if np.count_nonzero(b < np.inf) != len(b) * (n - 1):
+        raise NumericalFailure("distance table has a NaN or +inf off the diagonal")
+    if k == 0:
+        return np.empty((len(b), 0), dtype=np.intp)
+    t = np.argpartition(b, k - 1, axis=1)[:, :k]
+    t.sort(axis=1)
+    vals = np.take_along_axis(b, t, axis=1)
+    t = np.take_along_axis(t, vals.argsort(axis=1, kind="stable"), axis=1)
+    kth = vals.max(axis=1)
+    ragged = ((b <= kth[:, None]).sum(axis=1) > k) | ~np.isfinite(kth)
+    for i in np.nonzero(ragged)[0]:
+        t[i] = np.argsort(b[i], kind="stable")[:k]
+    return t
+
+
+def _ranked_blocks(panels, k: int):
+    """Yield (lo, block, order) for each row block of `core.TABLE_BLOCK`
+    entries of each (lo, panel) of an (N, N) distance table: the block's
+    rows, +inf on their diagonal, and their `_rank_block` order to depth k.
+    Each panel is used up before the next is built."""
+    for lo, panel in panels:
+        rows = block_rows(panel.shape[1])
+        for at in range(0, len(panel), rows):
+            b = panel[at : at + rows]
+            yield lo + at, b, _rank_block(b, lo + at, k)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +403,11 @@ def correlation_stats(rel_s, rel_u, knn_k: int = KNN_K) -> dict:
     jaccard: mean top-k neighbor-set overlap between the two relative
     spaces; mrr: mean reciprocal rank, in the uncertainty-space ranking, of
     each sample's semantic-space nearest neighbor; cosine: mean cosine
-    between paired relative rows.
+    between paired relative rows. Each space's Euclidean distances are built
+    a row panel at a time (`metric.gram_panels`) and ranked as
+    `neighbor_order` ranks them: first the semantic space, then the
+    uncertainty space, whose panels also give the MRR ranks. No (N, N) table
+    is made.
     """
     rel_s = np.asarray(rel_s, dtype=np.float64)
     rel_u = np.asarray(rel_u, dtype=np.float64)
@@ -390,25 +416,25 @@ def correlation_stats(rel_s, rel_u, knn_k: int = KNN_K) -> dict:
     n = rel_s.shape[0]
     if not 1 <= knn_k < n:
         raise ParameterError(f"knn_k must satisfy 1 <= k < n, got k={knn_k}, n={n}")
-    order_s = neighbor_order(pairwise_semantic_distance(rel_s), knn_k)
-    du = pairwise_semantic_distance(rel_u)
-    order_u = neighbor_order(du, knn_k)
+    order_s = np.empty((n, knn_k), dtype=np.intp)
+    for lo, _, t in _ranked_blocks(gram_panels(rel_s), knn_k):
+        order_s[lo : lo + len(t)] = t
+    # the uncertainty ranking, and in the same pass the rank of each row's
+    # semantic nearest neighbor in it: the entries before it in the stable
+    # order, self at +inf, plus one
+    nn_s = order_s[:, 0, None]
+    order_u = np.empty_like(order_s)
+    before = np.empty(n, dtype=np.intp)
+    j = np.arange(n)
+    for lo, du, t in _ranked_blocks(gram_panels(rel_u), knn_k):
+        hi = lo + len(t)
+        order_u[lo:hi] = t
+        at = np.take_along_axis(du, nn_s[lo:hi], axis=1)
+        ahead = (du < at) | ((du == at) & (j < nn_s[lo:hi]))
+        before[lo:hi] = np.count_nonzero(ahead, axis=1)
     # both top-k lists hold distinct indices: the overlap c gives |union| = 2k - c
     common = (order_u[:, :, None] == order_s[:, None, :]).sum(axis=(1, 2))
     jac = common / (2 * knn_k - common)
-    # rank of the semantic nearest neighbor in the uncertainty ranking: the
-    # entries before it in the stable order, self at +inf, plus one; counted
-    # one row block at a time
-    nn_s = order_s[:, 0]
-    np.fill_diagonal(du, np.inf)
-    j = np.arange(n)
-    t = du[j, nn_s][:, None]
-    before = np.empty(n, dtype=np.intp)
-    rows = block_rows(n)
-    for lo in range(0, n, rows):
-        du_b, t_b = du[lo : lo + rows], t[lo : lo + rows]
-        ahead = (du_b < t_b) | ((du_b == t_b) & (j < nn_s[lo : lo + rows, None]))
-        before[lo : lo + rows] = np.count_nonzero(ahead, axis=1)
     rr = 1.0 / (before + 1)
     # stacked 1 x 1 products run the dot kernel of np.linalg.norm and @ on one
     # row, so each row's norms and cosine keep a per-row loop's bits
@@ -475,7 +501,9 @@ def evaluate(
 
     `Y` holds the samples' multi-hot label rows (a `Dataset` split's). Ranking
     metrics run on `test_metric` distances (default: Euclidean over the
-    semantic rows alone); k-means/NMI always clusters the semantic rows.
+    semantic rows alone), built and ranked a row panel at a time
+    (`metric.distance_panels`), so no (N, N) table is made; k-means/NMI
+    always clusters the semantic rows.
     `mixed_uncertainty` holds uncertainty rows of synthetically mixed
     samples; without them the mixed mean is reported as 0.
     """
@@ -489,19 +517,20 @@ def evaluate(
         raise ParameterError(f"unknown test metric {test_metric!r}")
     mp = mp if mp is not None else MetricParams()
 
-    A = pairwise_semantic_distance(S)
-    if test_metric == "euclidean":
-        D = A
-    else:
-        B = pairwise_pair_uncertainty(U, sumnorm=test_metric == "uncert_sumnorm")
-        D = distance_table(test_metric, A, B, mp)[0]
-        del B
-    match = match_matrix(Y)
-    counts = match.sum(axis=1) - 1  # R per query: a query is not its own counterpart
-    # rank only as deep as recall@max(RECALL_KS) and the largest R read
-    depth = max(max(RECALL_KS), int(counts.max(initial=0)))
-    rel = np.take_along_axis(match, neighbor_order(D, min(depth, len(Y) - 1)), axis=1)
-    del A, D, match  # N x N tables that k-means and the correlation diagnostic do not read
+    # R per query, from one pass over the match table's row blocks: a query
+    # is not its own counterpart
+    Yf = Y.astype(np.float64)
+    n, rows = len(Y), block_rows(len(Y))
+    counts = np.concatenate([match_rows(Yf, lo, lo + rows).sum(axis=1) for lo in range(0, n, rows)]) - 1
+    # rel[i, j] is true iff query i shares a label with its (j + 1)-th nearest
+    # other sample, ranked only as deep as recall@max(RECALL_KS) and the
+    # largest R read, one ranked block of each distance panel at a time. Each
+    # ranked pair is matched from its two label rows, so only `depth` of a
+    # query's N matches are computed
+    depth = min(max(max(RECALL_KS), int(counts.max(initial=0))), n - 1)
+    rel = np.empty((n, depth), dtype=bool)
+    for lo, _, order in _ranked_blocks(distance_panels(test_metric, S, U, mp), depth):
+        rel[lo : lo + len(order)] = (Y[order] & Y[lo : lo + len(order), None, :]).any(axis=2)
 
     recalls = {k: recall_at_k(rel, k) for k in RECALL_KS}
     rp, map_r = r_precision_and_map_at_r(rel, counts)

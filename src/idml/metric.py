@@ -15,8 +15,10 @@ more gently. The module also provides the strict (indicator) variant, the
 ablation, and the gradient attenuation factor H = dD/dalpha.
 
 Every formula has one implementation, over tables: pairwise_* build the
-alpha and beta tables, and distance_table / similarity_table evaluate the
-selected metric and its partials on them; a single pair is a 2-row table.
+alpha and beta tables (gram_panels builds them a row panel at a time), and
+distance_table / similarity_table evaluate the selected metric and its
+partials on them, distance_values the distance alone; a single pair is a
+2-row table.
 gradient_weight is the one scalar: the closed form of H that the gradient
 checks hold the tables' dD/dalpha against.
 
@@ -35,6 +37,9 @@ __all__ = [
     "gradient_weight",
     "pairwise_semantic_distance",
     "pairwise_pair_uncertainty",
+    "gram_panels",
+    "distance_panels",
+    "distance_values",
     "distance_table",
     "similarity_table",
 ]
@@ -71,46 +76,60 @@ _RECOMPUTE_RATIO = 1e-2
 _RECOMPUTE_SLICE = 2048
 
 
-def _squared_distances(X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
-    """(N, M) squared Euclidean distances between rows of X and rows of Y.
+# Rows per panel of an N x N table built a panel at a time (`gram_panels`).
+# Xc @ Xc.T at 3,000 x 512 on one BLAS thread (best of 7) took 91 ms as one
+# symmetric product, and 260 / 175 / 153 / 131 / 128 ms in panels of 21 / 64
+# / 128 / 256 / 512 rows; a 256-row panel is 6 MB at N = 3,000. A table of at
+# most this many rows is one panel, the whole product.
+PANEL_ROWS = 256
 
-    Y = None means Y = X, and the result is then exactly symmetric. The rows
-    are centered at the mean of both sets, so a common offset cancels before
-    the product, and `_gram_distances` does the rest. Temporaries stay
-    O(N * M) whatever the row width.
+
+def _gram_operands(X: np.ndarray, Y: np.ndarray = None) -> tuple:
+    """`_gram_distances`' arguments for rows X and Y (Y = None: Y = X).
+
+    The rows are centered at the mean of both sets, so a common offset
+    cancels before the product. In the self case Xc is passed as Yc, so that
+    the whole product runs as one symmetric product and is exactly symmetric.
     """
     same = Y is None
     Y = X if same else Y
     center = (X if same else np.concatenate([X, Y])).mean(axis=0)
     Xc = X - center
-    Yc = Xc if same else Y - center  # Xc @ Xc.T runs as one symmetric product
+    Yc = Xc if same else Y - center
     nx = np.einsum("ij,ij->i", Xc, Xc)
     ny = nx if same else np.einsum("ij,ij->i", Yc, Yc)
-    return _gram_distances(X, Y, Xc, nx, Yc, ny)
+    return X, Y, Xc, nx, Yc, ny
 
 
-def _gram_distances(X, Y, Xc, nx, Yc, ny) -> np.ndarray:
-    """Squared distances between rows of X and Y from their shifted copies.
+def _gram_distances(X, Y, Xc, nx, Yc, ny, lo: int = 0, hi: int = None, root: bool = False) -> np.ndarray:
+    """Squared distances between rows lo:hi of X and all rows of Y, from
+    their shifted copies; their square roots if `root` is set.
 
     Xc and Yc are X and Y shifted by one common vector, nx and ny their rows'
     squared norms. The bulk is the Gram form nx + ny - 2 Xc.Yc; entries small
     enough for that form to have cancelled are recomputed from differences of
     the original rows, so coincident rows give exactly 0. The threshold is
     never negative, so every negative Gram entry is recomputed, and no entry
-    needs a clamp at 0. The product is one whole GEMM (a row-blocked one can
-    round differently); the rest runs one row block of `core.TABLE_BLOCK`
-    entries at a time, with the block's nx + ny and its small-entry mask in
-    two reused block-sized buffers, each entry through the same operations
-    as over the whole table.
+    needs a clamp at 0. The product is one GEMM over rows lo:hi, or one
+    symmetric product for all rows of the self case. A panel's product can
+    round differently from the whole one (OpenBLAS 0.3.31, Haswell kernels):
+    256-row panels matched it bit for bit on Gaussian rows at 1,000 x 32,
+    1,000 x 100, 3,000 x 100 and 3,000 x 512, and for beta's U against -U at
+    600 x 3, 1,000 x 32, 2,000 x 64 and 3,000 x 512, but not at 500 x 16
+    (1,374 entries differ), 777 x 33 (573) or 8,131 x 512 (22,162 of 66M);
+    N was a multiple of 8 in every shape that matched. The rest runs one row
+    block of `core.TABLE_BLOCK` entries at a time, with the block's nx + ny
+    and its small-entry mask in two reused block-sized buffers, each entry
+    through the same operations as over the whole table, the root last.
     """
-    d2 = Xc @ Yc.T
+    d2 = Xc[lo:hi] @ Yc.T
     rows = block_rows(d2.shape[1])
     scale = np.empty((min(rows, d2.shape[0]), d2.shape[1]))
     small = np.empty(scale.shape, dtype=bool)
-    for lo in range(0, d2.shape[0], rows):
-        blk = d2[lo : lo + rows]
+    for b in range(0, d2.shape[0], rows):
+        blk = d2[b : b + rows]
         s, sm = scale[: len(blk)], small[: len(blk)]
-        np.add(nx[lo : lo + rows, None], ny[None, :], out=s)
+        np.add(nx[lo + b : lo + b + len(blk), None], ny[None, :], out=s)
         blk *= -2.0
         blk += s
         s *= _RECOMPUTE_RATIO
@@ -119,22 +138,34 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny) -> np.ndarray:
             flat = np.flatnonzero(sm)
             for at in range(0, flat.size, _RECOMPUTE_SLICE):
                 r, c = np.divmod(flat[at : at + _RECOMPUTE_SLICE], d2.shape[1])
-                diff = X[r + lo] - Y[c]
+                diff = X[r + lo + b] - Y[c]
                 blk[r, c] = np.einsum("ij,ij->i", diff, diff)
+        if root:
+            np.sqrt(blk, out=blk)
     return d2
+
+
+def gram_panels(X: np.ndarray, Y: np.ndarray = None):
+    """Yield (lo, panel): the Euclidean distances between rows lo:lo +
+    PANEL_ROWS of X and all rows of Y (default Y = X), panel by panel, so
+    that no (N, M) table is made. Each entry is `pairwise_semantic_distance`'s
+    wherever the panel's product rounds as the whole one does (see
+    `_gram_distances`); a table of at most PANEL_ROWS rows is one panel."""
+    ops = _gram_operands(X, Y)
+    for lo in range(0, len(X), PANEL_ROWS):
+        yield lo, _gram_distances(*ops, lo=lo, hi=lo + PANEL_ROWS, root=True)
 
 
 def pairwise_semantic_distance(S: np.ndarray, T: np.ndarray = None) -> np.ndarray:
     """All alpha values between rows of S and rows of T (default T = S).
 
     Computed through BLAS with an exact recompute of near-zero entries (see
-    `_squared_distances`), so tiny distances keep full precision for the
+    `_gram_distances`), so tiny distances keep full precision for the
     derivative checks.
     """
     S = np.asarray(S, dtype=np.float64)
     T = None if T is None else np.asarray(T, dtype=np.float64)
-    d2 = _squared_distances(S, T)
-    return np.sqrt(d2, out=d2)
+    return _gram_distances(*_gram_operands(S, T), root=True)
 
 
 def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool = False) -> np.ndarray:
@@ -150,8 +181,25 @@ def pairwise_pair_uncertainty(U: np.ndarray, V: np.ndarray = None, sumnorm: bool
         nu = np.linalg.norm(U, axis=1)
         nv = np.linalg.norm(V, axis=1)
         return nu[:, None] + nv[None, :]
-    d2 = _squared_distances(U, -V)
-    return np.sqrt(d2, out=d2)
+    return _gram_distances(*_gram_operands(U, -V), root=True)
+
+
+def distance_panels(metric: str, S: np.ndarray, U: np.ndarray, mp: MetricParams):
+    """Yield (lo, panel): rows lo:lo + PANEL_ROWS of the selected metric's
+    distance table over the rows of S and U, that is of `distance_values` on
+    `pairwise_semantic_distance(S)` and the metric's
+    `pairwise_pair_uncertainty(U)`, panel by panel (see `gram_panels`)."""
+    alpha = gram_panels(S)
+    if metric == "euclidean":
+        yield from alpha
+        return
+    if metric == "uncert_sumnorm":
+        nu = np.linalg.norm(U, axis=1)
+        beta = ((lo, nu[lo : lo + PANEL_ROWS, None] + nu[None, :]) for lo in range(0, len(U), PANEL_ROWS))
+    else:
+        beta = gram_panels(U, -U)
+    for (lo, A), (_, B) in zip(alpha, beta):
+        yield lo, distance_values(metric, A, B, mp)
 
 
 def _beta_rel_parts(A: np.ndarray, B: np.ndarray, mp: MetricParams):
@@ -162,30 +210,51 @@ def _beta_rel_parts(A: np.ndarray, B: np.ndarray, mp: MetricParams):
     return denom, bt, E
 
 
+def distance_values(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams, E: np.ndarray = None):
+    """The selected metric's distance D alone, with no partials: the one
+    formula of each metric's D, which `distance_table` returns too.
+
+    A and B are as for `distance_table`. E, when the caller holds it, is
+    exp(-beta_rel / tau) of the same A and B. For "euclidean" D is A itself.
+    """
+    if metric == "euclidean":
+        return A
+    if metric == "ism_strict":
+        return A * _covers(A, B, mp)
+    if metric not in ("ism", "uncert_sumnorm", "ism_dis"):
+        raise ParameterError(f"unknown metric {metric!r}")
+    E = _beta_rel_parts(A, B, mp)[2] if E is None else E
+    # Uncertain pairs pushed apart under ism_dis: D = alpha * (2 - E), in [alpha, 2*alpha].
+    return A * (2.0 - E) if metric == "ism_dis" else A * E
+
+
+def _covers(A: np.ndarray, B: np.ndarray, mp: MetricParams) -> np.ndarray:
+    """ism_strict's indicator: 1.0 where the distance exceeds the pair's
+    uncertainty, 0.0 where the uncertainty covers it."""
+    return (A - B - mp.gamma > 0).astype(np.float64)
+
+
 def distance_table(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams):
     """Distance matrix for the selected metric plus partials dD/dA and dD/dB.
 
     A holds pairwise semantic distances, B pairwise uncertainties (already in
-    the representation the metric expects). For "ism_strict" the indicator is
-    evaluated here and treated as locally constant by the partials.
+    the representation the metric expects). D is `distance_values`'. For
+    "ism_strict" the indicator is treated as locally constant by the partials.
     """
     if metric == "euclidean":
         return A.copy(), np.ones_like(A), np.zeros_like(A)
+    if metric == "ism_strict":
+        return distance_values(metric, A, B, mp), _covers(A, B, mp), np.zeros_like(A)
     denom, bt, E = _beta_rel_parts(A, B, mp)
+    D = distance_values(metric, A, B, mp, E)
     # dD/dA of alpha * E: E everywhere, plus the beta_rel/alpha response where
     # the clamp is inactive. dD/dB = -A * E / (tau * denom).
     live = A > mp.alpha_min
     dAE_dA = E * (1.0 + np.where(live, bt / mp.tau, 0.0))
     dAE_dB = -A * E / (mp.tau * denom)
-    if metric in ("ism", "uncert_sumnorm"):
-        return A * E, dAE_dA, dAE_dB
     if metric == "ism_dis":
-        # Uncertain pairs pushed apart: D = alpha * (2 - E), in [alpha, 2*alpha].
-        return A * (2.0 - E), 2.0 - dAE_dA, -dAE_dB
-    if metric == "ism_strict":
-        ind = (A - B - mp.gamma > 0).astype(np.float64)
-        return A * ind, ind, np.zeros_like(A)
-    raise ParameterError(f"unknown metric {metric!r}")
+        return D, 2.0 - dAE_dA, -dAE_dB
+    return D, dAE_dA, dAE_dB
 
 
 def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, mp: MetricParams):

@@ -162,17 +162,69 @@ def rp_map_ref(X, labels):
     return sum(rps) / len(rps), sum(maps) / len(maps)
 
 
+def _scaled_ints(rows):
+    """Rows of floats times one power of two that makes every entry an int."""
+    rows = [[Fraction(float(v)) for v in row] for row in rows]
+    scale = max((f.denominator for row in rows for f in row), default=1)
+    return [[int(f * scale) for f in row] for row in rows]
+
+
+def retrieval_ref(D, labels, ks):
+    """({k: recall@k}, R-precision, MAP@R) from a full distance table `D`:
+    each query's other rows sorted by (distance, index) in plain Python, and
+    queries without a same-label other skipped by R-precision and MAP@R."""
+    D = np.asarray(D, dtype=float).tolist()
+    n = len(D)
+    hits = {k: 0 for k in ks}
+    rps, maps = [], []
+    for i in range(n):
+        order = [j for _, j in sorted((D[i][j], j) for j in range(n) if j != i)]
+        rel = [_match(labels[i], labels[j]) for j in order]
+        for k in ks:
+            hits[k] += any(rel[:k])
+        r = sum(rel)
+        if r:
+            rps.append(sum(rel[:r]) / r)
+            seen, ap = 0, mpf(0)
+            for rank, flag in enumerate(rel[:r], start=1):
+                if flag:
+                    seen += 1
+                    ap += mpf(seen) / rank
+            maps.append(float(ap / r))
+    return {k: h / n for k, h in hits.items()}, sum(rps) / len(rps), sum(maps) / len(maps)
+
+
+def metric_distances_ref(metric, S, U, gamma, tau, alpha_min=1e-12):
+    """The (N, N) test-metric distances from explicit row differences: alpha
+    = ||s_i - s_j||, beta = ||u_i + u_j|| (||u_i|| + ||u_j|| for
+    uncert_sumnorm), then each metric's formula entry by entry."""
+    S, U = np.asarray(S, dtype=float), np.asarray(U, dtype=float)
+    alpha = np.sqrt(((S[:, None, :] - S[None, :, :]) ** 2).sum(axis=2))
+    if metric == "euclidean":
+        return alpha
+    if metric == "uncert_sumnorm":
+        norms = np.sqrt((U**2).sum(axis=1))
+        beta = norms[:, None] + norms[None, :]
+    else:
+        beta = np.sqrt(((U[:, None, :] + U[None, :, :]) ** 2).sum(axis=2))
+    if metric == "ism_strict":
+        return np.where(alpha - beta - gamma > 0, alpha, 0.0)
+    att = np.exp(-(beta + gamma) / np.maximum(alpha, alpha_min) / tau)
+    return alpha * (2 - att) if metric == "ism_dis" else alpha * att
+
+
 def correlation_ref(rel_s, rel_u, knn_k):
     """Mean top-k Jaccard, mean reciprocal rank and mean cosine of paired rows.
 
     Each ranking sorts the other rows by (exact squared distance, index), so
-    ties are judged in rational arithmetic. Jaccard compares plain-Python
-    sets of the two top-k lists; the rank is the 1-based position of the
-    semantic nearest neighbor in the full uncertainty ranking. A zero row's
-    cosine is 0.
+    ties are judged in exact arithmetic: every float is a dyadic rational, so
+    each space's entries are exact Python ints over one power-of-two scale,
+    which orders, ties and takes cosines as the rationals do. Jaccard
+    compares plain-Python sets of the two top-k lists; the rank is the
+    1-based position of the semantic nearest neighbor in the full
+    uncertainty ranking. A zero row's cosine is 0.
     """
-    rel_s = [[Fraction(float(v)) for v in row] for row in rel_s]
-    rel_u = [[Fraction(float(v)) for v in row] for row in rel_u]
+    rel_s, rel_u = _scaled_ints(rel_s), _scaled_ints(rel_u)
     n = len(rel_s)
 
     def ranking(rows, i):

@@ -33,14 +33,19 @@ refactor prints identical text. It covers:
   flags and next draw on one fixed batch under each channel (mixing, blur,
   occlusion, low resolution with and without padding, all at once);
 - evaluate_sha256: the sha256 of `EvalReport.to_json_dict()` under every
-  test metric on two fixed inputs on an integer grid, so that duplicate
-  rows and distance ties at the ranking depth are common: 600 rows with one
-  single-sample class, and (keys `two_label/<metric>`) 300 rows of which
-  every third carries two classes, which exercises multi-label matching in
-  the ranking metrics and the smallest-class rule of the NMI ids. At
-  `core.TABLE_BLOCK` = 65,536 entries both inputs span several row blocks
-  (6 blocks of 109 rows and 2 of 218), so the blocked Gram epilogue,
-  ranking and MRR count cross block boundaries on them;
+  test metric on three fixed inputs. Two are on an integer grid, so that
+  duplicate rows and distance ties at the ranking depth are common: 600
+  rows with one single-sample class, and (keys `two_label/<metric>`) 300
+  rows of which every third carries two classes, which exercises
+  multi-label matching in the ranking metrics and the smallest-class rule
+  of the NMI ids. The third (keys `gaussian/<metric>`) is 1,000 x 32
+  Gaussian rows of 20 classes, whose products are not exact, so a distance
+  panel that rounds unlike the whole product would move it. At
+  `metric.PANEL_ROWS` = 256 and `core.TABLE_BLOCK` = 65,536 entries the
+  inputs span 3 panels ranked in blocks of at most 109 rows, 2 panels in
+  blocks of at most 218 rows, and 4 panels in blocks of at most 65 rows,
+  so the blocked Gram epilogue, ranking and MRR count cross block and
+  panel boundaries;
 - plan_sha256: the sha256 of every `Plan` field (name, dtype, shape and
   bytes of each array) that `build_plan` returns for every loss x metric on
   one fixed 16-row batch on an integer grid, so that distance ties decide
@@ -251,7 +256,7 @@ def augment_digests() -> dict:
 
 
 def evaluate_reports() -> dict:
-    """{key: EvalReport.to_json_dict()} on the two fixed integer-grid inputs."""
+    """{key: EvalReport.to_json_dict()} on the three fixed inputs."""
     r = np.random.default_rng(23)
     S = r.integers(-2, 3, size=(600, 4)).astype(np.float64)
     U = 0.5 * r.integers(-2, 3, size=(600, 3))
@@ -266,6 +271,13 @@ def evaluate_reports() -> dict:
     other = (ids + r.integers(1, 8, size=300)) % 8
     labels = [[int(b), int(a)] if i % 3 == 0 else [int(a)] for i, (a, b) in enumerate(zip(ids, other))]
     out.update(_evaluate_reports(S, U, labels, "two_label/"))
+    # Gaussian rows at the eval workload's shape: no tie, no exact product,
+    # so a distance panel that rounds unlike the whole table shows here
+    r = np.random.default_rng(28)
+    ids = r.integers(0, 20, size=1000)
+    S = r.normal(size=(20, 32))[ids] + r.normal(size=(1000, 32))
+    U = r.normal(size=(1000, 32))
+    out.update(_evaluate_reports(S, U, [{int(i)} for i in ids], "gaussian/"))
     return out
 
 

@@ -19,9 +19,12 @@ from idml.core import TABLE_BLOCK, DegenerateInputError, MetricParams, Parameter
 from idml.evaluation import relative_embeddings
 from idml.metric import (
     METRIC_NAMES,
+    PANEL_ROWS,
     _beta_rel_parts,
     _gram_distances,
+    distance_panels,
     distance_table,
+    gram_panels,
     gradient_weight,
     pairwise_pair_uncertainty,
     pairwise_semantic_distance,
@@ -487,6 +490,48 @@ def test_gram_core_matches_whole_table_across_small_blocks(monkeypatch, same):
     rows = block_rows(D2.shape[1])
     zeros = [np.count_nonzero(D2[lo : lo + rows] == 0.0) for lo in range(0, len(D2), rows)]
     assert len(zeros) > 1 and max(zeros) > 7  # many blocks, some with several slices
+
+
+@pytest.mark.parametrize("same", [True, False], ids=["self", "two_sets"])
+def test_gram_panels_match_the_whole_table_core_panel_by_panel(same):
+    # three panels, the last one short; the late duplicates are recomputed in
+    # the last panel, at its row offset. Each panel's product is the GEMM of
+    # its own rows, so the reference is the whole-table core over those rows
+    r = np.random.default_rng(45)
+    X = late_duplicates(r, 700, 7, 1e3)
+    Y = None if same else np.vstack([X[::-2], 1e3 + r.normal(size=(50, 7))])
+    X_, Y_, Xc, nx, Yc, ny = gram_args(X, Y)
+    starts = []
+    for lo, panel in gram_panels(X, Y):
+        hi = lo + len(panel)
+        want = oracles.gram_distances_ref(X[lo:hi], Y_, Xc[lo:hi], nx[lo:hi], Yc, ny, ratio=metric._RECOMPUTE_RATIO)
+        assert np.array_equal(panel.view(np.uint64), np.sqrt(want).view(np.uint64))
+        starts.append(lo)
+    assert starts == list(range(0, 700, PANEL_ROWS)) and len(starts) == 3
+    if same:
+        assert np.all(panel[np.arange(660, 700) - starts[-1], np.arange(40)] == 0.0)
+
+
+def test_a_table_of_one_panel_is_the_whole_table():
+    X = np.random.default_rng(46).normal(size=(PANEL_ROWS, 9))
+    (lo, panel), *rest = gram_panels(X)
+    assert lo == 0 and not rest
+    assert np.array_equal(panel.view(np.uint64), pairwise_semantic_distance(X).view(np.uint64))
+
+
+@pytest.mark.parametrize("metric", METRIC_NAMES)
+def test_distance_panels_match_the_whole_tables(metric):
+    # rows in +/- pairs on a 0.5 grid: both means are exactly 0 and every
+    # Gram product is exact, so the panels must give the whole tables' bits
+    r = np.random.default_rng(47)
+    S, U = (np.round(r.uniform(-2, 2, size=(350, d)) / 0.5) * 0.5 for d in (5, 3))
+    S, U = np.vstack([S, -S]), np.vstack([U, -U[::-1]])
+    mp_ = MetricParams(gamma=0.2, tau=3.0)
+    want = distance_table(
+        metric, pairwise_semantic_distance(S), pairwise_pair_uncertainty(U, sumnorm=metric == "uncert_sumnorm"), mp_
+    )[0]
+    got = np.vstack([panel for _, panel in distance_panels(metric, S, U, mp_)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("metric", [m for m in METRIC_NAMES])
