@@ -97,11 +97,12 @@ def augment_batch(batch: Batch, cfg: AugmentConfig, rng: Rng) -> Batch:
         means = padded.reshape(n, -1, f).mean(axis=2)
         X = np.ascontiguousarray(np.repeat(means, f, axis=1)[:, :d])
     k = math.ceil(cfg.occl_fraction * d)
-    for r in range(n):
-        if cfg.blur_prob > 0 and rng.random() < cfg.blur_prob and cfg.noise_sigma > 0:
-            X[r] += cfg.noise_sigma * rng.normal(size=d)
-        if cfg.occl_prob > 0 and rng.random() < cfg.occl_prob and k:
-            X[r, rng.choice(d, size=k, replace=False)] = 0.0
+    if cfg.blur_prob > 0 or cfg.occl_prob > 0:  # otherwise no row draws anything
+        for r in range(n):
+            if cfg.blur_prob > 0 and rng.random() < cfg.blur_prob and cfg.noise_sigma > 0:
+                X[r] += cfg.noise_sigma * rng.normal(size=d)
+            if cfg.occl_prob > 0 and rng.random() < cfg.occl_prob and k:
+                X[r, rng.choice(d, size=k, replace=False)] = 0.0
     return Batch(
         features=X,
         Y=np.concatenate([batch.Y, mixed_Y]),

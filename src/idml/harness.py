@@ -337,8 +337,11 @@ def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
     `y_train` holds the multi-hot label rows of `x_train`, over `classes`.
     Each epoch consumes fresh Rng streams for shuffling, mixing, and
     sampling. Partial trailing batches are dropped so every step sees the
-    configured batch size. The optimizer state and the last gradient are
-    freed on return, before the evaluation.
+    configured batch size. A step's loss result and gradient are dropped
+    right after the optimizer step, so at most one gradient vector is live:
+    the next step's is allocated only after the last one is freed. Nothing
+    of a step outlives it, and the optimizer state is freed on return,
+    before the evaluation.
     """
     # frozen_zero: the uncertainty head and proxy rows start at 0 and never move
     u_scale = 0.0 if cfg.uncertainty_mode == "frozen_zero" else cfg.uncert_lr_scale
@@ -375,6 +378,7 @@ def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
             ep_loss.append(res.value)
             ep_grad.append(float(np.linalg.norm(res.d_semantic, axis=1).mean()))
             opt.step(model.theta, grad, spans)
+            del res, grad
         stats.append(
             EpochStats(
                 epoch=epoch,

@@ -192,9 +192,14 @@ def _normalize_rows(X: np.ndarray):
 
 
 def _denormalize_grad(dXhat: np.ndarray, Xhat: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Pull a gradient on unit rows back through x -> x/||x||."""
-    proj = np.sum(dXhat * Xhat, axis=1, keepdims=True)
-    return (dXhat - proj * Xhat) / np.maximum(norms, _TINY)[:, None]
+    """Pull a gradient on unit rows back through x -> x/||x||: the float
+    operations of (dXhat - <dXhat, xhat> xhat) / ||x||, in one array."""
+    out = dXhat * Xhat
+    proj = out.sum(axis=1, keepdims=True)
+    np.multiply(proj, Xhat, out=out)
+    np.subtract(dXhat, out, out=out)
+    out /= np.maximum(norms, _TINY)[:, None]
+    return out
 
 
 class LossTables(NamedTuple):
@@ -274,20 +279,24 @@ def _row_side(Wa, Wb, A, B, X, Y, U, V, cosine: bool, sumnorm: bool):
     Wa[i, j] = dL/dA[i, j] (dL/dC[i, j] when cosine) and Wb[i, j] = dL/dB[i, j].
     Uses dA/dx_i = (x_i - y_j)/A, dC/dx_i = y_j and dB/du_i = (u_i + v_j)/B,
     or u_i/||u_i|| for the sum of norms; each is 0 at a zero denominator.
+    Each gradient accumulates into its product's output.
     """
     if cosine:
         dX = Wa @ Y
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
             Ga = np.where(A > 0, Wa / np.maximum(A, _TINY), 0.0)
-        dX = Ga.sum(axis=1, keepdims=True) * X - Ga @ Y
+        dX = Ga @ Y
+        np.subtract(Ga.sum(axis=1, keepdims=True) * X, dX, out=dX)
     if sumnorm:
         nu = np.linalg.norm(U, axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             return dX, np.where(nu > 0, Wb.sum(axis=1) / np.maximum(nu, _TINY), 0.0)[:, None] * U
     with np.errstate(invalid="ignore", divide="ignore"):
         Gb = np.where(B > 0, Wb / np.maximum(B, _TINY), 0.0)
-    return dX, Gb.sum(axis=1, keepdims=True) * U + Gb @ V
+    dU = Gb @ V
+    dU += Gb.sum(axis=1, keepdims=True) * U
+    return dX, dU
 
 
 def _pull_back(t: LossTables, Wa, Wb):

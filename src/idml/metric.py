@@ -108,9 +108,11 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny, lo: int = 0, hi: int = None, root: boo
     Xc and Yc are X and Y shifted by one common vector, nx and ny their rows'
     squared norms. The bulk is the Gram form nx + ny - 2 Xc.Yc; entries small
     enough for that form to have cancelled are recomputed from differences of
-    the original rows, so coincident rows give exactly 0. The threshold is
-    never negative, so every negative Gram entry is recomputed, and no entry
-    needs a clamp at 0. The product is one GEMM over rows lo:hi, or one
+    the original rows, so coincident rows give exactly 0. A self table's
+    diagonal entry is x - x = 0 wherever nx + nx is finite, so it is written
+    as 0, not recomputed; a row with a non-finite norm keeps the recompute
+    (and its NaN). The threshold is never negative, so every negative Gram
+    entry is recomputed, and no entry needs a clamp at 0. The product is one GEMM over rows lo:hi, or one
     symmetric product for all rows of the self case. A panel's product can
     round differently from the whole one (OpenBLAS 0.3.31, Haswell kernels):
     256-row panels matched it bit for bit on Gaussian rows at 1,000 x 32,
@@ -123,9 +125,11 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny, lo: int = 0, hi: int = None, root: boo
     through the same operations as over the whole table, the root last.
     """
     d2 = Xc[lo:hi] @ Yc.T
-    rows = block_rows(d2.shape[1])
-    scale = np.empty((min(rows, d2.shape[0]), d2.shape[1]))
+    n = d2.shape[1]
+    rows = block_rows(n)
+    scale = np.empty((min(rows, d2.shape[0]), n))
     small = np.empty(scale.shape, dtype=bool)
+    zero_diag = np.isfinite(nx[lo:hi] + nx[lo:hi]) if Yc is Xc else None
     for b in range(0, d2.shape[0], rows):
         blk = d2[b : b + rows]
         s, sm = scale[: len(blk)], small[: len(blk)]
@@ -133,11 +137,18 @@ def _gram_distances(X, Y, Xc, nx, Yc, ny, lo: int = 0, hi: int = None, root: boo
         blk *= -2.0
         blk += s
         s *= _RECOMPUTE_RATIO
-        if np.less_equal(blk, s, out=sm).any():
+        np.less_equal(blk, s, out=sm)
+        if zero_diag is not None:
+            # entries (r, lo + b + r), one strided view of the flat block
+            diag = slice(lo + b, None, n + 1)
+            fin = zero_diag[b : b + len(blk)]
+            np.copyto(blk.reshape(-1)[diag], 0.0, where=fin)
+            np.copyto(sm.reshape(-1)[diag], False, where=fin)
+        if sm.any():
             # flat indices: a 2-D nonzero costs ten times as much per block
             flat = np.flatnonzero(sm)
             for at in range(0, flat.size, _RECOMPUTE_SLICE):
-                r, c = np.divmod(flat[at : at + _RECOMPUTE_SLICE], d2.shape[1])
+                r, c = np.divmod(flat[at : at + _RECOMPUTE_SLICE], n)
                 diff = X[r + lo + b] - Y[c]
                 blk[r, c] = np.einsum("ij,ij->i", diff, diff)
         if root:

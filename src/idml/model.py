@@ -194,13 +194,18 @@ def _forward_cached(model: EncoderModel, X: np.ndarray):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"expected (N, {model.input_dim}) inputs, got {X.shape}")
+    # Each result is one array, the GEMM's output, finished in place.
     hs = [X]
     h = X
     for w, b in zip(model.trunk_w, model.trunk_b):
-        h = np.tanh(h @ w + b)
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
         hs.append(h)
-    S = h @ model.head_s_w + model.head_s_b
-    U = h @ model.head_u_w + model.head_u_b
+    S = h @ model.head_s_w
+    S += model.head_s_b
+    U = h @ model.head_u_w
+    U += model.head_u_b
     return S, U, hs
 
 
@@ -212,15 +217,20 @@ def forward(model: EncoderModel, X):
 
 def _backward(model: EncoderModel, hs, dS, dU, g: dict):
     """Write parameter gradients into the views `g` given embedding gradients;
-    hs are cached activations."""
+    hs are cached activations. dh and dz are each one array, written in
+    place, with the float operations of dS Ws^T + dU Wu^T and
+    dh * (1 - h^2)."""
     h_last = hs[-1]
     np.matmul(h_last.T, dS, out=g["head_s.W"])
     dS.sum(axis=0, out=g["head_s.b"])
     np.matmul(h_last.T, dU, out=g["head_u.W"])
     dU.sum(axis=0, out=g["head_u.b"])
-    dh = dS @ model.head_s_w.T + dU @ model.head_u_w.T
+    dh = dS @ model.head_s_w.T
+    dh += dU @ model.head_u_w.T
     for i in range(len(model.trunk_w) - 1, -1, -1):
-        dz = dh * (1.0 - hs[i + 1] ** 2)  # tanh'
+        dz = np.square(hs[i + 1])  # tanh'
+        np.subtract(1.0, dz, out=dz)
+        dz *= dh
         np.matmul(hs[i].T, dz, out=g[f"trunk.{i}.W"])
         dz.sum(axis=0, out=g[f"trunk.{i}.b"])
         if i:  # nothing reads the input layer's dh

@@ -90,6 +90,70 @@ def gram_distances_ref(X, Y, Xc, nx, Yc, ny, ratio=1e-2, recompute_slice=2048):
 
 
 # ---------------------------------------------------------------------------
+# Training-step expressions (one fresh array per operation)
+# ---------------------------------------------------------------------------
+
+_TINY = 1e-300
+
+
+def encoder_forward_ref(trunk, head_s, head_u, X):
+    """(S, U, activations) of the tanh trunk `trunk`, a list of (W, b), and
+    the two linear heads (W, b), one numpy expression per layer. The
+    library's in-place forward must equal it bit for bit."""
+    hs = [X]
+    h = X
+    for w, b in trunk:
+        h = np.tanh(h @ w + b)
+        hs.append(h)
+    return h @ head_s[0] + head_s[1], h @ head_u[0] + head_u[1], hs
+
+
+def encoder_backward_ref(trunk, head_s, head_u, hs, dS, dU):
+    """Parameter gradients by name ("trunk.0.W", "head_s.b", ...) of the
+    same network, from the activations `hs` and the embedding gradients,
+    one numpy expression per result."""
+    g = {}
+    h_last = hs[-1]
+    g["head_s.W"] = h_last.T @ dS
+    g["head_s.b"] = dS.sum(axis=0)
+    g["head_u.W"] = h_last.T @ dU
+    g["head_u.b"] = dU.sum(axis=0)
+    dh = dS @ head_s[0].T + dU @ head_u[0].T
+    for i in range(len(trunk) - 1, -1, -1):
+        dz = dh * (1.0 - hs[i + 1] ** 2)
+        g[f"trunk.{i}.W"] = hs[i].T @ dz
+        g[f"trunk.{i}.b"] = dz.sum(axis=0)
+        if i:
+            dh = dz @ trunk[i][0].T
+    return g
+
+
+def row_side_ref(Wa, Wb, A, B, X, Y, U, V, cosine, sumnorm):
+    """Row gradients (dX, dU) of tables over X, U against Y, V, given the
+    weights Wa = dL/dA (dL/dC when cosine) and Wb = dL/dB, one numpy
+    expression per result."""
+    if cosine:
+        dX = Wa @ Y
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            Ga = np.where(A > 0, Wa / np.maximum(A, _TINY), 0.0)
+        dX = Ga.sum(axis=1, keepdims=True) * X - Ga @ Y
+    if sumnorm:
+        nu = np.linalg.norm(U, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return dX, np.where(nu > 0, Wb.sum(axis=1) / np.maximum(nu, _TINY), 0.0)[:, None] * U
+    with np.errstate(invalid="ignore", divide="ignore"):
+        Gb = np.where(B > 0, Wb / np.maximum(B, _TINY), 0.0)
+    return dX, Gb.sum(axis=1, keepdims=True) * U + Gb @ V
+
+
+def denormalize_grad_ref(dXhat, Xhat, norms):
+    """A gradient on unit rows pulled back through x -> x / ||x||."""
+    proj = np.sum(dXhat * Xhat, axis=1, keepdims=True)
+    return (dXhat - proj * Xhat) / np.maximum(norms, _TINY)[:, None]
+
+
+# ---------------------------------------------------------------------------
 # Ranking / clustering scores (plain-Python route)
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +35,9 @@ from idml.harness import (
     train,
     worker_count,
 )
+from idml.harness import _fit
 from idml.losses import LossParams, default_loss_params
-from idml.model import forward, load_checkpoint
+from idml.model import forward, init_model, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -384,6 +386,31 @@ def test_record_json_text_is_reproducible(tmp_path):
     assert (tmp_path / "a" / "record.json").read_bytes() == (
         tmp_path / "b" / "record.json"
     ).read_bytes()
+
+
+def test_a_fit_keeps_one_gradient_live_and_nothing_past_its_end():
+    # theta is 1.6 MB; AdamW's two moments hold 2 theta for the whole fit and
+    # a step's gradient one more. A second gradient allocated while the last
+    # one is still bound reads about 5.1 theta; one live gradient about 3.8.
+    # Any cache or buffer kept past the fit shows in the growth after it.
+    cfg = desk_config(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
+    ds = load_dataset_for(cfg)
+    x_train, y_train, _ = ds.train_split()
+    model = init_model(
+        x_train.shape[1], hidden=cfg.hidden, semantic_dim=cfg.semantic_dim,
+        uncertainty_dim=cfg.uncertainty_dim, rng=Rng(cfg.seed),
+    )
+    theta = model.theta.nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stats = _fit(cfg, model, x_train, y_train, ds.classes)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stats) == 2
+    assert peak - start < 4.5 * theta, (peak - start) / theta
+    assert end - start < 0.01 * theta, (end - start) / theta
 
 
 # ---------------------------------------------------------------------------

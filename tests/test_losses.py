@@ -589,3 +589,45 @@ def test_kink_margin_reports_distance_to_nearest_kink():
     # the uncertainty route adds the beta = 0 kink, which u = 0 sits on
     r2 = compute_loss("contrastive", S, U, *multi_hot(labels), metric="ism")
     assert r2.kink_margin == 0.0
+
+
+# (rows, semantic dim, uncertainty dim, proxies): the wide benchmark's step
+# and the desk step
+PULL_BACK_SHAPES = {"wide": (180, 512, 512, 20), "desk": (48, 32, 32, 10)}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("proxy", [False, True], ids=["self", "proxy"])
+@pytest.mark.parametrize("sumnorm", [False, True], ids=["ism", "sumnorm"])
+@pytest.mark.parametrize("cosine", [False, True], ids=["distance", "cosine"])
+@pytest.mark.parametrize("shape", PULL_BACK_SHAPES.values(), ids=PULL_BACK_SHAPES)
+def test_pull_back_gives_the_expression_bits(shape, cosine, sumnorm, proxy):
+    n, s_dim, u_dim, k = shape
+    r = np.random.default_rng(n + 2 * cosine + sumnorm)
+    S, U = r.normal(size=(n, s_dim)), 0.1 * r.normal(size=(n, u_dim))
+    S[2] = 0.0  # a zero semantic row: norm 0 when normalized
+    U[1], U[3] = -U[0], 0.0  # beta = 0 at (0, 1); ||u_3|| = 0
+    loss = {(False, False): "contrastive", (True, False): "multi_similarity",
+            (False, True): "proxy_nca", (True, True): "softmax_proxy"}[cosine, proxy]
+    proxies = make_proxies(r, k, s_dim, u_dim, u_scale=0.1) if proxy else None
+    t = loss_tables(loss, S, U, metric="uncert_sumnorm" if sumnorm else "ism", proxies=proxies)
+    Wa, Wb = r.normal(size=t.A.shape), r.normal(size=t.A.shape)
+    Wa[r.random(size=Wa.shape) < 0.3] = 0.0
+    Y, V = (t.X, t.U) if t.Y is None else (t.Y, t.V)
+    sides = [(Wa, Wb, t.A, t.B, t.X, Y, t.U, V)]
+    if proxy:  # the column side, as `_pull_back` takes it
+        sides.append((Wa.T, Wb.T, t.A.T, t.B.T, t.Y, t.X, t.V, t.U))
+    rows = []
+    for args in sides:
+        dX, dU = idml.losses._row_side(*args, cosine, sumnorm)
+        dX_ref, dU_ref = oracles.row_side_ref(*args, cosine, sumnorm)
+        assert same_bits(dX, dX_ref) and same_bits(dU, dU_ref)
+        rows.append(dX)
+    if t.norms is not None:
+        assert t.norms[2] == 0.0
+        for dX, X, norms in zip(rows, (t.X, t.Y), (t.norms, t.pnorms)):
+            got = idml.losses._denormalize_grad(dX, X, norms)
+            assert same_bits(got, oracles.denormalize_grad_ref(dX, X, norms))

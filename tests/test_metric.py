@@ -458,6 +458,45 @@ def test_gram_core_matches_whole_table_self_case():
     assert np.array_equal(D2, D2.T)
 
 
+def self_table_rows(case):
+    """700 Gaussian rows at an offset, two of them zero, plus the case's
+    non-finite rows."""
+    r = np.random.default_rng(48)
+    X = 1e3 + r.normal(size=(700, 9))
+    X[[5, 650]] = 0.0
+    if case == "inf_nan":  # every centered row then has a non-finite norm
+        X[17, 3], X[444, 0] = np.inf, np.nan
+    elif case == "overflow":  # row 300's squared norm alone overflows to inf
+        X = r.normal(size=(700, 9))
+        X[300, 2] = 2e154
+    return X
+
+
+@pytest.mark.parametrize("case", ["finite", "inf_nan", "overflow"])
+def test_gram_core_writes_the_self_diagonal_with_the_whole_table_bits(case):
+    # the self case writes 0 on the diagonal of its finite-norm rows; the
+    # whole-table core recomputes it from x - x. Whole table and 256-row
+    # panels, each several blocks, must give the same bits, NaNs included
+    X = self_table_rows(case)
+    assert block_rows(len(X)) < PANEL_ROWS
+    with np.errstate(invalid="ignore", over="ignore"):
+        args = gram_args(X)
+        _, Y, Xc, nx, Yc, ny = args
+        D2 = _gram_distances(*args)
+        want = oracles.gram_distances_ref(*args, ratio=metric._RECOMPUTE_RATIO)
+        assert np.array_equal(D2.view(np.uint64), want.view(np.uint64))
+        for lo in range(0, len(X), PANEL_ROWS):
+            hi = lo + PANEL_ROWS
+            panel = _gram_distances(*args, lo=lo, hi=hi)
+            want = oracles.gram_distances_ref(X[lo:hi], Y, Xc[lo:hi], nx[lo:hi], Yc, ny, ratio=metric._RECOMPUTE_RATIO)
+            assert np.array_equal(panel.view(np.uint64), want.view(np.uint64))
+    finite = np.isfinite(nx)
+    assert finite.sum() == {"finite": 700, "inf_nan": 0, "overflow": 699}[case]
+    assert np.all(np.diagonal(D2)[finite] == 0.0)
+    if case == "finite":
+        assert D2[5, 650] == 0.0
+
+
 def test_gram_core_matches_whole_table_two_sets():
     r = np.random.default_rng(42)
     X = late_duplicates(r, 500, 5, 1e6)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from idml.core import Batch, FormatError, NumericalFailure, ParameterError, Rng, ShapeError, multi_hot
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, evaluate_loss, loss_tables
 from idml.metric import METRIC_NAMES
@@ -27,6 +28,7 @@ from idml.model import (
     make_optimizer,
     save_checkpoint,
 )
+from idml.model import _backward, _forward_cached
 
 
 def small_model(seed=0, input_dim=3, hidden=(6,), s=2, u=2, proxy_classes=()):
@@ -150,6 +152,45 @@ def test_parameters_are_views_into_theta():
     assert np.all(m.head_u_b == 2.5)
     with pytest.raises(ShapeError):
         EncoderModel(m.dims, m.theta[:-1], (3, 7))
+
+
+# (rows, input dim, hidden, semantic dim, uncertainty dim): the wide
+# benchmark's step, a one-layer trunk with unequal heads, the desk step, and
+# no trunk at all
+STEP_SHAPES = {
+    "wide": (180, 64, (512, 512), 512, 512),
+    "one_layer": (120, 64, (256,), 128, 64),
+    "desk": (48, 16, (64, 64), 32, 32),
+    "no_trunk": (48, 16, (), 32, 8),
+}
+
+
+def ref_layers(m):
+    return list(zip(m.trunk_w, m.trunk_b)), (m.head_s_w, m.head_s_b), (m.head_u_w, m.head_u_b)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", STEP_SHAPES.values(), ids=STEP_SHAPES)
+def test_in_place_forward_and_backward_give_the_expression_bits(shape):
+    n, d, hidden, s, u = shape
+    r = np.random.default_rng(sum(hidden) + n)
+    m = init_model(d, hidden=hidden, semantic_dim=s, uncertainty_dim=u, rng=Rng(5))
+    X = r.normal(size=(n, d))
+    S, U, hs = _forward_cached(m, X)
+    S_ref, U_ref, hs_ref = oracles.encoder_forward_ref(*ref_layers(m), X)
+    assert same_bits(S, S_ref) and same_bits(U, U_ref)
+    assert len(hs) == len(hs_ref) and all(same_bits(a, b) for a, b in zip(hs, hs_ref))
+
+    dS, dU = r.normal(size=S.shape), 0.1 * r.normal(size=U.shape)
+    grad = np.zeros_like(m.theta)
+    g = m.views(grad)
+    _backward(m, hs, dS, dU, g)
+    want = oracles.encoder_backward_ref(*ref_layers(m), hs_ref, dS, dU)
+    assert sorted(want) == sorted(g)
+    assert all(same_bits(g[name], want[name]) for name in want)
 
 
 # ---------------------------------------------------------------------------
