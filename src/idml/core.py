@@ -252,9 +252,9 @@ class MetricParams:
 class Batch:
     """A stack of input features with their multi-hot label rows and mixed flags.
 
-    Y[i, k] is true iff sample i carries class classes[k] (see `multi_hot`;
-    a `Dataset`'s rows have this form). Only the proxy losses read
-    `classes`, to place Y's columns at their proxies.
+    Y[i, k] is true iff sample i carries class classes[k] (see `multi_hot`).
+    A `Dataset` and its two sides are batches too. Only the proxy losses
+    read `classes`, to place Y's columns at their proxies.
     """
 
     features: np.ndarray
@@ -267,7 +267,7 @@ class Batch:
         if self.features.ndim != 2 or self.features.shape[0] == 0:
             raise ShapeError(f"features must be a nonempty (N, D) array, got {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
-            raise NumericalFailure("batch features contain non-finite entries")
+            raise NumericalFailure("features contain non-finite entries")
         n = self.features.shape[0]
         self.Y = label_rows(self.Y, n)
         if self.classes is not None:

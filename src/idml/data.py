@@ -9,7 +9,7 @@ labels) and through label noise (a fraction of training labels reassigned).
 Splits follow the zero-shot retrieval convention: train and test share no
 classes. The rule is canonical — sort the class ids, first ceil(K/2) are
 train — so a dataset reloaded from disk reconstructs the same split without
-storing it.
+storing it. A `Dataset` is a `Batch` of every row, and each side is one more.
 
 CSV schema: header "id,label,f0..f{D-1}"; multi-label cells join ids with
 "|". The binary format mirrors the checkpoint conventions (magic "IDMD",
@@ -25,19 +25,18 @@ from typing import Annotated
 import numpy as np
 
 from idml.core import (
-    LABEL_ID_LIMIT,
     NONNEGATIVE,
     POSITIVE,
     STREAM_DATA,
     UNIT_INTERVAL,
+    Batch,
     FormatError,
-    NumericalFailure,
     ParameterError,
     Rng,
-    ShapeError,
     at_least,
     check_fields,
     label_ids,
+    label_set,
     multi_hot,
 )
 
@@ -82,48 +81,30 @@ def train_class_ids(all_class_ids) -> frozenset:
     return frozenset(ids[:n_train])
 
 
-class Dataset:
-    """Feature rows, their multi-hot label rows, and the class-disjoint split mask.
+class Dataset(Batch):
+    """A `Batch` of every row, with the class-disjoint split mask `is_train`.
 
     The label sets given at construction are validated and converted once,
     by `multi_hot`: Y[i, k] is true iff row i carries class classes[k], with
     `classes` the sorted distinct ids. `label_ids(ds.Y, ds.classes)` gives
     the sets back as id lists, for the file formats. A dataset has at least
-    one row, and every feature is finite.
+    one row, and every feature is finite; no row is mixed.
     """
 
     def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ShapeError(f"features must be (N, D), got {self.features.shape}")
-        if len(labels) != self.features.shape[0]:
-            raise ShapeError(f"{self.features.shape[0]} feature rows vs {len(labels)} label sets")
         if not len(labels):
             raise ParameterError("a dataset needs at least one row")
-        if not np.isfinite(self.features).all():
-            raise NumericalFailure("dataset features contain non-finite entries")
-        self.Y, classes = multi_hot(labels)
-        self.classes = tuple(classes)
+        Y, classes = multi_hot(labels)
+        super().__init__(features, Y, classes)
         # a row's smallest class id is its first true column
         self.is_train = self.Y.argmax(axis=1) < len(train_class_ids(self.classes))
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
+    def train_split(self) -> Batch:
+        """The train side: the rows of the train classes, over all of `classes`."""
+        return Batch(self.features[self.is_train], self.Y[self.is_train], self.classes)
 
-    def _side(self, mask):
-        idx = np.nonzero(mask)[0]
-        return self.features[idx], self.Y[idx], idx
-
-    def train_split(self):
-        """(features, multi-hot label rows, original row indices) of the train side."""
-        return self._side(self.is_train)
-
-    def test_split(self):
-        return self._side(~self.is_train)
-
-    def train_classes(self) -> frozenset:
-        held = self.Y[self.is_train].any(axis=0)
-        return frozenset(c for c, h in zip(self.classes, held) if h)
+    def test_split(self) -> Batch:
+        return Batch(self.features[~self.is_train], self.Y[~self.is_train], self.classes)
 
 
 def generate(cfg: SynthConfig) -> Dataset:
@@ -192,14 +173,10 @@ def save_csv(ds: Dataset, path):
 
 
 def _parse_label_cell(cell: str, lineno: int) -> frozenset:
-    parts = cell.split("|")
     try:
-        ids = frozenset(int(p) for p in parts)
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad label cell {cell!r}") from None
-    if not ids or any(not 0 <= c < LABEL_ID_LIMIT for c in ids):
-        raise FormatError(f"line {lineno}: labels must be nonnegative ids below 2**32, got {cell!r}")
-    return ids
+        return label_set(cell.split("|"))
+    except ValueError as e:
+        raise FormatError(f"line {lineno}: bad label cell {cell!r}: {e}") from None
 
 
 def load_csv(path) -> Dataset:

@@ -307,21 +307,22 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     if output_dir is not None:  # an unusable output path fails before any work
         Path(output_dir).mkdir(parents=True, exist_ok=True)
     ds = load_dataset_for(cfg)
-    x_train, y_train, _ = ds.train_split()
-    if x_train.shape[0] < cfg.batch_size:
+    train_side = ds.train_split()
+    if len(train_side) < cfg.batch_size:
         raise ParameterError(
-            f"training split has {x_train.shape[0]} samples, fewer than batch_size={cfg.batch_size}"
+            f"training split has {len(train_side)} samples, fewer than batch_size={cfg.batch_size}"
         )
     check_scorable(ds.Y[~ds.is_train])  # an unscorable test split fails before training
+    held = train_side.Y.any(axis=0)
     model = init_model(
         input_dim=ds.features.shape[1],
         hidden=cfg.hidden,
         semantic_dim=cfg.semantic_dim,
         uncertainty_dim=cfg.uncertainty_dim,
         rng=Rng(cfg.seed, STREAM_INIT),
-        proxy_classes=sorted(ds.train_classes()) if cfg.loss in PROXY_LOSSES else (),
+        proxy_classes=[c for c, h in zip(ds.classes, held) if h] if cfg.loss in PROXY_LOSSES else (),
     )
-    stats = _fit(cfg, model, x_train, y_train, ds.classes)
+    stats = _fit(cfg, model, train_side)
     report, u_rows = _evaluate_test_split(model, ds, cfg)
     record = RunRecord(
         config=cfg, epochs=stats, final=report, wall_time_s=time.perf_counter() - t0
@@ -331,10 +332,10 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     return record
 
 
-def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
-    """Train `model.theta` in place for cfg.epochs; returns the EpochStats.
+def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
+    """Train `model.theta` in place on the rows of `train_side` for
+    cfg.epochs; returns the EpochStats.
 
-    `y_train` holds the multi-hot label rows of `x_train`, over `classes`.
     Each epoch consumes fresh Rng streams for shuffling, mixing, and
     sampling. Partial trailing batches are dropped so every step sees the
     configured batch size. A step's loss result and gradient are dropped
@@ -357,7 +358,7 @@ def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
             model.theta[sl] = 0.0
     opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, cfg.momentum)
 
-    mp, lp, n_train = cfg.metric_params, cfg.loss_params, x_train.shape[0]
+    mp, lp, n_train = cfg.metric_params, cfg.loss_params, len(train_side)
     stats = []
     for epoch in range(1, cfg.epochs + 1):
         perm = _epoch_stream(cfg.seed, epoch, STREAM_BATCH).permutation(n_train)
@@ -367,7 +368,7 @@ def _fit(cfg: RunConfig, model, x_train, y_train, classes) -> list:
         clean_norms, mixed_norms = [], []
         for b in range(n_train // cfg.batch_size):
             rows = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = Batch(features=x_train[rows], Y=y_train[rows], classes=classes)
+            batch = Batch(train_side.features[rows], train_side.Y[rows], train_side.classes)
             batch = augment_batch(batch, cfg.augment, aug_rng)
             res, grad = loss_and_grad(
                 model, batch, cfg.loss, metric=cfg.metric, mp=mp, lp=lp, rng=loss_rng
@@ -402,8 +403,7 @@ def _evaluate_test_split(model, ds: Dataset, cfg: RunConfig):
     looked up in this module's globals, so wrapping them here wraps the
     evaluation of both `train` and `diagnose`.
     """
-    x_test, y_test, idx_test = ds.test_split()
-    test = Batch(features=x_test, Y=y_test, classes=ds.classes)  # rejects non-finite features
+    test = ds.test_split()  # rejects non-finite features
     s_test, u_test = forward(model, test.features)
     eval_rng = Rng(cfg.seed, STREAM_EVAL)
     mixed_feats, mixed_Y = mix_rows(test, cfg.augment, eval_rng)
@@ -414,19 +414,20 @@ def _evaluate_test_split(model, ds: Dataset, cfg: RunConfig):
     report = evaluate(
         s_test,
         u_test,
-        y_test,
+        test.Y,
         eval_rng,
         mixed_uncertainty=u_mixed,
         test_metric=cfg.test_metric,
         mp=cfg.metric_params,
     )
-    return report, _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed)
+    return report, _uncertainty_rows(ds, test, u_test, mixed_Y, u_mixed)
 
 
-def _uncertainty_rows(ds, idx_test, u_test, mixed_Y, u_mixed):
+def _uncertainty_rows(ds, test, u_test, mixed_Y, u_mixed):
     rows = []
     norms = uncertainty_levels(u_test).tolist()  # Python floats print as plain numbers
-    for i, (row, ids) in enumerate(zip(idx_test, label_ids(ds.Y[idx_test], ds.classes))):
+    idx_test = np.flatnonzero(~ds.is_train)
+    for i, (row, ids) in enumerate(zip(idx_test, label_ids(test.Y, ds.classes))):
         rows.append(f"{int(row)},{'|'.join(map(str, ids))},0,{norms[i]!r}")
     if u_mixed is not None:
         mixed_norms = uncertainty_levels(u_mixed).tolist()

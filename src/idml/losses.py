@@ -144,8 +144,8 @@ class Plan:
     """Frozen per-batch choices; evaluate_loss is smooth given a fixed Plan."""
 
     loss: str
-    pos_pairs: np.ndarray = None  # (P, 2) i<j label-matched pairs
-    neg_pairs: np.ndarray = None  # (Q, 2) i<j unmatched pairs
+    pos_pairs: np.ndarray = None  # (P, 2) i<j label-matched pairs, read by contrastive and margin_dw
+    neg_pairs: np.ndarray = None  # (Q, 2) i<j unmatched pairs, read by contrastive
     dw_negatives: np.ndarray = None  # (M, 2) (anchor, sampled negative)
     triplets: np.ndarray = None  # (T, 3) (anchor, positive, semi-hard negative)
     n_skipped: int = 0  # mining-exhausted (a, p) pairs for triplet_sh
@@ -369,7 +369,7 @@ def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rn
     plan = Plan(loss=loss)
     match = None if loss in PROXY_LOSSES else match_matrix(Y)
 
-    if loss in ("contrastive", "margin_dw", "triplet_sh"):
+    if loss in ("contrastive", "margin_dw"):
         plan.pos_pairs, plan.neg_pairs = _pair_lists(match)
 
     if loss == "margin_dw":

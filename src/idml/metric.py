@@ -205,8 +205,8 @@ def distance_panels(metric: str, S: np.ndarray, U: np.ndarray, mp: MetricParams)
         yield from alpha
         return
     if metric == "uncert_sumnorm":
-        nu = np.linalg.norm(U, axis=1)
-        beta = ((lo, nu[lo : lo + PANEL_ROWS, None] + nu[None, :]) for lo in range(0, len(U), PANEL_ROWS))
+        rows = range(0, len(U), PANEL_ROWS)
+        beta = ((lo, pairwise_pair_uncertainty(U[lo : lo + PANEL_ROWS], U, sumnorm=True)) for lo in rows)
     else:
         beta = gram_panels(U, -U)
     for (lo, A), (_, B) in zip(alpha, beta):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from idml.core import FormatError, NumericalFailure, ParameterError, label_ids
+from idml.core import Batch, FormatError, NumericalFailure, ParameterError, label_ids
 from idml.data import (
     Dataset,
     SynthConfig,
@@ -349,17 +349,22 @@ def test_non_finite_features_rejected_at_load(tmp_path, save):
         load_dataset(p)
     with pytest.raises(NumericalFailure):
         Dataset(np.array([[0.0, np.inf]]), [0])
+    # a side is checked again when it is taken
+    ds.features[np.flatnonzero(ds.is_train)[0], 0] = np.nan
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        ds.train_split()
 
 
 def test_dataset_split_views_are_consistent():
     ds = generate(tiny_cfg(ambiguous_frac=0.1))
-    Xtr, ytr, idx_tr = ds.train_split()
-    Xte, yte, idx_te = ds.test_split()
-    assert len(Xtr) + len(Xte) == len(ds)
-    assert not (set(idx_tr.tolist()) & set(idx_te.tolist()))
-    np.testing.assert_array_equal(ds.features[idx_tr], Xtr)
-    np.testing.assert_array_equal(ds.Y[idx_tr], ytr)
-    np.testing.assert_array_equal(ds.Y[idx_te], yte)
-    # the train side holds exactly the train classes, over the dataset's columns
-    assert ds.train_classes() == frozenset(np.asarray(ds.classes)[ytr.any(axis=0)].tolist())
-    assert not (ytr.any(axis=0) & yte.any(axis=0)).any()
+    assert isinstance(ds, Batch) and not ds.is_mixed.any()
+    train, test = ds.train_split(), ds.test_split()
+    for side, mask in ((train, ds.is_train), (test, ~ds.is_train)):
+        assert isinstance(side, Batch)
+        np.testing.assert_array_equal(side.features, ds.features[mask])
+        np.testing.assert_array_equal(side.Y, ds.Y[mask])
+        assert side.classes == ds.classes
+        assert side.is_mixed.shape == (mask.sum(),) and not side.is_mixed.any()
+    assert len(train) + len(test) == len(ds)
+    # the two sides hold disjoint classes, over the dataset's columns
+    assert not (train.Y.any(axis=0) & test.Y.any(axis=0)).any()

@@ -341,9 +341,9 @@ def test_train_writes_run_outputs(tmp_path):
     # u_norm holds each row's norm as a plain number: the test split's rows,
     # then their mixes on the eval stream
     model = load_checkpoint(tmp_path / "model.bin")
-    x_test, y_test, _ = load_dataset_for(cfg).test_split()
-    mixed, _ = mix_rows(Batch(x_test, y_test), cfg.augment, Rng(cfg.seed, STREAM_EVAL))
-    norms = [np.linalg.norm(forward(model, x)[1], axis=1) for x in (x_test, mixed)]
+    test = load_dataset_for(cfg).test_split()
+    mixed, _ = mix_rows(test, cfg.augment, Rng(cfg.seed, STREAM_EVAL))
+    norms = [np.linalg.norm(forward(model, x)[1], axis=1) for x in (test.features, mixed)]
     assert [float(line.split(",")[3]) for line in u_lines[1:]] == np.concatenate(norms).tolist()
 
     assert model.input_dim == cfg.data.input_dim
@@ -394,17 +394,16 @@ def test_a_fit_keeps_one_gradient_live_and_nothing_past_its_end():
     # one is still bound reads about 5.1 theta; one live gradient about 3.8.
     # Any cache or buffer kept past the fit shows in the growth after it.
     cfg = desk_config(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
-    ds = load_dataset_for(cfg)
-    x_train, y_train, _ = ds.train_split()
+    train_side = load_dataset_for(cfg).train_split()
     model = init_model(
-        x_train.shape[1], hidden=cfg.hidden, semantic_dim=cfg.semantic_dim,
+        train_side.features.shape[1], hidden=cfg.hidden, semantic_dim=cfg.semantic_dim,
         uncertainty_dim=cfg.uncertainty_dim, rng=Rng(cfg.seed),
     )
     theta = model.theta.nbytes
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        stats = _fit(cfg, model, x_train, y_train, ds.classes)
+        stats = _fit(cfg, model, train_side)
         end, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
