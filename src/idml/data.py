@@ -33,6 +33,7 @@ from idml.core import (
     FormatError,
     ParameterError,
     Rng,
+    ShapeError,
     at_least,
     check_fields,
     label_ids,
@@ -94,6 +95,9 @@ class Dataset(Batch):
     def __init__(self, features, labels):
         if not len(labels):
             raise ParameterError("a dataset needs at least one row")
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim == 2 and len(features) != len(labels):
+            raise ShapeError(f"{len(features)} feature rows vs {len(labels)} label sets")
         Y, classes = multi_hot(labels)
         super().__init__(features, Y, classes)
         # a row's smallest class id is its first true column

@@ -68,10 +68,10 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
     Equal distances rank by sample index, so row i is the first k entries of
     a stable sort of row i without its diagonal; k = None ranks all N - 1.
     The table is ranked one row block of `core.TABLE_BLOCK` entries at a
-    time by `_rank_block`, each block copied into one reused buffer first, so
-    the caller's table is never written. An off-diagonal NaN or +inf raises
-    NumericalFailure: it has no rank. `evaluate` ranks the same way, block by
-    block of each panel of distances it builds, and never calls this.
+    time by `_ranked_blocks`, each block copied first, so the caller's table
+    is never written. An off-diagonal NaN or +inf raises NumericalFailure: it
+    has no rank. `evaluate` ranks the same way, block by block of each panel
+    of distances it builds, and never calls this.
     """
     d = np.asarray(dists, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -83,11 +83,9 @@ def neighbor_order(dists: np.ndarray, k: int = None) -> np.ndarray:
         raise ParameterError(f"neighbor_order needs 0 <= k < n, got k={k}, n={n}")
     top = np.empty((n, k), dtype=np.intp)
     rows = block_rows(n)
-    buf = np.empty((min(rows, n), n))
-    for lo in range(0, n, rows):
-        b = buf[: min(rows, n - lo)]
-        b[...] = d[lo : lo + rows]
-        top[lo : lo + len(b)] = _rank_block(b, lo, k)
+    blocks = ((lo, d[lo : lo + rows].copy()) for lo in range(0, n, rows))
+    for lo, b, t in _ranked_blocks(blocks, k):
+        top[lo : lo + len(b)] = t
     return top
 
 

@@ -144,15 +144,15 @@ class Plan:
     """Frozen per-batch choices; evaluate_loss is smooth given a fixed Plan."""
 
     loss: str
-    pos_pairs: np.ndarray = None  # (P, 2) i<j label-matched pairs, read by contrastive and margin_dw
-    neg_pairs: np.ndarray = None  # (Q, 2) i<j unmatched pairs, read by contrastive
+    # Boolean tables of the pairs in play, over the loss's own table: i<j
+    # label (mis)matches for contrastive and margin_dw (which has no neg),
+    # each anchor row's surviving pairs for multi_similarity, and the (N, K)
+    # sample-proxy label (mis)matches for the proxy losses.
+    pos: np.ndarray = None
+    neg: np.ndarray = None
     dw_negatives: np.ndarray = None  # (M, 2) (anchor, sampled negative)
     triplets: np.ndarray = None  # (T, 3) (anchor, positive, semi-hard negative)
     n_skipped: int = 0  # mining-exhausted (a, p) pairs for triplet_sh
-    ms_pos_mask: np.ndarray = None  # (N, N) surviving positive pairs per anchor row
-    ms_neg_mask: np.ndarray = None
-    proxy_pos: np.ndarray = None  # (N, K) sample-proxy label matches
-    proxy_neg: np.ndarray = None
 
 
 @dataclass
@@ -174,15 +174,6 @@ class LossResult:
 # ---------------------------------------------------------------------------
 # Shared machinery
 # ---------------------------------------------------------------------------
-
-
-def _pair_lists(match):
-    """All unordered pairs, split by the label match table."""
-    iu, ju = np.triu_indices(len(match), k=1)
-    matched = match[iu, ju]
-    pos = np.stack([iu[matched], ju[matched]], axis=1)
-    neg = np.stack([iu[~matched], ju[~matched]], axis=1)
-    return pos.astype(np.intp), neg.astype(np.intp)
 
 
 def _normalize_rows(X: np.ndarray):
@@ -369,24 +360,25 @@ def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rn
     plan = Plan(loss=loss)
     match = None if loss in PROXY_LOSSES else match_matrix(Y)
 
-    if loss in ("contrastive", "margin_dw"):
-        plan.pos_pairs, plan.neg_pairs = _pair_lists(match)
-
-    if loss == "margin_dw":
-        if plan.pos_pairs.shape[0] == 0:
+    if loss == "contrastive":
+        plan.pos, plan.neg = np.triu(match, 1), np.triu(~match, 1)
+    elif loss == "margin_dw":
+        plan.pos = np.triu(match, 1)
+        if not plan.pos.any():
             raise ParameterError("margin_dw needs at least one positive pair")
         if rng is None:
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
+        # argwhere lists the positive pairs in row-major (triu_indices) order
         plan.dw_negatives = sample_negatives_for_pairs(
-            plan.pos_pairs, t.M, match, n_dim=t.X.shape[1], phi=lp.phi, rng=rng
+            np.argwhere(plan.pos), t.M, match, n_dim=t.X.shape[1], phi=lp.phi, rng=rng
         )
     elif loss == "triplet_sh":
         plan.triplets, plan.n_skipped = mine_triplets(t.M, match)
     elif loss == "multi_similarity":
-        plan.ms_pos_mask, plan.ms_neg_mask = _ms_mining_masks(t.M, match, lp.ms_eps)
+        plan.pos, plan.neg = _ms_mining_masks(t.M, match, lp.ms_eps)
     elif loss in PROXY_LOSSES:
-        plan.proxy_pos, plan.proxy_neg = _proxy_masks(Y, classes, t.proxies)
-        if loss in ("softmax_proxy", "proxy_nca") and not plan.proxy_neg.any(axis=1).all():
+        plan.pos, plan.neg = _proxy_masks(Y, classes, t.proxies)
+        if loss in ("softmax_proxy", "proxy_nca") and not plan.neg.any(axis=1).all():
             raise ParameterError(f"{loss} needs at least one negative proxy per sample")
     return plan
 
@@ -474,28 +466,30 @@ def _kink_margin_tables(t: LossTables, used) -> float:
 # ---------------------------------------------------------------------------
 # Loss heads: (tables, plan, params) -> (terms, dL/dA or dL/dC, dL/dB, pairs
 # in play, hinge gaps). Distance heads mirror each pair's weight across the
-# diagonal; multi_similarity symmetrizes after multiplying by the partials.
+# diagonal: a table's i<j weights by W += W.T (exact, the lower triangle is
+# 0), a list that can repeat a pair by `_accumulate_sym`. multi_similarity
+# symmetrizes after multiplying by the partials.
 # A distance head's pairs in play are its nonzero weights: positive and
 # negative pairs never share a cell, so +1 and -1 never cancel.
 # ---------------------------------------------------------------------------
 
 
 def _contrastive(t, plan, lp):
-    pos, neg = plan.pos_pairs, plan.neg_pairs
-    neg_gap = lp.margin_delta - t.M[neg[:, 0], neg[:, 1]]
-    W = np.zeros_like(t.A)
-    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.ones(len(pos)))
-    _accumulate_sym(W, neg[:, 0], neg[:, 1], np.where(neg_gap > 0, -1.0, 0.0))
-    terms = np.concatenate([t.M[pos[:, 0], pos[:, 1]], np.maximum(neg_gap, 0.0)])
+    neg_gap = lp.margin_delta - t.M[plan.neg]
+    W = plan.pos.astype(np.float64)
+    W[plan.neg] = np.where(neg_gap > 0, -1.0, 0.0)
+    W += W.T
+    terms = np.concatenate([t.M[plan.pos], np.maximum(neg_gap, 0.0)])
     return terms, W * t.dM, W * t.dMb, W != 0, [neg_gap]
 
 
 def _margin_dw(t, plan, lp):
-    pos, neg = plan.pos_pairs, plan.dw_negatives
-    pos_gap = t.M[pos[:, 0], pos[:, 1]] - lp.margin_xi
+    neg = plan.dw_negatives
+    pos_gap = t.M[plan.pos] - lp.margin_xi
     neg_gap = lp.margin_omega - t.M[neg[:, 0], neg[:, 1]]
     W = np.zeros_like(t.A)
-    _accumulate_sym(W, pos[:, 0], pos[:, 1], np.where(pos_gap > 0, 1.0, 0.0))
+    W[plan.pos] = np.where(pos_gap > 0, 1.0, 0.0)
+    W += W.T
     _accumulate_sym(W, neg[:, 0], neg[:, 1], np.where(neg_gap > 0, -1.0, 0.0))
     terms = np.concatenate([np.maximum(pos_gap, 0.0), np.maximum(neg_gap, 0.0)])
     return terms, W * t.dM, W * t.dMb, W != 0, [pos_gap, neg_gap]
@@ -513,7 +507,7 @@ def _triplet_sh(t, plan, lp):
 
 def _multi_similarity(t, plan, lp):
     n = t.M.shape[0]
-    posm, negm = plan.ms_pos_mask, plan.ms_neg_mask
+    posm, negm = plan.pos, plan.neg
     ep = np.where(posm, np.exp(-lp.ms_alpha * (t.M - lp.ms_lambda)), 0.0)
     en = np.where(negm, np.exp(lp.ms_beta * (t.M - lp.ms_lambda)), 0.0)
     sp = ep.sum(axis=1)
@@ -529,7 +523,7 @@ def _proxy_softmax(t, plan, lp, sign: float, mean: bool):
     """softmax_proxy's head (sign +1, averaged over the batch) and proxy_nca's
     (sign -1, summed): per sample, log Σ_neg e^(sign·M) - log Σ_pos e^(sign·M)
     over its proxies."""
-    posm, negm = plan.proxy_pos, plan.proxy_neg
+    posm, negm = plan.pos, plan.neg
     e = np.exp(sign * t.M)
     ep = np.where(posm, e, 0.0)
     en = np.where(negm, e, 0.0)
@@ -541,7 +535,7 @@ def _proxy_softmax(t, plan, lp, sign: float, mean: bool):
 
 
 def _proxy_anchor(t, plan, lp):
-    posm, negm = plan.proxy_pos, plan.proxy_neg
+    posm, negm = plan.pos, plan.neg
     plus = posm.any(axis=0)  # proxies with a positive sample in the batch
     n_plus = max(int(plus.sum()), 1)
     n_all = posm.shape[1]

@@ -278,6 +278,9 @@ def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, m
     """
     if metric == "euclidean":
         return C.copy(), np.ones_like(C), np.zeros_like(C)
+    if metric == "ism_strict":
+        ind = A - B - mp.gamma <= 0  # uncertainty covers the distance: fully similar
+        return np.where(ind, 1.0, C), np.where(ind, 0.0, 1.0), np.zeros_like(C)
     denom, bt, E = _beta_rel_parts(A, B, mp)
     live = A > mp.alpha_min
     # dE/dC through alpha: dalpha/dC = -1/alpha, so dbt/dC = (B+gamma)/alpha^3 where live.
@@ -288,8 +291,4 @@ def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, m
         return 1.0 - (1.0 - C) * E, E - (1.0 - C) * dE_dC, -(1.0 - C) * dE_dB
     if metric == "ism_dis":
         return C * E, E + C * dE_dC, C * dE_dB
-    if metric == "ism_strict":
-        ind = A - B - mp.gamma <= 0  # uncertainty covers the distance: fully similar
-        Cs = np.where(ind, 1.0, C)
-        return Cs, np.where(ind, 0.0, 1.0), np.zeros_like(C)
     raise ParameterError(f"unknown metric {metric!r}")

@@ -380,6 +380,14 @@ def semi_hard_ref(d_pos, neg_dists):
     return min(qualifying)[1]
 
 
+def pair_tables_ref(labels):
+    """Label-matched and unmatched pairs i < j, as two (N, N) boolean tables."""
+    n = len(labels)
+    pos = [[i < j and _match(labels[i], labels[j]) for j in range(n)] for i in range(n)]
+    neg = [[i < j and not _match(labels[i], labels[j]) for j in range(n)] for i in range(n)]
+    return pos, neg
+
+
 def ms_masks_ref(sims, labels, eps):
     """Pair-keep masks for the mining step, one anchor at a time.
 

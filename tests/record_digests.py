@@ -47,9 +47,10 @@ refactor prints identical text. It covers:
   so the blocked Gram epilogue, ranking and MRR count cross block and
   panel boundaries;
 - plan_sha256: the sha256 of every `Plan` field (name, dtype, shape and
-  bytes of each array) that `build_plan` returns for every loss x metric on
-  one fixed 16-row batch on an integer grid, so that distance ties decide
-  mined triplets and masks, with four two-label (mixed) rows. It also
+  bytes of each array, the repr of anything else) that `build_plan`
+  returns for every loss x metric on one fixed 16-row batch on an integer
+  grid, so that distance ties decide mined triplets and the `pos`/`neg`
+  pair tables, with four two-label (mixed) rows. It also
   hashes the next draw of the plan's rng, which checks that margin_dw's
   sampling consumed exactly the draws it did before. Keys `paper/...` hash
   margin_dw's plan under every metric at paper shape: 120 clean rows over
@@ -79,9 +80,11 @@ With `--against REV` it does the diff itself, in one command:
 It checks REV out as a detached `git worktree` under a temporary
 directory, runs that checkout's own copy of this script with that
 checkout's src/ first on PYTHONPATH, then runs this checkout's script with
-this checkout's src/, and prints a unified diff of the two JSON texts. It
-exits 0 when they are identical and 1 when they differ, and removes the
-worktree either way.
+this checkout's src/, and prints a unified diff of the two JSON texts.
+After the diff it writes to stderr one line per top-level section saying
+how many of its keys differ (`plan_sha256: 40 of 40 keys differ`). It
+exits 0 when the texts are identical and 1 when they differ, and removes
+the worktree either way.
 
 Batches, plans and reports take multi-hot label rows; the fixed inputs
 hold label sets and convert them once with `core.multi_hot`.
@@ -435,7 +438,22 @@ def diff_against(rev: str) -> int:
         before.splitlines(keepends=True), after.splitlines(keepends=True), rev, "working tree"
     ))
     sys.stdout.writelines(diff)
+    sys.stderr.writelines(f"{line}\n" for line in section_diff_counts(before, after))
     return 1 if diff else 0
+
+
+def section_diff_counts(before: str, after: str) -> list:
+    """One line per top-level section of two outputs of this script: how many
+    of the section's keys differ, a key present in one output only included.
+    A section that is one value (`sweep_csv_sha256`) is one key."""
+    a, b = json.loads(before), json.loads(after)
+    lines = []
+    for section in sorted(a.keys() | b.keys()):
+        x, y = (v if isinstance(v, dict) else {section: v} for v in (a.get(section, {}), b.get(section, {})))
+        keys = x.keys() | y.keys()
+        n = sum(k not in x or k not in y or x[k] != y[k] for k in keys)
+        lines.append(f"{section}: {n} of {len(keys)} keys differ")
+    return lines
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from idml.core import Batch, FormatError, NumericalFailure, ParameterError, label_ids
+from idml.core import Batch, FormatError, NumericalFailure, ParameterError, ShapeError, label_ids
 from idml.data import (
     Dataset,
     SynthConfig,
@@ -335,6 +335,14 @@ def test_dataset_rejects_zero_rows(tmp_path):
     write_binary_rows(p, [], np.zeros((0, 4)))
     with pytest.raises(FormatError, match="no data rows"):
         load_binary(p)
+
+
+def test_dataset_rejects_a_label_count_unlike_the_row_count():
+    # named in the caller's terms, before any label row is built
+    with pytest.raises(ShapeError, match="^3 feature rows vs 2 label sets$"):
+        Dataset(np.zeros((3, 2)), [0, 1])
+    with pytest.raises(ShapeError, match="^2 feature rows vs 3 label sets$"):
+        Dataset(np.zeros((2, 2)), [0, 1, 2])
 
 
 @pytest.mark.parametrize("save", [save_csv, save_binary], ids=["csv", "binary"])

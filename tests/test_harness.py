@@ -1,11 +1,13 @@
 """Tests for the training harness: configs, runs, sweeps, gradcheck, diagnose."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,6 +582,28 @@ def test_diagnose_rejects_dimension_mismatch(tmp_path):
     save_binary(other, ds_path)
     with pytest.raises(ShapeError, match="input dim"):
         diagnose(run_dir / "model.bin", ds_path)
+
+
+def test_record_digests_counts_differing_keys_per_section():
+    path = Path(__file__).resolve().parent / "record_digests.py"
+    spec = importlib.util.spec_from_file_location("record_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    before = json.dumps(
+        {"plan_sha256": {"a": "1", "b": "2"}, "io_sha256": {"csv": "3"}, "gone": {"x": 1}, "sweep_csv_sha256": "5"}
+    )
+    after = json.dumps({"plan_sha256": {"a": "1", "b": "9", "c": "4"}, "io_sha256": {"csv": "3"}, "sweep_csv_sha256": "6"})
+    assert script.section_diff_counts(before, after) == [
+        "gone: 1 of 1 keys differ",
+        "io_sha256: 0 of 1 keys differ",
+        "plan_sha256: 2 of 3 keys differ",
+        "sweep_csv_sha256: 1 of 1 keys differ",
+    ]
+    # a nested value counts its key once, however many of its fields moved
+    nested = json.dumps({"compute_loss": {"l/m": {"value": 1.0, "kink_margin": 2.0}}})
+    moved = json.dumps({"compute_loss": {"l/m": {"value": 1.5, "kink_margin": 2.5}}})
+    assert script.section_diff_counts(nested, moved) == ["compute_loss: 1 of 1 keys differ"]
+    assert script.section_diff_counts(nested, nested) == ["compute_loss: 0 of 1 keys differ"]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,27 @@ def test_contrastive_gradient_ratio_is_gradient_weight():
     np.testing.assert_allclose(g_ism, h * g_euc, rtol=1e-12)
 
 
+@pytest.mark.parametrize("loss", ["contrastive", "margin_dw"])
+def test_pair_tables_match_loop_oracle(loss):
+    r = np.random.default_rng(5)
+    for _ in range(25):
+        # one or two of three classes per sample, as after mixing; four rows
+        # or more always hold a positive pair, which margin_dw needs
+        n = int(r.integers(4, 12))
+        labels = tuple(
+            frozenset(int(c) for c in r.integers(0, 3, size=int(r.integers(1, 3))))
+            for _ in range(n)
+        )
+        S = r.normal(size=(n, 3))
+        plan = build_plan(loss_tables(loss, S, np.zeros((n, 2))), *multi_hot(labels), rng=Rng(0))
+        pos, neg = oracles.pair_tables_ref(labels)
+        assert np.array_equal(plan.pos, np.array(pos))
+        if loss == "contrastive":
+            assert np.array_equal(plan.neg, np.array(neg))
+        else:
+            assert plan.neg is None  # its negatives are the sampled dw_negatives
+
+
 # ---------------------------------------------------------------------------
 # Margin loss with distance-weighted negatives
 # ---------------------------------------------------------------------------
@@ -150,6 +171,38 @@ def test_margin_dw_scale_invariant():
     a = compute_loss("margin_dw", S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value
     b = compute_loss("margin_dw", 10 * S, U, *multi_hot(same), metric="euclidean", rng=Rng(0)).value
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_margin_dw_repeated_negatives_count_per_listing():
+    # a hand-built plan lists one negative pair from both ends and another
+    # twice: each listing is a term of its own, and the mirrored positive
+    # weights compose with the negatives' per-listing accumulation
+    labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}), frozenset({0, 1}))
+    r = np.random.default_rng(11)
+    S, U = r.normal(size=(5, 3)), 0.3 * r.normal(size=(5, 2))
+    Y, _ = multi_hot(labels)
+    negs = np.array([[0, 2], [2, 0], [1, 3], [1, 3]])
+    plan = Plan(loss="margin_dw", pos=np.triu(Y @ Y.T, 1), dw_negatives=negs)
+    # every hinge open: positives pay D - 0, negatives 2.5 - D (D <= 2 on the sphere)
+    lp = LossParams(margin_xi=0.0, margin_omega=2.5)
+
+    def value(S, U):
+        return evaluate_loss(loss_tables("margin_dw", S, U, metric="ism"), plan, lp).value
+
+    t = loss_tables("margin_dw", S, U, metric="ism")
+    res = evaluate_loss(t, plan, lp)
+    want = t.M[plan.pos].sum() + sum(2.5 - t.M[a, n] for a, n in negs)
+    assert res.pair_terms.size == int(plan.pos.sum()) + len(negs)
+    assert res.value == pytest.approx(want, rel=1e-12)
+    h = 1e-6
+    for X, grad, at in ((S, res.d_semantic, lambda X: value(X, U)), (U, res.d_uncertainty, lambda X: value(S, X))):
+        fd = np.zeros_like(X)
+        for idx in np.ndindex(X.shape):
+            up, dn = X.copy(), X.copy()
+            up[idx] += h
+            dn[idx] -= h
+            fd[idx] = (at(up) - at(dn)) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_margin_dw_requires_rng():
@@ -262,8 +315,8 @@ def test_multi_similarity_masks_match_loop_oracle():
         Sn = S / np.linalg.norm(S, axis=1, keepdims=True)
         C = Sn @ Sn.T
         posm, negm = oracles.ms_masks_ref(C.tolist(), labels, 0.1)
-        assert np.array_equal(plan.ms_pos_mask, np.array(posm))
-        assert np.array_equal(plan.ms_neg_mask, np.array(negm))
+        assert np.array_equal(plan.pos, np.array(posm))
+        assert np.array_equal(plan.neg, np.array(negm))
 
 
 def test_multi_similarity_mining_drops_easy_pairs():
@@ -275,8 +328,8 @@ def test_multi_similarity_mining_drops_easy_pairs():
     t = loss_tables("multi_similarity", S, np.zeros((4, 2)), metric="euclidean")
     plan = build_plan(t, *multi_hot(labels), lp=LossParams(ms_eps=0.01))
     # positives hug each other, negatives sit on the far side of the sphere
-    assert not plan.ms_neg_mask[0].any()
-    assert not plan.ms_pos_mask[0].any()
+    assert not plan.neg[0].any()
+    assert not plan.pos[0].any()
 
 
 def test_multi_similarity_large_eps_keeps_everything():
@@ -289,9 +342,9 @@ def test_multi_similarity_large_eps_keeps_everything():
             if i == j:
                 continue
             if labels[i] & labels[j]:
-                assert plan.ms_pos_mask[i, j]
+                assert plan.pos[i, j]
             else:
-                assert plan.ms_neg_mask[i, j]
+                assert plan.neg[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +416,8 @@ def test_proxy_masks_need_a_proxy_only_for_classes_the_batch_holds(loss):
     Y = np.array([[True, False, False, False], [False, True, False, False]])
     t = loss_tables(loss, S, U, metric="euclidean", proxies=prox)
     plan = build_plan(t, Y, (0, 1, 2, 5))
-    assert plan.proxy_pos.tolist() == [[True, False, False], [False, True, False]]
-    assert plan.proxy_neg.tolist() == [[False, True, True], [True, False, True]]
+    assert plan.pos.tolist() == [[True, False, False], [False, True, False]]
+    assert plan.neg.tolist() == [[False, True, True], [True, False, True]]
     Y[1, 3] = True  # now a row holds class 5, which has no proxy
     with pytest.raises(ParameterError, match=r"lacks classes \[5\]"):
         build_plan(t, Y, (0, 1, 2, 5))
@@ -378,9 +431,9 @@ def test_mixed_label_sample_is_positive_for_both_parents():
     S = r.normal(size=(1, 4))
     U = np.zeros((1, 4))
     plan = build_plan(loss_tables("proxy_anchor", S, U, metric="euclidean", proxies=prox), *multi_hot([{0, 2}]))
-    assert plan.proxy_pos[0, 0] and plan.proxy_pos[0, 2]
-    assert not plan.proxy_pos[0, 1]
-    assert plan.proxy_neg[0, 1]
+    assert plan.pos[0, 0] and plan.pos[0, 2]
+    assert not plan.pos[0, 1]
+    assert plan.neg[0, 1]
 
 
 # ---------------------------------------------------------------------------
