@@ -469,10 +469,17 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _one_thread_per_worker():
+    # run_grid's processes already fill the CPUs: each keeps its steps on
+    # one thread (model._run_pair reads IDML_THREADS=1 as "inline").
+    os.environ["IDML_THREADS"] = "1"
+
+
 def run_grid(configs, output_dirs=None) -> list:
     """Train every config in min(worker_count(), len(configs)) processes, or
     in this one when that is 1. Records come back in config order, and an
-    exception raised in a run reaches the caller with its type."""
+    exception raised in a run reaches the caller with its type. Each worker
+    process runs its steps on one thread."""
     configs = list(configs)
     dirs = [None] * len(configs) if output_dirs is None else list(output_dirs)
     if len(dirs) != len(configs):
@@ -484,7 +491,9 @@ def run_grid(configs, output_dirs=None) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    with ProcessPoolExecutor(n_workers, mp_context=get_context("spawn")) as pool:
+    with ProcessPoolExecutor(
+        n_workers, mp_context=get_context("spawn"), initializer=_one_thread_per_worker
+    ) as pool:
         return list(pool.map(train, configs, dirs))
 
 

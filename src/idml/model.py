@@ -22,8 +22,12 @@ block.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -73,6 +77,13 @@ ADAMW_EPS = 1e-8
 # Entries AdamW updates per pass of its elementwise chain: two float64
 # buffers of this length stay in cache, where a span-sized temporary did not.
 ADAMW_BLOCK = 16384
+# Float64 entries the helper thread's piece of `_run_pair` must write before
+# the pair is split across two threads. A dispatch costs about 20 us (2-vCPU
+# Xeon VM, one BLAS thread); a piece this size takes about 100 us or more in
+# a step (AdamW: about 8 ns per entry; a product of inner dimension 64: about
+# 3 ns per entry written, 512: about 20 ns). Desk steps and the forward of a
+# desk test split stay inline.
+THREAD_MIN_ENTRIES = 32768
 
 
 def _layout(dims, n_proxies: int) -> list:
@@ -190,11 +201,92 @@ def init_proxies(
     )
 
 
+# ---------------------------------------------------------------------------
+# Two independent pieces of a step on two threads
+# ---------------------------------------------------------------------------
+
+# The helper thread's jobs and a semaphore that counts them, once started in
+# this process, and the lock around its start; a forked child starts its
+# own, because the parent's thread does not survive the fork.
+_helper = None
+_helper_start = threading.Lock()
+
+
+def _forget_helper():
+    global _helper, _helper_start
+    _helper, _helper_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serve(jobs, waiting):
+    while True:
+        waiting.acquire()
+        piece, errstate, done, error = jobs.popleft()
+        try:
+            with np.errstate(**errstate):  # numpy's error state is per thread
+                piece()
+        except BaseException as exc:  # handed to the waiting caller
+            error.append(exc)
+        del piece, error  # they hold the step's arrays until the next job otherwise
+        done.release()
+
+
+def _threads_allowed() -> bool:
+    """False under IDML_THREADS=1 or when this process may use one CPU."""
+    if os.environ.get("IDML_THREADS", "").strip() == "1":
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _run_pair(first, second, entries: int):
+    """Run `first()` and `second()`, two pieces of numpy work that write only
+    into disjoint arrays the caller allocated and read nothing the other
+    writes. With `entries` (what `first` writes) of at least
+    THREAD_MIN_ENTRIES and threads allowed, `first` runs on one lazily
+    started helper thread while `second` runs here; otherwise both run here.
+    Either way each float operation is the same numpy call on the same
+    operands, under the caller's numpy error state, so the results are
+    bit-identical and the same errors are raised. A piece must not call
+    `_run_pair` itself.
+    """
+    global _helper
+    if entries < THREAD_MIN_ENTRIES or not _threads_allowed():
+        first()
+        second()
+        return
+    with _helper_start:
+        if _helper is None:
+            _helper = (deque(), threading.Semaphore(0))
+            threading.Thread(target=_serve, args=_helper, name="idml-step", daemon=True).start()
+        jobs, waiting = _helper
+    done, error = threading.Lock(), []
+    done.acquire()
+    jobs.append((first, np.geterr(), done, error))
+    waiting.release()
+    try:
+        second()
+    finally:
+        done.acquire()  # the helper has finished `first`
+    if error:
+        raise error[0]
+
+
+def _affine(x, w, b, out):
+    np.matmul(x, w, out=out)
+    out += b
+
+
 def _forward_cached(model: EncoderModel, X: np.ndarray):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"expected (N, {model.input_dim}) inputs, got {X.shape}")
-    # Each result is one array, the GEMM's output, finished in place.
+    # Each result is one array, the GEMM's output, finished in place; the
+    # two heads run as one `_run_pair`.
     hs = [X]
     h = X
     for w, b in zip(model.trunk_w, model.trunk_b):
@@ -202,10 +294,13 @@ def _forward_cached(model: EncoderModel, X: np.ndarray):
         h += b
         np.tanh(h, out=h)
         hs.append(h)
-    S = h @ model.head_s_w
-    S += model.head_s_b
-    U = h @ model.head_u_w
-    U += model.head_u_b
+    S = np.empty((len(h), model.head_s_w.shape[1]))
+    U = np.empty((len(h), model.head_u_w.shape[1]))
+    _run_pair(
+        partial(_affine, h, model.head_s_w, model.head_s_b, S),
+        partial(_affine, h, model.head_u_w, model.head_u_b, U),
+        S.size,
+    )
     return S, U, hs
 
 
@@ -215,26 +310,41 @@ def forward(model: EncoderModel, X):
     return S, U
 
 
+def _layer_grads(x, d, g_w, g_b, w=None, dx=None):
+    """Weight and bias gradients of the affine layer x @ w + b, given its
+    output gradient d, written into g_w and g_b; with w, also d @ w^T into dx."""
+    np.matmul(x.T, d, out=g_w)
+    d.sum(axis=0, out=g_b)
+    if w is not None:
+        np.matmul(d, w.T, out=dx)
+
+
 def _backward(model: EncoderModel, hs, dS, dU, g: dict):
     """Write parameter gradients into the views `g` given embedding gradients;
     hs are cached activations. dh and dz are each one array, written in
     place, with the float operations of dS Ws^T + dU Wu^T and
-    dh * (1 - h^2)."""
+    dh * (1 - h^2). The two head sides run as one `_run_pair`, and so do
+    each hidden layer's weight gradient and its dh."""
     h_last = hs[-1]
-    np.matmul(h_last.T, dS, out=g["head_s.W"])
-    dS.sum(axis=0, out=g["head_s.b"])
-    np.matmul(h_last.T, dU, out=g["head_u.W"])
-    dU.sum(axis=0, out=g["head_u.b"])
-    dh = dS @ model.head_s_w.T
-    dh += dU @ model.head_u_w.T
+    dh, dh_u = np.empty(h_last.shape), np.empty(h_last.shape)
+    _run_pair(
+        partial(_layer_grads, h_last, dS, g["head_s.W"], g["head_s.b"], model.head_s_w, dh),
+        partial(_layer_grads, h_last, dU, g["head_u.W"], g["head_u.b"], model.head_u_w, dh_u),
+        g["head_s.W"].size + dh.size,
+    )
+    dh += dh_u
+    del dh_u
     for i in range(len(model.trunk_w) - 1, -1, -1):
         dz = np.square(hs[i + 1])  # tanh'
         np.subtract(1.0, dz, out=dz)
         dz *= dh
-        np.matmul(hs[i].T, dz, out=g[f"trunk.{i}.W"])
-        dz.sum(axis=0, out=g[f"trunk.{i}.b"])
-        if i:  # nothing reads the input layer's dh
-            dh = dz @ model.trunk_w[i].T
+        weight = partial(_layer_grads, hs[i], dz, g[f"trunk.{i}.W"], g[f"trunk.{i}.b"])
+        if not i:  # nothing reads the input layer's dh
+            weight()
+            break
+        dh = np.empty(hs[i].shape)
+        w = model.trunk_w[i]
+        _run_pair(weight, partial(np.matmul, dz, w.T, out=dh), w.size)
 
 
 def loss_and_grad(
@@ -265,12 +375,17 @@ def loss_and_grad(
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))
         raise NumericalFailure(f"non-finite loss value {res.value} (term {worst})")
-    grad = np.zeros_like(model.theta)
+    # _backward writes every model entry and the proxy block is copied, or
+    # zeroed for a loss that reads no proxies, so nothing is left unwritten.
+    grad = np.empty_like(model.theta)
     g = model.views(grad)
     _backward(model, hs, res.d_semantic, res.d_uncertainty, g)
     if res.d_proxy_semantic is not None:
         g["proxy.semantic"][...] = res.d_proxy_semantic
         g["proxy.uncertainty"][...] = res.d_proxy_uncertainty
+    elif model.proxies is not None:
+        g["proxy.semantic"][...] = 0.0
+        g["proxy.uncertainty"][...] = 0.0
     return res, grad
 
 
@@ -299,34 +414,49 @@ class AdamW:
     def step(self, theta: np.ndarray, grad: np.ndarray, spans):
         if self.m is None:
             self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
-            self._buf = np.empty((2, ADAMW_BLOCK))
+            self._buf = np.empty((2, 2, ADAMW_BLOCK))
         self.t += 1
         # Adjacent spans with one lr scale share every scalar below, so they
-        # run as one range. Each range goes block by block, every operation
-        # written into the two buffers: the same float operations, in the
-        # same order, as one numpy expression per span.
+        # run as one range, cut into blocks of ADAMW_BLOCK entries. The block
+        # list's two halves run as one `_run_pair`, each with its own buffer
+        # pair.
+        blocks = []
         for start, stop, scale in _scale_runs(spans, theta.size):
             lr = self.lr * scale
             decay = 1.0 - lr * self.weight_decay
             step_size = lr * np.sqrt(1.0 - ADAMW_BETA2**self.t) / (1.0 - ADAMW_BETA1**self.t)
-            for lo in range(start, stop, ADAMW_BLOCK):
-                hi = min(lo + ADAMW_BLOCK, stop)
-                p, g, m, v = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
-                a, b = self._buf[0, : hi - lo], self._buf[1, : hi - lo]
-                if self.weight_decay:
-                    p *= decay
-                m *= ADAMW_BETA1
-                np.multiply(1.0 - ADAMW_BETA1, g, out=a)
-                m += a
-                v *= ADAMW_BETA2
-                np.multiply(1.0 - ADAMW_BETA2, g, out=a)
-                a *= g
-                v += a
-                np.sqrt(v, out=a)
-                a += ADAMW_EPS
-                np.multiply(step_size, m, out=b)
-                b /= a
-                p -= b
+            blocks += [
+                (lo, min(lo + ADAMW_BLOCK, stop), decay, step_size)
+                for lo in range(start, stop, ADAMW_BLOCK)
+            ]
+        half = len(blocks) // 2
+        _run_pair(
+            partial(self._update, theta, grad, blocks[:half], self._buf[0]),
+            partial(self._update, theta, grad, blocks[half:], self._buf[1]),
+            sum(hi - lo for lo, hi, _, _ in blocks[:half]),
+        )
+
+    def _update(self, theta, grad, blocks, buf):
+        """Every operation of each block is written into the two rows of
+        `buf`: the same float operations, in the same order, as one numpy
+        expression per span."""
+        for lo, hi, decay, step_size in blocks:
+            p, g, m, v = theta[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            a, b = buf[0, : hi - lo], buf[1, : hi - lo]
+            if self.weight_decay:
+                p *= decay
+            m *= ADAMW_BETA1
+            np.multiply(1.0 - ADAMW_BETA1, g, out=a)
+            m += a
+            v *= ADAMW_BETA2
+            np.multiply(1.0 - ADAMW_BETA2, g, out=a)
+            a *= g
+            v += a
+            np.sqrt(v, out=a)
+            a += ADAMW_EPS
+            np.multiply(step_size, m, out=b)
+            b /= a
+            p -= b
 
 
 def _scale_runs(spans, n: int) -> list:
@@ -386,7 +516,7 @@ def save_checkpoint(path, model: EncoderModel):
         f.write(struct.pack("<I", len(classes)))
         if classes:
             f.write(struct.pack(f"<{len(classes)}I", *classes))
-        f.write(model.theta.astype("<f8", copy=False).tobytes())
+        f.write(np.ascontiguousarray(model.theta, dtype="<f8").data)  # no bytes copy
 
 
 def load_checkpoint(path) -> EncoderModel:

@@ -39,7 +39,7 @@ from idml.harness import (
 )
 from idml.harness import _fit
 from idml.losses import LossParams, default_loss_params
-from idml.model import forward, init_model, load_checkpoint
+from idml.model import _threads_allowed, forward, init_model, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -393,8 +393,10 @@ def test_record_json_text_is_reproducible(tmp_path):
 def test_a_fit_keeps_one_gradient_live_and_nothing_past_its_end():
     # theta is 1.6 MB; AdamW's two moments hold 2 theta for the whole fit and
     # a step's gradient one more. A second gradient allocated while the last
-    # one is still bound reads about 5.1 theta; one live gradient about 3.8.
-    # Any cache or buffer kept past the fit shows in the growth after it.
+    # one is still bound adds about 1.3 theta; one live gradient reads about
+    # 4.0 (AdamW's two scratch buffer pairs are 0.16 of it). Any cache or buffer
+    # kept past the fit shows in the growth after it; the step's helper
+    # thread, started during the fit, keeps about 0.005.
     cfg = desk_config(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
     train_side = load_dataset_for(cfg).train_split()
     model = init_model(
@@ -502,6 +504,35 @@ def test_run_grid_child_error_keeps_its_type(tmp_path, monkeypatch):
         run_grid(configs)
     with pytest.raises(ParameterError, match="output dirs"):
         run_grid(configs, [tmp_path])
+
+
+def test_run_grid_workers_keep_each_step_on_one_thread(monkeypatch):
+    # the grid's processes fill the CPUs: each worker starts with an
+    # initializer that keeps its steps inline
+    import concurrent.futures
+
+    seen = {}
+
+    class InlinePool:
+        def __init__(self, n, mp_context=None, initializer=None):
+            seen["initializer"] = initializer
+
+        def __enter__(self):
+            seen["initializer"]()
+            seen["threads_allowed"] = _threads_allowed()
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [None for _ in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setenv("IDML_THREADS", "2")
+    assert run_grid([tiny_config(), tiny_config(seed=1)]) == [None, None]
+    assert seen["threads_allowed"] is False
+    assert os.environ["IDML_THREADS"] == "1"
 
 
 # Only run_grid's process pool needs these two packages; an idml command that

@@ -1,11 +1,19 @@
 """Encoder, optimizers, checkpoints, and the gradient checker itself."""
 
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
 
+import idml
+import idml.model as model_mod
 import oracles
 from idml.core import Batch, FormatError, NumericalFailure, ParameterError, Rng, ShapeError, multi_hot
 from idml.losses import LOSS_NAMES, PROXY_LOSSES, evaluate_loss, loss_tables
@@ -18,6 +26,7 @@ from idml.model import (
     AdamW,
     EncoderModel,
     SgdMomentum,
+    THREAD_MIN_ENTRIES,
     finite_difference_check,
     forward,
     h_factor_check,
@@ -173,8 +182,38 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.fixture
+def threaded_pairs(monkeypatch):
+    """Let `_run_pair` use its helper thread even where this process may use
+    one CPU; returns the list of (entries, thread names of its pieces) of each
+    pair run, so a test can see which pairs crossed THREAD_MIN_ENTRIES."""
+    monkeypatch.delenv("IDML_THREADS", raising=False)
+    monkeypatch.setattr(model_mod, "_threads_allowed", lambda: True)
+    pairs, real = [], model_mod._run_pair
+
+    def spy(first, second, entries):
+        names = []
+
+        def named(piece):
+            def run():
+                names.append(threading.current_thread().name)
+                piece()
+
+            return run
+
+        real(named(first), named(second), entries)
+        pairs.append((entries, sorted(names)))
+
+    monkeypatch.setattr(model_mod, "_run_pair", spy)
+    return pairs
+
+
+ON_TWO_THREADS = ["MainThread", "idml-step"]
+INLINE = ["MainThread", "MainThread"]
+
+
 @pytest.mark.parametrize("shape", STEP_SHAPES.values(), ids=STEP_SHAPES)
-def test_in_place_forward_and_backward_give_the_expression_bits(shape):
+def test_in_place_forward_and_backward_give_the_expression_bits(shape, threaded_pairs):
     n, d, hidden, s, u = shape
     r = np.random.default_rng(sum(hidden) + n)
     m = init_model(d, hidden=hidden, semantic_dim=s, uncertainty_dim=u, rng=Rng(5))
@@ -191,6 +230,14 @@ def test_in_place_forward_and_backward_give_the_expression_bits(shape):
     want = oracles.encoder_backward_ref(*ref_layers(m), hs_ref, dS, dU)
     assert sorted(want) == sorted(g)
     assert all(same_bits(g[name], want[name]) for name in want)
+    # one pair for the heads forward, one for the heads backward, and one per
+    # hidden layer above the first
+    assert len(threaded_pairs) == 2 + max(len(hidden) - 1, 0)
+    if shape == STEP_SHAPES["wide"]:
+        # so a retune of THREAD_MIN_ENTRIES cannot route the wide step inline
+        assert all(e >= THREAD_MIN_ENTRIES and names == ON_TWO_THREADS for e, names in threaded_pairs)
+    if shape == STEP_SHAPES["desk"]:
+        assert all(e < THREAD_MIN_ENTRIES and names == INLINE for e, names in threaded_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +264,21 @@ def test_loss_and_grad_includes_proxy_gradients():
     np.testing.assert_array_equal(
         grad[m.slices["proxy.uncertainty"]], res.d_proxy_uncertainty.ravel()
     )
+
+
+@pytest.mark.parametrize("loss", ["contrastive", "multi_similarity"])
+def test_loss_and_grad_zeroes_the_proxy_span_of_a_loss_without_proxies(loss):
+    # the gradient starts uninitialized; fill the heap with NaN first so that
+    # an unwritten span would likely show
+    m = small_model(proxy_classes=(0, 1))
+    junk = np.full((8, m.theta.size), np.nan)
+    del junk
+    res, grad = loss_and_grad(m, small_batch(), loss, metric="ism")
+    assert res.d_proxy_semantic is None
+    for name in ("proxy.semantic", "proxy.uncertainty"):
+        assert not grad[m.slices[name]].view(np.uint64).any()  # +0.0 in every entry
+    _, plain = loss_and_grad(small_model(), small_batch(), loss, metric="ism")
+    assert grad[: plain.size].tobytes() == plain.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -386,6 +448,146 @@ def test_adamw_blocked_step_is_bit_identical_to_one_expression_per_span(weight_d
     assert theta[frozen].tobytes() == start[frozen].tobytes()
 
 
+def test_adamw_halves_on_two_threads_match_the_single_thread_loop(threaded_pairs, monkeypatch):
+    # theta well above 2 x THREAD_MIN_ENTRIES, so the helper takes the first
+    # half of the block list; spans at lr scales 1, 0.3 and 0, one of them
+    # straddling the halves' boundary
+    B = ADAMW_BLOCK
+    sizes = [3 * B + 5, 2 * B - 7, 4 * B + 11, B // 2, 3]
+    scales = [1.0, 0.3, 1.0, 0.0, 0.3]
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    assert bounds[-1] >= 2 * THREAD_MIN_ENTRIES
+    spans = [(slice(a, b), s) for a, b, s in zip(bounds, bounds[1:], scales)]
+    r = np.random.default_rng(8)
+    start = r.normal(size=bounds[-1])
+    grads = [r.normal(size=start.size) * r.choice([1e-6, 1.0, 1e3], size=start.size) for _ in range(6)]
+    runs = {}
+    for mode in ("inline", "threaded"):
+        monkeypatch.setattr(model_mod, "_threads_allowed", lambda: mode == "threaded")
+        theta, opt = start.copy(), AdamW(lr=1e-3, weight_decay=1e-2)
+        for g in grads:
+            opt.step(theta, g, spans)
+        runs[mode] = (theta.tobytes(), opt.m.tobytes(), opt.v.tobytes())
+    assert runs["inline"] == runs["threaded"]
+    assert [names for _, names in threaded_pairs] == [INLINE] * 6 + [ON_TWO_THREADS] * 6
+    frozen = slice(bounds[3], bounds[4])
+    assert np.frombuffer(runs["threaded"][0])[frozen].tobytes() == start[frozen].tobytes()
+    # and both equal one numpy expression per span
+    ref, state = start.copy(), {"m": None, "v": None, "t": 0}
+    for g in grads:
+        adamw_step_per_span(state, ref, g, spans, 1e-3, 1e-2)
+    assert runs["threaded"] == (ref.tobytes(), state["m"].tobytes(), state["v"].tobytes())
+
+
+def test_run_pair_raises_the_helpers_error_under_the_callers_error_state(threaded_pairs):
+    big = np.full(THREAD_MIN_ENTRIES, 1e300)
+    out = np.empty_like(big)
+    ran = []
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        model_mod._run_pair(lambda: np.multiply(big, big, out=out), lambda: ran.append(1), big.size)
+    assert ran == [1]  # the caller's piece ran to its end first
+    model_mod._run_pair(lambda: np.multiply(big, 0.5, out=out), lambda: None, big.size)
+    assert np.all(out == 5e299) and threaded_pairs == [(big.size, ON_TWO_THREADS)]
+
+
+def test_run_pair_serves_concurrent_callers_each_its_own_piece(threaded_pairs):
+    # callers on several threads share the one helper; each must return only
+    # after its own helper piece is done
+    n_callers, rounds = 4, 40
+    outs = np.zeros((n_callers, 2, THREAD_MIN_ENTRIES))
+    wrong = []
+
+    def caller(k):
+        for r in range(rounds):
+            v = float(1000 * k + r)
+            model_mod._run_pair(partial(outs[k, 0].fill, v), partial(outs[k, 1].fill, -v), outs[k, 0].size)
+            if not (np.all(outs[k, 0] == v) and np.all(outs[k, 1] == -v)):
+                wrong.append((k, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(n_callers)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == [] and len(threaded_pairs) == n_callers * rounds
+    assert all("idml-step" in names for _, names in threaded_pairs)
+
+
+def wide_step(m=None):
+    """One paper-width contrastive step (180 rows, 64 -> 512 -> 512, 512-d
+    heads): loss_and_grad then AdamW; returns the model."""
+    n, d, hidden, s, u = STEP_SHAPES["wide"]
+    m = m or init_model(d, hidden=hidden, semantic_dim=s, uncertainty_dim=u, rng=Rng(5))
+    r = np.random.default_rng(6)
+    batch = Batch(r.normal(size=(n, d)), *multi_hot(r.integers(0, 20, size=n)))
+    _, grad = loss_and_grad(m, batch, "contrastive", metric="ism")
+    AdamW(lr=1e-3).step(m.theta, grad, [(slice(None), 1.0)])
+    return m
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_a_wide_step_without_the_parents_helper(threaded_pairs):
+    m = wide_step()  # starts this process's helper thread
+    assert threaded_pairs and all(names == ON_TWO_THREADS for _, names in threaded_pairs)
+    pid = os.fork()
+    if pid == 0:  # the child: its own helper, or it would wait forever
+        code = 1
+        try:
+            wide_step(m)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its step within 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+_THREAD_COUNT = """
+import os, sys, threading
+import numpy as np
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {0})
+from idml.core import Batch, Rng, multi_hot
+from idml.model import AdamW, init_model, loss_and_grad
+m = init_model(64, hidden=(512, 512), semantic_dim=512, uncertainty_dim=512, rng=Rng(5))
+r = np.random.default_rng(6)
+batch = Batch(r.normal(size=(180, 64)), *multi_hot(r.integers(0, 20, size=180)))
+_, grad = loss_and_grad(m, batch, "contrastive", metric="ism")
+AdamW(lr=1e-3).step(m.theta, grad, [(slice(None), 1.0)])
+print(threading.active_count())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("case", ["pinned", "IDML_THREADS=1", "unpinned"])
+def test_a_wide_step_starts_the_helper_only_with_two_cpus(case):
+    if case == "unpinned" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("this process may use one CPU")
+    env = {k: v for k, v in os.environ.items() if k != "IDML_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(idml.__file__))
+    if case == "IDML_THREADS=1":
+        env["IDML_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_COUNT, case], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ("2" if case == "unpinned" else "1")
+
+
 def test_sgd_momentum_matches_reference_loop():
     p = START.copy()
     opt = SgdMomentum(lr=0.1, momentum=0.9, weight_decay=0.01)
@@ -446,6 +648,18 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(m.theta, m2.theta)
     x = np.random.default_rng(0).normal(size=(3, 3))
     np.testing.assert_array_equal(forward(m, x)[0], forward(m2, x)[0])
+
+
+def test_checkpoint_ends_with_theta_as_little_endian_float64(tmp_path):
+    m = small_model(9, hidden=(5, 4), proxy_classes=(0, 3))
+    strided = np.zeros(2 * m.theta.size)
+    strided[::2] = m.theta
+    for theta in (m.theta, strided[::2]):  # a contiguous and a strided vector
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, EncoderModel(m.dims, theta, m.proxies.classes))
+        raw = path.read_bytes()
+        assert raw[-8 * m.theta.size :] == m.theta.astype("<f8").tobytes()
+        assert len(raw) == 4 + 4 * (2 + len(m.dims) + 1 + 2) + 8 * m.theta.size
 
 
 def test_checkpoint_round_trip_with_proxies(tmp_path):
