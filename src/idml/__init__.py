@@ -11,16 +11,14 @@ __version__ = "0.1.0"
 
 import os
 
-# Single-threaded BLAS by default: threaded reductions reorder float sums,
-# which would break byte-identical reruns. A positive integer IDML_THREADS
-# raises the cap (it also sets harness.run_grid's process count, which
-# defaults to the CPU count; the CLI rejects any other value); explicitly-set
-# *_NUM_THREADS vars win. BLAS reads these variables once, when numpy loads
-# it, so this runs before any import below.
-_cap = os.environ.get("IDML_THREADS", "").strip()
-_cap = str(int(_cap)) if _cap.isdecimal() and int(_cap) > 0 else "1"
+# One BLAS thread per calling thread: threaded reductions reorder float
+# sums, which would break byte-identical reruns. IDML_THREADS does not
+# change this (it is the thread budget, `core.worker_count`); an explicitly
+# set *_NUM_THREADS variable wins, and may change bits. BLAS reads these
+# variables once, when numpy loads it, so the cap holds only when idml is
+# imported before numpy, and this runs before any import below.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, _cap)
+    os.environ.setdefault(_var, "1")
 
 from idml.core import (
     Batch,

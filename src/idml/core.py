@@ -1,4 +1,4 @@
-"""Shared value types: vectors, label sets, metric parameters, batches, RNG.
+"""Shared pieces: vectors, label sets, metric parameters, batches, RNG, thread budget.
 
 Embeddings are plain 1-D float64 numpy arrays validated at the boundaries
 (finite, nonempty). A sample's labels are a set of nonnegative class ids,
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import os
 import typing
 from dataclasses import dataclass, field
 from typing import Annotated
@@ -45,6 +46,7 @@ __all__ = [
     "MetricParams",
     "Batch",
     "Rng",
+    "worker_count",
 ]
 
 
@@ -155,6 +157,18 @@ def match_rows(Y: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
     """Rows lo:hi of `match_matrix` for float64 multi-hot rows `Y`. The
     shared-label counts are small integers, exact in any summation order."""
     return np.greater(Y[lo:hi] @ Y.T, 0.0, out=out)
+
+
+def worker_count() -> int:
+    """The thread budget: IDML_THREADS if set, else the CPUs this process may
+    use. run_grid runs this many processes; a wide step pair uses its helper
+    thread only if it is at least 2. BLAS keeps one thread per caller."""
+    env = os.environ.get("IDML_THREADS", "").strip()
+    if not env:
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ParameterError(f"IDML_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # What a config field of each annotated type may hold, its name in errors,

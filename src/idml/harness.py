@@ -50,6 +50,7 @@ from idml.core import (
     label_ids,
     multi_hot,
     one_of,
+    worker_count,
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
 from idml.evaluation import EvalReport, check_scorable, evaluate, uncertainty_levels
@@ -304,6 +305,7 @@ def _epoch_stream(seed: int, epoch: int, stream: int) -> Rng:
 def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     """Mini-batch training per the config; writes run outputs if a dir is given."""
     t0 = time.perf_counter()
+    worker_count()  # a bad IDML_THREADS fails before any work
     if output_dir is not None:  # an unusable output path fails before any work
         Path(output_dir).mkdir(parents=True, exist_ok=True)
     ds = load_dataset_for(cfg)
@@ -459,19 +461,9 @@ def _write_run_outputs(out: Path, record: RunRecord, model, u_rows):
 # ---------------------------------------------------------------------------
 
 
-def worker_count() -> int:
-    env = os.environ.get("IDML_THREADS", "").strip()
-    if env:
-        n = int(env) if env.isdecimal() else 0
-        if n < 1:
-            raise ParameterError(f"IDML_THREADS must be a positive integer, got {env!r}")
-        return n
-    return os.cpu_count() or 1
-
-
 def _one_thread_per_worker():
-    # run_grid's processes already fill the CPUs: each keeps its steps on
-    # one thread (model._run_pair reads IDML_THREADS=1 as "inline").
+    # run_grid's processes already fill the thread budget: each worker's
+    # budget is one thread, so its steps stay inline (model._run_pair).
     os.environ["IDML_THREADS"] = "1"
 
 

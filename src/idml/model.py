@@ -39,6 +39,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    worker_count,
 )
 from idml.losses import (
     LossParams,
@@ -234,28 +235,20 @@ def _serve(jobs, waiting):
         done.release()
 
 
-def _threads_allowed() -> bool:
-    """False under IDML_THREADS=1 or when this process may use one CPU."""
-    if os.environ.get("IDML_THREADS", "").strip() == "1":
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
 def _run_pair(first, second, entries: int):
     """Run `first()` and `second()`, two pieces of numpy work that write only
     into disjoint arrays the caller allocated and read nothing the other
     writes. With `entries` (what `first` writes) of at least
-    THREAD_MIN_ENTRIES and threads allowed, `first` runs on one lazily
-    started helper thread while `second` runs here; otherwise both run here.
+    THREAD_MIN_ENTRIES and a thread budget (`core.worker_count`, read only
+    then) of at least 2, `first` runs on one lazily started helper thread
+    while `second` runs here; otherwise both run here.
     Either way each float operation is the same numpy call on the same
     operands, under the caller's numpy error state, so the results are
     bit-identical and the same errors are raised. A piece must not call
     `_run_pair` itself.
     """
     global _helper
-    if entries < THREAD_MIN_ENTRIES or not _threads_allowed():
+    if entries < THREAD_MIN_ENTRIES or worker_count() < 2:
         first()
         second()
         return

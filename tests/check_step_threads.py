@@ -15,12 +15,13 @@ taken with one BLAS thread:
   core's worth of CPU.
 - `step_ms`: the median wall time of one contrastive `loss_and_grad` plus
   `AdamW.step` at that shape, inline (IDML_THREADS=1) and with the helper
-  thread, over `--trials` steps each, alternating.
+  thread (IDML_THREADS=2), over `--trials` steps each, alternating.
 - `theta_identical`: whether theta and AdamW's two moments after `--steps`
   steps are byte-identical inline and with the helper.
 
-On a process allowed one CPU the helper never starts by itself; this script
-forces it there (`threads_forced`), so that its cost shows. The name keeps
+On a process allowed one CPU the helper never starts by itself; this
+script starts it there too (`threads_forced`), through a thread budget of 2,
+so that its cost shows. The name keeps
 pytest from collecting it: it takes a few seconds, outside the test suite.
 """
 
@@ -40,8 +41,7 @@ import time
 
 import numpy as np
 
-from idml import model as model_mod
-from idml.core import Batch, Rng, multi_hot
+from idml.core import Batch, Rng, multi_hot, worker_count
 from idml.model import AdamW, init_model, loss_and_grad
 
 ROWS, INPUT, HIDDEN, HEAD = 180, 64, (512, 512), 512
@@ -91,10 +91,7 @@ def step(m, batch, spans, opt, rng):
 
 
 def set_inline(inline: bool):
-    if inline:
-        os.environ["IDML_THREADS"] = "1"
-    else:
-        os.environ.pop("IDML_THREADS", None)
+    os.environ["IDML_THREADS"] = "1" if inline else "2"
 
 
 def step_times(trials: int) -> dict:
@@ -129,10 +126,8 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=10, help="steps of the byte-identity check")
     args = parser.parse_args()
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    set_inline(False)
-    forced = not model_mod._threads_allowed()
-    if forced:
-        model_mod._threads_allowed = lambda: True
+    os.environ.pop("IDML_THREADS", None)
+    forced = worker_count() < 2
     probe = gemm_probe(args.trials)
     times = step_times(args.trials)
     identical = trajectory(True, args.steps) == trajectory(False, args.steps)

@@ -89,12 +89,20 @@ the worktree either way.
 Batches, plans and reports take multi-hot label rows; the fixed inputs
 hold label sets and convert them once with `core.multi_hot`.
 
+It imports `idml` before numpy, so that the package's cap of one BLAS
+thread per calling thread applies and it prints one-thread bits on every
+host. An explicit `OMP_NUM_THREADS`, `OPENBLAS_NUM_THREADS` or
+`MKL_NUM_THREADS` wins over the cap and can change them (the `two_label/*`
+evaluate digests move with OpenBLAS's thread count).
+
 The name keeps pytest from collecting it. It trains its 33 small runs
 through one `harness.run_grid` call, then the two sweep runs, and takes
 about 14 s on two cores, or about 21 s with IDML_THREADS=1.
 """
 
 from __future__ import annotations
+
+import idml  # noqa: F401  (before numpy: the one-thread BLAS cap applies only then)
 
 import dataclasses
 import difflib

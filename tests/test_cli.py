@@ -536,10 +536,11 @@ def test_train_cli_bad_idml_threads_exits_config_before_training(tmp_path, threa
 
 
 def test_blas_thread_cap(tmp_path):
-    # Importing the CLI caps BLAS threads at 1 unless IDML_THREADS or an
-    # explicit *_NUM_THREADS variable says otherwise. BLAS reads these
-    # variables once, when numpy loads it, so the probe records them at the
-    # moment numpy is first imported rather than after the import finishes.
+    # Importing the CLI caps BLAS threads at 1 unless an explicit
+    # *_NUM_THREADS variable says otherwise; IDML_THREADS, the thread budget,
+    # leaves the cap alone. BLAS reads these variables once, when numpy loads
+    # it, so the probe records them at the moment numpy is first imported
+    # rather than after the import finishes.
     probe = (
         "import os, sys\n"
         "class NumpyImportProbe:\n"
@@ -563,8 +564,7 @@ def test_blas_thread_cap(tmp_path):
         return out.stdout.split()
 
     assert run_probe({}) == ["1", "1", "1"]
-    assert run_probe({"IDML_THREADS": "4"}) == ["4", "4", "4"]
-    # a value the CLI rejects never reaches BLAS
+    assert run_probe({"IDML_THREADS": "4"}) == ["1", "1", "1"]
     assert run_probe({"IDML_THREADS": "abc"}) == ["1", "1", "1"]
     assert run_probe({"IDML_THREADS": "0"}) == ["1", "1", "1"]
     assert run_probe({"OMP_NUM_THREADS": "2"}) == ["2", "1", "1"]

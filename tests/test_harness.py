@@ -39,7 +39,7 @@ from idml.harness import (
 )
 from idml.harness import _fit
 from idml.losses import LossParams, default_loss_params
-from idml.model import _threads_allowed, forward, init_model, load_checkpoint
+from idml.model import forward, init_model, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -519,7 +519,7 @@ def test_run_grid_workers_keep_each_step_on_one_thread(monkeypatch):
 
         def __enter__(self):
             seen["initializer"]()
-            seen["threads_allowed"] = _threads_allowed()
+            seen["budget"] = worker_count()
             return self
 
         def __exit__(self, *exc):
@@ -531,7 +531,7 @@ def test_run_grid_workers_keep_each_step_on_one_thread(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setenv("IDML_THREADS", "2")
     assert run_grid([tiny_config(), tiny_config(seed=1)]) == [None, None]
-    assert seen["threads_allowed"] is False
+    assert seen["budget"] == 1
     assert os.environ["IDML_THREADS"] == "1"
 
 
@@ -557,12 +557,30 @@ def test_cli_import_does_not_load_the_process_pool():
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("IDML_THREADS", "3")
     assert worker_count() == 3
-    for bad in ("0", "abc"):
+    monkeypatch.setenv("IDML_THREADS", " 01 ")
+    assert worker_count() == 1
+    for bad in ("0", "abc", "-2", "1.5"):
         monkeypatch.setenv("IDML_THREADS", bad)
         with pytest.raises(ParameterError, match="IDML_THREADS"):
             worker_count()
     monkeypatch.delenv("IDML_THREADS")
     assert worker_count() >= 1
+    # unset, the budget is the CPUs this process may use, not the host's
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
+def test_train_rejects_a_bad_idml_threads_before_any_work(tmp_path, monkeypatch):
+    monkeypatch.setenv("IDML_THREADS", "0")
+    out = tmp_path / "run"
+    with pytest.raises(ParameterError, match="IDML_THREADS must be a positive integer, got '0'"):
+        train(tiny_config(), out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,10 @@ def same_bits(a, b):
 @pytest.fixture
 def threaded_pairs(monkeypatch):
     """Let `_run_pair` use its helper thread even where this process may use
-    one CPU; returns the list of (entries, thread names of its pieces) of each
-    pair run, so a test can see which pairs crossed THREAD_MIN_ENTRIES."""
-    monkeypatch.delenv("IDML_THREADS", raising=False)
-    monkeypatch.setattr(model_mod, "_threads_allowed", lambda: True)
+    one CPU (a thread budget of 2); returns the list of (entries, thread names
+    of its pieces) of each pair run, so a test can see which pairs crossed
+    THREAD_MIN_ENTRIES."""
+    monkeypatch.setenv("IDML_THREADS", "2")
     pairs, real = [], model_mod._run_pair
 
     def spy(first, second, entries):
@@ -463,7 +463,7 @@ def test_adamw_halves_on_two_threads_match_the_single_thread_loop(threaded_pairs
     grads = [r.normal(size=start.size) * r.choice([1e-6, 1.0, 1e3], size=start.size) for _ in range(6)]
     runs = {}
     for mode in ("inline", "threaded"):
-        monkeypatch.setattr(model_mod, "_threads_allowed", lambda: mode == "threaded")
+        monkeypatch.setenv("IDML_THREADS", "2" if mode == "threaded" else "1")
         theta, opt = start.copy(), AdamW(lr=1e-3, weight_decay=1e-2)
         for g in grads:
             opt.step(theta, g, spans)
@@ -562,30 +562,68 @@ import numpy as np
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {0})
 from idml.core import Batch, Rng, multi_hot
+from idml.harness import worker_count
 from idml.model import AdamW, init_model, loss_and_grad
 m = init_model(64, hidden=(512, 512), semantic_dim=512, uncertainty_dim=512, rng=Rng(5))
 r = np.random.default_rng(6)
 batch = Batch(r.normal(size=(180, 64)), *multi_hot(r.integers(0, 20, size=180)))
 _, grad = loss_and_grad(m, batch, "contrastive", metric="ism")
 AdamW(lr=1e-3).step(m.theta, grad, [(slice(None), 1.0)])
-print(threading.active_count())
+print(threading.active_count(), worker_count())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-@pytest.mark.parametrize("case", ["pinned", "IDML_THREADS=1", "unpinned"])
+@pytest.mark.parametrize("case", ["pinned", "IDML_THREADS=1", "IDML_THREADS=01", "unpinned"])
 def test_a_wide_step_starts_the_helper_only_with_two_cpus(case):
-    if case == "unpinned" and len(os.sched_getaffinity(0)) < 2:
+    # the thread budget (`core.worker_count`) is IDML_THREADS, read as an
+    # integer, or else the CPUs this process may use; the helper needs 2
+    cpus = len(os.sched_getaffinity(0))
+    if case == "unpinned" and cpus < 2:
         pytest.skip("this process may use one CPU")
     env = {k: v for k, v in os.environ.items() if k != "IDML_THREADS"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(idml.__file__))
-    if case == "IDML_THREADS=1":
-        env["IDML_THREADS"] = "1"
+    if case.startswith("IDML_THREADS="):
+        env["IDML_THREADS"] = case.split("=")[1]
     proc = subprocess.run(
         [sys.executable, "-c", _THREAD_COUNT, case], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == ("2" if case == "unpinned" else "1")
+    assert proc.stdout.split() == (["2", str(cpus)] if case == "unpinned" else ["1", "1"])
+
+
+# Imports idml before numpy, so the one-thread BLAS cap applies; prints the
+# digests of a paper-width gradient and of a 180 x 512 self alpha table.
+_WIDE_DIGESTS = """
+import idml
+import hashlib
+import numpy as np
+from idml.core import Batch, Rng, multi_hot
+from idml.metric import pairwise_semantic_distance
+from idml.model import init_model, loss_and_grad
+m = init_model(64, hidden=(512, 512), semantic_dim=512, uncertainty_dim=512, rng=Rng(5))
+r = np.random.default_rng(6)
+batch = Batch(r.normal(size=(180, 64)), *multi_hot(r.integers(0, 20, size=180)))
+_, grad = loss_and_grad(m, batch, "contrastive", metric="ism", rng=Rng(7))
+alpha = pairwise_semantic_distance(r.normal(size=(180, 512)))
+print(hashlib.sha256(grad.tobytes()).hexdigest(), hashlib.sha256(alpha.tobytes()).hexdigest())
+"""
+
+
+def test_idml_threads_leaves_paper_width_bits_unchanged():
+    # IDML_THREADS is the thread budget, not a BLAS thread count: a wide
+    # gradient and alpha table have the same bits under 1 and 2
+    env = {k: v for k, v in os.environ.items() if "NUM_THREADS" not in k}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(idml.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WIDE_DIGESTS], capture_output=True, text=True,
+            env=dict(env, IDML_THREADS=threads), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_sgd_momentum_matches_reference_loop():
