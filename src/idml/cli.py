@@ -46,30 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Introspective deep metric learning toolkit.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    _add_common(p)
-
-    p = sub.add_parser("train", help="train a model and write run outputs")
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("--data", required=True, metavar="PATH")
-
-    p = sub.add_parser("sweep", help="run one config across a parameter grid")
-    _add_common(p)
-    p.add_argument("--param", required=True, metavar="NAME")
-    p.add_argument("--values", required=True, metavar="V1,V2,...")
-
-    p = sub.add_parser("gradcheck", help="finite-difference and attenuation checks")
-    _add_common(p)
-
-    p = sub.add_parser("diagnose", help="full report plus per-sample uncertainty")
-    _add_common(p)
-    p.add_argument("--checkpoint", required=True, metavar="PATH")
-    p.add_argument("--data", required=True, metavar="PATH")
+    saved_run = (("--checkpoint", "PATH"), ("--data", "PATH"))
+    for name, help_text, required in (
+        ("synth", "generate a synthetic dataset CSV", ()),
+        ("train", "train a model and write run outputs", ()),
+        ("eval", "evaluate a checkpoint on a dataset", saved_run),
+        ("sweep", "run one config across a parameter grid", (("--param", "NAME"), ("--values", "V1,V2,..."))),
+        ("gradcheck", "finite-difference and attenuation checks", ()),
+        ("diagnose", "full report plus per-sample uncertainty", saved_run),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for flag, metavar in required:
+            p.add_argument(flag, required=True, metavar=metavar)
     return ap
 
 
@@ -102,8 +91,7 @@ def _load_config(args):
     return harness.config_from_json_dict(raw)
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_config(args)
+def _cmd_synth(args, cfg) -> int:
     ds = data_mod.generate(cfg.data)
     out_dir = args.output or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -114,8 +102,7 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+def _cmd_train(args, cfg) -> int:
     record = harness.train(cfg, output_dir=args.output)
     final = record.final
     r1 = final.recall_at_k.get(1)
@@ -128,9 +115,8 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg) -> int:
     """eval and diagnose: the report on stdout; diagnose adds a row count on stderr."""
-    cfg = _load_config(args)
     report, rows = harness.diagnose(args.checkpoint, args.data, cfg, output_dir=args.output)
     print(harness._json_text(report.to_json_dict()), end="")
     if args.command == "diagnose":
@@ -138,8 +124,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def _cmd_sweep(args, cfg) -> int:
     try:
         values = [float(v) if "." in v or "e" in v.lower() else int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -150,8 +135,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = _load_config(args)
+def _cmd_gradcheck(args, cfg) -> int:
     outcome = harness.gradcheck(cfg)
     print(outcome.summary())
     return EXIT_OK if outcome.passed else EXIT_GRADCHECK
@@ -171,7 +155,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         harness.worker_count()  # a bad IDML_THREADS fails before any command runs
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args)  # and so does a bad config
+        return _COMMANDS[args.command](args, cfg)
     except (ParameterError, FormatError, ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -201,6 +201,8 @@ POSITIVE = Bound(lambda v: v > 0, "> 0")
 NONNEGATIVE = at_least(0)
 UNIT_INTERVAL = Bound(lambda v: 0 <= v <= 1, "in [0, 1]")
 SIZES = Bound(lambda v: len(v) > 0 and min(v) >= 1, "a nonempty list of positive ints")
+# Every seed keys a Philox generator as a u64 (`Rng`).
+SEED = Bound(lambda v: 0 <= v < 1 << 64, "in [0, 2**64)")
 
 
 def _holds(v, accepted) -> bool:
@@ -319,8 +321,8 @@ class Rng:
 
     def __init__(self, seed: int, stream: int = STREAM_ROOT):
         seed = int(seed)
-        if seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {seed}")
+        if not SEED.ok(seed):
+            raise ParameterError(f"seed must be {SEED.text}, got {seed}")
         self.seed = seed
         self.stream = int(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)

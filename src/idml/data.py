@@ -25,8 +25,8 @@ from typing import Annotated
 import numpy as np
 
 from idml.core import (
-    NONNEGATIVE,
     POSITIVE,
+    SEED,
     STREAM_DATA,
     UNIT_INTERVAL,
     Batch,
@@ -68,7 +68,7 @@ class SynthConfig:
     within_sigma: Annotated[float, POSITIVE] = 1.0
     ambiguous_frac: Annotated[float, UNIT_INTERVAL] = 0.0
     mislabel_frac: Annotated[float, UNIT_INTERVAL] = 0.0
-    seed: Annotated[int, NONNEGATIVE] = 0
+    seed: Annotated[int, SEED] = 0
 
     __post_init__ = check_fields
 

@@ -32,6 +32,7 @@ from idml.augment import AugmentConfig, augment_batch, mix_rows
 from idml.core import (
     NONNEGATIVE,
     POSITIVE,
+    SEED,
     SIZES,
     STREAM_AUGMENT,
     STREAM_BATCH,
@@ -125,7 +126,7 @@ class RunConfig:
     uncert_lr_scale: Annotated[float, POSITIVE] = 1.0
     batch_size: Annotated[int, at_least(4)] = 32
     epochs: Annotated[int, at_least(1)] = 50
-    seed: Annotated[int, NONNEGATIVE] = 0
+    seed: Annotated[int, SEED] = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -157,38 +158,24 @@ def benchmark_data_config(seed: int = 0) -> SynthConfig:
     return SynthConfig(ambiguous_frac=0.3, mislabel_frac=0.05, seed=seed)
 
 
-# Settings shared by both arms of a paired benchmark run. Tuned once on the
-# benchmark dataset so the A/B comparisons below differ only in metric and
-# mixing; individual callers can still override any field.
-_PAIRED_DEFAULTS = dict(hidden=(64, 64), weight_decay=1e-2, uncert_lr_scale=0.3)
+def _paired_run_config(loss: str, seed: int, metric: str, augment: AugmentConfig, overrides) -> RunConfig:
+    """One arm of a paired benchmark run. Both arms share the benchmark data
+    and settings tuned once on it, so they differ only in `metric` and
+    `augment`; `overrides` can still set any field."""
+    tuned = dict(hidden=(64, 64), weight_decay=1e-2, uncert_lr_scale=0.3)
+    base = dict(data=benchmark_data_config(seed), loss=loss, metric=metric, augment=augment, seed=seed, **tuned)
+    return RunConfig(**{**base, **overrides})
 
 
 def baseline_run_config(loss: str, seed: int = 0, **overrides) -> RunConfig:
     """Plain loss: Euclidean metric, no mixing, uncertainty head unused."""
-    base = dict(
-        data=benchmark_data_config(seed),
-        loss=loss,
-        metric="euclidean",
-        augment=AugmentConfig(mix_fraction=0.0),
-        seed=seed,
-        **_PAIRED_DEFAULTS,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+    return _paired_run_config(loss, seed, "euclidean", AugmentConfig(mix_fraction=0.0), overrides)
 
 
 def introspective_run_config(loss: str, seed: int = 0, metric: str = "ism", **overrides) -> RunConfig:
     """Same loss run through the introspective metric with mixing enabled."""
-    base = dict(
-        data=benchmark_data_config(seed),
-        loss=loss,
-        metric=metric,
-        augment=AugmentConfig(mix_fraction=0.5, mix_lambda_dist=2.0),
-        seed=seed,
-        **_PAIRED_DEFAULTS,
-    )
-    base.update(overrides)
-    return RunConfig(**base)
+    augment = AugmentConfig(mix_fraction=0.5, mix_lambda_dist=2.0)
+    return _paired_run_config(loss, seed, metric, augment, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +488,10 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
         d = config_to_json_dict(cfg)
         set_config_path(d, f"metric_params.{param}" if param in ("tau", "gamma") else param, v)
         configs.append(config_from_json_dict(d))
-    dirs = None if output_dir is None else [Path(output_dir) / f"{param}={v}" for v in values]
+    names = [f"{param}={v}" for v in values]
+    if len(set(configs)) < len(values) or len(set(names)) < len(values):
+        raise ParameterError(f"sweep values must give distinct runs, got {values}")
+    dirs = None if output_dir is None else [Path(output_dir) / name for name in names]
     records = run_grid(configs, dirs)
     if output_dir is not None:  # the runs have created it
         lines = [",".join([param, "final_loss"] + [c for c, _ in records[0].final.columns()])]

@@ -82,8 +82,12 @@ ADAMW_BLOCK = 16384
 # the pair is split across two threads. A dispatch costs about 20 us (2-vCPU
 # Xeon VM, one BLAS thread); a piece this size takes about 100 us or more in
 # a step (AdamW: about 8 ns per entry; a product of inner dimension 64: about
-# 3 ns per entry written, 512: about 20 ns). Desk steps and the forward of a
-# desk test split stay inline.
+# 3 ns per entry written, 512: about 20 ns). Traffic measured on each side:
+# a desk-width step (hidden 64 or 64 x 64, 32-d heads) writes at most 7,328
+# entries per pair (AdamW's first half; 9,408 with proxies), and the
+# 1,000-row test-split forward of perfbench's `eval` workload writes 32,000,
+# 768 under. Every pair of a `wide` (paper-width) step writes at least
+# 92,160, the least being its 180-row head forward.
 THREAD_MIN_ENTRIES = 32768
 
 

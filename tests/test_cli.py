@@ -519,6 +519,15 @@ def test_sweep_cli_bad_idml_threads_exits_config(tmp_path, threads):
     assert "Traceback" not in proc.stderr
 
 
+def test_train_cli_seed_past_u64_exits_config_before_training(tmp_path):
+    out = tmp_path / "run"
+    proc = run_cli("train", "--seed", str(2**64), "--output", str(out))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"seed must be in [0, 2**64), got {2**64}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["abc", "0"])
 def test_train_cli_bad_idml_threads_exits_config_before_training(tmp_path, threads):
     cfg_path = tmp_path / "config.json"

@@ -217,6 +217,15 @@ def test_rng_draw_order_does_not_cross_streams():
     assert np.array_equal(fresh, Rng(seed=11, stream=1).normal(size=10))
 
 
+def test_rng_seed_is_a_u64():
+    # Philox takes its key as u64 words: a seed past 2**64 - 1 is a parameter
+    # error, not an OverflowError from numpy.
+    assert Rng(2**64 - 1, 3).normal(size=4).shape == (4,)
+    for bad in (-1, 2**64, 2**70):
+        with pytest.raises(ParameterError, match=r"seed must be in \[0, 2\*\*64\)"):
+            Rng(bad)
+
+
 def test_rng_bit_identical_across_processes():
     """The stream contract is cross-process: same seed, same bytes."""
     code = (

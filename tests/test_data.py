@@ -51,6 +51,12 @@ def test_config_rejects_bad_fractions():
         SynthConfig(mislabel_frac=-0.1)
 
 
+def test_config_seed_is_a_u64():
+    assert generate(SynthConfig(n_classes=4, per_class=2, seed=2**64 - 1)).features.shape == (8, 16)
+    with pytest.raises(ParameterError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SynthConfig(seed=2**64)
+
+
 def test_train_class_ids_takes_first_half_rounded_up():
     assert train_class_ids([0, 1, 2, 3]) == frozenset({0, 1})
     assert train_class_ids([4, 0, 2, 8, 6]) == frozenset({0, 2, 4})

@@ -38,7 +38,7 @@ from idml.harness import (
     worker_count,
 )
 from idml.harness import _fit
-from idml.losses import LossParams, default_loss_params
+from idml.losses import LOSS_NAMES, LossParams, default_loss_params
 from idml.model import forward, init_model, load_checkpoint
 
 
@@ -89,6 +89,7 @@ def test_runconfig_defaults():
         dict(uncert_lr_scale=0.0),
         dict(weight_decay=-1e-4),
         dict(seed=-1),
+        dict(seed=2**64),
         dict(hidden=()),
         dict(hidden=(8, 0)),
         dict(batch_size=32.0),
@@ -142,6 +143,15 @@ def test_benchmark_factories_differ_only_where_intended():
     dis = introspective_run_config("contrastive", seed=3, metric="ism_dis")
     assert dis.metric == "ism_dis"
     assert dis.augment == intro.augment
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_paired_arms_differ_only_in_metric_and_augment(loss):
+    for seed in range(3):
+        base = config_to_json_dict(baseline_run_config(loss, seed=seed))
+        intro = config_to_json_dict(introspective_run_config(loss, seed=seed))
+        assert base.keys() == intro.keys()
+        assert {k for k in base if base[k] != intro[k]} == {"metric", "augment"}
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +481,17 @@ def test_sweep_int_tau_values_keep_the_float_echo_and_the_csv(tmp_path):
     assert [r.split(",", 1)[1] for r in int_rows] == [r.split(",", 1)[1] for r in float_rows]
 
 
-def test_sweep_rejects_bad_requests():
+def test_sweep_rejects_bad_requests(tmp_path):
     cfg = tiny_config()
     with pytest.raises(ParameterError, match="sweep param"):
         sweep(cfg, "lr", [1e-2])
     with pytest.raises(ParameterError, match="at least one value"):
         sweep(cfg, "tau", [])
+    # values that would train one config twice fail before any run
+    for values in ([1.0, 1.0], [1, 1.0], [3.0, 1.0, 3.0]):
+        with pytest.raises(ParameterError, match="distinct runs"):
+            sweep(cfg, "tau", values, output_dir=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
 
 
 RUN_FILES = ("record.json", "model.bin", "eval.json", "uncertainty.csv")
