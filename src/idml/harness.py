@@ -483,12 +483,14 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
     values = list(values)
     if not values:
         raise ParameterError("sweep needs at least one value")
+    names = [f"{param}={v}" for v in values]
+    if any(sep and sep in name for name in names for sep in (os.sep, os.altsep)):
+        raise ParameterError(f"sweep values must not hold a path separator, got {values}")
     configs = []
     for v in values:
         d = config_to_json_dict(cfg)
         set_config_path(d, f"metric_params.{param}" if param in ("tau", "gamma") else param, v)
         configs.append(config_from_json_dict(d))
-    names = [f"{param}={v}" for v in values]
     if len(set(configs)) < len(values) or len(set(names)) < len(values):
         raise ParameterError(f"sweep values must give distinct runs, got {values}")
     dirs = None if output_dir is None else [Path(output_dir) / name for name in names]

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import struct
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -77,17 +77,23 @@ ADAMW_BETA2 = 0.999
 ADAMW_EPS = 1e-8
 # Entries AdamW updates per pass of its elementwise chain: two float64
 # buffers of this length stay in cache, where a span-sized temporary did not.
-ADAMW_BLOCK = 16384
+# Each block is 13 ufunc calls, around each of which the two halves hand
+# over the interpreter lock, so larger blocks pay fewer hand-offs until the
+# buffers leave cache (`tests/check_step_threads.py` times 16,384, 32,768
+# and 65,536): `wide`'s theta (831,488 entries) is 13 blocks per half, 26
+# at 16,384; a desk theta (at most 9,408 entries) is one block either way.
+ADAMW_BLOCK = 32768
 # Float64 entries the helper thread's piece of `_run_pair` must write before
-# the pair is split across two threads. A dispatch costs about 20 us (2-vCPU
-# Xeon VM, one BLAS thread); a piece this size takes about 100 us or more in
-# a step (AdamW: about 8 ns per entry; a product of inner dimension 64: about
-# 3 ns per entry written, 512: about 20 ns). Traffic measured on each side:
-# a desk-width step (hidden 64 or 64 x 64, 32-d heads) writes at most 7,328
-# entries per pair (AdamW's first half; 9,408 with proxies), and the
-# 1,000-row test-split forward of perfbench's `eval` workload writes 32,000,
-# 768 under. Every pair of a `wide` (paper-width) step writes at least
-# 92,160, the least being its 180-row head forward.
+# the pair is split across two threads. A no-op dispatch costs 23-41 us hot
+# and 96-160 us after 1 ms idle (2-vCPU Xeon VM, one BLAS thread); a piece
+# this size takes about 100 us or more in a step (AdamW: about 8 ns per
+# entry; a product of inner dimension 64: about 3 ns per entry written, 512:
+# about 20 ns). Traffic measured on each side: a desk-width step (hidden 64
+# or 64 x 64, 32-d heads) writes at most 7,328 entries per pair (AdamW's
+# first half; 9,408 with proxies), and the 1,000-row test-split forward of
+# perfbench's `eval` workload writes 32,000, 768 under. Every pair of a
+# `wide` (paper-width) step writes at least 92,160, the least being its
+# 180-row head forward.
 THREAD_MIN_ENTRIES = 32768
 
 
@@ -210,9 +216,9 @@ def init_proxies(
 # Two independent pieces of a step on two threads
 # ---------------------------------------------------------------------------
 
-# The helper thread's jobs and a semaphore that counts them, once started in
-# this process, and the lock around its start; a forked child starts its
-# own, because the parent's thread does not survive the fork.
+# The helper thread's job queue, once started in this process, and the lock
+# around its start; a forked child starts its own, because the parent's
+# thread does not survive the fork.
 _helper = None
 _helper_start = threading.Lock()
 
@@ -226,17 +232,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _serve(jobs, waiting):
+def _serve(jobs):
     while True:
-        waiting.acquire()
-        piece, errstate, done, error = jobs.popleft()
+        piece, errstate, reply = jobs.get()
         try:
             with np.errstate(**errstate):  # numpy's error state is per thread
                 piece()
+            reply.put(None)
         except BaseException as exc:  # handed to the waiting caller
-            error.append(exc)
-        del piece, error  # they hold the step's arrays until the next job otherwise
-        done.release()
+            reply.put(exc)
+        del piece  # it holds the step's arrays until the next job otherwise
 
 
 def _run_pair(first, second, entries: int):
@@ -248,8 +253,8 @@ def _run_pair(first, second, entries: int):
     while `second` runs here; otherwise both run here.
     Either way each float operation is the same numpy call on the same
     operands, under the caller's numpy error state, so the results are
-    bit-identical and the same errors are raised. A piece must not call
-    `_run_pair` itself.
+    bit-identical, and `first`'s error wins when both pieces raise. A piece
+    must not call `_run_pair` itself.
     """
     global _helper
     if entries < THREAD_MIN_ENTRIES or worker_count() < 2:
@@ -258,19 +263,16 @@ def _run_pair(first, second, entries: int):
         return
     with _helper_start:
         if _helper is None:
-            _helper = (deque(), threading.Semaphore(0))
-            threading.Thread(target=_serve, args=_helper, name="idml-step", daemon=True).start()
-        jobs, waiting = _helper
-    done, error = threading.Lock(), []
-    done.acquire()
-    jobs.append((first, np.geterr(), done, error))
-    waiting.release()
+            _helper = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper,), name="idml-step", daemon=True).start()
+    reply = queue.SimpleQueue()  # `first`'s error or None, once it is done
+    _helper.put((first, np.geterr(), reply))
     try:
         second()
     finally:
-        done.acquire()  # the helper has finished `first`
-    if error:
-        raise error[0]
+        error = reply.get()
+        if error is not None:
+            raise error
 
 
 def _affine(x, w, b, out):

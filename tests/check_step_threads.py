@@ -6,7 +6,7 @@ A paper-width step (`perfbench`'s `wide` workload: 180 rows, 64 -> 512 ->
 512, 512-d heads) runs its two heads, its hidden layers' weight gradients
 beside their dh, and the two halves of its AdamW pass as pairs on two
 threads (`idml.model._run_pair`). That pays only where the process really
-gets two cores. This script prints one JSON line with three figures, each
+gets two cores. This script prints one JSON line with five figures, each
 taken with one BLAS thread:
 
 - `gemm_probe`: 2 x 20 products of 180 x 512 by 512 x 512, run on one
@@ -18,6 +18,13 @@ taken with one BLAS thread:
   thread (IDML_THREADS=2), over `--trials` steps each, alternating.
 - `theta_identical`: whether theta and AdamW's two moments after `--steps`
   steps are byte-identical inline and with the helper.
+- `adamw_ms`: the median wall time of `AdamW.step` on that step's theta
+  (831,488 entries), inline and with the helper, at each block size in
+  `ADAMW_BLOCKS` (`idml.model.ADAMW_BLOCK` is set for the run), over
+  `--trials` steps each, alternating.
+- `round_trip_us`: the median wall time of one `_run_pair` of two no-op
+  pieces through the helper, back to back (`hot`) and each after 1 ms
+  asleep (`idle_1ms`), over `--trials` calls each.
 
 On a process allowed one CPU the helper never starts by itself; this
 script starts it there too (`threads_forced`), through a thread budget of 2,
@@ -41,10 +48,12 @@ import time
 
 import numpy as np
 
+import idml.model as model_mod
 from idml.core import Batch, Rng, multi_hot, worker_count
-from idml.model import AdamW, init_model, loss_and_grad
+from idml.model import THREAD_MIN_ENTRIES, AdamW, init_model, loss_and_grad
 
 ROWS, INPUT, HIDDEN, HEAD = 180, 64, (512, 512), 512
+ADAMW_BLOCKS = (16384, 32768, 65536)
 
 
 def gemm_probe(trials: int) -> dict:
@@ -111,6 +120,47 @@ def step_times(trials: int) -> dict:
     return {k: round(1e3 * statistics.median(v), 2) for k, v in times.items()}
 
 
+def adamw_times(trials: int) -> dict:
+    m, _, spans = wide_step_setup()
+    grad = np.random.default_rng(5).normal(size=m.theta.size)
+    default, out = model_mod.ADAMW_BLOCK, {}
+    try:
+        for block in ADAMW_BLOCKS:
+            model_mod.ADAMW_BLOCK = block
+            opts = {True: AdamW(lr=1e-5), False: AdamW(lr=1e-5)}
+            times = {"inline": [], "helper": []}
+            for trial in range(trials + 2):  # two warm-up steps per side
+                for inline, opt in opts.items():
+                    set_inline(inline)
+                    t0 = time.perf_counter()
+                    opt.step(m.theta, grad, spans)
+                    if trial >= 2:
+                        times["inline" if inline else "helper"].append(time.perf_counter() - t0)
+            out[block] = {k: round(1e3 * statistics.median(v), 2) for k, v in times.items()}
+    finally:
+        model_mod.ADAMW_BLOCK = default
+    return out
+
+
+def round_trip_us(trials: int) -> dict:
+    set_inline(False)
+
+    def noop():
+        pass
+
+    out = {}
+    for name, idle in (("hot", 0.0), ("idle_1ms", 1e-3)):
+        times = []
+        for _ in range(trials + 2):
+            if idle:
+                time.sleep(idle)
+            t0 = time.perf_counter()
+            model_mod._run_pair(noop, noop, THREAD_MIN_ENTRIES)
+            times.append(time.perf_counter() - t0)
+        out[name] = round(1e6 * statistics.median(times[2:]), 1)
+    return out
+
+
 def trajectory(inline: bool, steps: int) -> bytes:
     set_inline(inline)
     m, batch, spans = wide_step_setup()
@@ -130,6 +180,8 @@ def main() -> int:
     forced = worker_count() < 2
     probe = gemm_probe(args.trials)
     times = step_times(args.trials)
+    adamw = adamw_times(args.trials)
+    trip = round_trip_us(args.trials)
     identical = trajectory(True, args.steps) == trajectory(False, args.steps)
     print(json.dumps({
         "nproc": os.cpu_count(),
@@ -138,6 +190,8 @@ def main() -> int:
         "gemm_probe": probe,
         "step_ms": times,
         "step_speedup": round(times["inline"] / times["helper"], 3),
+        "adamw_ms": adamw,
+        "round_trip_us": trip,
         "theta_identical": identical,
         "steps": args.steps,
     }))

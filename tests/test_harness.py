@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -404,7 +405,8 @@ def test_a_fit_keeps_one_gradient_live_and_nothing_past_its_end():
     # theta is 1.6 MB; AdamW's two moments hold 2 theta for the whole fit and
     # a step's gradient one more. A second gradient allocated while the last
     # one is still bound adds about 1.3 theta; one live gradient reads about
-    # 4.0 (AdamW's two scratch buffer pairs are 0.16 of it). Any cache or buffer
+    # 4.3 (AdamW's two scratch buffer pairs, ADAMW_BLOCK entries per row, are
+    # 0.65 of it). Any cache or buffer
     # kept past the fit shows in the growth after it; the step's helper
     # thread, started during the fit, keeps about 0.005.
     cfg = desk_config(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
@@ -492,6 +494,13 @@ def test_sweep_rejects_bad_requests(tmp_path):
         with pytest.raises(ParameterError, match="distinct runs"):
             sweep(cfg, "tau", values, output_dir=tmp_path / "sw")
     assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_rejects_a_value_whose_run_name_holds_a_path_separator(tmp_path):
+    # Fraction(1, 3) would name its run directory "tau=1/3", two levels deep
+    with pytest.raises(ParameterError, match="path separator"):
+        sweep(tiny_config(), "tau", [2.0, Fraction(1, 3)], output_dir=tmp_path / "sw")
+    assert list(tmp_path.iterdir()) == []
 
 
 RUN_FILES = ("record.json", "model.bin", "eval.json", "uncertainty.csv")

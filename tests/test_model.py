@@ -490,6 +490,26 @@ def test_run_pair_raises_the_helpers_error_under_the_callers_error_state(threade
     assert np.all(out == 5e299) and threaded_pairs == [(big.size, ON_TWO_THREADS)]
 
 
+def test_run_pair_raises_firsts_error_when_both_pieces_raise(threaded_pairs):
+    # as inline, where `second` never runs; on two threads `second` runs to
+    # its end first
+    out = np.zeros(THREAD_MIN_ENTRIES)
+    names = []
+
+    def first():
+        names.append(threading.current_thread().name)
+        raise ValueError("first")
+
+    def second():
+        out.fill(1.0)
+        names.append(threading.current_thread().name)
+        raise KeyError("second")
+
+    with pytest.raises(ValueError, match="first"):
+        model_mod._run_pair(first, second, out.size)
+    assert sorted(names) == ON_TWO_THREADS and np.all(out == 1.0)
+
+
 def test_run_pair_serves_concurrent_callers_each_its_own_piece(threaded_pairs):
     # callers on several threads share the one helper; each must return only
     # after its own helper piece is done
