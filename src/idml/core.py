@@ -311,8 +311,9 @@ STREAM_LOSS = 5
 STREAM_EVAL = 6
 
 
-class Rng:
-    """Deterministic random stream backed by the counter-based Philox generator.
+class Rng(np.random.Generator):
+    """Deterministic random stream: a numpy Generator on the counter-based
+    Philox bit generator keyed on (seed, stream).
 
     Identical (seed, stream) pairs produce bit-identical draws across runs
     and platforms. Each consumer keys its own generator on (seed, stream id),
@@ -325,29 +326,10 @@ class Rng:
             raise ParameterError(f"seed must be {SEED.text}, got {seed}")
         self.seed = seed
         self.stream = int(stream)
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        super().__init__(np.random.Philox(key=np.array([seed, self.stream], dtype=np.uint64)))
 
-    def random(self, size=None):
-        """Uniform double(s) in [0, 1); random(n) equals n successive random() draws."""
-        return self._gen.random(size=size)
+    normal = np.random.Generator.standard_normal
 
-    def normal(self, size=None):
-        return self._gen.standard_normal(size=size)
-
-    def integers(self, lo: int, hi: int, size=None):
-        """Integer draw(s) in [lo, hi); integers(lo, hi, size=m) equals m
-        successive integers(lo, hi) draws and leaves the same next draw."""
-        if not lo < hi:
-            raise ParameterError(f"integers requires lo < hi, got [{lo}, {hi})")
-        return self._gen.integers(lo, hi, size=size)
-
-    def choice(self, n_or_items, size=None, replace: bool = True, p=None):
-        return self._gen.choice(n_or_items, size=size, replace=replace, p=p)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def beta(self, a: float, b: float) -> float:
-        return float(self._gen.beta(a, b))
-
+    def __reduce__(self):
+        # Generator's own reduce rebuilds a plain Generator, without seed and stream
+        return Rng, (self.seed, self.stream), self.bit_generator.state

@@ -458,11 +458,15 @@ def run_grid(configs, output_dirs=None) -> list:
     """Train every config in min(worker_count(), len(configs)) processes, or
     in this one when that is 1. Records come back in config order, and an
     exception raised in a run reaches the caller with its type. Each worker
-    process runs its steps on one thread."""
+    process runs its steps on one thread. One output dir holds one run: two
+    dirs that resolve to one directory are refused before any run starts."""
     configs = list(configs)
     dirs = [None] * len(configs) if output_dirs is None else list(output_dirs)
     if len(dirs) != len(configs):
         raise ParameterError(f"{len(configs)} configs but {len(dirs)} output dirs")
+    real = [os.path.realpath(d) for d in dirs if d is not None]
+    if len(set(real)) < len(real):
+        raise ParameterError(f"each run needs its own output dir, got {[str(d) for d in dirs]}")
     n_workers = min(worker_count(), len(configs))
     if n_workers <= 1:
         return [train(cfg, d) for cfg, d in zip(configs, dirs)]
@@ -491,7 +495,7 @@ def sweep(cfg: RunConfig, param: str, values, output_dir=None):
         d = config_to_json_dict(cfg)
         set_config_path(d, f"metric_params.{param}" if param in ("tau", "gamma") else param, v)
         configs.append(config_from_json_dict(d))
-    if len(set(configs)) < len(values) or len(set(names)) < len(values):
+    if len(set(configs)) < len(values):
         raise ParameterError(f"sweep values must give distinct runs, got {values}")
     dirs = None if output_dir is None else [Path(output_dir) / name for name in names]
     records = run_grid(configs, dirs)

@@ -413,7 +413,7 @@ class AdamW:
     def step(self, theta: np.ndarray, grad: np.ndarray, spans):
         if self.m is None:
             self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
-            self._buf = np.empty((2, 2, ADAMW_BLOCK))
+            self._buf = np.empty((2, 2, min(ADAMW_BLOCK, theta.size)))
         self.t += 1
         # Adjacent spans with one lr scale share every scalar below, so they
         # run as one range, cut into blocks of ADAMW_BLOCK entries. The block

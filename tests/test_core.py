@@ -1,7 +1,9 @@
 """Shared primitives: vectors, label sets, parameter bundles, seeded streams."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -311,6 +313,46 @@ def test_rng_random_is_the_unit_uniform():
     for _ in range(1000):
         assert r.random() == gen.uniform(0.0, 1.0)
     assert r.normal() == gen.standard_normal()
+
+
+def test_rng_is_a_philox_generator_keyed_on_seed_and_stream():
+    # every draw is the Generator call on the same bits, call by call, and
+    # both streams end at the same next draw (a buffered 32-bit half included)
+    for s, t in ((0, 0), (7, 3), (2**64 - 1, 1 << 8 | 4)):
+        r = Rng(s, t)
+        assert isinstance(r, np.random.Generator)
+        assert (r.seed, r.stream) == (s, t)
+        gen = np.random.Generator(np.random.Philox(key=np.array([s, t], dtype=np.uint64)))
+        p = np.array([0.1, 0.0, 0.6, 0.3])
+        pairs = [
+            (r.random(), gen.random()),
+            (r.random(5), gen.random(5)),
+            (r.normal(), gen.standard_normal()),
+            (r.normal(size=(2, 3)), gen.standard_normal(size=(2, 3))),
+            (r.integers(0, 9), gen.integers(0, 9)),
+            (r.integers(3, 3000, size=7), gen.integers(3, 3000, size=7)),
+            (r.choice(4, size=6, p=p), gen.choice(4, size=6, p=p)),
+            (r.choice(10, size=4, replace=False), gen.choice(10, size=4, replace=False)),
+            (r.permutation(12), gen.permutation(12)),
+            (r.beta(0.4, 0.4), gen.beta(0.4, 0.4)),
+            (r.integers(0, 250), gen.integers(0, 250)),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+        assert r.integers(0, 2**40) == gen.integers(0, 2**40)
+        assert r.random() == gen.random()
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))], ids=["deepcopy", "pickle"])
+def test_rng_copies_keep_seed_stream_and_next_draw(clone):
+    r = Rng(11, 5)
+    r.normal(size=3)
+    r.integers(0, 7)  # leaves a 32-bit half buffered
+    c = clone(r)
+    assert type(c) is Rng
+    assert (c.seed, c.stream) == (11, 5)
+    assert c.integers(0, 7) == r.integers(0, 7)
+    assert c.random() == r.random()
 
 
 def test_rng_integers_and_choice_bounds():

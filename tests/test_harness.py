@@ -530,6 +530,21 @@ def test_run_grid_child_error_keeps_its_type(tmp_path, monkeypatch):
         run_grid(configs, [tmp_path])
 
 
+def test_run_grid_refuses_two_runs_in_one_output_dir(tmp_path, monkeypatch):
+    # the second run would overwrite the first's files (or, on two workers,
+    # write them at the same time); refused before any run or directory
+    monkeypatch.setenv("IDML_THREADS", "1")
+    d = tmp_path / "run"
+    (tmp_path / "link").symlink_to(d, target_is_directory=True)
+    configs = [tiny_config(epochs=1), tiny_config(epochs=1, seed=2)]
+    for second in (d, tmp_path / "x" / ".." / "run", str(tmp_path / "link")):
+        with pytest.raises(ParameterError, match="its own output dir"):
+            run_grid(configs, [d, second])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+    # two runs without output dirs share nothing
+    assert len(run_grid(configs, [None, None])) == 2
+
+
 def test_run_grid_workers_keep_each_step_on_one_thread(monkeypatch):
     # the grid's processes fill the CPUs: each worker starts with an
     # initializer that keeps its steps inline

@@ -448,6 +448,15 @@ def test_adamw_blocked_step_is_bit_identical_to_one_expression_per_span(weight_d
     assert theta[frozen].tobytes() == start[frozen].tobytes()
 
 
+def test_adamw_scratch_is_sized_to_theta():
+    # a desk theta (at most 9,408 entries) is one block: its two buffer pairs
+    # hold no more entries than theta
+    theta = np.random.default_rng(2).normal(size=9408)
+    opt = AdamW(lr=1e-3)
+    opt.step(theta, np.ones_like(theta), [(slice(None), 1.0)])
+    assert opt._buf.nbytes <= 4 * theta.nbytes
+
+
 def test_adamw_halves_on_two_threads_match_the_single_thread_loop(threaded_pairs, monkeypatch):
     # theta well above 2 x THREAD_MIN_ENTRIES, so the helper takes the first
     # half of the block list; spans at lr scales 1, 0.3 and 0, one of them
