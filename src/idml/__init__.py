@@ -20,12 +20,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from idml.core import (
-    Batch,
-    MetricParams,
-    Rng,
-    labels_match,
-)
+from idml.core import Batch, MetricParams, Rng
 from idml.metric import gradient_weight
 
 __all__ = [
@@ -33,5 +28,4 @@ __all__ = [
     "MetricParams",
     "Rng",
     "gradient_weight",
-    "labels_match",
 ]

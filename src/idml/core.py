@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 import os
 import typing
@@ -131,9 +132,9 @@ def label_ids(Y, classes) -> list:
 
 
 # Entries per row block of the passes over an N x M table: the Gram epilogue
-# of `metric`, the ranking and the MRR count of `evaluation`, and the match
-# table here. A block and its temporaries stay in cache, where whole-table
-# passes did not, and no N x M temporary is made.
+# of `metric`, and the ranking, the MRR count and each query's R in
+# `evaluation`. A block and its temporaries stay in cache, where
+# whole-table passes did not, and no N x M temporary is made.
 TABLE_BLOCK = 65536
 
 
@@ -144,19 +145,14 @@ def block_rows(m: int) -> int:
 
 def match_matrix(Y) -> np.ndarray:
     """(N, N) boolean table of `labels_match` over every pair of multi-hot rows
-    `Y` (from `multi_hot`), diagonal true, filled one row block at a time."""
-    Y = np.asarray(Y, dtype=np.float64)
-    match = np.empty((len(Y), len(Y)), dtype=bool)
-    rows = block_rows(len(Y))
-    for lo in range(0, len(Y), rows):
-        match_rows(Y, lo, lo + rows, out=match[lo : lo + rows])
-    return match
+    `Y` (from `multi_hot`), diagonal true."""
+    return match_rows(np.asarray(Y, dtype=np.float64), 0, len(Y))
 
 
-def match_rows(Y: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+def match_rows(Y: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Rows lo:hi of `match_matrix` for float64 multi-hot rows `Y`. The
     shared-label counts are small integers, exact in any summation order."""
-    return np.greater(Y[lo:hi] @ Y.T, 0.0, out=out)
+    return Y[lo:hi] @ Y.T > 0.0
 
 
 def worker_count() -> int:
@@ -227,8 +223,9 @@ def check_fields(cfg):
     or breaks one of its annotated bounds, naming the field, and store each
     value in its annotated type. An int stands in for a float and is stored
     as a float, a bool for neither, a tuple field takes a list of ints and
-    stores a tuple of ints, a section must be an instance of its class, and
-    None passes only where the default is None."""
+    stores a tuple of ints, a section must be an instance of its class,
+    None passes only where the default is None, and a stored float must be
+    finite."""
     for name, (want, bounds, none_ok) in field_rules(type(cfg)).items():
         v = getattr(cfg, name)
         if v is None and none_ok:
@@ -242,9 +239,12 @@ def check_fields(cfg):
                 raise ParameterError(f"{unknown}{name} must be {b.text}, got {v!r}")
         if store is not None:
             try:
-                object.__setattr__(cfg, name, store(v))
+                v = store(v)
             except OverflowError:  # an int past the float range
                 raise ParameterError(f"{name} must be {label} in float range, got {v!r}") from None
+            if want is float and not math.isfinite(v):
+                raise ParameterError(f"{name} must be a finite number, got {v!r}")
+            object.__setattr__(cfg, name, v)
 
 
 @dataclass(frozen=True)

@@ -242,10 +242,14 @@ def load_binary(path) -> Dataset:
             raise FormatError(f"{path}: unsupported version {version}")
         if n == 0:
             raise FormatError(f"{path}: no data rows")
+        if d == 0:
+            raise FormatError(f"{path}: no feature columns")
         off = 16
         labels = []
-        for _ in range(n):
+        for row in range(n):
             (cnt,) = struct.unpack_from("<I", raw, off)
+            if cnt == 0:
+                raise FormatError(f"{path}: row {row}: label set must be nonempty")
             off += 4
             labels.append(frozenset(struct.unpack_from(f"<{cnt}I", raw, off)))
             off += 4 * cnt

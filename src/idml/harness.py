@@ -78,7 +78,6 @@ __all__ = [
     "EpochStats",
     "RunRecord",
     "SWEEP_PARAMS",
-    "desk_config",
     "paper_config",
     "benchmark_data_config",
     "baseline_run_config",
@@ -132,11 +131,6 @@ class RunConfig:
         check_fields(self)
         if self.loss_params is None:
             object.__setattr__(self, "loss_params", default_loss_params(self.loss))
-
-
-def desk_config(**overrides) -> RunConfig:
-    """The small-everything default configuration."""
-    return RunConfig(**overrides)
 
 
 def paper_config(**overrides) -> RunConfig:
@@ -373,7 +367,7 @@ def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
             EpochStats(
                 epoch=epoch,
                 loss=float(np.mean(ep_loss)),
-                uncert_clean=float(np.mean(clean_norms)) if clean_norms else 0.0,
+                uncert_clean=float(np.mean(clean_norms)),
                 uncert_mixed=float(np.mean(mixed_norms)) if mixed_norms else 0.0,
                 grad_norm=float(np.mean(ep_grad)),
             )

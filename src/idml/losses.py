@@ -109,11 +109,9 @@ class LossParams:
     __post_init__ = check_fields
 
 
-def default_loss_params(loss: str, **overrides) -> LossParams:
+def default_loss_params(loss: str) -> LossParams:
     """LossParams with the loss's conventional margin (triplet uses 0.2)."""
-    if loss == "triplet_sh":
-        overrides.setdefault("margin_delta", 0.2)
-    return LossParams(**overrides)
+    return LossParams(margin_delta=0.2) if loss == "triplet_sh" else LossParams()
 
 
 @dataclass

@@ -275,17 +275,13 @@ def _run_pair(first, second, entries: int):
             raise error
 
 
-def _affine(x, w, b, out):
-    np.matmul(x, w, out=out)
-    out += b
-
-
 def _forward_cached(model: EncoderModel, X: np.ndarray):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ShapeError(f"expected (N, {model.input_dim}) inputs, got {X.shape}")
     # Each result is one array, the GEMM's output, finished in place; the
-    # two heads run as one `_run_pair`.
+    # two heads' products run as one `_run_pair`, and their biases are added
+    # after it.
     hs = [X]
     h = X
     for w, b in zip(model.trunk_w, model.trunk_b):
@@ -296,10 +292,12 @@ def _forward_cached(model: EncoderModel, X: np.ndarray):
     S = np.empty((len(h), model.head_s_w.shape[1]))
     U = np.empty((len(h), model.head_u_w.shape[1]))
     _run_pair(
-        partial(_affine, h, model.head_s_w, model.head_s_b, S),
-        partial(_affine, h, model.head_u_w, model.head_u_b, U),
+        partial(np.matmul, h, model.head_s_w, out=S),
+        partial(np.matmul, h, model.head_u_w, out=U),
         S.size,
     )
+    S += model.head_s_b
+    U += model.head_u_b
     return S, U, hs
 
 
@@ -363,10 +361,15 @@ def loss_and_grad(
     from this call's embeddings, and read by both the plan and the loss. A
     fresh plan is built unless one is passed in (the gradient checker
     passes the same plan repeatedly); a passed plan is evaluated on this
-    call's tables.
+    call's tables. A non-finite metric table or loss value raises
+    NumericalFailure.
     """
     S, U, hs = _forward_cached(model, batch.features)
     t = loss_tables(loss, S, U, metric=metric, mp=mp, proxies=model.proxies)
+    # a diverging step fails here for every loss, before a sampler or miner
+    # reads a non-finite table
+    if not all(np.isfinite(a).all() for a in (t.M, t.dM, t.dMb)):
+        raise NumericalFailure(f"non-finite {t.metric} metric table")
     if plan is None:
         plan = build_plan(t, batch.Y, batch.classes, lp=lp, rng=rng)
     res = evaluate_loss(t, plan, lp)

@@ -329,6 +329,32 @@ def test_momentum_outside_unit_interval_exits_config(tmp_path, momentum):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, ms_lambda, named",
+    [
+        ("train", ["--tau", "inf"], "1.0", "tau must be a finite number, got inf"),
+        ("train", ["--gamma", "inf"], "1.0", "gamma must be a finite number, got inf"),
+        ("train", [], "NaN", "ms_lambda must be a finite number, got nan"),
+        ("gradcheck", ["--tau", "inf"], "1.0", "tau must be a finite number, got inf"),
+    ],
+    ids=["train-tau", "train-gamma", "train-ms-lambda", "gradcheck-tau"],
+)
+def test_non_finite_config_number_exits_config_before_any_work(tmp_path, capsys, command, flags, ms_lambda, named):
+    # without the check: a config.json strict JSON parsers reject, a run that
+    # fails at its first step, and a config error reported as a failed
+    # gradient check
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, loss="multi_similarity")
+    text = cfg_path.read_text().replace('"ms_lambda": 1.0', f'"ms_lambda": {ms_lambda}')
+    assert f'"ms_lambda": {ms_lambda}' in text
+    cfg_path.write_text(text)
+    run_dir = tmp_path / "run"
+    output = ["--output", str(run_dir)] if command == "train" else []
+    assert main([command, "--config", str(cfg_path), *flags, *output]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_bad_flag_value_exits_config():
     proc = run_cli("train", "--loss", "wat")
     assert proc.returncode == EXIT_CONFIG
@@ -415,6 +441,16 @@ def test_non_finite_dataset_exits_numerical(tmp_path):
     proc = run_cli("train", "--config", str(cfg_path))
     assert proc.returncode == EXIT_NUMERICAL
     assert "numerical failure" in proc.stderr
+
+
+def test_diverging_margin_dw_step_exits_numerical(tmp_path):
+    # a huge step overflows the pair uncertainty while the embeddings are
+    # still finite; the metric tables are checked before the sampler reads them
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, loss="margin_dw", lr=1e200)
+    proc = run_cli("train", "--config", str(cfg_path))
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "numerical failure: non-finite" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_non_finite_test_split_exits_numerical_on_eval(tmp_path):

@@ -19,6 +19,7 @@ from idml.core import (
     ParameterError,
     Rng,
     ShapeError,
+    field_rules,
     label_ids,
     label_set,
     labels_match,
@@ -88,6 +89,12 @@ def test_match_matrix_equals_pairwise_labels_match():
     for bad in (({0}, set()), ({0}, {-1})):
         with pytest.raises(ParameterError):
             match_matrix(multi_hot(bad)[0])
+    # past the largest training batch, with two-label rows: the table is one
+    # product, exact because the shared-label counts are small integers
+    r = np.random.default_rng(0)
+    labels = [{int(a), int(b)} for a, b in r.integers(0, 40, size=(300, 2))]
+    assert sum(len(ls) == 2 for ls in labels) > 200
+    assert match_matrix(multi_hot(labels)[0]).tolist() == [[labels_match(a, b) for b in labels] for a in labels]
 
 
 def test_metric_params_defaults_and_validation():
@@ -172,6 +179,25 @@ def test_every_config_bound_accepts_its_edge_and_names_the_field_past_it(cls, na
         # the one form, led by "unknown <field>: " for a name off its list
         lead = f"unknown {name}: " if isinstance(v, str) else ""
         with pytest.raises(ParameterError, match=rf"^{lead}{name} must be .+, got {re.escape(repr(v))}$"):
+            cls(**{name: v})
+
+
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in (RunConfig, SynthConfig, AugmentConfig, MetricParams, LossParams)
+    for name, (want, _, _) in field_rules(cls).items()
+    if want is float
+]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_every_float_config_field_rejects_non_finite_values_by_name(cls, name):
+    # a bound that a value breaks names it first, in its own words; a value
+    # past no bound is rejected as not finite
+    _, bounds, _ = field_rules(cls)[name]
+    for v in (math.inf, -math.inf, math.nan):
+        rule = "a finite number" if all(b.ok(v) for b in bounds) else ".+"
+        with pytest.raises(ParameterError, match=rf"^{name} must be {rule}, got {re.escape(repr(v))}$"):
             cls(**{name: v})
 
 

@@ -315,7 +315,15 @@ def write_binary_rows(path, label_ids, features):
 def test_binary_zero_count_label_set_rejected(tmp_path):
     p = tmp_path / "empty_label.bin"
     write_binary_rows(p, [(0,), (), (1,), (2,)], np.zeros((4, 2)))
-    with pytest.raises(ParameterError, match="nonempty"):
+    with pytest.raises(FormatError, match=r"empty_label\.bin: row 1: label set must be nonempty"):
+        load_binary(p)
+
+
+def test_binary_zero_width_features_rejected(tmp_path):
+    # like a CSV header without a feature column
+    p = tmp_path / "no_features.bin"
+    write_binary_rows(p, [(0,), (1,), (2,), (3,)], np.zeros((4, 0)))
+    with pytest.raises(FormatError, match=r"no_features\.bin: no feature columns"):
         load_binary(p)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import idml
 from idml.augment import AugmentConfig, mix_rows
-from idml.core import STREAM_EVAL, Batch, MetricParams, ParameterError, Rng, ShapeError
+from idml.core import STREAM_EVAL, Batch, MetricParams, NumericalFailure, ParameterError, Rng, ShapeError
 from idml.data import SynthConfig, generate, save_binary, save_csv
 from idml.evaluation import EvalReport
 from idml.harness import (
@@ -26,7 +26,6 @@ from idml.harness import (
     benchmark_data_config,
     config_from_json_dict,
     config_to_json_dict,
-    desk_config,
     diagnose,
     gradcheck,
     introspective_run_config,
@@ -65,7 +64,7 @@ def tiny_config(**overrides):
 
 
 def test_runconfig_defaults():
-    cfg = desk_config()
+    cfg = RunConfig()
     assert cfg.loss == "contrastive"
     assert cfg.metric == "ism"
     assert cfg.test_metric == "euclidean"
@@ -176,14 +175,14 @@ def test_config_json_round_trip_exact():
 
 
 def test_config_from_json_rejects_unknown_key():
-    d = config_to_json_dict(desk_config())
+    d = config_to_json_dict(RunConfig())
     d["learning_rate"] = 0.1
     with pytest.raises(ParameterError, match="unknown config key"):
         config_from_json_dict(d)
 
 
 def test_config_from_json_rejects_bad_nested_section():
-    d = config_to_json_dict(desk_config())
+    d = config_to_json_dict(RunConfig())
     d["data"] = {"n_classes": 10, "bogus_knob": 1}
     with pytest.raises(ParameterError, match="bad data section"):
         config_from_json_dict(d)
@@ -392,6 +391,20 @@ def test_unscorable_test_split_fails_before_training(data, message, monkeypatch)
         train(RunConfig(data=data, batch_size=4))
 
 
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_a_diverging_step_fails_in_training_for_every_loss(loss, monkeypatch):
+    # a triplet_sh miner finds no triplet among NaN distances, so without the
+    # table check such a run trained on until its evaluation
+    def no_evaluation(*args, **kwargs):
+        raise RuntimeError("the test split was evaluated")
+
+    monkeypatch.setattr("idml.harness._evaluate_test_split", no_evaluation)
+    cfg = tiny_config(data=SynthConfig(n_classes=8, per_class=8, input_dim=6, seed=1), loss=loss, lr=1e200)
+    # the overflow on the way is expected, and its warnings are not shown
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="non-finite ism metric table"):
+        train(cfg)
+
+
 def test_record_json_text_is_reproducible(tmp_path):
     cfg = tiny_config()
     train(cfg, output_dir=tmp_path / "a")
@@ -409,7 +422,7 @@ def test_a_fit_keeps_one_gradient_live_and_nothing_past_its_end():
     # 0.65 of it). Any cache or buffer
     # kept past the fit shows in the growth after it; the step's helper
     # thread, started during the fit, keeps about 0.005.
-    cfg = desk_config(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
+    cfg = RunConfig(hidden=(256, 256), semantic_dim=256, uncertainty_dim=256, epochs=2)
     train_side = load_dataset_for(cfg).train_split()
     model = init_model(
         train_side.features.shape[1], hidden=cfg.hidden, semantic_dim=cfg.semantic_dim,
@@ -630,9 +643,9 @@ def test_train_rejects_a_bad_idml_threads_before_any_work(tmp_path, monkeypatch)
 @pytest.mark.parametrize(
     "cfg",
     [
-        desk_config(),
-        desk_config(loss="proxy_anchor"),
-        desk_config(loss="multi_similarity", metric="ism_dis"),
+        RunConfig(),
+        RunConfig(loss="proxy_anchor"),
+        RunConfig(loss="multi_similarity", metric="ism_dis"),
     ],
     ids=["contrastive-ism", "proxy_anchor-ism", "multi_similarity-ism_dis"],
 )
