@@ -40,7 +40,6 @@ from idml.core import (
     STREAM_INIT,
     STREAM_LOSS,
     Batch,
-    Bound,
     MetricParams,
     ParameterError,
     Rng,
@@ -63,13 +62,13 @@ from idml.losses import (
 )
 from idml.metric import METRIC_NAMES
 from idml.model import (
+    AdamW,
     finite_difference_check,
     forward,
     h_factor_check,
     init_model,
     load_checkpoint,
     loss_and_grad,
-    make_optimizer,
     save_checkpoint,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "worker_count",
 ]
 
-OPTIMIZER_NAMES = ("adamw", "sgd")
 UNCERTAINTY_MODES = ("train", "frozen_zero")
 SWEEP_PARAMS = ("tau", "gamma", "batch_size", "semantic_dim", "uncertainty_dim")
 
@@ -117,10 +115,8 @@ class RunConfig:
     semantic_dim: Annotated[int, at_least(1)] = 32
     uncertainty_dim: Annotated[int, at_least(1)] = 32
     uncertainty_mode: Annotated[str, one_of(UNCERTAINTY_MODES)] = "train"
-    optimizer: Annotated[str, one_of(OPTIMIZER_NAMES)] = "adamw"
     lr: Annotated[float, POSITIVE] = 1e-2
     weight_decay: Annotated[float, NONNEGATIVE] = 1e-4
-    momentum: Annotated[float, Bound(lambda v: 0 <= v < 1, "in [0, 1)")] = 0.9
     proxy_lr_scale: Annotated[float, POSITIVE] = 10.0
     uncert_lr_scale: Annotated[float, POSITIVE] = 1.0
     batch_size: Annotated[int, at_least(4)] = 32
@@ -284,11 +280,13 @@ def _epoch_stream(seed: int, epoch: int, stream: int) -> Rng:
 
 
 def train(cfg: RunConfig, output_dir=None) -> RunRecord:
-    """Mini-batch training per the config; writes run outputs if a dir is given."""
+    """Mini-batch training per the config; writes run outputs if a dir is given.
+
+    Every check on the config and its data runs before the output directory
+    is made, so a run refused with a ParameterError leaves no directory.
+    """
     t0 = time.perf_counter()
     worker_count()  # a bad IDML_THREADS fails before any work
-    if output_dir is not None:  # an unusable output path fails before any work
-        Path(output_dir).mkdir(parents=True, exist_ok=True)
     ds = load_dataset_for(cfg)
     train_side = ds.train_split()
     if len(train_side) < cfg.batch_size:
@@ -297,6 +295,9 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
         )
     check_scorable(ds.Y[~ds.is_train])  # an unscorable test split fails before training
     held = train_side.Y.any(axis=0)
+    _check_negative_proxies(cfg, train_side.Y[:, held])
+    if output_dir is not None:  # an unusable output path fails before training
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
     model = init_model(
         input_dim=ds.features.shape[1],
         hidden=cfg.hidden,
@@ -313,6 +314,29 @@ def train(cfg: RunConfig, output_dir=None) -> RunRecord:
     if output_dir is not None:
         _write_run_outputs(Path(output_dir), record, model, u_rows)
     return record
+
+
+def _check_negative_proxies(cfg: RunConfig, Y: np.ndarray):
+    """softmax_proxy and proxy_nca need a negative proxy, a held class the
+    row lacks, for every batch row: a training row or, when the batch gets
+    mixed rows, the union of two. Y is the training rows over the classes
+    they hold, one proxy each; `build_plan` would fail at the first such row.
+    """
+    if cfg.loss not in ("softmax_proxy", "proxy_nca"):
+        return
+    mixing = round(cfg.batch_size * cfg.augment.mix_fraction) > 0  # mix_rows' count
+    lacks = ~np.unique(Y, axis=0)  # the classes each distinct row lacks
+    n_lacked = lacks.sum(axis=1)
+    if mixing:
+        # rows a and b together hold every class iff no class is lacked by
+        # both, which needs n_lacked[a] + n_lacked[b] <= the class count
+        lacks = lacks[n_lacked <= Y.shape[1] - n_lacked.min()].astype(np.float64)
+        n_lacked = lacks @ lacks.T  # classes lacked by both; its diagonal, by one
+    if (n_lacked == 0).any():
+        raise ParameterError(
+            f"{cfg.loss} needs a negative proxy for every sample, but a training row"
+            f"{' or the mix of two' if mixing else ''} holds all {Y.shape[1]} training classes"
+        )
 
 
 def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
@@ -339,7 +363,7 @@ def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
     for sl, scale in spans:
         if scale == 0.0:
             model.theta[sl] = 0.0
-    opt = make_optimizer(cfg.optimizer, cfg.lr, cfg.weight_decay, cfg.momentum)
+    opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     mp, lp, n_train = cfg.metric_params, cfg.loss_params, len(train_side)
     stats = []

@@ -448,16 +448,13 @@ def compute_loss(
 def _kink_margin_tables(t: LossTables, used) -> float:
     """Distance-to-nearest-kink of the metric tables over the pairs in play.
 
-    Norm kinks sit at alpha = 0 and (for metrics reading B) beta = 0; the
-    strict variant adds its indicator boundary |alpha - beta - gamma|.
+    Norm kinks sit at alpha = 0 and (for metrics reading B) beta = 0.
     """
     if not used.any():
         return np.inf
     m = _min_or_inf(t.A[used])
     if t.metric != "euclidean":
         m = min(m, _min_or_inf(t.B[used]))
-    if t.metric == "ism_strict":
-        m = min(m, _min_or_inf(np.abs(t.A[used] - t.B[used] - t.mp.gamma)))
     return m
 
 

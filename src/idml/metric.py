@@ -10,9 +10,9 @@ beta_rel = (beta + gamma) / alpha then attenuates the metric:
     similarity form  C' = 1 - (1 - C) * exp(-beta_rel / tau)
 
 An uncertain pair looks closer / more similar, so it pulls on the model
-more gently. The module also provides the strict (indicator) variant, the
-"treat uncertain as dissimilar" ablation, the sum-of-norms uncertainty
-ablation, and the gradient attenuation factor H = dD/dalpha.
+more gently. The module also provides the "treat uncertain as dissimilar"
+ablation, the sum-of-norms uncertainty ablation, and the gradient
+attenuation factor H = dD/dalpha.
 
 Every formula has one implementation, over tables: pairwise_* build the
 alpha and beta tables (gram_panels builds them a row panel at a time), and
@@ -47,7 +47,7 @@ __all__ = [
 # Selector values accepted by the losses and the harness. "euclidean" is the
 # uncertainty-blind baseline (plain distance / plain cosine); "uncert_sumnorm"
 # is the ISM with beta = ||u1|| + ||u2|| instead of ||u1 + u2||.
-METRIC_NAMES = ("euclidean", "ism", "ism_strict", "ism_dis", "uncert_sumnorm")
+METRIC_NAMES = ("euclidean", "ism", "ism_dis", "uncert_sumnorm")
 
 
 def gradient_weight(alpha: float, beta: float, mp: MetricParams) -> float:
@@ -230,8 +230,6 @@ def distance_values(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams,
     """
     if metric == "euclidean":
         return A
-    if metric == "ism_strict":
-        return A * _covers(A, B, mp)
     if metric not in ("ism", "uncert_sumnorm", "ism_dis"):
         raise ParameterError(f"unknown metric {metric!r}")
     E = _beta_rel_parts(A, B, mp)[2] if E is None else E
@@ -239,23 +237,14 @@ def distance_values(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams,
     return A * (2.0 - E) if metric == "ism_dis" else A * E
 
 
-def _covers(A: np.ndarray, B: np.ndarray, mp: MetricParams) -> np.ndarray:
-    """ism_strict's indicator: 1.0 where the distance exceeds the pair's
-    uncertainty, 0.0 where the uncertainty covers it."""
-    return (A - B - mp.gamma > 0).astype(np.float64)
-
-
 def distance_table(metric: str, A: np.ndarray, B: np.ndarray, mp: MetricParams):
     """Distance matrix for the selected metric plus partials dD/dA and dD/dB.
 
     A holds pairwise semantic distances, B pairwise uncertainties (already in
-    the representation the metric expects). D is `distance_values`'. For
-    "ism_strict" the indicator is treated as locally constant by the partials.
+    the representation the metric expects). D is `distance_values`'.
     """
     if metric == "euclidean":
         return A.copy(), np.ones_like(A), np.zeros_like(A)
-    if metric == "ism_strict":
-        return distance_values(metric, A, B, mp), _covers(A, B, mp), np.zeros_like(A)
     denom, bt, E = _beta_rel_parts(A, B, mp)
     D = distance_values(metric, A, B, mp, E)
     # dD/dA of alpha * E: E everywhere, plus the beta_rel/alpha response where
@@ -278,9 +267,6 @@ def similarity_table(metric: str, C: np.ndarray, A: np.ndarray, B: np.ndarray, m
     """
     if metric == "euclidean":
         return C.copy(), np.ones_like(C), np.zeros_like(C)
-    if metric == "ism_strict":
-        ind = A - B - mp.gamma <= 0  # uncertainty covers the distance: fully similar
-        return np.where(ind, 1.0, C), np.where(ind, 0.0, 1.0), np.zeros_like(C)
     denom, bt, E = _beta_rel_parts(A, B, mp)
     live = A > mp.alpha_min
     # dE/dC through alpha: dalpha/dC = -1/alpha, so dbt/dC = (B+gamma)/alpha^3 where live.

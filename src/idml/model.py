@@ -10,7 +10,7 @@ gradient checker here exploits.
 Every trainable scalar of a run, the proxies included, lives in one float64
 vector `theta`; the named tensors ("trunk.0.W", "head_s.b",
 "proxy.semantic", ...) are views into it, in the order `_layout` gives:
-trunk layers, the two heads, proxies last. The optimizers, the checkpoint
+trunk layers, the two heads, proxies last. The optimizer, the checkpoint
 and the gradient checker each handle `theta` whole.
 
 Checkpoint layout (little-endian): magic "IDML", u32 version (1), u32 trunk
@@ -59,8 +59,6 @@ __all__ = [
     "forward",
     "loss_and_grad",
     "AdamW",
-    "SgdMomentum",
-    "make_optimizer",
     "save_checkpoint",
     "load_checkpoint",
     "GradCheckReport",
@@ -471,36 +469,6 @@ def _scale_runs(spans, n: int) -> list:
         else:
             runs.append([start, stop, scale])
     return runs
-
-
-@dataclass
-class SgdMomentum:
-    """Classic momentum SGD with (decoupled) weight decay; `step` takes the
-    same (theta, grad, spans) as AdamW's."""
-
-    lr: float = 1e-2
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    velocity: np.ndarray = None
-
-    def step(self, theta: np.ndarray, grad: np.ndarray, spans):
-        if self.velocity is None:
-            self.velocity = np.zeros_like(theta)
-        vel = self.velocity
-        for sl, scale in spans:
-            lr = self.lr * scale
-            vel[sl] = self.momentum * vel[sl] - lr * grad[sl]
-            if self.weight_decay:
-                theta[sl] *= 1.0 - lr * self.weight_decay
-            theta[sl] += vel[sl]
-
-
-def make_optimizer(name: str, lr: float, weight_decay: float = 0.0, momentum: float = 0.9):
-    if name == "adamw":
-        return AdamW(lr=lr, weight_decay=weight_decay)
-    if name == "sgd":
-        return SgdMomentum(lr=lr, momentum=momentum, weight_decay=weight_decay)
-    raise ParameterError(f"unknown optimizer {name!r}")
 
 
 # ---------------------------------------------------------------------------

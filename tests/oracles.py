@@ -271,8 +271,6 @@ def metric_distances_ref(metric, S, U, gamma, tau, alpha_min=1e-12):
         beta = norms[:, None] + norms[None, :]
     else:
         beta = np.sqrt(((U[:, None, :] + U[None, :, :]) ** 2).sum(axis=2))
-    if metric == "ism_strict":
-        return np.where(alpha - beta - gamma > 0, alpha, 0.0)
     att = np.exp(-(beta + gamma) / np.maximum(alpha, alpha_min) / tau)
     return alpha * (2 - att) if metric == "ism_dis" else alpha * att
 
@@ -466,19 +464,15 @@ def augment_batch_ref(
     mix_lambda_dist,
     mix_fraction,
     blur_prob,
-    occl_prob,
-    occl_fraction,
-    lowres_factor,
     noise_sigma,
 ):
-    """Mix and corrupt a batch one row at a time; returns (features, labels, is_mixed).
+    """Mix and blur a batch one row at a time; returns (features, labels, is_mixed).
 
     `gen` is a numpy Generator. Each mixed row draws i, j (up to 8 redraws
     of j for a partner with a different label set) and lam ~ Beta(a, a) in
     that order, blends lam * x_i + (1 - lam) * x_j and takes the label
-    union. Then every row in turn is block-averaged, blurred (one uniform,
-    then D normals if noise_sigma > 0) and occluded (one uniform, then a
-    choice of ceil(occl_fraction * D) coordinates without replacement).
+    union. Then every row in turn is blurred (one uniform, then D normals if
+    noise_sigma > 0).
     """
     X = np.asarray(features, dtype=np.float64)
     n = X.shape[0]
@@ -501,17 +495,7 @@ def augment_batch_ref(
 
     out = []
     for x in feats:
-        d = x.size
-        if lowres_factor > 1:
-            pad = (-d) % lowres_factor
-            padded = np.concatenate([x, np.full(pad, x[-1])])
-            x = np.repeat(padded.reshape(-1, lowres_factor).mean(axis=1), lowres_factor)[:d]
         if blur_prob > 0 and gen.uniform(0.0, 1.0) < blur_prob and noise_sigma > 0:
-            x = x + noise_sigma * gen.standard_normal(size=d)
-        if occl_prob > 0 and gen.uniform(0.0, 1.0) < occl_prob:
-            k = math.ceil(occl_fraction * d)
-            if k:
-                x = x.copy()
-                x[gen.choice(d, size=k, replace=False)] = 0.0
+            x = x + noise_sigma * gen.standard_normal(size=x.size)
         out.append(x)
     return np.stack(out), tuple(out_labels), np.array(mixed, dtype=bool)

@@ -14,10 +14,9 @@ refactor prints identical text. It covers:
   back into class ids;
 - eval_json_sha256 and epochs_csv_sha256: the sha256 of eval.json and of
   epochs.csv from the same runs;
-- the same digests (keys `extra/...`) for five short runs on the paths
+- the same digests (keys `extra/...`) for three short runs on the path
   those runs never take: the frozen uncertainty head
-  (`uncertainty_mode="frozen_zero"`) and the momentum optimizer
-  (`optimizer="sgd"`);
+  (`uncertainty_mode="frozen_zero"`);
 - sweep_csv_sha256: the sha256 of the sweep.csv of a two-point tau sweep
   of one short run;
 - gradcheck: the summary of `harness.gradcheck(RunConfig(loss=L))` for
@@ -31,7 +30,7 @@ refactor prints identical text. It covers:
   bits;
 - augment_sha256: the sha256 of augment_batch's features, labels, mixed
   flags and next draw on one fixed batch under each channel (mixing, blur,
-  occlusion, low resolution with and without padding, all at once);
+  both at once);
 - evaluate_sha256: the sha256 of `EvalReport.to_json_dict()` under every
   test metric on three fixed inputs. Two are on an integer grid, so that
   duplicate rows and distance ties at the ranking depth are common: 600
@@ -82,7 +81,9 @@ directory, runs that checkout's own copy of this script with that
 checkout's src/ first on PYTHONPATH, then runs this checkout's script with
 this checkout's src/, and prints a unified diff of the two JSON texts.
 After the diff it writes to stderr one line per top-level section saying
-how many of its keys differ (`plan_sha256: 40 of 40 keys differ`). It
+how many of its keys changed value, how many only REV has and how many
+only this checkout has (`plan_sha256: 0 changed, 8 only in HEAD~1, 0 only
+here, of 40 keys`), so removed and added keys show apart from moved values. It
 exits 0 when the texts are identical and 1 when they differ, and removes
 the worktree either way.
 
@@ -95,9 +96,9 @@ host. An explicit `OMP_NUM_THREADS`, `OPENBLAS_NUM_THREADS` or
 `MKL_NUM_THREADS` wins over the cap and can change them (the `two_label/*`
 evaluate digests move with OpenBLAS's thread count).
 
-The name keeps pytest from collecting it. It trains its 33 small runs
+The name keeps pytest from collecting it. It trains its 31 small runs
 through one `harness.run_grid` call, then the two sweep runs, and takes
-about 14 s on two cores, or about 21 s with IDML_THREADS=1.
+about 13 s on two cores, or about 16 s with IDML_THREADS=1.
 """
 
 from __future__ import annotations
@@ -135,12 +136,7 @@ CONFIGS = {
 EXTRA_RUNS = {
     "frozen_zero/contrastive": ("contrastive", dict(uncertainty_mode="frozen_zero")),
     "frozen_zero/proxy_anchor": ("proxy_anchor", dict(uncertainty_mode="frozen_zero")),
-    "sgd/proxy_nca": ("proxy_nca", dict(optimizer="sgd")),
-    "sgd/margin_dw": ("margin_dw", dict(optimizer="sgd")),
-    "sgd/frozen_zero/multi_similarity": (
-        "multi_similarity",
-        dict(optimizer="sgd", uncertainty_mode="frozen_zero"),
-    ),
+    "frozen_zero/multi_similarity": ("multi_similarity", dict(uncertainty_mode="frozen_zero")),
 }
 EXTRA_EPOCHS = 5
 RUN_FILES = ("record.json", "model.bin", "uncertainty.csv", "eval.json", "epochs.csv")
@@ -152,18 +148,7 @@ KMEANS_SHAPES = ((240, 512, 10), (1000, 32, 20), (250, 32, 5), (3000, 512, 50))
 AUGMENT_CHANNELS = {
     "mix": AugmentConfig(mix_fraction=0.5, mix_lambda_dist=2.0),
     "blur": AugmentConfig(mix_fraction=0.0, blur_prob=0.5, noise_sigma=0.3),
-    "occlusion": AugmentConfig(mix_fraction=0.0, occl_prob=0.5, occl_fraction=0.25),
-    "lowres_divides": AugmentConfig(mix_fraction=0.0, lowres_factor=4),
-    "lowres_pads": AugmentConfig(mix_fraction=0.0, lowres_factor=5),
-    "all": AugmentConfig(
-        mix_lambda_dist=0.5,
-        mix_fraction=0.5,
-        blur_prob=0.5,
-        occl_prob=0.5,
-        occl_fraction=0.25,
-        lowres_factor=3,
-        noise_sigma=0.2,
-    ),
+    "all": AugmentConfig(mix_lambda_dist=0.5, mix_fraction=0.5, blur_prob=0.5, noise_sigma=0.2),
 }
 
 
@@ -446,21 +431,25 @@ def diff_against(rev: str) -> int:
         before.splitlines(keepends=True), after.splitlines(keepends=True), rev, "working tree"
     ))
     sys.stdout.writelines(diff)
-    sys.stderr.writelines(f"{line}\n" for line in section_diff_counts(before, after))
+    sys.stderr.writelines(f"{line}\n" for line in section_diff_counts(before, after, rev))
     return 1 if diff else 0
 
 
-def section_diff_counts(before: str, after: str) -> list:
-    """One line per top-level section of two outputs of this script: how many
-    of the section's keys differ, a key present in one output only included.
-    A section that is one value (`sweep_csv_sha256`) is one key."""
+def section_diff_counts(before: str, after: str, rev: str) -> list:
+    """One line per top-level section of two outputs of this script, REV's
+    (`before`) and this checkout's (`after`): how many of the section's keys
+    are in both with different values, how many only `before` has and how
+    many only `after` has. A section that is one value (`sweep_csv_sha256`)
+    is one key."""
     a, b = json.loads(before), json.loads(after)
     lines = []
     for section in sorted(a.keys() | b.keys()):
         x, y = (v if isinstance(v, dict) else {section: v} for v in (a.get(section, {}), b.get(section, {})))
-        keys = x.keys() | y.keys()
-        n = sum(k not in x or k not in y or x[k] != y[k] for k in keys)
-        lines.append(f"{section}: {n} of {len(keys)} keys differ")
+        changed = sum(x[k] != y[k] for k in x.keys() & y.keys())
+        lines.append(
+            f"{section}: {changed} changed, {len(x.keys() - y.keys())} only in {rev}, "
+            f"{len(y.keys() - x.keys())} only here, of {len(x.keys() | y.keys())} keys"
+        )
     return lines
 
 

@@ -1,4 +1,4 @@
-"""Feature-space mixing and the low-information corruptions, through augment_batch."""
+"""Feature-space mixing and blur, through augment_batch."""
 
 import dataclasses
 import itertools
@@ -21,12 +21,6 @@ def batch_of(features, labels, is_mixed=None):
 
 def label_sets(batch):
     return tuple(frozenset(ids) for ids in label_ids(batch.Y, batch.classes))
-
-
-def corrupt(x, seed=0, **channels):
-    """One row through augment_batch with mixing off and the given channels."""
-    cfg = AugmentConfig(mix_fraction=0.0, **channels)
-    return augment_batch(batch_of([x], [0]), cfg, Rng(seed)).features[0]
 
 
 def mixed_row(x1, l1, x2, l2, seed=0, **cfg):
@@ -96,30 +90,8 @@ def test_mix_is_convex(a, b, shape, seed):
 
 
 # ---------------------------------------------------------------------------
-# Corruptions
+# Blur
 # ---------------------------------------------------------------------------
-
-
-def test_occlude_zeroes_ceil_fraction_of_entries():
-    x = np.arange(1.0, 11.0)  # strictly positive so zeros are unambiguous
-    out = corrupt(x, seed=1, occl_prob=1.0, occl_fraction=0.3)
-    assert (out == 0).sum() == 3  # ceil(0.3 * 10)
-    kept = out != 0
-    np.testing.assert_array_equal(out[kept], x[kept])
-
-
-def test_occlude_extremes():
-    x = np.arange(1.0, 7.0)
-    np.testing.assert_array_equal(corrupt(x, occl_prob=1.0, occl_fraction=0.0), x)
-    assert (corrupt(x, occl_prob=1.0, occl_fraction=1.0) == 0).all()
-
-
-def test_occlude_deterministic():
-    x = np.arange(1.0, 21.0)
-    np.testing.assert_array_equal(
-        corrupt(x, seed=9, occl_prob=1.0, occl_fraction=0.4),
-        corrupt(x, seed=9, occl_prob=1.0, occl_fraction=0.4),
-    )
 
 
 def test_blur_zero_sigma_identity():
@@ -143,32 +115,6 @@ def test_blur_noise_is_centered():
     out = augment_batch(b, cfg, Rng(3)).features
     bound = 3 * sigma / np.sqrt(n)
     assert np.all(np.abs(out.mean(axis=0)) < bound)
-
-
-def test_lowres_block_means():
-    np.testing.assert_array_equal(
-        corrupt(np.array([1.0, 3.0, 5.0, 7.0]), lowres_factor=2), [2.0, 2.0, 6.0, 6.0]
-    )
-
-
-def test_lowres_identity_and_constant():
-    x = np.array([2.0, 4.0, 8.0])
-    np.testing.assert_array_equal(corrupt(x, lowres_factor=1), x)
-    c = np.full(6, 3.25)
-    np.testing.assert_array_equal(corrupt(c, lowres_factor=3), c)
-
-
-def test_lowres_pads_with_edge_value():
-    # length 5, factor 2: the dangling cell averages with its own replica
-    np.testing.assert_array_equal(
-        corrupt(np.array([1.0, 3.0, 5.0, 7.0, 9.0]), lowres_factor=2), [2.0, 2.0, 6.0, 6.0, 9.0]
-    )
-
-
-def test_lowres_rejects_bad_factor():
-    for factor in (0, -2):
-        with pytest.raises(ParameterError):
-            AugmentConfig(lowres_factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +172,7 @@ def test_augment_config_validation():
     with pytest.raises(ParameterError):
         AugmentConfig(mix_fraction=-0.1)
     with pytest.raises(ParameterError):
-        AugmentConfig(occl_fraction=1.5)
+        AugmentConfig(blur_prob=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +180,18 @@ def test_augment_config_validation():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lowres_factor", [1, 2, 3, 4, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
 @pytest.mark.parametrize("mix_lambda_dist", [0.5, 1.0, 2.0])
-def test_augment_batch_matches_per_row_reference(mix_lambda_dist, lowres_factor):
+def test_augment_batch_matches_per_row_reference(mix_lambda_dist, d):
     """Features, labels, is_mixed and the next draw equal oracles.augment_batch_ref
-    bit for bit, over every mixing fraction and corruption setting; D is 12
-    (factors 2, 3 and 4 divide it) or 13 (none does)."""
+    bit for bit, over every mixing fraction and blur setting, for feature
+    width D = d (one column up to sixteen)."""
     grid = itertools.product(
         (0.0, 0.3, 1.0),  # mix_fraction
         (0.0, 0.5, 1.0),  # blur_prob
-        (0.0, 0.5, 1.0),  # occl_prob
-        (0.0, 0.25, 1.0),  # occl_fraction
         (0.0, 0.3),  # noise_sigma
-        (12, 13),  # D
     )
-    for case, (mix_fraction, blur_prob, occl_prob, occl_fraction, noise_sigma, d) in enumerate(grid):
+    for case, (mix_fraction, blur_prob, noise_sigma) in enumerate(grid):
         r = np.random.default_rng(case)
         n = int(r.integers(2, 9))
         labels = [frozenset(r.choice(4, size=int(r.integers(1, 3))).tolist()) for _ in range(n)]
@@ -257,9 +200,6 @@ def test_augment_batch_matches_per_row_reference(mix_lambda_dist, lowres_factor)
             mix_lambda_dist=mix_lambda_dist,
             mix_fraction=mix_fraction,
             blur_prob=blur_prob,
-            occl_prob=occl_prob,
-            occl_fraction=occl_fraction,
-            lowres_factor=lowres_factor,
             noise_sigma=noise_sigma,
         )
         rng = Rng(case, STREAM_AUGMENT)

@@ -18,7 +18,7 @@ import pytest
 from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, _load_config, build_parser, main
 from idml.core import ParameterError, Rng, label_ids
 from idml.data import SynthConfig, generate, load_csv, save_csv
-from idml.harness import RunConfig, config_to_json_dict, introspective_run_config
+from idml.harness import RunConfig, config_to_json_dict, introspective_run_config, set_config_path
 from idml.losses import LossParams
 from idml.model import init_model, save_checkpoint
 
@@ -194,7 +194,7 @@ def test_seed_flag_overrides_config(tmp_path):
         ("[1, 2]", "JSON object"),
         ('{"data": {"per_class": true}}', "bad data section: per_class"),
         ('{"data": {"seed": 1.5}}', "bad data section: seed"),
-        ('{"augment": {"lowres_factor": 2.5}}', "bad augment section: lowres_factor"),
+        ('{"augment": {"blur_prob": "0.5"}}', "bad augment section: blur_prob"),
         ('{"metric_params": {"tau": "5"}}', "bad metric_params section: tau"),
         ('{"loss_params": {"phi": "10"}}', "bad loss_params section: phi"),
         ('{"data": {"bogus": 1}}', "bad data section: unknown config key 'bogus'"),
@@ -203,7 +203,7 @@ def test_seed_flag_overrides_config(tmp_path):
         "unknown-key", "bad-loss", "malformed", "hidden-int", "hidden-bool", "batch-size-str",
         "epochs-float", "seed-bool", "lr-str", "path-int", "data-null", "metric-params-list",
         "augment-int", "loss-params-str", "top-list", "data-per-class-bool", "data-seed-float",
-        "augment-lowres-float", "metric-params-tau-str", "loss-params-phi-str", "data-unknown-key",
+        "augment-blur-str", "metric-params-tau-str", "loss-params-phi-str", "data-unknown-key",
     ],
 )
 def test_bad_config_file_exits_config(tmp_path, content, named):
@@ -314,19 +314,54 @@ def test_class_id_past_u32_in_csv_dataset_exits_config_before_training(tmp_path)
     assert not (run_dir / "model.bin").exists()
 
 
-@pytest.mark.parametrize("momentum", ["-5", "NaN", "1.0", "3"])
-def test_momentum_outside_unit_interval_exits_config(tmp_path, momentum):
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        ("optimizer", "sgd", "unknown config key 'optimizer'"),
+        ("momentum", 0.9, "unknown config key 'momentum'"),
+        ("augment.occl_prob", 0.0, "bad augment section: unknown config key 'occl_prob'"),
+        ("augment.occl_fraction", 0.25, "bad augment section: unknown config key 'occl_fraction'"),
+        ("augment.lowres_factor", 1, "bad augment section: unknown config key 'lowres_factor'"),
+        ("metric", "ism_strict", "unknown metric: metric must be one of"),
+        ("test_metric", "ism_strict", "unknown test_metric: test_metric must be one of"),
+    ],
+    ids=["optimizer", "momentum", "augment.occl_prob", "augment.occl_fraction", "augment.lowres_factor", "metric", "test_metric"],
+)
+def test_deleted_option_exits_config(tmp_path, path, value, named):
+    # a config.json written before these options were deleted is refused,
+    # never read as if the option were unset
     cfg_path = tmp_path / "config.json"
-    write_config(cfg_path, optimizer="sgd")
-    # Python's json reads NaN, so the bound is what rejects it
-    text = cfg_path.read_text().replace('"momentum": 0.9', f'"momentum": {momentum}')
-    assert f'"momentum": {momentum}' in text
-    cfg_path.write_text(text)
+    write_config(cfg_path)
+    raw = json.loads(cfg_path.read_text())
+    set_config_path(raw, path, value)
+    cfg_path.write_text(json.dumps(raw))
     run_dir = tmp_path / "run"
     proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
-    assert "momentum must be in [0, 1)" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr, proc.stderr
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        (dict(loss="softmax_proxy"), "softmax_proxy needs a negative proxy for every sample"),
+        (dict(loss="proxy_nca"), "proxy_nca needs a negative proxy for every sample"),
+        (dict(batch_size=32), "fewer than batch_size=32"),
+        (dict(data=SynthConfig(n_classes=20, per_class=1, input_dim=6), batch_size=4), "no class has two rows"),
+    ],
+    ids=["softmax-proxy-two-classes", "proxy-nca-two-classes", "batch-past-train-split", "unscorable-test-split"],
+)
+def test_refused_run_exits_config_and_makes_no_output_directory(tmp_path, overrides, named):
+    # write_config's data holds two training classes, and mixing is on: a
+    # mixed row of both holds every proxy, so the proxy losses have no negative
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path, epochs=1, **overrides)
+    run_dir = tmp_path / "out" / "run"
+    proc = run_cli("train", "--config", str(cfg_path), "--output", str(run_dir))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

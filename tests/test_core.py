@@ -138,10 +138,9 @@ BOUNDS = [
     ],
     *[
         (AugmentConfig, name, [0.0, 1.0], [-TINY, ABOVE_ONE])
-        for name in ("mix_fraction", "blur_prob", "occl_prob", "occl_fraction")
+        for name in ("mix_fraction", "blur_prob")
     ],
     (AugmentConfig, "mix_lambda_dist", [TINY], [0.0]),
-    (AugmentConfig, "lowres_factor", [1], [0]),
     (AugmentConfig, "noise_sigma", [0.0], [-TINY]),
     (SynthConfig, "n_classes", [4], [3]),
     (SynthConfig, "per_class", [1], [0]),
@@ -154,7 +153,6 @@ BOUNDS = [
     (RunConfig, "loss", list(LOSS_NAMES), ["wat", ""]),
     (RunConfig, "metric", list(METRIC_NAMES), ["wat"]),
     (RunConfig, "test_metric", list(METRIC_NAMES), ["wat"]),
-    (RunConfig, "optimizer", ["adamw", "sgd"], ["adam"]),
     (RunConfig, "uncertainty_mode", ["train", "frozen_zero"], ["frozen"]),
     (RunConfig, "hidden", [[1], (1, 1)], [[0], [], (4, -1)]),
     (RunConfig, "semantic_dim", [1], [0]),

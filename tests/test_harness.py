@@ -15,7 +15,7 @@ import pytest
 
 import idml
 from idml.augment import AugmentConfig, mix_rows
-from idml.core import STREAM_EVAL, Batch, MetricParams, NumericalFailure, ParameterError, Rng, ShapeError
+from idml.core import STREAM_EVAL, Batch, MetricParams, NumericalFailure, ParameterError, Rng, ShapeError, multi_hot
 from idml.data import SynthConfig, generate, save_binary, save_csv
 from idml.evaluation import EvalReport
 from idml.harness import (
@@ -37,7 +37,7 @@ from idml.harness import (
     train,
     worker_count,
 )
-from idml.harness import _fit
+from idml.harness import _check_negative_proxies, _fit
 from idml.losses import LOSS_NAMES, LossParams, default_loss_params
 from idml.model import forward, init_model, load_checkpoint
 
@@ -68,7 +68,6 @@ def test_runconfig_defaults():
     assert cfg.loss == "contrastive"
     assert cfg.metric == "ism"
     assert cfg.test_metric == "euclidean"
-    assert cfg.optimizer == "adamw"
     assert cfg.uncertainty_mode == "train"
 
 
@@ -78,7 +77,7 @@ def test_runconfig_defaults():
         dict(loss="hinge3"),
         dict(metric="cosine_ann"),
         dict(test_metric="manhattan"),
-        dict(optimizer="rmsprop"),
+        dict(metric="ism_strict"),
         dict(uncertainty_mode="sometimes"),
         dict(batch_size=3),
         dict(epochs=0),
@@ -98,21 +97,16 @@ def test_runconfig_defaults():
         dict(hidden=(8.0,)),
         dict(data=None),
         dict(loss=None),
-        dict(optimizer="sgd", momentum=-5.0),
-        dict(optimizer="sgd", momentum=float("nan")),
-        dict(optimizer="sgd", momentum=1.0),
-        dict(optimizer="sgd", momentum=3),
+        dict(test_metric="ism_strict"),
+        dict(lr=float("nan")),
+        dict(weight_decay=float("inf")),
+        dict(epochs=2.5),
         dict(lr=10**400),  # an int past the float range
     ],
 )
 def test_runconfig_rejects_bad_values(kwargs):
     with pytest.raises(ParameterError):
         RunConfig(**kwargs)
-
-
-@pytest.mark.parametrize("momentum", [0, 0.9])
-def test_runconfig_accepts_momentum_in_unit_interval(momentum):
-    assert RunConfig(optimizer="sgd", momentum=momentum).momentum == momentum
 
 
 def test_runconfig_fills_loss_params_per_loss():
@@ -309,6 +303,29 @@ def test_train_rejects_batch_larger_than_split():
     cfg = tiny_config(batch_size=32)  # train split has only 16 samples
     with pytest.raises(ParameterError, match="fewer than batch_size"):
         train(cfg)
+
+
+@pytest.mark.parametrize(
+    "loss, labels, mix_fraction, refused",
+    [
+        ("softmax_proxy", [{0}, {1}], 0.5, True),  # the mix of 0 and 1 holds both
+        ("softmax_proxy", [{0}, {1}], 0.0, False),
+        ("softmax_proxy", [{0}, {1}], 0.05, False),  # round(8 * 0.05) = 0: no mixed row
+        ("proxy_nca", [{0}, {1}, {2}], 0.5, False),
+        ("proxy_nca", [{0, 1}, {2}, {0}], 0.5, True),
+        ("proxy_nca", [{0, 1}, {2}, {0}], 0.0, False),
+        ("proxy_nca", [{0, 1, 2}, {0}], 0.0, True),
+        ("proxy_anchor", [{0}, {1}], 0.5, False),  # needs no negative proxy
+    ],
+)
+def test_train_refuses_a_proxy_run_with_a_row_holding_every_class(loss, labels, mix_fraction, refused):
+    Y, _ = multi_hot(labels * 4)
+    cfg = tiny_config(loss=loss, augment=AugmentConfig(mix_fraction=mix_fraction))
+    if refused:
+        with pytest.raises(ParameterError, match=f"{loss} needs a negative proxy"):
+            _check_negative_proxies(cfg, Y)
+    else:
+        _check_negative_proxies(cfg, Y)
 
 
 def test_train_writes_run_outputs(tmp_path):
@@ -691,20 +708,35 @@ def test_record_digests_counts_differing_keys_per_section():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     before = json.dumps(
-        {"plan_sha256": {"a": "1", "b": "2"}, "io_sha256": {"csv": "3"}, "gone": {"x": 1}, "sweep_csv_sha256": "5"}
+        {
+            "plan_sha256": {"a": "1", "b": "2"},
+            "io_sha256": {"csv": "3", "old": "7"},
+            "gone": {"x": 1},
+            "sweep_csv_sha256": "5",
+        }
     )
-    after = json.dumps({"plan_sha256": {"a": "1", "b": "9", "c": "4"}, "io_sha256": {"csv": "3"}, "sweep_csv_sha256": "6"})
-    assert script.section_diff_counts(before, after) == [
-        "gone: 1 of 1 keys differ",
-        "io_sha256: 0 of 1 keys differ",
-        "plan_sha256: 2 of 3 keys differ",
-        "sweep_csv_sha256: 1 of 1 keys differ",
+    after = json.dumps(
+        {
+            "plan_sha256": {"a": "1", "b": "9", "c": "4"},
+            "io_sha256": {"csv": "3", "new": "8"},
+            "sweep_csv_sha256": "6",
+        }
+    )
+    assert script.section_diff_counts(before, after, "REV") == [
+        "gone: 0 changed, 1 only in REV, 0 only here, of 1 keys",
+        "io_sha256: 0 changed, 1 only in REV, 1 only here, of 3 keys",
+        "plan_sha256: 1 changed, 0 only in REV, 1 only here, of 3 keys",
+        "sweep_csv_sha256: 1 changed, 0 only in REV, 0 only here, of 1 keys",
     ]
     # a nested value counts its key once, however many of its fields moved
     nested = json.dumps({"compute_loss": {"l/m": {"value": 1.0, "kink_margin": 2.0}}})
     moved = json.dumps({"compute_loss": {"l/m": {"value": 1.5, "kink_margin": 2.5}}})
-    assert script.section_diff_counts(nested, moved) == ["compute_loss: 1 of 1 keys differ"]
-    assert script.section_diff_counts(nested, nested) == ["compute_loss: 0 of 1 keys differ"]
+    assert script.section_diff_counts(nested, moved, "HEAD") == [
+        "compute_loss: 1 changed, 0 only in HEAD, 0 only here, of 1 keys"
+    ]
+    assert script.section_diff_counts(nested, nested, "HEAD") == [
+        "compute_loss: 0 changed, 0 only in HEAD, 0 only here, of 1 keys"
+    ]
 
 
 # ---------------------------------------------------------------------------

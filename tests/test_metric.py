@@ -208,32 +208,6 @@ def test_ism_distance_violates_triangle_inequality():
     assert D[0, 2] > D[0, 1] + D[1, 2]
 
 
-def test_ism_strict_indicator():
-    certain, far = ((0, 0), (0, 0)), ((3, 0), (0.1, 0))
-    # uncertainty dominating the separation kills the distance
-    noisy = ((3, 0), (5.0, 0))
-    A, B = pair_tables(certain, far, noisy)
-    D = distance_table("ism_strict", A, B, MP0)[0]
-    assert D[0, 1] == A[0, 1]
-    assert D[0, 2] == 0.0
-    # gamma can push a surviving pair over the edge
-    assert distance_table("ism_strict", A, B, MetricParams(gamma=4.0))[0][0, 1] == 0.0
-
-
-@given(
-    s2=st.tuples(pos, pos),
-    u2=st.tuples(finite, finite),
-    gamma=st.floats(0, 3),
-)
-def test_ism_strict_sign_set(s2, u2, gamma):
-    A, B = pair_tables(((0, 0), (0, 0)), (s2, u2))
-    got = distance_table("ism_strict", A, B, MetricParams(gamma=gamma))[0][0, 1]
-    if A[0, 1] - B[0, 1] - gamma > 0:
-        assert got == A[0, 1]
-    else:
-        assert got == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Similarity forms
 # ---------------------------------------------------------------------------
@@ -585,8 +559,6 @@ def test_distance_table_matches_scalar_formula(metric):
             a, b = float(A[i, j]), float(B[i, j])
             if metric == "euclidean":
                 want = a
-            elif metric == "ism_strict":
-                want = a if a - b - mp_.gamma > 0 else 0.0
             elif metric == "ism_dis":
                 want = oracles.ism_dis_distance_ref(a, b, mp_.gamma, mp_.tau)
             else:  # ism and the sum-norm ablation share the softened form
@@ -600,10 +572,6 @@ def test_distance_table_partials_match_finite_differences(metric):
     mp_ = MetricParams(gamma=0.2, tau=5.0)
     A = np.abs(r.normal(size=(4, 4))) + 0.5
     B = np.abs(r.normal(size=(4, 4))) + 0.1
-    if metric == "ism_strict":
-        # stay away from the indicator boundary; partials hold it constant
-        B = np.where(np.abs(A - B - mp_.gamma) < 0.2, A - mp_.gamma - 0.5, B)
-        B = np.maximum(B, 0.0)
     _, dDdA, dDdB = distance_table(metric, A, B, mp_)
     h = 1e-6
     for i, j in [(0, 1), (2, 3), (1, 1)]:
