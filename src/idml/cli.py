@@ -33,11 +33,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="PATH", help="RunConfig JSON file")
     p.add_argument("--seed", type=int, metavar="N", help="override every stream's seed")
     p.add_argument("--output", metavar="DIR", help="output directory")
-    p.add_argument("--metric", metavar="NAME", help="training metric selector")
     p.add_argument("--loss", metavar="NAME", help="loss selector")
-    p.add_argument("--tau", type=float, metavar="F", help="metric temperature")
-    p.add_argument("--gamma", type=float, metavar="F", help="metric uncertainty bias")
-    p.add_argument("--test-metric", metavar="NAME", help="retrieval metric at test time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Override flags and the config field path each one sets.
 _OVERRIDES = (
     ("loss", "loss"),
-    ("metric", "metric"),
-    ("test_metric", "test_metric"),
-    ("tau", "metric_params.tau"),
-    ("gamma", "metric_params.gamma"),
     ("seed", "seed"),
     ("seed", "data.seed"),
 )
@@ -76,8 +68,7 @@ _OVERRIDES = (
 
 def _load_config(args):
     """The --config object (empty without one) with each given override flag
-    set at its field path, then built as one RunConfig: a field the object
-    leaves out, loss_params included, takes its default from the final values."""
+    set at its field path, then built as one RunConfig."""
     raw = {}
     if args.config:
         try:

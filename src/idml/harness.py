@@ -54,12 +54,7 @@ from idml.core import (
 )
 from idml.data import BINARY_MAGIC, Dataset, SynthConfig, generate, load_binary, load_csv
 from idml.evaluation import EvalReport, check_scorable, evaluate, uncertainty_levels
-from idml.losses import (
-    LOSS_NAMES,
-    PROXY_LOSSES,
-    LossParams,
-    default_loss_params,
-)
+from idml.losses import LOSS_NAMES, PROXY_LOSSES
 from idml.metric import METRIC_NAMES
 from idml.model import (
     AdamW,
@@ -97,6 +92,7 @@ __all__ = [
 
 UNCERTAINTY_MODES = ("train", "frozen_zero")
 SWEEP_PARAMS = ("tau", "gamma", "batch_size", "semantic_dim", "uncertainty_dim")
+PROXY_LR_SCALE = 10.0  # proxies learn at this multiple of cfg.lr
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class RunConfig:
     metric: Annotated[str, one_of(METRIC_NAMES)] = "ism"
     test_metric: Annotated[str, one_of(METRIC_NAMES)] = "euclidean"
     metric_params: MetricParams = MetricParams()
-    loss_params: LossParams = None
     augment: AugmentConfig = AugmentConfig()
     hidden: Annotated[tuple, SIZES] = (64,)
     semantic_dim: Annotated[int, at_least(1)] = 32
@@ -117,16 +112,12 @@ class RunConfig:
     uncertainty_mode: Annotated[str, one_of(UNCERTAINTY_MODES)] = "train"
     lr: Annotated[float, POSITIVE] = 1e-2
     weight_decay: Annotated[float, NONNEGATIVE] = 1e-4
-    proxy_lr_scale: Annotated[float, POSITIVE] = 10.0
     uncert_lr_scale: Annotated[float, POSITIVE] = 1.0
     batch_size: Annotated[int, at_least(4)] = 32
     epochs: Annotated[int, at_least(1)] = 50
     seed: Annotated[int, SEED] = 0
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.loss_params is None:
-            object.__setattr__(self, "loss_params", default_loss_params(self.loss))
+    __post_init__ = check_fields
 
 
 def paper_config(**overrides) -> RunConfig:
@@ -177,8 +168,7 @@ def config_to_json_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_json_dict(d: dict) -> RunConfig:
-    """The RunConfig a JSON object describes; a null loss_params section
-    means the loss's defaults."""
+    """The RunConfig a JSON object describes."""
     return _from_json(RunConfig, d)
 
 
@@ -203,8 +193,7 @@ def _from_json(cls, d):
 def set_config_path(d: dict, path: str, value):
     """Set the field at a dotted path (`"metric_params.tau"`) of a JSON
     config object, adding the sections it lacks. Values are checked when
-    `config_from_json_dict(d)` builds the RunConfig; a field left out there,
-    `loss_params` included, takes its default from the final values."""
+    `config_from_json_dict(d)` builds the RunConfig."""
     *sections, name = path.split(".")
     for key in sections:
         d = d.setdefault(key, {}) if isinstance(d, dict) else None
@@ -325,7 +314,11 @@ def _check_negative_proxies(cfg: RunConfig, Y: np.ndarray):
     if cfg.loss not in ("softmax_proxy", "proxy_nca"):
         return
     mixing = round(cfg.batch_size * cfg.augment.mix_fraction) > 0  # mix_rows' count
-    lacks = ~np.unique(Y, axis=0)  # the classes each distinct row lacks
+    # the distinct rows, sorted as bytes: a plain np.unique imports numpy.ma
+    rows = np.ascontiguousarray(Y)
+    rows = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    rows = rows[np.append(True, rows[1:] != rows[:-1])]
+    lacks = ~rows.view(Y.dtype).reshape(len(rows), -1)  # the classes each distinct row lacks
     n_lacked = lacks.sum(axis=1)
     if mixing:
         # rows a and b together hold every class iff no class is lacked by
@@ -354,8 +347,8 @@ def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
     # frozen_zero: the uncertainty head and proxy rows start at 0 and never move
     u_scale = 0.0 if cfg.uncertainty_mode == "frozen_zero" else cfg.uncert_lr_scale
     lr_scale = {
-        "proxy.semantic": cfg.proxy_lr_scale,
-        "proxy.uncertainty": cfg.proxy_lr_scale * u_scale,
+        "proxy.semantic": PROXY_LR_SCALE,
+        "proxy.uncertainty": PROXY_LR_SCALE * u_scale,
         "head_u.W": u_scale,
         "head_u.b": u_scale,
     }
@@ -365,7 +358,7 @@ def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
             model.theta[sl] = 0.0
     opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    mp, lp, n_train = cfg.metric_params, cfg.loss_params, len(train_side)
+    mp, n_train = cfg.metric_params, len(train_side)
     stats = []
     for epoch in range(1, cfg.epochs + 1):
         perm = _epoch_stream(cfg.seed, epoch, STREAM_BATCH).permutation(n_train)
@@ -377,9 +370,7 @@ def _fit(cfg: RunConfig, model, train_side: Batch) -> list:
             rows = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             batch = Batch(train_side.features[rows], train_side.Y[rows], train_side.classes)
             batch = augment_batch(batch, cfg.augment, aug_rng)
-            res, grad = loss_and_grad(
-                model, batch, cfg.loss, metric=cfg.metric, mp=mp, lp=lp, rng=loss_rng
-            )
+            res, grad = loss_and_grad(model, batch, cfg.loss, metric=cfg.metric, mp=mp, rng=loss_rng)
             norms = uncertainty_levels(res.uncertainty)
             clean_norms.extend(norms[~batch.is_mixed])
             mixed_norms.extend(norms[batch.is_mixed])
@@ -560,15 +551,7 @@ def gradcheck(cfg: RunConfig) -> GradcheckOutcome:
         n = len(_GRADCHECK_Y)
         return Batch(features=r.normal(size=(n, 6)), Y=_GRADCHECK_Y, classes=_GRADCHECK_CLASSES)
 
-    fd = finite_difference_check(
-        model,
-        batch_fn,
-        cfg.loss,
-        metric=cfg.metric,
-        mp=cfg.metric_params,
-        lp=cfg.loss_params,
-        rng=rng,
-    )
+    fd = finite_difference_check(model, batch_fn, cfg.loss, metric=cfg.metric, mp=cfg.metric_params, rng=rng)
     hf = h_factor_check(Rng(cfg.seed, STREAM_EVAL), mp=MetricParams(tau=cfg.metric_params.tau))
     return GradcheckOutcome(passed=fd.passed and hf.passed, fd_report=fd, h_report=hf)
 

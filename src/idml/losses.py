@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Annotated, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 # label_set stays importable here: perfbench counts calls at this name.
-from idml.core import NONNEGATIVE, POSITIVE, MetricParams, ParameterError, Rng, ShapeError, check_fields, label_rows, label_set, match_matrix  # noqa: F401
+from idml.core import MetricParams, ParameterError, Rng, ShapeError, label_rows, label_set, match_matrix  # noqa: F401
 from idml.metric import (
     METRIC_NAMES,
     distance_table,
@@ -56,8 +56,6 @@ __all__ = [
     "LOSS_NAMES",
     "PROXY_LOSSES",
     "NORMALIZED_LOSSES",
-    "LossParams",
-    "default_loss_params",
     "ProxySet",
     "Plan",
     "LossResult",
@@ -87,31 +85,13 @@ _COSINE_LOSSES = NORMALIZED_LOSSES - {"margin_dw"}
 _TINY = 1e-300  # safe-divide floor; gradients at exact norm kinks are defined as 0
 
 
-@dataclass(frozen=True)
-class LossParams:
-    """Hyperparameters shared across the loss family.
-
-    margin_delta doubles as the contrastive margin and the triplet ranking
-    margin (conventional defaults differ; see default_loss_params).
-    """
-
-    margin_delta: Annotated[float, NONNEGATIVE] = 1.0
-    margin_xi: Annotated[float, NONNEGATIVE] = 0.5
-    margin_omega: Annotated[float, NONNEGATIVE] = 1.4
-    phi: Annotated[float, POSITIVE] = 10.0
-    ms_eps: Annotated[float, NONNEGATIVE] = 0.1
-    ms_alpha: Annotated[float, POSITIVE] = 2.0
-    ms_beta: Annotated[float, POSITIVE] = 50.0
-    ms_lambda: float = 1.0
-    pa_alpha: Annotated[float, POSITIVE] = 32.0
-    pa_delta: Annotated[float, NONNEGATIVE] = 0.1
-
-    __post_init__ = check_fields
-
-
-def default_loss_params(loss: str) -> LossParams:
-    """LossParams with the loss's conventional margin (triplet uses 0.2)."""
-    return LossParams(margin_delta=0.2) if loss == "triplet_sh" else LossParams()
+# Each loss's hyperparameters, at that loss's usual settings; IDML tunes only
+# the metric's tau and gamma.
+CONTRASTIVE_MARGIN = 1.0  # Hadsell et al. 2006
+TRIPLET_MARGIN = 0.2  # Schroff et al. 2015
+DW_XI, DW_OMEGA, DW_PHI = 0.5, 1.4, 10.0  # margin_dw's hinges and sampling cutoff (Wu et al. 2017)
+MS_EPS, MS_ALPHA, MS_BETA, MS_LAMBDA = 0.1, 2.0, 50.0, 1.0  # multi-similarity (Wang et al. 2019)
+PA_ALPHA, PA_DELTA = 32.0, 0.1  # proxy-anchor (Kim et al. 2020)
 
 
 @dataclass
@@ -340,7 +320,7 @@ def _proxy_masks(Y, classes, proxies: ProxySet):
 # ---------------------------------------------------------------------------
 
 
-def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rng = None) -> Plan:
+def build_plan(t: LossTables, Y, classes=None, *, rng: Rng = None) -> Plan:
     """Make the batch's discrete choices for `t.loss` and freeze them.
 
     `t` is the batch's `loss_tables`. `Y` and `classes` are the batch's
@@ -354,7 +334,6 @@ def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rn
     """
     loss = t.loss
     Y = label_rows(Y, len(t.X))
-    lp = lp or default_loss_params(loss)
     plan = Plan(loss=loss)
     match = None if loss in PROXY_LOSSES else match_matrix(Y)
 
@@ -368,12 +347,12 @@ def build_plan(t: LossTables, Y, classes=None, *, lp: LossParams = None, rng: Rn
             raise ParameterError("margin_dw planning needs an rng for its negative sampling")
         # argwhere lists the positive pairs in row-major (triu_indices) order
         plan.dw_negatives = sample_negatives_for_pairs(
-            np.argwhere(plan.pos), t.M, match, n_dim=t.X.shape[1], phi=lp.phi, rng=rng
+            np.argwhere(plan.pos), t.M, match, n_dim=t.X.shape[1], phi=DW_PHI, rng=rng
         )
     elif loss == "triplet_sh":
         plan.triplets, plan.n_skipped = mine_triplets(t.M, match)
     elif loss == "multi_similarity":
-        plan.pos, plan.neg = _ms_mining_masks(t.M, match, lp.ms_eps)
+        plan.pos, plan.neg = _ms_mining_masks(t.M, match, MS_EPS)
     elif loss in PROXY_LOSSES:
         plan.pos, plan.neg = _proxy_masks(Y, classes, t.proxies)
         if loss in ("softmax_proxy", "proxy_nca") and not plan.neg.any(axis=1).all():
@@ -402,13 +381,12 @@ def _ms_mining_masks(Cs: np.ndarray, match: np.ndarray, eps: float):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_loss(t: LossTables, plan: Plan, lp: LossParams = None) -> LossResult:
+def evaluate_loss(t: LossTables, plan: Plan) -> LossResult:
     """Value and analytic gradients of `t.loss` under the frozen `plan`,
     read from the tables `t`."""
     if plan is None or plan.loss != t.loss:
         raise ParameterError("evaluate_loss needs a plan built for the same loss")
-    lp = lp or default_loss_params(t.loss)
-    terms, Wa, Wb, used, gaps = _HEADS[t.loss](t, plan, lp)
+    terms, Wa, Wb, used, gaps = _HEADS[t.loss](t, plan)
     dS, dU, dPS, dPU = _pull_back(t, Wa, Wb)
     if t.Y is None:
         used = used | used.T
@@ -435,14 +413,13 @@ def compute_loss(
     *,
     metric: str = "ism",
     mp: MetricParams = None,
-    lp: LossParams = None,
     proxies: ProxySet = None,
     rng: Rng = None,
 ) -> LossResult:
     """loss_tables, build_plan and evaluate_loss in one call (the
     training-step path): one table set serves the plan and the loss."""
     t = loss_tables(loss, S, U, metric=metric, mp=mp, proxies=proxies)
-    return evaluate_loss(t, build_plan(t, Y, classes, lp=lp, rng=rng), lp)
+    return evaluate_loss(t, build_plan(t, Y, classes, rng=rng))
 
 
 def _kink_margin_tables(t: LossTables, used) -> float:
@@ -459,7 +436,7 @@ def _kink_margin_tables(t: LossTables, used) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Loss heads: (tables, plan, params) -> (terms, dL/dA or dL/dC, dL/dB, pairs
+# Loss heads: (tables, plan) -> (terms, dL/dA or dL/dC, dL/dB, pairs
 # in play, hinge gaps). Distance heads mirror each pair's weight across the
 # diagonal: a table's i<j weights by W += W.T (exact, the lower triangle is
 # 0), a list that can repeat a pair by `_accumulate_sym`. multi_similarity
@@ -469,8 +446,8 @@ def _kink_margin_tables(t: LossTables, used) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _contrastive(t, plan, lp):
-    neg_gap = lp.margin_delta - t.M[plan.neg]
+def _contrastive(t, plan):
+    neg_gap = CONTRASTIVE_MARGIN - t.M[plan.neg]
     W = plan.pos.astype(np.float64)
     W[plan.neg] = np.where(neg_gap > 0, -1.0, 0.0)
     W += W.T
@@ -478,10 +455,10 @@ def _contrastive(t, plan, lp):
     return terms, W * t.dM, W * t.dMb, W != 0, [neg_gap]
 
 
-def _margin_dw(t, plan, lp):
+def _margin_dw(t, plan):
     neg = plan.dw_negatives
-    pos_gap = t.M[plan.pos] - lp.margin_xi
-    neg_gap = lp.margin_omega - t.M[neg[:, 0], neg[:, 1]]
+    pos_gap = t.M[plan.pos] - DW_XI
+    neg_gap = DW_OMEGA - t.M[neg[:, 0], neg[:, 1]]
     W = np.zeros_like(t.A)
     W[plan.pos] = np.where(pos_gap > 0, 1.0, 0.0)
     W += W.T
@@ -490,9 +467,9 @@ def _margin_dw(t, plan, lp):
     return terms, W * t.dM, W * t.dMb, W != 0, [pos_gap, neg_gap]
 
 
-def _triplet_sh(t, plan, lp):
+def _triplet_sh(t, plan):
     a, p, n = plan.triplets.T
-    gap = t.M[a, p] - t.M[a, n] + lp.margin_delta
+    gap = t.M[a, p] - t.M[a, n] + TRIPLET_MARGIN
     w = np.where(gap > 0, 1.0, 0.0)
     W = np.zeros_like(t.A)
     _accumulate_sym(W, a, p, w)
@@ -500,21 +477,21 @@ def _triplet_sh(t, plan, lp):
     return np.maximum(gap, 0.0), W * t.dM, W * t.dMb, W != 0, [gap]
 
 
-def _multi_similarity(t, plan, lp):
+def _multi_similarity(t, plan):
     n = t.M.shape[0]
     posm, negm = plan.pos, plan.neg
-    ep = np.where(posm, np.exp(-lp.ms_alpha * (t.M - lp.ms_lambda)), 0.0)
-    en = np.where(negm, np.exp(lp.ms_beta * (t.M - lp.ms_lambda)), 0.0)
+    ep = np.where(posm, np.exp(-MS_ALPHA * (t.M - MS_LAMBDA)), 0.0)
+    en = np.where(negm, np.exp(MS_BETA * (t.M - MS_LAMBDA)), 0.0)
     sp = ep.sum(axis=1)
     sn = en.sum(axis=1)
-    terms = (np.log1p(sp) / lp.ms_alpha + np.log1p(sn) / lp.ms_beta) / n
+    terms = (np.log1p(sp) / MS_ALPHA + np.log1p(sn) / MS_BETA) / n
     # dterm/dCs for kept pairs; anchors are rows.
     Wc = (-ep / (1.0 + sp)[:, None] + en / (1.0 + sn)[:, None]) / n
     Wa, Wb = Wc * t.dM, Wc * t.dMb
     return terms, Wa + Wa.T, Wb + Wb.T, posm | negm, []
 
 
-def _proxy_softmax(t, plan, lp, sign: float, mean: bool):
+def _proxy_softmax(t, plan, sign: float, mean: bool):
     """softmax_proxy's head (sign +1, averaged over the batch) and proxy_nca's
     (sign -1, summed): per sample, log Σ_neg e^(sign·M) - log Σ_pos e^(sign·M)
     over its proxies."""
@@ -529,19 +506,19 @@ def _proxy_softmax(t, plan, lp, sign: float, mean: bool):
     return (np.log(sn) - np.log(sp)) / scale, Wc * t.dM, Wc * t.dMb, posm | negm, []
 
 
-def _proxy_anchor(t, plan, lp):
+def _proxy_anchor(t, plan):
     posm, negm = plan.pos, plan.neg
     plus = posm.any(axis=0)  # proxies with a positive sample in the batch
     n_plus = max(int(plus.sum()), 1)
     n_all = posm.shape[1]
-    ep = np.where(posm, np.exp(-lp.pa_alpha * (t.M - lp.pa_delta)), 0.0)
-    en = np.where(negm, np.exp(lp.pa_alpha * (t.M + lp.pa_delta)), 0.0)
+    ep = np.where(posm, np.exp(-PA_ALPHA * (t.M - PA_DELTA)), 0.0)
+    en = np.where(negm, np.exp(PA_ALPHA * (t.M + PA_DELTA)), 0.0)
     sp = ep.sum(axis=0)  # per proxy
     sn = en.sum(axis=0)
     terms = np.concatenate([np.log1p(sp[plus]) / n_plus, np.log1p(sn) / n_all])
     Wc = np.zeros_like(t.M)
-    Wc += np.where(posm & plus[None, :], -lp.pa_alpha * ep / (1.0 + sp)[None, :] / n_plus, 0.0)
-    Wc += np.where(negm, lp.pa_alpha * en / (1.0 + sn)[None, :] / n_all, 0.0)
+    Wc += np.where(posm & plus[None, :], -PA_ALPHA * ep / (1.0 + sp)[None, :] / n_plus, 0.0)
+    Wc += np.where(negm, PA_ALPHA * en / (1.0 + sn)[None, :] / n_all, 0.0)
     return terms, Wc * t.dM, Wc * t.dMb, (posm & plus[None, :]) | negm, []
 
 

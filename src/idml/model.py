@@ -42,7 +42,6 @@ from idml.core import (
     worker_count,
 )
 from idml.losses import (
-    LossParams,
     LossResult,
     ProxySet,
     build_plan,
@@ -348,7 +347,6 @@ def loss_and_grad(
     loss: str,
     metric: str = "ism",
     mp: MetricParams = None,
-    lp: LossParams = None,
     rng: Rng = None,
     plan=None,
 ):
@@ -369,8 +367,8 @@ def loss_and_grad(
     if not all(np.isfinite(a).all() for a in (t.M, t.dM, t.dMb)):
         raise NumericalFailure(f"non-finite {t.metric} metric table")
     if plan is None:
-        plan = build_plan(t, batch.Y, batch.classes, lp=lp, rng=rng)
-    res = evaluate_loss(t, plan, lp)
+        plan = build_plan(t, batch.Y, batch.classes, rng=rng)
+    res = evaluate_loss(t, plan)
     res.uncertainty = U
     if not np.isfinite(res.value):
         worst = int(np.argmax(~np.isfinite(np.atleast_1d(res.pair_terms))))
@@ -559,7 +557,6 @@ def finite_difference_check(
     loss: str,
     metric: str = "ism",
     mp: MetricParams = None,
-    lp: LossParams = None,
     rng: Rng = None,
     grads_override: np.ndarray = None,
 ) -> GradCheckReport:
@@ -580,7 +577,7 @@ def finite_difference_check(
     n_resampled = 0
     for _ in range(FD_MAX_RESAMPLE):
         cand = batch_fn(rng)
-        res, grad = loss_and_grad(model, cand, loss, metric=metric, mp=mp, lp=lp, rng=rng)
+        res, grad = loss_and_grad(model, cand, loss, metric=metric, mp=mp, rng=rng)
         if res.kink_margin >= KINK_MARGIN:
             batch = cand
             break
@@ -596,7 +593,7 @@ def finite_difference_check(
     plan = res.plan
 
     def value():
-        r, _ = loss_and_grad(model, batch, loss, metric=metric, mp=mp, lp=lp, plan=plan)
+        r, _ = loss_and_grad(model, batch, loss, metric=metric, mp=mp, plan=plan)
         return r.value
 
     max_err, worst = 0.0, ""

@@ -31,7 +31,7 @@ from idml.harness import (
     introspective_run_config,
     run_grid,
 )
-from idml.losses import LOSS_NAMES, PROXY_LOSSES, default_loss_params
+from idml.losses import LOSS_NAMES, PROXY_LOSSES
 from idml.metric import gradient_weight, pairwise_semantic_distance
 from idml.model import (
     finite_difference_check,
@@ -81,17 +81,12 @@ def test_1_degenerate_limit_matches_baseline():
         if proxy_classes:  # the proxies draw from their own stream
             model.proxies.semantic[:] = init_proxies(proxy_classes, 5, 4, Rng(12)).semantic
             model.proxies.uncertainty[:] = 0.0
-        lp = default_loss_params(loss)
         for b in range(100):
             n = 10
             classes = [0, 1] + [int(c) for c in feats_rng.integers(0, 4, size=n - 2)]
             batch = Batch(feats_rng.normal(size=(n, 6)), *multi_hot(classes))
-            res_i, g_i = loss_and_grad(
-                model, batch, loss, metric="ism", mp=mp, lp=lp, rng=Rng(1000 + b)
-            )
-            res_e, g_e = loss_and_grad(
-                model, batch, loss, metric="euclidean", mp=mp, lp=lp, rng=Rng(1000 + b)
-            )
+            res_i, g_i = loss_and_grad(model, batch, loss, metric="ism", mp=mp, rng=Rng(1000 + b))
+            res_e, g_e = loss_and_grad(model, batch, loss, metric="euclidean", mp=mp, rng=Rng(1000 + b))
             worst = max(worst, _rel_scalar(res_i.value, res_e.value))
             for sl in model.slices.values():  # each parameter tensor on its own scale
                 worst = max(worst, _rel_array(g_i[sl], g_e[sl]))
@@ -158,10 +153,7 @@ def test_3_finite_difference_grid():
                 drawn = init_proxies(classes, 5, 4, Rng(22))
                 model.proxies.semantic[:] = drawn.semantic
                 model.proxies.uncertainty[:] = drawn.uncertainty
-            rep = finite_difference_check(
-                model, batch_fn, loss, metric=metric, mp=MetricParams(),
-                lp=default_loss_params(loss), rng=Rng(23),
-            )
+            rep = finite_difference_check(model, batch_fn, loss, metric=metric, mp=MetricParams(), rng=Rng(23))
             worst = max(worst, rep.max_rel_err)
             if not rep.passed or rep.max_rel_err >= 1e-4:
                 failures.append(f"{loss}/{metric}")

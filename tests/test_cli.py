@@ -19,7 +19,6 @@ from idml.cli import EXIT_CONFIG, EXIT_GRADCHECK, EXIT_NUMERICAL, EXIT_OK, _load
 from idml.core import ParameterError, Rng, label_ids
 from idml.data import SynthConfig, generate, load_csv, save_csv
 from idml.harness import RunConfig, config_to_json_dict, introspective_run_config, set_config_path
-from idml.losses import LossParams
 from idml.model import init_model, save_checkpoint
 
 
@@ -190,13 +189,13 @@ def test_seed_flag_overrides_config(tmp_path):
         ('{"data": null}', "data"),
         ('{"metric_params": []}', "metric_params"),
         ('{"augment": 3}', "augment"),
-        ('{"loss_params": "defaults"}', "loss_params"),
+        ('{"loss_params": "defaults"}', "unknown config key 'loss_params'"),
         ("[1, 2]", "JSON object"),
         ('{"data": {"per_class": true}}', "bad data section: per_class"),
         ('{"data": {"seed": 1.5}}', "bad data section: seed"),
         ('{"augment": {"blur_prob": "0.5"}}', "bad augment section: blur_prob"),
         ('{"metric_params": {"tau": "5"}}', "bad metric_params section: tau"),
-        ('{"loss_params": {"phi": "10"}}', "bad loss_params section: phi"),
+        ('{"loss_params": {"phi": "10"}}', "unknown config key 'loss_params'"),
         ('{"data": {"bogus": 1}}', "bad data section: unknown config key 'bogus'"),
     ],
     ids=[
@@ -324,8 +323,14 @@ def test_class_id_past_u32_in_csv_dataset_exits_config_before_training(tmp_path)
         ("augment.lowres_factor", 1, "bad augment section: unknown config key 'lowres_factor'"),
         ("metric", "ism_strict", "unknown metric: metric must be one of"),
         ("test_metric", "ism_strict", "unknown test_metric: test_metric must be one of"),
+        ("loss_params", {"margin_delta": 0.2}, "unknown config key 'loss_params'"),
+        ("loss_params", None, "unknown config key 'loss_params'"),
+        ("proxy_lr_scale", 10.0, "unknown config key 'proxy_lr_scale'"),
     ],
-    ids=["optimizer", "momentum", "augment.occl_prob", "augment.occl_fraction", "augment.lowres_factor", "metric", "test_metric"],
+    ids=[
+        "optimizer", "momentum", "augment.occl_prob", "augment.occl_fraction", "augment.lowres_factor", "metric",
+        "test_metric", "loss_params", "loss_params-null", "proxy_lr_scale",
+    ],
 )
 def test_deleted_option_exits_config(tmp_path, path, value, named):
     # a config.json written before these options were deleted is refused,
@@ -364,28 +369,38 @@ def test_refused_run_exits_config_and_makes_no_output_directory(tmp_path, overri
     assert not (tmp_path / "out").exists()
 
 
+def test_deleted_flag_exits_config(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    write_config(cfg_path)
+    run_dir = tmp_path / "run"
+    proc = run_cli("train", "--config", str(cfg_path), "--tau", "2", "--output", str(run_dir))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "unrecognized arguments: --tau 2" in proc.stderr
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize(
-    "command, flags, ms_lambda, named",
+    "command, field, named",
     [
-        ("train", ["--tau", "inf"], "1.0", "tau must be a finite number, got inf"),
-        ("train", ["--gamma", "inf"], "1.0", "gamma must be a finite number, got inf"),
-        ("train", [], "NaN", "ms_lambda must be a finite number, got nan"),
-        ("gradcheck", ["--tau", "inf"], "1.0", "tau must be a finite number, got inf"),
+        ("train", "tau", "tau must be a finite number, got inf"),
+        ("train", "gamma", "gamma must be a finite number, got inf"),
+        ("gradcheck", "tau", "tau must be a finite number, got inf"),
     ],
-    ids=["train-tau", "train-gamma", "train-ms-lambda", "gradcheck-tau"],
+    ids=["train-tau", "train-gamma", "gradcheck-tau"],
 )
-def test_non_finite_config_number_exits_config_before_any_work(tmp_path, capsys, command, flags, ms_lambda, named):
+def test_non_finite_config_number_exits_config_before_any_work(tmp_path, capsys, command, field, named):
     # without the check: a config.json strict JSON parsers reject, a run that
     # fails at its first step, and a config error reported as a failed
     # gradient check
     cfg_path = tmp_path / "config.json"
     write_config(cfg_path, loss="multi_similarity")
-    text = cfg_path.read_text().replace('"ms_lambda": 1.0', f'"ms_lambda": {ms_lambda}')
-    assert f'"ms_lambda": {ms_lambda}' in text
-    cfg_path.write_text(text)
+    raw = json.loads(cfg_path.read_text())
+    raw["metric_params"][field] = float("inf")
+    cfg_path.write_text(json.dumps(raw))
+    assert f'"{field}": Infinity' in cfg_path.read_text()
     run_dir = tmp_path / "run"
     output = ["--output", str(run_dir)] if command == "train" else []
-    assert main([command, "--config", str(cfg_path), *flags, *output]) == EXIT_CONFIG
+    assert main([command, "--config", str(cfg_path), *output]) == EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not run_dir.exists()
 
@@ -416,42 +431,24 @@ def test_unscorable_test_split_exits_config(tmp_path):
 
 
 def test_loss_flag_trains_the_config_the_file_would(tmp_path):
-    # --loss is set in the config object before defaults resolve, so
-    # triplet_sh gets its own margin (0.2), not contrastive's resolved one.
     base = config_to_json_dict(write_config(tmp_path / "base.json", epochs=1))
-    del base["loss_params"]
-    (tmp_path / "base.json").write_text(json.dumps(base))
     (tmp_path / "triplet.json").write_text(json.dumps({**base, "loss": "triplet_sh"}))
     flag, file = tmp_path / "flag", tmp_path / "file"
     assert main(["train", "--config", str(tmp_path / "base.json"), "--loss", "triplet_sh",
                  "--output", str(flag)]) == EXIT_OK
     assert main(["train", "--config", str(tmp_path / "triplet.json"), "--output", str(file)]) == EXIT_OK
-    echo = (flag / "config.json").read_bytes()
-    assert echo == (file / "config.json").read_bytes()
-    assert json.loads(echo)["loss_params"]["margin_delta"] == 0.2
-
-
-def test_explicit_loss_params_survive_the_loss_flag(tmp_path):
-    cfg_path = tmp_path / "config.json"
-    write_config(cfg_path, epochs=1, loss_params=LossParams(margin_delta=0.7))
-    out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--loss", "triplet_sh", "--output", str(out)]) == EXIT_OK
-    echo = json.loads((out / "config.json").read_text())
-    assert (echo["loss"], echo["loss_params"]["margin_delta"]) == ("triplet_sh", 0.7)
+    for name in ("config.json", "record.json", "model.bin"):
+        assert (flag / name).read_bytes() == (file / name).read_bytes()
 
 
 def test_flags_set_their_field_paths(tmp_path):
     cfg_path = tmp_path / "config.json"
     write_config(cfg_path)
-    args = build_parser().parse_args(
-        ["train", "--config", str(cfg_path), "--tau", "2", "--gamma", "0.5", "--seed", "9",
-         "--metric", "ism_dis", "--test-metric", "ism"]
-    )
+    args = build_parser().parse_args(["train", "--config", str(cfg_path), "--seed", "9", "--loss", "triplet_sh"])
     cfg = _load_config(args)
-    assert (cfg.metric_params.tau, cfg.metric_params.gamma) == (2.0, 0.5)
-    assert (cfg.seed, cfg.data.seed, cfg.metric, cfg.test_metric) == (9, 9, "ism_dis", "ism")
+    assert (cfg.seed, cfg.data.seed, cfg.loss) == (9, 9, "triplet_sh")
     assert cfg.data.n_classes == 4  # the file's other data fields stay
-    for bad in (["--tau", "0"], ["--seed", "-1"], ["--metric", "wat"]):
+    for bad in (["--seed", "-1"], ["--loss", "wat"]):
         args = build_parser().parse_args(["train", "--config", str(cfg_path), *bad])
         with pytest.raises(ParameterError, match=bad[0].strip("-")):
             _load_config(args)

@@ -28,7 +28,7 @@ from idml.core import (
 )
 from idml.data import SynthConfig
 from idml.harness import RunConfig
-from idml.losses import LOSS_NAMES, LossParams
+from idml.losses import LOSS_NAMES
 from idml.metric import METRIC_NAMES
 
 
@@ -109,7 +109,7 @@ def test_metric_params_defaults_and_validation():
 
 
 @pytest.mark.parametrize(
-    "cls", [RunConfig, SynthConfig, AugmentConfig, MetricParams, LossParams], ids=lambda c: c.__name__
+    "cls", [RunConfig, SynthConfig, AugmentConfig, MetricParams], ids=lambda c: c.__name__
 )
 def test_config_fields_of_the_wrong_type_are_rejected_by_name(cls):
     # A string for an int field, a bool for any other, and None where the
@@ -131,11 +131,6 @@ BOUNDS = [
     (MetricParams, "gamma", [0.0], [-TINY]),
     (MetricParams, "tau", [TINY], [0.0]),
     (MetricParams, "alpha_min", [TINY], [0.0]),
-    *[(LossParams, name, [TINY], [0.0]) for name in ("phi", "ms_alpha", "ms_beta", "pa_alpha")],
-    *[
-        (LossParams, name, [0.0], [-TINY])
-        for name in ("margin_delta", "margin_xi", "margin_omega", "ms_eps", "pa_delta")
-    ],
     *[
         (AugmentConfig, name, [0.0, 1.0], [-TINY, ABOVE_ONE])
         for name in ("mix_fraction", "blur_prob")
@@ -159,7 +154,6 @@ BOUNDS = [
     (RunConfig, "uncertainty_dim", [1], [0]),
     (RunConfig, "lr", [TINY], [0.0]),
     (RunConfig, "weight_decay", [0.0], [-TINY]),
-    (RunConfig, "proxy_lr_scale", [TINY], [0.0]),
     (RunConfig, "uncert_lr_scale", [TINY], [0.0]),
     (RunConfig, "batch_size", [4], [3]),
     (RunConfig, "epochs", [1], [0]),
@@ -182,7 +176,7 @@ def test_every_config_bound_accepts_its_edge_and_names_the_field_past_it(cls, na
 
 FLOAT_FIELDS = [
     (cls, name)
-    for cls in (RunConfig, SynthConfig, AugmentConfig, MetricParams, LossParams)
+    for cls in (RunConfig, SynthConfig, AugmentConfig, MetricParams)
     for name, (want, _, _) in field_rules(cls).items()
     if want is float
 ]

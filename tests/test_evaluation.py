@@ -915,7 +915,8 @@ def test_evaluate_peak_under_the_ism_test_metric():
 
 
 # numpy imports numpy.ma (about 13 ms) on the first plain np.unique of a
-# process, which would land inside the first evaluation's time.
+# process, which would land inside the first evaluation's time, or inside a
+# proxy run's setup.
 _NO_MASKED_ARRAYS = """
 import sys
 import numpy as np
@@ -927,15 +928,31 @@ evaluate(r.normal(size=(60, 4)), r.normal(size=(60, 3)), multi_hot(ids)[0], Rng(
 print("numpy.ma" in sys.modules)
 """
 
+_PROXY_RUN_NO_MASKED_ARRAYS = """
+import sys
+from idml.data import SynthConfig
+from idml.harness import RunConfig, train
+train(RunConfig(loss="softmax_proxy", data=SynthConfig(n_classes=6, per_class=10), batch_size=16, epochs=1))
+print("numpy.ma" in sys.modules)
+"""
 
-def test_evaluate_does_not_import_masked_arrays():
+
+def masked_arrays_imported(script: str) -> str:
     src = os.path.dirname(os.path.dirname(idml.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_evaluate_does_not_import_masked_arrays():
+    assert masked_arrays_imported(_NO_MASKED_ARRAYS) == "False"
+
+
+def test_a_proxy_run_does_not_import_masked_arrays():
+    assert masked_arrays_imported(_PROXY_RUN_NO_MASKED_ARRAYS) == "False"
 
 
 def test_evaluate_rejects_unknown_metric():

@@ -8,17 +8,23 @@ import pytest
 
 import idml.losses
 import oracles
-from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError, multi_hot
+from idml.core import Batch, MetricParams, ParameterError, Rng, ShapeError, match_matrix, multi_hot
 from idml.losses import (
+    CONTRASTIVE_MARGIN,
+    DW_OMEGA,
+    DW_XI,
     LOSS_NAMES,
+    MS_ALPHA,
+    MS_BETA,
     NORMALIZED_LOSSES,
+    PA_DELTA,
     PROXY_LOSSES,
-    LossParams,
+    TRIPLET_MARGIN,
     Plan,
     ProxySet,
+    _ms_mining_masks,
     build_plan,
     compute_loss,
-    default_loss_params,
     evaluate_loss,
     loss_tables,
 )
@@ -183,15 +189,15 @@ def test_margin_dw_repeated_negatives_count_per_listing():
     Y, _ = multi_hot(labels)
     negs = np.array([[0, 2], [2, 0], [1, 3], [1, 3]])
     plan = Plan(loss="margin_dw", pos=np.triu(Y @ Y.T, 1), dw_negatives=negs)
-    # every hinge open: positives pay D - 0, negatives 2.5 - D (D <= 2 on the sphere)
-    lp = LossParams(margin_xi=0.0, margin_omega=2.5)
 
     def value(S, U):
-        return evaluate_loss(loss_tables("margin_dw", S, U, metric="ism"), plan, lp).value
+        return evaluate_loss(loss_tables("margin_dw", S, U, metric="ism"), plan).value
 
     t = loss_tables("margin_dw", S, U, metric="ism")
-    res = evaluate_loss(t, plan, lp)
-    want = t.M[plan.pos].sum() + sum(2.5 - t.M[a, n] for a, n in negs)
+    # every hinge open: positives pay D - xi, negatives omega - D
+    assert (t.M[plan.pos] > DW_XI).all() and (t.M[negs[:, 0], negs[:, 1]] < DW_OMEGA).all()
+    res = evaluate_loss(t, plan)
+    want = (t.M[plan.pos] - DW_XI).sum() + sum(DW_OMEGA - t.M[a, n] for a, n in negs)
     assert res.pair_terms.size == int(plan.pos.sum()) + len(negs)
     assert res.value == pytest.approx(want, rel=1e-12)
     h = 1e-6
@@ -221,13 +227,12 @@ def test_triplet_hinge_arithmetic_on_fixed_plan():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
     U = np.zeros((3, 1))
     plan = Plan(loss="triplet_sh", triplets=np.array([[0, 1, 2]]), n_skipped=0)
-    lp = LossParams(margin_delta=0.2)
     S = np.array([[0.0], [1.0], [0.9]])
-    r = evaluate_loss(loss_tables("triplet_sh", S, U, metric="euclidean"), plan, lp)
+    r = evaluate_loss(loss_tables("triplet_sh", S, U, metric="euclidean"), plan)
     assert r.value == pytest.approx(0.3, rel=1e-12)
     # fully coincident degenerate triplet pays exactly the margin
     S0 = np.zeros((3, 1))
-    r0 = evaluate_loss(loss_tables("triplet_sh", S0, U, metric="euclidean"), plan, lp)
+    r0 = evaluate_loss(loss_tables("triplet_sh", S0, U, metric="euclidean"), plan)
     assert r0.value == pytest.approx(0.2, rel=1e-15)
 
 
@@ -237,7 +242,7 @@ def test_triplet_mined_negative_already_satisfied():
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
     S = np.array([[0.0], [0.5], [1.0]])
     U = np.zeros((3, 1))
-    r = compute_loss("triplet_sh", S, U, *multi_hot(labels), metric="euclidean", lp=LossParams(margin_delta=0.2))
+    r = compute_loss("triplet_sh", S, U, *multi_hot(labels), metric="euclidean")
     assert r.value == pytest.approx(0.0, abs=0.0)
     assert r.plan.triplets.tolist() == [[0, 1, 2]]
     assert r.plan.n_skipped == 1  # anchor 1's negative is nearer than its positive
@@ -266,7 +271,15 @@ def test_triplet_exhausted_mining_is_a_zero_loss(metric):
 
 
 def test_triplet_default_margin():
-    assert default_loss_params("triplet_sh").margin_delta == pytest.approx(0.2)
+    # triplet_sh and contrastive each read their own margin: a coincident
+    # triplet pays 0.2, a coincident negative pair 1.0
+    assert (TRIPLET_MARGIN, CONTRASTIVE_MARGIN) == (0.2, 1.0)
+    labels = multi_hot([0, 0, 1])
+    plan = Plan(loss="triplet_sh", triplets=np.array([[0, 1, 2]]), n_skipped=0)
+    S0, U = np.zeros((3, 1)), np.zeros((3, 1))
+    assert evaluate_loss(loss_tables("triplet_sh", S0, U, metric="euclidean"), plan).value == TRIPLET_MARGIN
+    r = compute_loss("contrastive", S0, U, *labels, metric="euclidean")
+    assert r.value == 2 * CONTRASTIVE_MARGIN  # pairs (0, 2) and (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +290,19 @@ def test_triplet_default_margin():
 def test_multi_similarity_single_positive_at_lambda():
     # lone positive at C = lambda contributes log(2)/alpha; the missing
     # negative side must not erase it
-    lp = default_loss_params("multi_similarity")
     S = np.array([[1.0, 0.0], [1.0, 0.0]])
     r = compute_loss("multi_similarity", S, np.zeros((2, 2)), *multi_hot(single_class_labels(2)), metric="euclidean")
-    assert r.value == pytest.approx(LOG2 / lp.ms_alpha, rel=1e-12)
+    assert r.value == pytest.approx(LOG2 / MS_ALPHA, rel=1e-12)
 
 
 def test_multi_similarity_pos_and_neg_at_lambda():
-    # coincident pos and neg with alpha = beta = 1: the two anchors of class 0
-    # each pay 2*log 2, the stray anchor pays log 3 over its two negatives
-    lp = LossParams(ms_alpha=1.0, ms_beta=1.0, ms_lambda=1.0, ms_eps=0.1)
+    # coincident pos and neg, every pair at C = lambda and kept: the two
+    # anchors of class 0 each pay log 2 on both sides, the stray anchor pays
+    # log 3 over its two negatives
     S = np.array([[1.0, 0.0]] * 3)
     labels = (frozenset({0}), frozenset({0}), frozenset({1}))
-    r = compute_loss("multi_similarity", S, np.zeros((3, 2)), *multi_hot(labels), metric="euclidean", lp=lp)
-    want = (2 * (2 * LOG2) + np.log(3.0)) / 3
+    r = compute_loss("multi_similarity", S, np.zeros((3, 2)), *multi_hot(labels), metric="euclidean")
+    want = (2 * (LOG2 / MS_ALPHA + LOG2 / MS_BETA) + np.log(3.0) / MS_BETA) / 3
     assert r.value == pytest.approx(want, rel=1e-12)
     assert r.pair_terms.sum() == pytest.approx(r.value, rel=1e-12)
 
@@ -326,25 +338,25 @@ def test_multi_similarity_mining_drops_easy_pairs():
     S = S / np.linalg.norm(S, axis=1, keepdims=True)
     labels = (frozenset({0}), frozenset({0}), frozenset({1}), frozenset({1}))
     t = loss_tables("multi_similarity", S, np.zeros((4, 2)), metric="euclidean")
-    plan = build_plan(t, *multi_hot(labels), lp=LossParams(ms_eps=0.01))
+    pos, neg = _ms_mining_masks(t.M, match_matrix(multi_hot(labels)[0]), 0.01)
     # positives hug each other, negatives sit on the far side of the sphere
-    assert not plan.neg[0].any()
-    assert not plan.pos[0].any()
+    assert not neg[0].any()
+    assert not pos[0].any()
 
 
 def test_multi_similarity_large_eps_keeps_everything():
     S, U, labels = random_labeled(9, n=8)
     t = loss_tables("multi_similarity", S, U, metric="euclidean")
-    plan = build_plan(t, *multi_hot(labels), lp=LossParams(ms_eps=10.0))
+    pos, neg = _ms_mining_masks(t.M, match_matrix(multi_hot(labels)[0]), 10.0)
     n = len(labels)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             if labels[i] & labels[j]:
-                assert plan.pos[i, j]
+                assert pos[i, j]
             else:
-                assert plan.neg[i, j]
+                assert neg[i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +365,8 @@ def test_multi_similarity_large_eps_keeps_everything():
 
 
 def test_proxy_anchor_at_margin_pays_log2():
-    lp = default_loss_params("proxy_anchor")
     prox = ProxySet(semantic=np.array([[1.0, 0.0]]), uncertainty=np.zeros((1, 2)), classes=(0,))
-    d = lp.pa_delta
+    d = PA_DELTA
     S = np.array([[d, np.sqrt(1 - d * d)]])  # cosine with the proxy = delta
     r = compute_loss("proxy_anchor", S, np.zeros((1, 2)), *multi_hot([0]), metric="euclidean", proxies=prox)
     assert r.value == pytest.approx(LOG2, rel=1e-12)

@@ -6,6 +6,9 @@ route (tests/oracles.py); structural properties run as randomized
 invariants.
 """
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -530,6 +533,31 @@ def test_a_table_of_one_panel_is_the_whole_table():
     (lo, panel), *rest = gram_panels(X)
     assert lo == 0 and not rest
     assert np.array_equal(panel.view(np.uint64), pairwise_semantic_distance(X).view(np.uint64))
+
+
+# The wide workload's alpha table, whose 180 x 512 product OpenBLAS rounds
+# differently on two threads than on one.
+_ALPHA_TABLE_SHA256 = """
+import hashlib
+import numpy as np
+from idml.metric import pairwise_semantic_distance
+S = np.random.default_rng(47).normal(size=(180, 512))
+print(hashlib.sha256(pairwise_semantic_distance(S).tobytes()).hexdigest())
+"""
+
+
+def test_the_test_process_computes_the_one_blas_thread_bits(capsys):
+    """tests/conftest.py imports idml before any test module loads numpy, so
+    this process computes the tables a process capped at one BLAS thread does."""
+    exec(_ALPHA_TABLE_SHA256, {})
+    inline = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ALPHA_TABLE_SHA256], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == inline
 
 
 @pytest.mark.parametrize("metric", METRIC_NAMES)
